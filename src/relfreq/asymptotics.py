@@ -17,7 +17,7 @@ from typing import Dict, FrozenSet, List, Tuple
 
 from scipy.optimize import minimize_scalar
 
-from .ladder import LadderIdenticalParams, TERMINAL_T, ladder_closed_form
+from .ladder import LadderIdenticalParams, ladder_closed_form
 
 
 class AsymptoticsError(ValueError):

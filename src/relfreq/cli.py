@@ -16,7 +16,15 @@ from fractions import Fraction
 from typing import Optional
 
 from . import asymptotics
-from .core import Component, MatrixPair, MultilinearPoly, ReliabilityError, TransferSystem, single_pass
+from .core import (
+    Component,
+    DimensionMismatchError,
+    MatrixPair,
+    MultilinearPoly,
+    ReliabilityError,
+    TransferSystem,
+    single_pass,
+)
 from .kofn import FAMILY_G, FAMILY_LINCON_F, KofnSpec, build_kofn_g, build_lincon_f, identical_components
 from .ladder import (
     LadderCell,
@@ -82,6 +90,16 @@ def _parse_poly(entry, where: str) -> MultilinearPoly:
     return poly
 
 
+def _parse_matrix(rows, rates, where: str) -> MatrixPair:
+    """Square list of rows of entries; only the nonzero entries are kept."""
+    if any(len(row) != len(rows) for row in rows):
+        raise DimensionMismatchError(f"{where}: matrix must be square")
+    entries = [
+        (r, c, _parse_poly(e, where)) for r, row in enumerate(rows) for c, e in enumerate(row)
+    ]
+    return MatrixPair.from_entries(len(rows), entries, rates)
+
+
 def build_from_config(cfg: dict) -> TransferSystem:
     family = _require(cfg, "family")
     convention = cfg.get("rate_convention", "explicit")
@@ -132,12 +150,7 @@ def build_from_config(cfg: dict) -> TransferSystem:
         )
         rates = {c.id: c.lam for c in comps}
         pairs = tuple(
-            MatrixPair.from_matrix(
-                tuple(
-                    tuple(_parse_poly(e, f"matrices[{i}]") for e in row) for row in m
-                ),
-                rates,
-            )
+            _parse_matrix(m, rates, f"matrices[{i}]")
             for i, m in enumerate(_require(cfg, "matrices"))
         )
         return TransferSystem(

@@ -10,16 +10,26 @@ matrix level means threading the pair (M_k, M'_k) through one ordered pass:
     A_k = M_k A_{k-1}
     V_k = M_k V_{k-1} + M'_k A_{k-1}
 
+A :class:`MatrixPair` stores only the nonzero entries of M and M', as
+``(row, col, poly)`` triples grouped by row.  A pass compiles each distinct
+pair once into a numeric :class:`Step`: rows of ``(col, value)`` for M and
+M', evaluated from the nonzero entries only.  In exact mode a step also
+carries a scale D, the lcm of its values' denominators, and its values are
+the integers D.M and D.M'; the fold then runs on integers, multiplies the
+running scale by each D and divides once at the end (fraction-free, no gcd
+per step).  In approx mode the values are floats and D = 1.
+
 Memory use is O(vector dimension), independent of the number of matrices.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence, Tuple, Union
+from math import lcm, prod
+from typing import Iterable, Mapping, NamedTuple, Optional, Tuple
 
-from .scalars import APPROX, EXACT, Scalar, as_exact, check_mode, convert, rational_str
+from .scalars import EXACT, Scalar, as_exact, check_mode, convert, rational_str
 
 
 class ReliabilityError(ValueError):
@@ -247,55 +257,100 @@ def apply_rate_operator(
 # ---------------------------------------------------------------------------
 # Matrices and systems
 
-PolyMatrix = Tuple[Tuple[MultilinearPoly, ...], ...]
+class Entry(NamedTuple):
+    """One matrix entry: the polynomial at (row, col)."""
+
+    row: int
+    col: int
+    poly: MultilinearPoly
+
+    def is_zero(self) -> bool:
+        """So that rows of entries read like rows of polynomials."""
+        return self.poly.is_zero()
 
 
-def _freeze_matrix(m) -> PolyMatrix:
-    rows = tuple(tuple(_as_poly(e) for e in row) for row in m)
-    if not rows:
-        raise DimensionMismatchError("empty matrix")
-    ncols = len(rows[0])
-    if any(len(r) != ncols for r in rows):
-        raise DimensionMismatchError("ragged matrix")
+Rows = Tuple[Tuple[Entry, ...], ...]
+
+
+def _group_rows(entries: Iterable, dim: int) -> Rows:
+    """The nonzero ``(row, col, poly)`` triples of a dim x dim matrix,
+    grouped into dim rows in column order."""
+    rows = [{} for _ in range(dim)]
+    for r, c, poly in entries:
+        if not (0 <= r < dim and 0 <= c < dim):
+            raise DimensionMismatchError(f"entry ({r}, {c}) outside a {dim}x{dim} matrix")
+        if c in rows[r]:
+            raise ReliabilityError(f"entry ({r}, {c}) given twice")
+        rows[r][c] = _as_poly(poly)
+    return tuple(
+        tuple(Entry(r, c, row[c]) for c in sorted(row) if not row[c].is_zero())
+        for r, row in enumerate(rows)
+    )
+
+
+def _check_rows(rows, dim: int) -> Rows:
+    """``rows`` as a tuple, once it is known to hold dim rows of nonzero
+    entries, each row's in increasing column order."""
+    rows = tuple(map(tuple, rows))
+    if len(rows) != dim:
+        raise DimensionMismatchError(f"{len(rows)} rows given for a {dim}x{dim} matrix")
+    for r, row in enumerate(rows):
+        col = -1
+        for e in row:
+            if e.row != r or not col < e.col < dim or e.is_zero():
+                raise ReliabilityError(f"entry {e!r} out of place in row {r}")
+            col = e.col
     return rows
 
 
-def derive_matrix(m: PolyMatrix, rates: Mapping[str, Scalar]) -> PolyMatrix:
-    return tuple(tuple(apply_rate_operator(e, rates) for e in row) for row in m)
+def derive_matrix(rows: Rows, rates: Mapping[str, Scalar]) -> Rows:
+    """Rate-operator image of each entry; entries whose image is zero are dropped."""
+    out = []
+    for row in rows:
+        images = []
+        for r, c, poly in row:
+            image = apply_rate_operator(poly, rates)
+            if not image.is_zero():
+                images.append(Entry(r, c, image))
+        out.append(tuple(images))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
 class MatrixPair:
-    """A transfer matrix together with its rate-operator image.
+    """A square transfer matrix together with its rate-operator image.
 
-    The invariant m_prime[r][c] == apply_rate_operator(m[r][c], rates) is
-    established at construction via :meth:`from_matrix`.
+    ``m`` and ``m_prime`` hold only the nonzero entries, as :class:`Entry`
+    triples ``(row, col, poly)`` grouped into ``dim`` rows in column order.
+    The invariant that ``m_prime`` is the entrywise ``apply_rate_operator``
+    image of ``m`` is established by :meth:`from_entries`.
     """
 
-    m: PolyMatrix
-    m_prime: PolyMatrix
+    dim: int
+    m: Rows
+    m_prime: Rows
 
     def __post_init__(self):
-        m = _freeze_matrix(self.m)
-        mp = _freeze_matrix(self.m_prime)
-        if len(m) != len(mp) or len(m[0]) != len(mp[0]):
-            raise DimensionMismatchError("m and m_prime shapes differ")
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "m_prime", mp)
+        if self.dim < 1:
+            raise DimensionMismatchError("empty matrix")
+        object.__setattr__(self, "m", _check_rows(self.m, self.dim))
+        object.__setattr__(self, "m_prime", _check_rows(self.m_prime, self.dim))
 
     @property
     def shape(self) -> Tuple[int, int]:
-        return (len(self.m), len(self.m[0]))
+        return (self.dim, self.dim)
 
     @classmethod
-    def from_matrix(cls, m, rates: Mapping[str, Scalar]) -> "MatrixPair":
-        m = _freeze_matrix(m)
-        return cls(m=m, m_prime=derive_matrix(m, rates))
+    def from_entries(
+        cls, dim: int, entries: Iterable, rates: Mapping[str, Scalar]
+    ) -> "MatrixPair":
+        """Pair from ``(row, col, poly)`` triples in any order; zeros are dropped."""
+        m = _group_rows(entries, dim)
+        return cls(dim=dim, m=m, m_prime=derive_matrix(m, rates))
 
     @classmethod
     def zero(cls, dim: int) -> "MatrixPair":
-        z = tuple(tuple(MultilinearPoly.zero() for _ in range(dim)) for _ in range(dim))
-        return cls(m=z, m_prime=z)
+        return cls(dim=dim, m=((),) * dim, m_prime=((),) * dim)
 
 
 @dataclass(frozen=True)
@@ -328,8 +383,7 @@ class TransferSystem:
         if len(self.v_left) != dim:
             raise DimensionMismatchError("v_left and v_right dimensions differ")
         for pair in self.pairs:
-            r, c = pair.shape
-            if r != dim or c != dim:
+            if pair.dim != dim:
                 raise DimensionMismatchError(
                     f"matrix shape {pair.shape} incompatible with dimension {dim}"
                 )
@@ -397,26 +451,87 @@ def _check_probabilities(avail: Mapping[str, Scalar]):
             raise ReliabilityError(f"component {cid!r}: p={p} outside [0,1]")
 
 
-def _eval_sparse(matrix: PolyMatrix, avail, mode: str):
-    """Rows of (column, value) with zero entries dropped."""
-    rows = []
-    for row in matrix:
-        out = []
-        for j, entry in enumerate(row):
-            v = entry.evaluate(avail, mode)
-            if v != 0:
-                out.append((j, v))
-        rows.append(out)
-    return rows
+class Step(NamedTuple):
+    """One matrix pair compiled to numbers for one assignment and mode.
+
+    ``m`` and ``mp`` are rows of ``(col, value)`` holding the nonzero values
+    of ``scale * M`` and ``scale * M'``.  In exact mode the values are
+    integers and ``scale`` is the lcm of the denominators of M and M'; in
+    approx mode the values are floats and ``scale`` is 1.  ``flat`` holds the
+    same 18 values row by row, zeros included, for the unrolled 3x3 fold;
+    it is None for every other dimension.
+    """
+
+    m: Tuple[Tuple[Tuple[int, Scalar], ...], ...]
+    mp: Tuple[Tuple[Tuple[int, Scalar], ...], ...]
+    scale: int
+    flat: Optional[Tuple[Scalar, ...]]
 
 
-def _advance(sm, sp, a, v):
-    new_a = [sum(val * a[j] for j, val in row) for row in sm]
-    new_v = [
-        sum(val * v[j] for j, val in mrow) + sum(val * a[j] for j, val in prow)
-        for mrow, prow in zip(sm, sp)
+def _compile(pair: MatrixPair, avail, rates: Optional[Mapping], mode: str) -> Step:
+    """Evaluate the nonzero entries of M and M' into a :class:`Step`.
+
+    M' is derived from ``rates`` when they are given, else the stored image
+    is used.
+    """
+    m_prime = pair.m_prime if rates is None else derive_matrix(pair.m, rates)
+    mats = [
+        [[(c, poly.evaluate(avail, mode)) for _, c, poly in row] for row in rows]
+        for rows in (pair.m, m_prime)
     ]
+    scale = 1
+    if mode == EXACT:
+        scale = lcm(*(x.denominator for rows in mats for row in rows for _, x in row))
+        mats = [
+            [[(c, x.numerator * (scale // x.denominator)) for c, x in row] for row in rows]
+            for rows in mats
+        ]
+    m, mp = (tuple(tuple((c, x) for c, x in row if x) for row in rows) for rows in mats)
+    flat = None
+    if pair.dim == 3:
+        dense = [0 if mode == EXACT else 0.0] * 18
+        for base, rows in zip((0, 9), mats):
+            for r, row in enumerate(rows):
+                for c, x in row:
+                    dense[base + 3 * r + c] = x
+        flat = tuple(dense)
+    return Step(m, mp, scale, flat)
+
+
+def _advance(step: Step, a, v):
+    """(scale * M a, scale * (M v + M' a)) for one compiled step."""
+    new_a, new_v = [], []
+    for mrow, prow in zip(step.m, step.mp):
+        x = y = 0
+        for j, val in mrow:
+            x += val * a[j]
+            y += val * v[j]
+        for j, val in prow:
+            y += val * a[j]
+        new_a.append(x)
+        new_v.append(y)
     return new_a, new_v
+
+
+def _advance3(steps, a, v):
+    """The fold of :func:`_advance` over 3x3 steps, unrolled; it dominates
+    long ladders.  It adds the same nonzero products in the same order, so
+    the values are equal."""
+    a1, a2, a3 = a
+    v1, v2, v3 = v
+    for step in steps:
+        (m11, m12, m13, m21, m22, m23, m31, m32, m33,
+         d11, d12, d13, d21, d22, d23, d31, d32, d33) = step.flat
+        na1 = m11 * a1 + m12 * a2 + m13 * a3
+        na2 = m21 * a1 + m22 * a2 + m23 * a3
+        na3 = m31 * a1 + m32 * a2 + m33 * a3
+        v1, v2, v3 = (
+            m11 * v1 + m12 * v2 + m13 * v3 + d11 * a1 + d12 * a2 + d13 * a3,
+            m21 * v1 + m22 * v2 + m23 * v3 + d21 * a1 + d22 * a2 + d23 * a3,
+            m31 * v1 + m32 * v2 + m33 * v3 + d31 * a1 + d32 * a2 + d33 * a3,
+        )
+        a1, a2, a3 = na1, na2, na3
+    return [a1, a2, a3], [v1, v2, v3]
 
 
 def stream_step(
@@ -426,18 +541,20 @@ def stream_step(
 
     ``assignment`` maps ids to availabilities, or to (p, lam) tuples; when
     rates are supplied the derivative matrix is recomputed from them instead
-    of using the stored one.
+    of using the stored one.  The pair is compiled afresh on every call, and
+    the state keeps the true (unscaled) vectors.
     """
     avail, rates, has_rates = _split_assignment(assignment)
     _check_probabilities(avail)
-    if pair.shape[1] != len(state.a_vec):
+    if pair.dim != len(state.a_vec):
         raise DimensionMismatchError(
             f"matrix shape {pair.shape} incompatible with state dimension {len(state.a_vec)}"
         )
-    mp = derive_matrix(pair.m, rates) if has_rates else pair.m_prime
-    sm = _eval_sparse(pair.m, avail, state.mode)
-    sp = _eval_sparse(mp, avail, state.mode)
-    a, v = _advance(sm, sp, list(state.a_vec), list(state.v_vec))
+    step = _compile(pair, avail, rates if has_rates else None, state.mode)
+    a, v = _advance(step, state.a_vec, state.v_vec)
+    if state.mode == EXACT:
+        a = [Fraction(x, step.scale) for x in a]
+        v = [Fraction(x, step.scale) for x in v]
     return PassState(
         a_vec=tuple(a), v_vec=tuple(v), index=state.index + 1, mode=state.mode
     )
@@ -523,70 +640,45 @@ def single_pass(
 
     ``assignment`` maps component ids to availabilities or (p, lam) pairs;
     when omitted, the values carried by the system's components are used.
-    Repeated matrix-pair objects are evaluated once, so systems built from a
-    shared cell advance in O(dim^2) per step with no polynomial work.
+    Each distinct matrix-pair object is compiled once, so systems built from
+    a shared cell advance in O(dim^2) per step with no polynomial work.
+    Exact mode folds integers and divides by the product of the step scales
+    once at the end; the rationals are the same as a step-by-step fold's.
     """
     check_mode(mode)
     if assignment is None:
         assignment = system.default_assignment()
     avail, rates, has_rates = _split_assignment(assignment)
     _check_probabilities(avail)
+    if not has_rates:
+        rates = None
 
-    a = [convert(x, mode) for x in system.v_right]
-    zero = Fraction(0) if mode == EXACT else 0.0
-    v = [zero] * len(a)
+    compiled = {}
+    steps = []
+    for pair in system.pairs:
+        step = compiled.get(id(pair))
+        if step is None:
+            step = compiled[id(pair)] = _compile(pair, avail, rates, mode)
+        steps.append(step)
 
-    cache = {}
-
-    def evaluated(pair):
-        key = id(pair)
-        mats = cache.get(key)
-        if mats is None:
-            mp = derive_matrix(pair.m, rates) if has_rates else pair.m_prime
-            mats = (_eval_sparse(pair.m, avail, mode), _eval_sparse(mp, avail, mode))
-            cache[key] = mats
-        return mats
+    if mode == EXACT:
+        # integer state: the true vectors are a / scale and v / scale
+        scale = lcm(*(x.denominator for x in system.v_right))
+        a = [x.numerator * (scale // x.denominator) for x in system.v_right]
+        v = [0] * len(a)
+    else:
+        a = [float(x) for x in system.v_right]
+        v = [0.0] * len(a)
 
     if len(a) == 3:
-        # unrolled 3x3 path; dominant for long ladders
-        flat_cache = {}
-
-        def flat(pair):
-            key = id(pair)
-            f = flat_cache.get(key)
-            if f is None:
-                sm, sp = evaluated(pair)
-                dense = []
-                for rows in (sm, sp):
-                    for row in rows:
-                        d = [zero, zero, zero]
-                        for j, val in row:
-                            d[j] = val
-                        dense.extend(d)
-                f = tuple(dense)
-                flat_cache[key] = f
-            return f
-
-        a1, a2, a3 = a
-        v1, v2, v3 = v
-        for pair in system.pairs:
-            (m11, m12, m13, m21, m22, m23, m31, m32, m33,
-             d11, d12, d13, d21, d22, d23, d31, d32, d33) = flat(pair)
-            na1 = m11 * a1 + m12 * a2 + m13 * a3
-            na2 = m21 * a1 + m22 * a2 + m23 * a3
-            na3 = m31 * a1 + m32 * a2 + m33 * a3
-            v1, v2, v3 = (
-                m11 * v1 + m12 * v2 + m13 * v3 + d11 * a1 + d12 * a2 + d13 * a3,
-                m21 * v1 + m22 * v2 + m23 * v3 + d21 * a1 + d22 * a2 + d23 * a3,
-                m31 * v1 + m32 * v2 + m33 * v3 + d31 * a1 + d32 * a2 + d33 * a3,
-            )
-            a1, a2, a3 = na1, na2, na3
-        a = [a1, a2, a3]
-        v = [v1, v2, v3]
+        a, v = _advance3(steps, a, v)
     else:
-        for pair in system.pairs:
-            mats = evaluated(pair)
-            a, v = _advance(mats[0], mats[1], a, v)
+        for step in steps:
+            a, v = _advance(step, a, v)
 
+    if mode == EXACT:
+        scale *= prod(step.scale for step in steps)
+        a = [Fraction(x, scale) for x in a]
+        v = [Fraction(x, scale) for x in v]
     state = PassState(a_vec=tuple(a), v_vec=tuple(v), index=system.size, mode=mode)
     return finalize(system, state)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import List, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple
 
 from .scalars import as_exact
 

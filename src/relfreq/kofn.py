@@ -8,10 +8,10 @@ position.  Closed forms for identical components are provided alongside.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Sequence, Tuple
+from typing import Tuple
 
 from .core import (
     Component,
@@ -56,15 +56,8 @@ def _bidiagonal_g(comp: Component, k: int) -> MatrixPair:
     """k x k matrix with q_i on the diagonal and p_i on the superdiagonal."""
     p = MultilinearPoly.variable(comp.id)
     q = MultilinearPoly.one() - p
-    zero = MultilinearPoly.zero()
-    rows = []
-    for r in range(k):
-        row = [zero] * k
-        row[r] = q
-        if r + 1 < k:
-            row[r + 1] = p
-        rows.append(tuple(row))
-    return MatrixPair.from_matrix(tuple(rows), {comp.id: comp.lam})
+    entries = [(r, r, q) for r in range(k)] + [(r, r + 1, p) for r in range(k - 1)]
+    return MatrixPair.from_entries(k, entries, {comp.id: comp.lam})
 
 
 def build_kofn_g(spec: KofnSpec) -> TransferSystem:
@@ -97,15 +90,8 @@ def _lincon_matrix(comp: Component, k: int) -> MatrixPair:
     """k x k matrix with p_i down the first column and q_i on the superdiagonal."""
     p = MultilinearPoly.variable(comp.id)
     q = MultilinearPoly.one() - p
-    zero = MultilinearPoly.zero()
-    rows = []
-    for r in range(k):
-        row = [zero] * k
-        row[0] = p
-        if r + 1 < k:
-            row[r + 1] = q
-        rows.append(tuple(row))
-    return MatrixPair.from_matrix(tuple(rows), {comp.id: comp.lam})
+    entries = [(r, 0, p) for r in range(k)] + [(r, r + 1, q) for r in range(k - 1)]
+    return MatrixPair.from_entries(k, entries, {comp.id: comp.lam})
 
 
 def build_lincon_f(spec: KofnSpec) -> TransferSystem:

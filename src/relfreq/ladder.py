@@ -4,17 +4,18 @@ Cell i contributes rail edges a_i (top) and c_i (bottom), rung b_i, and
 nodes S_i, T_i; edge a_i joins S_{i-1} to S_i, c_i joins T_{i-1} to T_i,
 and b_i joins S_i to T_i.  The source is S_0; cell 0 therefore has a
 perfect entry edge (a_0 = 1) and no bottom rail (c_0 = 0).  Each cell maps
-to one dense 3x3 transfer matrix; the availability between S_0 and S_n or
-T_n is a product of those matrices.  For identical cells the closed form
-in the three eigenvalues is evaluated through a rational three-term
-recurrence, so exact inputs give exact outputs with no square roots.
+to one 3x3 transfer matrix, all nine entries nonzero polynomials; the
+availability between S_0 and S_n or T_n is a product of those matrices.
+For identical cells the closed form in the three eigenvalues is evaluated
+through a rational three-term recurrence, so exact inputs give exact
+outputs with no square roots.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from .core import (
     Component,
@@ -114,8 +115,9 @@ def cell_matrix_pair(cell: LadderCell) -> MatrixPair:
         (a * b * S * T, c * T, abcST),
         (-(a * b * S * T), -(b * c * S * T), a * (one - 2 * b) * c * S * T),
     )
+    entries = [(r, col, e) for r, row in enumerate(m) for col, e in enumerate(row)]
     rates = {comp.id: comp.lam for comp in cell.components()}
-    return MatrixPair.from_matrix(m, rates)
+    return MatrixPair.from_entries(3, entries, rates)
 
 
 def build_ladder(spec: LadderSpec) -> TransferSystem:

@@ -52,10 +52,36 @@ def parse_scalar(text: str) -> Fraction:
         raise ValueError(f"cannot parse scalar {text!r}: {exc}") from exc
 
 
+# 2000 bits is at most 603 decimal digits, below the smallest nonzero value
+# sys.set_int_max_str_digits accepts (640), so str() of an int this short
+# never hits the interpreter-wide limit, whatever it is set to.
+_STR_SAFE_BITS = 2000
+
+
+def _int_str(n: int) -> str:
+    """Decimal digits of any int without raising the int-to-str digit limit.
+
+    Longer ints are split by ``divmod`` with a power of ten near half their
+    length and the halves written recursively.
+    """
+    if n < 0:
+        return "-" + _int_str(-n)
+    if n.bit_length() <= _STR_SAFE_BITS:
+        return str(n)
+    half = n.bit_length() * 3 // 20  # about half the decimal digits
+    high, low = divmod(n, 10**half)
+    return _int_str(high) + _int_str(low).zfill(half)
+
+
 def rational_str(x: Fraction) -> str:
-    """Lowest-terms 'num/den' string (plain integer when the denominator is 1)."""
+    """Lowest-terms 'num/den' string (plain integer when the denominator is 1).
+
+    Exact for any size.  Reading a string longer than 4300 digits back with
+    ``Fraction(text)`` or ``int(text)`` needs ``sys.set_int_max_str_digits``.
+    """
     x = as_exact(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    num = _int_str(x.numerator)
+    return num if x.denominator == 1 else f"{num}/{_int_str(x.denominator)}"
 
 
 def is_probability(x) -> bool:

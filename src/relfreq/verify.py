@@ -8,11 +8,11 @@ demands identical rationals for availability and failure frequency.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List
 
-from .core import Component, MatrixPair, MultilinearPoly, TransferSystem, single_pass
+from .core import Component, TransferSystem, single_pass
 from .kofn import (
     FAMILY_G,
     FAMILY_LINCON_F,
@@ -30,7 +30,6 @@ from .ladder import (
     ladder_structure,
 )
 from .oracle import (
-    StructureFunction,
     kofn_g_structure,
     lincon_f_structure,
     oracle_availability,
@@ -114,21 +113,10 @@ def _random_ladder(rng: random.Random, max_components: int):
 def _corrupt_system(system: TransferSystem) -> TransferSystem:
     """Test hook: perturb one matrix entry so equivalence must fail."""
     pair = system.pairs[0]
-    extra = MultilinearPoly.constant(Fraction(1, 97))
-    rows = [list(r) for r in pair.m]
-    rows[0][0] = rows[0][0] + extra
-    bad = MatrixPair(m=tuple(tuple(r) for r in rows), m_prime=pair.m_prime)
-    pairs = (bad,) + system.pairs[1:]
-    return TransferSystem(
-        v_left=system.v_left,
-        pairs=pairs,
-        v_right=system.v_right,
-        offset=system.offset,
-        sign=system.sign,
-        components=system.components,
-        rate_unit=system.rate_unit,
-        family=system.family,
-    )
+    (first, *rest), *rows = pair.m
+    bad_first = first._replace(poly=first.poly + Fraction(1, 97))
+    bad = replace(pair, m=((bad_first, *rest), *rows))
+    return replace(system, pairs=(bad,) + system.pairs[1:])
 
 
 def run_equivalence_trials(

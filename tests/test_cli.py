@@ -171,6 +171,20 @@ class TestSolveCommand:
         path = write_config(tmp_path, cfg)
         assert main(["solve", path]) == EXIT_VALIDATION
 
+    @pytest.mark.parametrize(
+        "matrix", [[[[], []], [[]]], [[[], []]], []], ids=["ragged", "1x2", "empty"]
+    )
+    def test_non_square_custom_matrix_exit_code(self, tmp_path, matrix):
+        cfg = {
+            "family": "custom-matrices",
+            "components": [{"id": "x", "p": "3/4", "lambda": "2"}],
+            "v_left": ["1", "0"],
+            "v_right": ["1", "0"],
+            "matrices": [matrix],
+        }
+        path = write_config(tmp_path, cfg)
+        assert main(["solve", path]) == EXIT_VALIDATION
+
 
 class TestSweepCommand:
     def read_rows(self, capsys):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from relfreq.core import (
     Component,
     DimensionMismatchError,
+    Entry,
     MatrixPair,
     MissingRateError,
     MultilinearPoly,
@@ -16,6 +17,7 @@ from relfreq.core import (
     TransferSystem,
     apply_rate_operator,
     derive_matrix,
+    finalize,
     initial_state,
     single_pass,
     stream_step,
@@ -90,25 +92,30 @@ class TestRateOperator:
     def test_matrix_level_product_rule(self):
         P4, P5, P6 = (MultilinearPoly.variable(f"p{i}") for i in (4, 5, 6))
         rates = {f"p{i}": F(i, 2) for i in range(1, 7)}
-        m = ((P1, P2), (P3, MultilinearPoly.one() - P1))
-        n = ((P5 * P6, MultilinearPoly.one()), (P4, P5))
+        m = ((0, 0, P1), (0, 1, P2), (1, 0, P3), (1, 1, MultilinearPoly.one() - P1))
+        n = ((0, 0, P5 * P6), (0, 1, MultilinearPoly.one()), (1, 0, P4), (1, 1, P5))
+
+        def rows(entries):
+            return MatrixPair.from_entries(2, entries, rates).m
 
         def matmul(x, y):
-            k = len(y)
-            return tuple(
-                tuple(
-                    sum((x[r][i] * y[i][c] for i in range(k)), MultilinearPoly.zero())
-                    for c in range(len(y[0]))
-                )
-                for r in range(len(x))
-            )
+            acc = {}
+            for r, i, e in (e for row in x for e in row):
+                for j, c, f in (f for row in y for f in row):
+                    if i == j:
+                        acc[r, c] = acc.get((r, c), MultilinearPoly.zero()) + e * f
+            return rows((r, c, e) for (r, c), e in acc.items())
 
+        def as_dict(*matrices):
+            acc = {}
+            for r, c, e in (e for x in matrices for row in x for e in row):
+                acc[r, c] = acc.get((r, c), MultilinearPoly.zero()) + e
+            return {pos: e for pos, e in acc.items() if not e.is_zero()}
+
+        m, n = rows(m), rows(n)
         mp, np_ = derive_matrix(m, rates), derive_matrix(n, rates)
-        lhs = derive_matrix(matmul(m, n), rates)
-        rhs_a, rhs_b = matmul(mp, n), matmul(m, np_)
-        rhs = tuple(
-            tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(rhs_a, rhs_b)
-        )
+        lhs = as_dict(derive_matrix(matmul(m, n), rates))
+        rhs = as_dict(matmul(mp, n), matmul(m, np_))
         assert lhs == rhs
 
 
@@ -135,11 +142,36 @@ class TestPolynomials:
         assert approx == pytest.approx(float(exact), abs=1e-12)
 
 
+class TestMatrixPair:
+    def test_from_entries_drops_zeros_and_sorts_rows(self):
+        pair = MatrixPair.from_entries(
+            2, [(1, 1, P2), (0, 1, MultilinearPoly.zero()), (1, 0, P1)], {"p1": F(1), "p2": F(0)}
+        )
+        assert pair.m == ((), (Entry(1, 0, P1), Entry(1, 1, P2)))
+        assert pair.m_prime == ((), (Entry(1, 0, P1),))
+
+    @pytest.mark.parametrize(
+        "entries", [[(0, 2, P1)], [(-1, 0, P1)], [(0, 0, P1), (0, 0, P2)]],
+        ids=["column", "row", "twice"],
+    )
+    def test_from_entries_rejects_bad_positions(self, entries):
+        with pytest.raises(ReliabilityError):
+            MatrixPair.from_entries(2, entries, {"p1": F(1), "p2": F(1)})
+
+    @pytest.mark.parametrize(
+        "m",
+        [((Entry(1, 0, P1),), ()), ((Entry(0, 1, P1), Entry(0, 0, P2)), ()),
+         ((Entry(0, 0, MultilinearPoly.zero()),), ()), ((),)],
+        ids=["wrong-row", "unsorted", "zero", "too-few-rows"],
+    )
+    def test_constructor_rejects_misplaced_entries(self, m):
+        with pytest.raises(ReliabilityError):
+            MatrixPair(dim=2, m=m, m_prime=((), ()))
+
+
 def one_component_system(p=F(3, 4), lam=F(2)):
     comp = Component("x", p, lam)
-    pair = MatrixPair.from_matrix(
-        ((MultilinearPoly.variable("x"),),), {"x": lam}
-    )
+    pair = MatrixPair.from_entries(1, [(0, 0, MultilinearPoly.variable("x"))], {"x": lam})
     return TransferSystem(
         v_left=(F(1),), pairs=(pair,), v_right=(F(1),), components=(comp,)
     )
@@ -151,9 +183,7 @@ def random_three_component_system(rng_seed=7):
     # series system of three components, written as 1x1 matrices
     comps = tuple(Component(f"x{i}", F(i, i + 1), F(1, i)) for i in (1, 2, 3))
     pairs = tuple(
-        MatrixPair.from_matrix(
-            ((MultilinearPoly.variable(c.id),),), {c.id: c.lam}
-        )
+        MatrixPair.from_entries(1, [(0, 0, MultilinearPoly.variable(c.id))], {c.id: c.lam})
         for c in comps
     )
     return TransferSystem(
@@ -237,8 +267,6 @@ class TestStreamStep:
         state = initial_state(system)
         for pair in system.pairs:
             state = stream_step(state, pair, assignment)
-        from relfreq.core import finalize
-
         report = finalize(system, state)
         direct = single_pass(system)
         assert report.availability == direct.availability
@@ -256,6 +284,97 @@ class TestStreamStep:
         state = initial_state(system)
         with pytest.raises(DimensionMismatchError):
             stream_step(state, MatrixPair.zero(3), {})
+
+
+FOLD_IDS = ("x1", "x2", "x3")
+
+
+def mixed_rationals():
+    return st.builds(F, st.integers(-6, 6), st.integers(1, 12))
+
+
+@st.composite
+def fold_cases(draw):
+    """(system, assignment) with mixed denominators, sign -1 and an offset,
+    zero matrices, shared pair objects, zero rates and, half the time, an
+    availability-only assignment, so the stored M' is used."""
+    dim = draw(st.integers(1, 3))
+    rates = st.sampled_from([F(0), F(1, 3), F(2), F(5, 7)])
+    poly = st.builds(
+        lambda terms: MultilinearPoly(dict(terms)),
+        st.lists(
+            st.tuples(st.frozensets(st.sampled_from(FOLD_IDS), max_size=2), mixed_rationals()),
+            max_size=2,
+        ),
+    )
+    position = st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1))
+    build_rates = {cid: draw(rates) for cid in FOLD_IDS}
+    pool = [MatrixPair.zero(dim)]
+    for _ in range(draw(st.integers(1, 3))):
+        positions = draw(st.lists(position, unique=True, max_size=dim * dim))
+        entries = [(r, c, draw(poly)) for r, c in positions]
+        pool.append(MatrixPair.from_entries(dim, entries, build_rates))
+    pairs = [pool[i] for i in draw(st.lists(st.integers(0, len(pool) - 1), max_size=6))]
+    vector = st.lists(mixed_rationals(), min_size=dim, max_size=dim)
+    system = TransferSystem(
+        v_left=draw(vector),
+        pairs=pairs,
+        v_right=draw(vector),
+        offset=draw(mixed_rationals()),
+        sign=draw(st.sampled_from([1, -1])),
+    )
+    p = st.builds(F, st.integers(0, 7), st.just(7)) | st.sampled_from([F(1, 3), F(9, 10)])
+    avail = {cid: draw(p) for cid in FOLD_IDS}
+    if draw(st.booleans()):
+        return system, avail
+    return system, {cid: (x, draw(rates)) for cid, x in avail.items()}
+
+
+def dense_fraction_fold(system, assignment):
+    """(A, nu) by a plain dense Fraction fold, one matrix product per step."""
+    avail = {cid: val[0] if isinstance(val, tuple) else val for cid, val in assignment.items()}
+    rates = {cid: val[1] for cid, val in assignment.items() if isinstance(val, tuple)}
+    dim = system.dim
+    a, v = list(system.v_right), [F(0)] * dim
+    for pair in system.pairs:
+        m = [[F(0)] * dim for _ in range(dim)]
+        mp = [[F(0)] * dim for _ in range(dim)]
+        for r, c, e in (e for row in pair.m for e in row):
+            m[r][c] = e.evaluate(avail)
+            if rates:
+                mp[r][c] = apply_rate_operator(e, rates).evaluate(avail)
+        if not rates:
+            for r, c, e in (e for row in pair.m_prime for e in row):
+                mp[r][c] = e.evaluate(avail)
+        a, v = (
+            [sum(m[r][j] * a[j] for j in range(dim)) for r in range(dim)],
+            [sum(m[r][j] * v[j] + mp[r][j] * a[j] for j in range(dim)) for r in range(dim)],
+        )
+    x = sum(l * ai for l, ai in zip(system.v_left, a))
+    y = sum(l * vi for l, vi in zip(system.v_left, v))
+    return system.offset + system.sign * x, system.sign * y
+
+
+class TestFractionFreeFold:
+    @given(fold_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_single_pass_equals_dense_fraction_fold(self, case):
+        system, assignment = case
+        report = single_pass(system, assignment)
+        assert (report.availability, report.frequency) == dense_fraction_fold(system, assignment)
+        assert isinstance(report.availability, F) and isinstance(report.frequency, F)
+
+    @pytest.mark.parametrize("mode", ["exact", "approx"])
+    @given(case=fold_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_stream_step_fold_equals_single_pass(self, mode, case):
+        system, assignment = case
+        state = initial_state(system, mode)
+        for pair in system.pairs:
+            state = stream_step(state, pair, assignment)
+        folded = finalize(system, state)
+        direct = single_pass(system, assignment, mode)
+        assert (folded.availability, folded.frequency) == (direct.availability, direct.frequency)
 
 
 class TestComponent:

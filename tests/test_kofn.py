@@ -45,10 +45,22 @@ class TestKofnG:
         cid = comps[0].id
         lam_p = F(2) * F(1, 2)
         assign = {cid: F(1, 2)}
+        m_prime = {(r, c): e for row in pair.m_prime for r, c, e in row}
         # diagonal -lam p, superdiagonal +lam p
-        assert pair.m_prime[0][0].evaluate(assign) == -lam_p
-        assert pair.m_prime[0][1].evaluate(assign) == lam_p
-        assert pair.m_prime[1][1].evaluate(assign) == -lam_p
+        assert m_prime[0, 0].evaluate(assign) == -lam_p
+        assert m_prime[0, 1].evaluate(assign) == lam_p
+        assert m_prime[1, 1].evaluate(assign) == -lam_p
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 7])
+    def test_pairs_store_only_the_2k_minus_1_nonzeros(self, k):
+        comps = identical_components(k + 2, F(2, 3), lam=F(3))
+        for system in (
+            build_kofn_g(KofnSpec(k, comps)),
+            build_lincon_f(KofnSpec(k, comps, family=FAMILY_LINCON_F)),
+        ):
+            for pair in system.pairs:
+                nonzeros = [sum(map(len, rows)) for rows in (pair.m, pair.m_prime)]
+                assert nonzeros == [2 * k - 1, 2 * k - 1]
 
     def test_series_when_k_equals_n(self):
         comps = tuple(

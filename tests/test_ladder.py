@@ -49,9 +49,11 @@ class TestCellMatrix:
             [a * b * S * T, c * T, a * b * c * S * T],
             [-a * b * S * T, -b * c * S * T, a * (1 - 2 * b) * c * S * T],
         ]
+        entries = {(r, col): e for row in pair.m for r, col, e in row}
+        assert len(entries) == 9
         for r in range(3):
             for col in range(3):
-                assert pair.m[r][col].evaluate(assign) == expected[r][col]
+                assert entries[r, col].evaluate(assign) == expected[r][col]
 
     def test_entry_cell_validation(self):
         bad = LadderCell(

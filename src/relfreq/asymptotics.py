@@ -13,11 +13,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Dict, FrozenSet, List, Tuple
 
-from scipy.optimize import minimize_scalar
-
-from .ladder import LadderIdenticalParams, ladder_closed_form
+from .core import Component
+from .ladder import (
+    TERMINAL_S, TERMINAL_T, LadderCell, LadderIdenticalParams, LadderSpec, discriminant,
+    eigen_symmetric_parts, entry_cell, ladder_closed_form, ladder_structure,
+)
 
 
 class AsymptoticsError(ValueError):
@@ -34,27 +37,20 @@ class LadderAsymptotics:
     d_ln_alpha: float
 
 
-def discriminant(p: float, rho: float = 1.0) -> float:
-    return 1 + 4 * p**2 * rho - 8 * p**3 * rho**2 + 4 * p**4 * rho**2
-
-
 def eigenvalues(p: float, rho: float = 1.0) -> Tuple[float, float, float]:
     """(zeta0, zeta+, zeta-) of the identical-component cell matrix."""
     if not (0 <= p <= 1 and 0 <= rho <= 1):
         raise AsymptoticsError("p and rho must lie in [0,1]")
-    zeta0 = p * rho * (1 - p * rho)
-    root = math.sqrt(discriminant(p, rho))
-    base = p * rho / 2
-    zp = base * (1 + 2 * p * (1 - p) * rho + root)
-    zm = base * (1 + 2 * p * (1 - p) * rho - root)
-    return zeta0, zp, zm
+    zeta0, trace, _ = eigen_symmetric_parts(p, rho)
+    root = p * rho * math.sqrt(discriminant(p, rho))
+    return zeta0, (trace + root) / 2, (trace - root) / 2
 
 
 def log_derivatives(p: float) -> Tuple[float, float]:
     """(dln zeta+/dln p, dln alpha+/dln p) for perfect nodes, 0 < p < 1."""
     if not (0 < p < 1):
         raise AsymptoticsError("log derivatives require 0 < p < 1")
-    b = 1 + 4 * p**2 * (1 - p) ** 2
+    b = discriminant(p)
     root = math.sqrt(b)
     d_zeta = (-1 + 4 * p - 6 * p**2 + 4 * p**3 + (3 - 4 * p) * root) / (
         2 * (1 - p) * root
@@ -99,11 +95,21 @@ def first_order_rate(n: int, lam: float, q: float) -> float:
 
 
 def _maximize(fn, lo=1e-6, hi=1 - 1e-6) -> Tuple[float, float]:
-    res = minimize_scalar(
-        lambda p: -fn(p), bounds=(lo, hi), method="bounded",
-        options={"xatol": 1e-10},
-    )
-    return float(res.x), float(-res.fun)
+    """(x, fn(x)) at the maximum of a unimodal fn on [lo, hi], by golden-section
+    search down to a bracket 1e-10 wide."""
+    r = (math.sqrt(5) - 1) / 2
+    x1, x2 = hi - r * (hi - lo), lo + r * (hi - lo)
+    f1, f2 = fn(x1), fn(x2)
+    while hi - lo > 1e-10:
+        if f1 < f2:  # the maximum lies in [x1, hi]; the old x2 is the new x1
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + r * (hi - lo)
+            f2 = fn(x2)
+        else:  # the maximum lies in [lo, x2]; the old x1 is the new x2
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - r * (hi - lo)
+            f1 = fn(x1)
+    return (x1, f1) if f1 >= f2 else (x2, f2)
 
 
 def log_derivative_maxima() -> Dict[str, Tuple[float, float]]:
@@ -120,51 +126,37 @@ def log_derivative_maxima() -> Dict[str, Tuple[float, float]]:
 # Minimal-cut enumeration (perfect nodes)
 
 
-def ladder_edges(n: int) -> List[Tuple[str, str, str]]:
-    """Fallible edges of an n-cell ladder: rung b0 plus (a_i, b_i, c_i)."""
-    edges = [("b0", "S0", "T0")]
-    for i in range(1, n + 1):
-        edges.append((f"a{i}", f"S{i-1}", f"S{i}"))
-        edges.append((f"c{i}", f"T{i-1}", f"T{i}"))
-        edges.append((f"b{i}", f"S{i}", f"T{i}"))
-    return edges
-
-
-def _connected(edges, removed: FrozenSet[str], source: str, terminal: str) -> bool:
-    adj: Dict[str, list] = {}
-    for eid, u, v in edges:
-        if eid in removed:
-            continue
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    seen = {source}
-    stack = [source]
-    while stack:
-        u = stack.pop()
-        if u == terminal:
-            return True
-        for v in adj.get(u, ()):
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return False
-
-
 def minimal_cuts_size2(n: int, terminal: str = "S") -> List[FrozenSet[str]]:
-    """All minimal edge cuts of size 2 between S0 and the cell-n terminal."""
+    """All minimal edge cuts of size 2 between S0 and the cell-n terminal.
+
+    The cuts are read off :func:`ladder.ladder_structure` for an n-cell
+    ladder with perfect nodes: a set of edges is a cut when the structure
+    function fails with those edges down and every other edge up.
+    """
     if terminal not in ("S", "T"):
         raise AsymptoticsError("terminal must be 'S' or 'T'")
-    edges = ladder_edges(n)
-    target = f"{terminal}{n}"
-    ids = [e[0] for e in edges]
-    bridges = {
-        eid for eid in ids if not _connected(edges, frozenset([eid]), "S0", target)
-    }
-    cuts = []
-    for pair in itertools.combinations(ids, 2):
-        fp = frozenset(pair)
-        if fp & bridges:
-            continue  # not minimal: a single edge already cuts
-        if not _connected(edges, fp, "S0", target):
-            cuts.append(fp)
-    return cuts
+
+    def edge(cid):
+        return Component(cid, Fraction(1, 2))
+
+    def node(cid):
+        return Component(cid, 1)
+
+    cells = [entry_cell(edge("b0"), node("S0"), node("T0"))]
+    for i in range(1, n + 1):
+        cells.append(LadderCell(
+            edge(f"a{i}"), edge(f"b{i}"), edge(f"c{i}"), node(f"S{i}"), node(f"T{i}"), i
+        ))
+    spec = LadderSpec(tuple(cells), TERMINAL_S if terminal == "S" else TERMINAL_T)
+    structure = ladder_structure(spec)
+    components = [comp for cell in cells for comp in cell.components()]
+    ids = ["b0"] + [comp.id for cell in cells[1:] for comp in (cell.a, cell.c, cell.b)]
+
+    def connected(removed) -> bool:
+        # the absent rail (p = 0) stays down; every other component not removed is up
+        return structure({c.id: c.p > 0 and c.id not in removed for c in components})
+
+    bridges = {eid for eid in ids if not connected({eid})}
+    # a pair holding a bridge is not minimal: the single edge already cuts
+    pairs = (frozenset(pair) for pair in itertools.combinations(ids, 2))
+    return [fp for fp in pairs if not fp & bridges and not connected(fp)]

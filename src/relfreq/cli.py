@@ -37,7 +37,7 @@ from .ladder import (
     identical_ladder_spec,
 )
 from .scalars import APPROX, EXACT, parse_scalar
-from .verify import MAX_VERIFY_COMPONENTS, run_equivalence_trials
+from .verify import check_sizes, run_equivalence_trials
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -296,11 +296,10 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.max_components > MAX_VERIFY_COMPONENTS:
-        print(
-            f"error: max-components {args.max_components} exceeds cap {MAX_VERIFY_COMPONENTS}",
-            file=sys.stderr,
-        )
+    try:
+        check_sizes(args.trials, args.max_components)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     result = run_equivalence_trials(
         trials=args.trials,

@@ -457,15 +457,12 @@ class Step(NamedTuple):
     ``m`` and ``mp`` are rows of ``(col, value)`` holding the nonzero values
     of ``scale * M`` and ``scale * M'``.  In exact mode the values are
     integers and ``scale`` is the lcm of the denominators of M and M'; in
-    approx mode the values are floats and ``scale`` is 1.  ``flat`` holds the
-    same 18 values row by row, zeros included, for the unrolled 3x3 fold;
-    it is None for every other dimension.
+    approx mode the values are floats and ``scale`` is 1.
     """
 
     m: Tuple[Tuple[Tuple[int, Scalar], ...], ...]
     mp: Tuple[Tuple[Tuple[int, Scalar], ...], ...]
     scale: int
-    flat: Optional[Tuple[Scalar, ...]]
 
 
 def _compile(pair: MatrixPair, avail, rates: Optional[Mapping], mode: str) -> Step:
@@ -487,15 +484,17 @@ def _compile(pair: MatrixPair, avail, rates: Optional[Mapping], mode: str) -> St
             for rows in mats
         ]
     m, mp = (tuple(tuple((c, x) for c, x in row if x) for row in rows) for rows in mats)
-    flat = None
-    if pair.dim == 3:
-        dense = [0 if mode == EXACT else 0.0] * 18
-        for base, rows in zip((0, 9), mats):
-            for r, row in enumerate(rows):
-                for c, x in row:
-                    dense[base + 3 * r + c] = x
-        flat = tuple(dense)
-    return Step(m, mp, scale, flat)
+    return Step(m, mp, scale)
+
+
+def _flat3(step: Step, zero: Scalar) -> Tuple[Scalar, ...]:
+    """The 18 values of a 3x3 step's M and M' row by row, zeros included."""
+    dense = [zero] * 18
+    for base, rows in ((0, step.m), (9, step.mp)):
+        for r, row in enumerate(rows):
+            for c, x in row:
+                dense[base + 3 * r + c] = x
+    return tuple(dense)
 
 
 def _advance(step: Step, a, v):
@@ -513,15 +512,15 @@ def _advance(step: Step, a, v):
     return new_a, new_v
 
 
-def _advance3(steps, a, v):
-    """The fold of :func:`_advance` over 3x3 steps, unrolled; it dominates
-    long ladders.  It adds the same nonzero products in the same order, so
-    the values are equal."""
+def _advance3(flats, a, v):
+    """The fold of :func:`_advance` over 3x3 steps given by :func:`_flat3`,
+    unrolled; it dominates long ladders.  It adds the same nonzero products
+    in the same order, so the values are equal."""
     a1, a2, a3 = a
     v1, v2, v3 = v
-    for step in steps:
+    for flat in flats:
         (m11, m12, m13, m21, m22, m23, m31, m32, m33,
-         d11, d12, d13, d21, d22, d23, d31, d32, d33) = step.flat
+         d11, d12, d13, d21, d22, d23, d31, d32, d33) = flat
         na1 = m11 * a1 + m12 * a2 + m13 * a3
         na2 = m21 * a1 + m22 * a2 + m23 * a3
         na3 = m31 * a1 + m32 * a2 + m33 * a3
@@ -671,7 +670,9 @@ def single_pass(
         v = [0.0] * len(a)
 
     if len(a) == 3:
-        a, v = _advance3(steps, a, v)
+        zero = 0 if mode == EXACT else 0.0
+        flats = {id(step): _flat3(step, zero) for step in compiled.values()}
+        a, v = _advance3([flats[id(step)] for step in steps], a, v)
     else:
         for step in steps:
             a, v = _advance(step, a, v)

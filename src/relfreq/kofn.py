@@ -21,6 +21,7 @@ from .core import (
     ReliabilityReport,
     TransferSystem,
 )
+from .genfunc import kofn_availability
 from .scalars import EXACT, as_exact, check_mode, convert
 
 FAMILY_G = "G"
@@ -118,13 +119,6 @@ def build_lincon_f(spec: KofnSpec) -> TransferSystem:
     )
 
 
-def kofn_g_availability_identical(k: int, n: int, p) -> Fraction:
-    """A_{k,n} = sum_{l=k}^{n} C(n,l) p^l (1-p)^(n-l), exact for rational p."""
-    p = as_exact(p)
-    q = 1 - p
-    return sum((comb(n, l) * p**l * q ** (n - l) for l in range(k, n + 1)), Fraction(0))
-
-
 def kofn_g_identical(
     k: int,
     n: int,
@@ -146,7 +140,7 @@ def kofn_g_identical(
     if not (0 <= p <= 1):
         raise ReliabilityError(f"p={p} outside [0,1]")
     lam = as_exact(lam)
-    a = kofn_g_availability_identical(k, n, p)
+    a = kofn_availability(k, n, p)
     nu = lam * k * comb(n, k) * p**k * (1 - p) ** (n - k)
     a = convert(a, mode)
     nu = convert(nu, mode)

@@ -218,11 +218,16 @@ def ladder_structure(spec: LadderSpec) -> StructureFunction:
 # Identical-component closed forms
 
 
+def discriminant(p, rho=1):
+    """The cell discriminant: zeta+- = (zeta+ + zeta- +- p*rho*sqrt(disc)) / 2."""
+    return 1 + 4 * p**2 * rho - 8 * p**3 * rho**2 + 4 * p**4 * rho**2
+
+
 def eigen_symmetric_parts(p, rho):
     """(zeta0, zeta+ + zeta-, zeta+ * zeta-) -- all rational in p and rho."""
     zeta0 = p * rho * (1 - p * rho)
     trace_pm = p * rho * (1 + 2 * p * (1 - p) * rho)
-    disc = 1 + 4 * p**2 * rho - 8 * p**3 * rho**2 + 4 * p**4 * rho**2
+    disc = discriminant(p, rho)
     prod_pm = (p * rho) ** 2 * ((1 + 2 * p * (1 - p) * rho) ** 2 - disc) / 4
     return zeta0, trace_pm, prod_pm
 

@@ -82,7 +82,3 @@ def rational_str(x: Fraction) -> str:
     x = as_exact(x)
     num = _int_str(x.numerator)
     return num if x.denominator == 1 else f"{num}/{_int_str(x.denominator)}"
-
-
-def is_probability(x) -> bool:
-    return 0 <= x <= 1

@@ -119,6 +119,14 @@ def _corrupt_system(system: TransferSystem) -> TransferSystem:
     return replace(system, pairs=(bad,) + system.pairs[1:])
 
 
+def check_sizes(trials: int, max_components: int) -> None:
+    """Raise ValueError unless trials >= 1 and 1 <= max_components <= the cap."""
+    if trials < 1:
+        raise ValueError(f"trials={trials} must be at least 1")
+    if not 1 <= max_components <= MAX_VERIFY_COMPONENTS:
+        raise ValueError(f"max_components={max_components} outside [1, {MAX_VERIFY_COMPONENTS}]")
+
+
 def run_equivalence_trials(
     trials: int = 200,
     max_components: int = 12,
@@ -127,10 +135,7 @@ def run_equivalence_trials(
     stop_on_first: bool = True,
 ) -> VerifyResult:
     """Compare transfer-matrix and oracle results on randomized instances."""
-    if max_components > MAX_VERIFY_COMPONENTS:
-        raise ValueError(
-            f"max_components={max_components} exceeds cap {MAX_VERIFY_COMPONENTS}"
-        )
+    check_sizes(trials, max_components)
     rng = random.Random(seed)
     result = VerifyResult(trials=trials)
     makers = [

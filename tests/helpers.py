@@ -1,6 +1,10 @@
 """Shared test fixtures-in-spirit: builders for small reference systems."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 from relfreq.core import Component
 from relfreq.kofn import KofnSpec
@@ -41,3 +45,18 @@ def distinct_ladder_spec(p, rho, lam, xi, n, terminal=TERMINAL_T):
             )
         )
     return LadderSpec(tuple(cells), terminal)
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_python(*args):
+    """Run a fresh interpreter on ``args`` with the package's sources importable."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+    )

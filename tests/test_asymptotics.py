@@ -13,7 +13,6 @@ from relfreq.asymptotics import (
     eigenvalues,
     first_order_rate,
     ladder_asymptotics,
-    ladder_edges,
     log_derivative_maxima,
     log_derivatives,
     minimal_cuts_size2,
@@ -26,6 +25,7 @@ from relfreq.ladder import (
     ladder_closed_form,
     ladder_frequency,
 )
+from relfreq.oracle import connectivity_structure
 
 
 class TestEigenvalues:
@@ -135,10 +135,6 @@ class TestAsymptoticRate:
 
 
 class TestMinimalCuts:
-    def test_edge_list_size(self):
-        assert len(ladder_edges(0)) == 1
-        assert len(ladder_edges(4)) == 1 + 3 * 4
-
     def test_counts_match_first_order_coefficient(self):
         # each size-2 cut contributes two failure transitions, so the
         # first-order coefficient 2n+4 equals twice the number of cuts
@@ -147,14 +143,24 @@ class TestMinimalCuts:
             assert 2 * len(cuts) == 2 * n + 4
 
     def test_cuts_actually_disconnect(self):
-        from relfreq.asymptotics import _connected
-
         n = 3
-        edges = ladder_edges(n)
+        # the n-cell ladder with perfect nodes, written out independently
+        edges = [("b0", "S0", "T0")]
+        for i in range(1, n + 1):
+            edges.append((f"a{i}", f"S{i-1}", f"S{i}"))
+            edges.append((f"c{i}", f"T{i-1}", f"T{i}"))
+            edges.append((f"b{i}", f"S{i}", f"T{i}"))
+        ids = [e[0] for e in edges]
+        nodes = [f"{x}{i}" for i in range(n + 1) for x in "ST"]
+        sf = connectivity_structure(ids, nodes, edges, "S0", f"S{n}")
+
+        def connected(removed):
+            return sf({eid: eid not in removed for eid in ids})
+
         for cut in minimal_cuts_size2(n, terminal="S"):
-            assert not _connected(edges, cut, "S0", f"S{n}")
+            assert not connected(cut)
             for eid in cut:
-                assert _connected(edges, frozenset([eid]), "S0", f"S{n}")
+                assert connected({eid})
 
     def test_t_terminal_has_extra_cut(self):
         s_cuts = set(minimal_cuts_size2(1, terminal="S"))

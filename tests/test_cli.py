@@ -252,3 +252,13 @@ class TestVerifyCommand:
     def test_component_cap(self, capsys):
         code = main(["verify", "--trials", "1", "--max-components", "99"])
         assert code == EXIT_PARSE
+
+    def test_no_components(self, capsys):
+        code = main(["verify", "--trials", "1", "--max-components", "0"])
+        assert code == EXIT_PARSE
+        assert "max_components=0" in capsys.readouterr().err
+
+    def test_no_trials(self, capsys):
+        code = main(["verify", "--trials", "-5"])
+        assert code == EXIT_PARSE
+        assert "trials=-5" in capsys.readouterr().err

@@ -1,13 +1,18 @@
-"""Every module-level import in the package is used.
+"""Every module-level import in the package is used, and the package
+needs nothing outside the standard library.
 
 Names listed in a module's ``__all__`` count as used, which covers the
-package's re-exports.  Pure stdlib ``ast``: nothing is imported or run.
+package's re-exports.  The unused-import check is pure stdlib ``ast``:
+nothing is imported or run.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
+
+from helpers import run_python
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "relfreq"
 
@@ -57,3 +62,17 @@ def test_detector_flags_unused_and_accepts_reexports():
         "    return len(x)\n"
     )
     assert unused_imports(source) == [("os", 2), ("Optional", 3)]
+
+
+def test_cli_imports_only_the_standard_library():
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import relfreq.cli\n"
+        "print(*sorted({m.split('.')[0] for m in set(sys.modules) - before}))\n"
+    )
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.split()
+    assert "relfreq" in loaded
+    assert [m for m in loaded if m not in sys.stdlib_module_names and m != "relfreq"] == []

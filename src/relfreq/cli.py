@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from fractions import Fraction
 from typing import Optional
@@ -90,14 +89,14 @@ def _parse_poly(entry, where: str) -> MultilinearPoly:
     return poly
 
 
-def _parse_matrix(rows, rates, where: str) -> MatrixPair:
+def _parse_matrix(rows, where: str) -> MatrixPair:
     """Square list of rows of entries; only the nonzero entries are kept."""
     if any(len(row) != len(rows) for row in rows):
         raise DimensionMismatchError(f"{where}: matrix must be square")
     entries = [
         (r, c, _parse_poly(e, where)) for r, row in enumerate(rows) for c, e in enumerate(row)
     ]
-    return MatrixPair.from_entries(len(rows), entries, rates)
+    return MatrixPair.from_entries(len(rows), entries)
 
 
 def build_from_config(cfg: dict) -> TransferSystem:
@@ -148,9 +147,8 @@ def build_from_config(cfg: dict) -> TransferSystem:
         comps = tuple(
             _parse_component(e, convention, f"components[{i}]") for i, e in enumerate(raw)
         )
-        rates = {c.id: c.lam for c in comps}
         pairs = tuple(
-            _parse_matrix(m, rates, f"matrices[{i}]")
+            _parse_matrix(m, f"matrices[{i}]")
             for i, m in enumerate(_require(cfg, "matrices"))
         )
         return TransferSystem(
@@ -165,10 +163,6 @@ def build_from_config(cfg: dict) -> TransferSystem:
         )
 
     raise ConfigError(f"unknown family {family!r}")
-
-
-def _default_mode() -> str:
-    return os.environ.get("RELFREQ_MODE", EXACT)
 
 
 def cmd_solve(args) -> int:
@@ -328,7 +322,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="solve a JSON system description")
     p_solve.add_argument("config", help="path to JSON config")
-    p_solve.add_argument("--mode", choices=[EXACT, APPROX], default=_default_mode())
+    p_solve.add_argument("--mode", choices=[EXACT, APPROX], default=EXACT)
     p_solve.add_argument("--out", help="write the JSON report here (default stdout)")
     p_solve.set_defaults(func=cmd_solve)
 

@@ -10,10 +10,12 @@ matrix level means threading the pair (M_k, M'_k) through one ordered pass:
     A_k = M_k A_{k-1}
     V_k = M_k V_{k-1} + M'_k A_{k-1}
 
-A :class:`MatrixPair` stores only the nonzero entries of M and M', as
-``(row, col, poly)`` triples grouped by row.  A pass compiles each distinct
-pair once into a numeric :class:`Step`: rows of ``(col, value)`` for M and
-M', evaluated from the nonzero entries only.  In exact mode a step also
+A :class:`MatrixPair` stores only the nonzero entries of M, as
+``(row, col, poly)`` triples grouped by row; M' is not stored, since it
+follows from M and the rates.  A pass compiles each distinct pair once into
+a numeric :class:`Step`: rows of ``(col, value)`` for M and M', evaluated
+from the nonzero entries of M only, each M' value being the rate-operator
+image of an M entry under the assignment's rates.  In exact mode a step also
 carries a scale D, the lcm of its values' denominators, and its values are
 the integers D.M and D.M'; the fold then runs on integers, multiplies the
 running scale by each D and divides once at the end (fraction-free, no gcd
@@ -303,54 +305,35 @@ def _check_rows(rows, dim: int) -> Rows:
     return rows
 
 
-def derive_matrix(rows: Rows, rates: Mapping[str, Scalar]) -> Rows:
-    """Rate-operator image of each entry; entries whose image is zero are dropped."""
-    out = []
-    for row in rows:
-        images = []
-        for r, c, poly in row:
-            image = apply_rate_operator(poly, rates)
-            if not image.is_zero():
-                images.append(Entry(r, c, image))
-        out.append(tuple(images))
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class MatrixPair:
-    """A square transfer matrix together with its rate-operator image.
+    """A square transfer matrix; its rate-operator image M' is derived in the
+    pass from the assignment's rates.
 
-    ``m`` and ``m_prime`` hold only the nonzero entries, as :class:`Entry`
-    triples ``(row, col, poly)`` grouped into ``dim`` rows in column order.
-    The invariant that ``m_prime`` is the entrywise ``apply_rate_operator``
-    image of ``m`` is established by :meth:`from_entries`.
+    ``m`` holds only the nonzero entries, as :class:`Entry` triples
+    ``(row, col, poly)`` grouped into ``dim`` rows in column order.
     """
 
     dim: int
     m: Rows
-    m_prime: Rows
 
     def __post_init__(self):
         if self.dim < 1:
             raise DimensionMismatchError("empty matrix")
         object.__setattr__(self, "m", _check_rows(self.m, self.dim))
-        object.__setattr__(self, "m_prime", _check_rows(self.m_prime, self.dim))
 
     @property
     def shape(self) -> Tuple[int, int]:
         return (self.dim, self.dim)
 
     @classmethod
-    def from_entries(
-        cls, dim: int, entries: Iterable, rates: Mapping[str, Scalar]
-    ) -> "MatrixPair":
+    def from_entries(cls, dim: int, entries: Iterable) -> "MatrixPair":
         """Pair from ``(row, col, poly)`` triples in any order; zeros are dropped."""
-        m = _group_rows(entries, dim)
-        return cls(dim=dim, m=m, m_prime=derive_matrix(m, rates))
+        return cls(dim=dim, m=_group_rows(entries, dim))
 
     @classmethod
     def zero(cls, dim: int) -> "MatrixPair":
-        return cls(dim=dim, m=((),) * dim, m_prime=((),) * dim)
+        return cls(dim=dim, m=((),) * dim)
 
 
 @dataclass(frozen=True)
@@ -430,19 +413,14 @@ def initial_state(system: TransferSystem, mode: str = EXACT) -> PassState:
     return PassState(a_vec=a, v_vec=(zero,) * len(a), index=0, mode=mode)
 
 
-def _split_assignment(assignment: Mapping) -> Tuple[dict, dict, bool]:
-    """Split ``id -> p`` / ``id -> (p, lam)`` maps into (avail, rates, has_rates)."""
+def _split_assignment(assignment: Mapping) -> Tuple[dict, dict]:
+    """Split an ``id -> (p, lam)`` map into (avail, rates)."""
     avail, rates = {}, {}
-    has_rates = False
     for cid, val in assignment.items():
-        if isinstance(val, tuple):
-            p, lam = val
-            avail[cid] = p
-            rates[cid] = lam
-            has_rates = True
-        else:
-            avail[cid] = val
-    return avail, rates, has_rates
+        if not isinstance(val, tuple):
+            raise MissingRateError(cid)
+        avail[cid], rates[cid] = val
+    return avail, rates
 
 
 def _check_probabilities(avail: Mapping[str, Scalar]):
@@ -465,16 +443,13 @@ class Step(NamedTuple):
     scale: int
 
 
-def _compile(pair: MatrixPair, avail, rates: Optional[Mapping], mode: str) -> Step:
-    """Evaluate the nonzero entries of M and M' into a :class:`Step`.
-
-    M' is derived from ``rates`` when they are given, else the stored image
-    is used.
-    """
-    m_prime = pair.m_prime if rates is None else derive_matrix(pair.m, rates)
+def _compile(pair: MatrixPair, avail, rates: Mapping, mode: str) -> Step:
+    """Evaluate the nonzero entries of M, and their rate-operator images
+    under ``rates`` as M', into a :class:`Step`."""
     mats = [
-        [[(c, poly.evaluate(avail, mode)) for _, c, poly in row] for row in rows]
-        for rows in (pair.m, m_prime)
+        [[(c, poly.evaluate(avail, mode)) for _, c, poly in row] for row in pair.m],
+        [[(c, apply_rate_operator(poly, rates).evaluate(avail, mode)) for _, c, poly in row]
+         for row in pair.m],
     ]
     scale = 1
     if mode == EXACT:
@@ -538,18 +513,18 @@ def stream_step(
 ) -> PassState:
     """Consume one matrix pair.  single_pass is a fold of this step.
 
-    ``assignment`` maps ids to availabilities, or to (p, lam) tuples; when
-    rates are supplied the derivative matrix is recomputed from them instead
-    of using the stored one.  The pair is compiled afresh on every call, and
-    the state keeps the true (unscaled) vectors.
+    ``assignment`` maps ids to (p, lam) tuples; M' is evaluated from M and
+    the rates, and a plain availability raises :class:`MissingRateError`.
+    The pair is compiled afresh on every call, and the state keeps the true
+    (unscaled) vectors.
     """
-    avail, rates, has_rates = _split_assignment(assignment)
+    avail, rates = _split_assignment(assignment)
     _check_probabilities(avail)
     if pair.dim != len(state.a_vec):
         raise DimensionMismatchError(
             f"matrix shape {pair.shape} incompatible with state dimension {len(state.a_vec)}"
         )
-    step = _compile(pair, avail, rates if has_rates else None, state.mode)
+    step = _compile(pair, avail, rates, state.mode)
     a, v = _advance(step, state.a_vec, state.v_vec)
     if state.mode == EXACT:
         a = [Fraction(x, step.scale) for x in a]
@@ -637,20 +612,20 @@ def single_pass(
 ) -> ReliabilityReport:
     """Evaluate availability and failure frequency in one ordered pass.
 
-    ``assignment`` maps component ids to availabilities or (p, lam) pairs;
-    when omitted, the values carried by the system's components are used.
-    Each distinct matrix-pair object is compiled once, so systems built from
-    a shared cell advance in O(dim^2) per step with no polynomial work.
+    ``assignment`` maps component ids to (p, lam) pairs; when omitted, the
+    values carried by the system's components are used.  A plain
+    availability raises :class:`MissingRateError`: M' is evaluated in the
+    pass from M and the rates.  Each distinct matrix-pair object is compiled
+    once, so systems built from a shared cell advance in O(dim^2) per step
+    with no polynomial work.
     Exact mode folds integers and divides by the product of the step scales
     once at the end; the rationals are the same as a step-by-step fold's.
     """
     check_mode(mode)
     if assignment is None:
         assignment = system.default_assignment()
-    avail, rates, has_rates = _split_assignment(assignment)
+    avail, rates = _split_assignment(assignment)
     _check_probabilities(avail)
-    if not has_rates:
-        rates = None
 
     compiled = {}
     steps = []

@@ -58,7 +58,7 @@ def _bidiagonal_g(comp: Component, k: int) -> MatrixPair:
     p = MultilinearPoly.variable(comp.id)
     q = MultilinearPoly.one() - p
     entries = [(r, r, q) for r in range(k)] + [(r, r + 1, p) for r in range(k - 1)]
-    return MatrixPair.from_entries(k, entries, {comp.id: comp.lam})
+    return MatrixPair.from_entries(k, entries)
 
 
 def build_kofn_g(spec: KofnSpec) -> TransferSystem:
@@ -92,7 +92,7 @@ def _lincon_matrix(comp: Component, k: int) -> MatrixPair:
     p = MultilinearPoly.variable(comp.id)
     q = MultilinearPoly.one() - p
     entries = [(r, 0, p) for r in range(k)] + [(r, r + 1, q) for r in range(k - 1)]
-    return MatrixPair.from_entries(k, entries, {comp.id: comp.lam})
+    return MatrixPair.from_entries(k, entries)
 
 
 def build_lincon_f(spec: KofnSpec) -> TransferSystem:

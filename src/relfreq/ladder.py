@@ -116,8 +116,7 @@ def cell_matrix_pair(cell: LadderCell) -> MatrixPair:
         (-(a * b * S * T), -(b * c * S * T), a * (one - 2 * b) * c * S * T),
     )
     entries = [(r, col, e) for r, row in enumerate(m) for col, e in enumerate(row)]
-    rates = {comp.id: comp.lam for comp in cell.components()}
-    return MatrixPair.from_entries(3, entries, rates)
+    return MatrixPair.from_entries(3, entries)
 
 
 def build_ladder(spec: LadderSpec) -> TransferSystem:
@@ -177,10 +176,6 @@ def identical_ladder_spec(params: LadderIdenticalParams, terminal: str = TERMINA
         index=1,
     )
     return LadderSpec(cells=(cell0,) + (interior,) * params.n, terminal=terminal)
-
-
-def heterogeneous_ladder_spec(cells_past_entry, entry, terminal=TERMINAL_T) -> LadderSpec:
-    return LadderSpec(cells=(entry,) + tuple(cells_past_entry), terminal=terminal)
 
 
 def ladder_structure(spec: LadderSpec) -> StructureFunction:

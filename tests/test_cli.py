@@ -16,7 +16,9 @@ from relfreq.cli import (
     build_from_config,
     main,
 )
+import relfreq.verify
 from relfreq.core import single_pass
+from relfreq.verify import run_equivalence_trials
 
 
 def write_config(tmp_path, cfg, name="system.json"):
@@ -185,6 +187,18 @@ class TestSolveCommand:
         path = write_config(tmp_path, cfg)
         assert main(["solve", path]) == EXIT_VALIDATION
 
+    def test_custom_matrix_unknown_id_exit_code(self, tmp_path, capsys):
+        cfg = {
+            "family": "custom-matrices",
+            "components": [{"id": "x", "p": "3/4", "lambda": "2"}],
+            "v_left": ["1"],
+            "v_right": ["1"],
+            "matrices": [[[[["1", ["x", "ghost"]]]]]],
+        }
+        path = write_config(tmp_path, cfg)
+        assert main(["solve", path]) == EXIT_VALIDATION
+        assert "ghost" in capsys.readouterr().err
+
 
 class TestSweepCommand:
     def read_rows(self, capsys):
@@ -262,3 +276,16 @@ class TestVerifyCommand:
         code = main(["verify", "--trials", "-5"])
         assert code == EXIT_PARSE
         assert "trials=-5" in capsys.readouterr().err
+
+    def test_no_ladder_below_four_components(self, monkeypatch):
+        systems = []
+
+        def recording_pass(system):
+            systems.append(system)
+            return single_pass(system)
+
+        monkeypatch.setattr(relfreq.verify, "single_pass", recording_pass)
+        assert run_equivalence_trials(trials=6, max_components=3).ok
+        assert len(systems) == 6
+        for system in systems:
+            assert sum(0 < c.p < 1 for c in system.components) <= 3, system.family

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import relfreq.core
+from relfreq.cli import build_from_config
 from relfreq.core import (
     Component,
     DimensionMismatchError,
@@ -16,18 +18,21 @@ from relfreq.core import (
     ReliabilityError,
     TransferSystem,
     apply_rate_operator,
-    derive_matrix,
     finalize,
     initial_state,
     single_pass,
     stream_step,
 )
+from relfreq.kofn import FAMILY_LINCON_F, KofnSpec, build_kofn_g, build_lincon_f
+from relfreq.ladder import build_ladder
 from relfreq.oracle import (
     StructureFunction,
     oracle_availability,
     oracle_frequency,
     truth_table_structure,
 )
+
+from helpers import distinct_ladder_spec
 
 P1 = MultilinearPoly.variable("p1")
 P2 = MultilinearPoly.variable("p2")
@@ -96,7 +101,10 @@ class TestRateOperator:
         n = ((0, 0, P5 * P6), (0, 1, MultilinearPoly.one()), (1, 0, P4), (1, 1, P5))
 
         def rows(entries):
-            return MatrixPair.from_entries(2, entries, rates).m
+            return MatrixPair.from_entries(2, entries).m
+
+        def prime(x):
+            return rows((r, c, apply_rate_operator(e, rates)) for row in x for r, c, e in row)
 
         def matmul(x, y):
             acc = {}
@@ -113,8 +121,8 @@ class TestRateOperator:
             return {pos: e for pos, e in acc.items() if not e.is_zero()}
 
         m, n = rows(m), rows(n)
-        mp, np_ = derive_matrix(m, rates), derive_matrix(n, rates)
-        lhs = as_dict(derive_matrix(matmul(m, n), rates))
+        mp, np_ = prime(m), prime(n)
+        lhs = as_dict(prime(matmul(m, n)))
         rhs = as_dict(matmul(mp, n), matmul(m, np_))
         assert lhs == rhs
 
@@ -144,11 +152,8 @@ class TestPolynomials:
 
 class TestMatrixPair:
     def test_from_entries_drops_zeros_and_sorts_rows(self):
-        pair = MatrixPair.from_entries(
-            2, [(1, 1, P2), (0, 1, MultilinearPoly.zero()), (1, 0, P1)], {"p1": F(1), "p2": F(0)}
-        )
+        pair = MatrixPair.from_entries(2, [(1, 1, P2), (0, 1, MultilinearPoly.zero()), (1, 0, P1)])
         assert pair.m == ((), (Entry(1, 0, P1), Entry(1, 1, P2)))
-        assert pair.m_prime == ((), (Entry(1, 0, P1),))
 
     @pytest.mark.parametrize(
         "entries", [[(0, 2, P1)], [(-1, 0, P1)], [(0, 0, P1), (0, 0, P2)]],
@@ -156,7 +161,7 @@ class TestMatrixPair:
     )
     def test_from_entries_rejects_bad_positions(self, entries):
         with pytest.raises(ReliabilityError):
-            MatrixPair.from_entries(2, entries, {"p1": F(1), "p2": F(1)})
+            MatrixPair.from_entries(2, entries)
 
     @pytest.mark.parametrize(
         "m",
@@ -166,12 +171,12 @@ class TestMatrixPair:
     )
     def test_constructor_rejects_misplaced_entries(self, m):
         with pytest.raises(ReliabilityError):
-            MatrixPair(dim=2, m=m, m_prime=((), ()))
+            MatrixPair(dim=2, m=m)
 
 
 def one_component_system(p=F(3, 4), lam=F(2)):
     comp = Component("x", p, lam)
-    pair = MatrixPair.from_entries(1, [(0, 0, MultilinearPoly.variable("x"))], {"x": lam})
+    pair = MatrixPair.from_entries(1, [(0, 0, MultilinearPoly.variable("x"))])
     return TransferSystem(
         v_left=(F(1),), pairs=(pair,), v_right=(F(1),), components=(comp,)
     )
@@ -183,7 +188,7 @@ def random_three_component_system(rng_seed=7):
     # series system of three components, written as 1x1 matrices
     comps = tuple(Component(f"x{i}", F(i, i + 1), F(1, i)) for i in (1, 2, 3))
     pairs = tuple(
-        MatrixPair.from_entries(1, [(0, 0, MultilinearPoly.variable(c.id))], {c.id: c.lam})
+        MatrixPair.from_entries(1, [(0, 0, MultilinearPoly.variable(c.id))])
         for c in comps
     )
     return TransferSystem(
@@ -250,6 +255,34 @@ class TestSinglePass:
         assert approx.frequency == pytest.approx(float(exact.frequency), rel=1e-9)
 
 
+class TestMPrimeOnlyInThePass:
+    def test_builders_apply_no_rate_operator(self, monkeypatch):
+        def refuse(poly, rates):
+            raise AssertionError("rate operator applied while building")
+
+        monkeypatch.setattr(relfreq.core, "apply_rate_operator", refuse)
+        comps = tuple(Component(f"c{i}", F(i, 5), F(i)) for i in (1, 2, 3, 4))
+        build_kofn_g(KofnSpec(2, comps))
+        build_lincon_f(KofnSpec(2, comps, family=FAMILY_LINCON_F))
+        build_ladder(distinct_ladder_spec(F(2, 3), F(4, 5), F(3), F(1, 2), 2))
+        build_from_config(
+            {
+                "family": "custom-matrices",
+                "components": [{"id": "x", "p": "3/4", "lambda": "2"}],
+                "v_left": ["1"],
+                "v_right": ["1"],
+                "matrices": [[[[["1", ["x"]]]]]],
+            }
+        )
+
+    def test_plain_availability_needs_a_rate(self):
+        system = one_component_system()
+        with pytest.raises(MissingRateError, match="'x'"):
+            single_pass(system, {"x": F(3, 4)})
+        with pytest.raises(MissingRateError, match="'x'"):
+            stream_step(initial_state(system), system.pairs[0], {"x": F(3, 4)})
+
+
 class TestStreamStep:
     def test_first_step_matches_initialization(self):
         system = one_component_system()
@@ -296,8 +329,7 @@ def mixed_rationals():
 @st.composite
 def fold_cases(draw):
     """(system, assignment) with mixed denominators, sign -1 and an offset,
-    zero matrices, shared pair objects, zero rates and, half the time, an
-    availability-only assignment, so the stored M' is used."""
+    zero matrices, shared pair objects and zero rates."""
     dim = draw(st.integers(1, 3))
     rates = st.sampled_from([F(0), F(1, 3), F(2), F(5, 7)])
     poly = st.builds(
@@ -308,12 +340,11 @@ def fold_cases(draw):
         ),
     )
     position = st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1))
-    build_rates = {cid: draw(rates) for cid in FOLD_IDS}
     pool = [MatrixPair.zero(dim)]
     for _ in range(draw(st.integers(1, 3))):
         positions = draw(st.lists(position, unique=True, max_size=dim * dim))
         entries = [(r, c, draw(poly)) for r, c in positions]
-        pool.append(MatrixPair.from_entries(dim, entries, build_rates))
+        pool.append(MatrixPair.from_entries(dim, entries))
     pairs = [pool[i] for i in draw(st.lists(st.integers(0, len(pool) - 1), max_size=6))]
     vector = st.lists(mixed_rationals(), min_size=dim, max_size=dim)
     system = TransferSystem(
@@ -324,16 +355,13 @@ def fold_cases(draw):
         sign=draw(st.sampled_from([1, -1])),
     )
     p = st.builds(F, st.integers(0, 7), st.just(7)) | st.sampled_from([F(1, 3), F(9, 10)])
-    avail = {cid: draw(p) for cid in FOLD_IDS}
-    if draw(st.booleans()):
-        return system, avail
-    return system, {cid: (x, draw(rates)) for cid, x in avail.items()}
+    return system, {cid: (draw(p), draw(rates)) for cid in FOLD_IDS}
 
 
 def dense_fraction_fold(system, assignment):
     """(A, nu) by a plain dense Fraction fold, one matrix product per step."""
-    avail = {cid: val[0] if isinstance(val, tuple) else val for cid, val in assignment.items()}
-    rates = {cid: val[1] for cid, val in assignment.items() if isinstance(val, tuple)}
+    avail = {cid: p for cid, (p, _) in assignment.items()}
+    rates = {cid: lam for cid, (_, lam) in assignment.items()}
     dim = system.dim
     a, v = list(system.v_right), [F(0)] * dim
     for pair in system.pairs:
@@ -341,11 +369,7 @@ def dense_fraction_fold(system, assignment):
         mp = [[F(0)] * dim for _ in range(dim)]
         for r, c, e in (e for row in pair.m for e in row):
             m[r][c] = e.evaluate(avail)
-            if rates:
-                mp[r][c] = apply_rate_operator(e, rates).evaluate(avail)
-        if not rates:
-            for r, c, e in (e for row in pair.m_prime for e in row):
-                mp[r][c] = e.evaluate(avail)
+            mp[r][c] = apply_rate_operator(e, rates).evaluate(avail)
         a, v = (
             [sum(m[r][j] * a[j] for j in range(dim)) for r in range(dim)],
             [sum(m[r][j] * v[j] + mp[r][j] * a[j] for j in range(dim)) for r in range(dim)],

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relfreq.core import Component, ReliabilityError, single_pass
+from relfreq.core import Component, ReliabilityError, apply_rate_operator, single_pass
 from relfreq.kofn import (
     FAMILY_G,
     FAMILY_LINCON_F,
@@ -45,7 +45,7 @@ class TestKofnG:
         cid = comps[0].id
         lam_p = F(2) * F(1, 2)
         assign = {cid: F(1, 2)}
-        m_prime = {(r, c): e for row in pair.m_prime for r, c, e in row}
+        m_prime = {(r, c): apply_rate_operator(e, {cid: F(2)}) for row in pair.m for r, c, e in row}
         # diagonal -lam p, superdiagonal +lam p
         assert m_prime[0, 0].evaluate(assign) == -lam_p
         assert m_prime[0, 1].evaluate(assign) == lam_p
@@ -58,8 +58,10 @@ class TestKofnG:
             build_kofn_g(KofnSpec(k, comps)),
             build_lincon_f(KofnSpec(k, comps, family=FAMILY_LINCON_F)),
         ):
+            rates = {c.id: c.lam for c in comps}
             for pair in system.pairs:
-                nonzeros = [sum(map(len, rows)) for rows in (pair.m, pair.m_prime)]
+                images = [apply_rate_operator(e.poly, rates) for row in pair.m for e in row]
+                nonzeros = [sum(map(len, pair.m)), sum(not x.is_zero() for x in images)]
                 assert nonzeros == [2 * k - 1, 2 * k - 1]
 
     def test_series_when_k_equals_n(self):

@@ -12,14 +12,18 @@ matrix level means threading the pair (M_k, M'_k) through one ordered pass:
 
 A :class:`MatrixPair` stores only the nonzero entries of M, as
 ``(row, col, poly)`` triples grouped by row; M' is not stored, since it
-follows from M and the rates.  A pass compiles each distinct pair once into
-a numeric :class:`Step`: rows of ``(col, value)`` for M and M', evaluated
-from the nonzero entries of M only, each M' value being the rate-operator
-image of an M entry under the assignment's rates.  In exact mode a step also
-carries a scale D, the lcm of its values' denominators, and its values are
-the integers D.M and D.M'; the fold then runs on integers, multiplies the
-running scale by each D and divides once at the end (fraction-free, no gcd
-per step).  In approx mode the values are floats and D = 1.
+follows from M and the rates.
+
+One fold runs every pass: :func:`single_pass` folds all of a system's
+pairs, :func:`stream_step` folds one.  Within a call the fold compiles each
+distinct pair once into a numeric :class:`Step`: rows of ``(col, value)``
+for M and M', evaluated from the nonzero entries of M only, each M' value
+being the rate-operator image of an M entry under the assignment's rates.
+In exact mode a step also carries a scale D, the lcm of its values'
+denominators, and its values are the integers D.M and D.M'; the fold scales
+the incoming state to integers, runs on integers, multiplies the running
+scale by each D and divides once on the way out (fraction-free, no gcd per
+step).  In approx mode the values are floats and D = 1.
 
 Memory use is O(vector dimension), independent of the number of matrices.
 """
@@ -89,10 +93,6 @@ class Component:
                 f"component {self.id!r}: a perfect component must have zero failure rate"
             )
 
-    @property
-    def q(self) -> Fraction:
-        return 1 - self.p
-
     @classmethod
     def steady_state(cls, id: str, p, mu=1) -> "Component":
         """Component whose failure rate satisfies lam * p = mu * (1 - p)."""
@@ -108,22 +108,28 @@ class Component:
 # Multilinear polynomials
 
 
-def _norm_terms(terms) -> Tuple[Tuple[frozenset, Fraction], ...]:
+def _norm_terms(terms) -> Tuple[Tuple[Tuple[str, ...], Fraction], ...]:
+    """(sorted id tuple, nonzero coefficient) pairs in a canonical order;
+    keys naming the same set of ids are summed."""
     out = {}
     for ids, coeff in dict(terms).items():
+        key = tuple(sorted(set(ids)))
         coeff = as_exact(coeff)
-        if coeff != 0:
-            out[frozenset(ids)] = coeff
-    return tuple(sorted(out.items(), key=lambda kv: (len(kv[0]), sorted(kv[0]))))
+        out[key] = out[key] + coeff if key in out else coeff
+    return tuple(sorted(((ids, c) for ids, c in out.items() if c != 0),
+                        key=lambda kv: (len(kv[0]), kv[0])))
 
 
 class MultilinearPoly:
     """Multilinear polynomial over component availabilities.
 
-    Terms map a frozenset of component ids to a rational coefficient; the
-    empty set is the constant term.  No id ever appears squared: products of
-    terms sharing an id are idempotent (p_i * p_i = p_i), which is the right
-    semantics for expectations of Boolean indicators.
+    Terms map a sorted tuple of component ids to a rational coefficient;
+    the empty tuple is the constant term.  The constructor accepts any
+    iterable of ids as a key.  No id ever appears squared: products of terms
+    sharing an id are idempotent (p_i * p_i = p_i), which is the right
+    semantics for expectations of Boolean indicators.  Because the ids are
+    sorted, :meth:`evaluate` multiplies a term's factors in one fixed order,
+    so float results do not depend on the interpreter's hash seed.
     """
 
     __slots__ = ("_terms",)
@@ -141,22 +147,15 @@ class MultilinearPoly:
 
     @classmethod
     def one(cls) -> "MultilinearPoly":
-        return cls({frozenset(): Fraction(1)})
+        return cls({(): Fraction(1)})
 
     @classmethod
     def constant(cls, c) -> "MultilinearPoly":
-        return cls({frozenset(): as_exact(c)})
+        return cls({(): as_exact(c)})
 
     @classmethod
     def variable(cls, component_id: str) -> "MultilinearPoly":
-        return cls({frozenset([component_id]): Fraction(1)})
-
-    @property
-    def variables(self) -> frozenset:
-        out = set()
-        for ids, _ in self._terms:
-            out |= ids
-        return frozenset(out)
+        return cls({(component_id,): Fraction(1)})
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -186,7 +185,7 @@ class MultilinearPoly:
         acc = {}
         for ids1, c1 in self._terms:
             for ids2, c2 in other._terms:
-                key = ids1 | ids2
+                key = ids1 + ids2  # the constructor sorts it into the union
                 acc[key] = acc.get(key, Fraction(0)) + c1 * c2
         return MultilinearPoly(acc)
 
@@ -414,19 +413,16 @@ def initial_state(system: TransferSystem, mode: str = EXACT) -> PassState:
 
 
 def _split_assignment(assignment: Mapping) -> Tuple[dict, dict]:
-    """Split an ``id -> (p, lam)`` map into (avail, rates)."""
+    """Split an ``id -> (p, lam)`` map into (avail, rates), checking each p."""
     avail, rates = {}, {}
     for cid, val in assignment.items():
         if not isinstance(val, tuple):
             raise MissingRateError(cid)
-        avail[cid], rates[cid] = val
-    return avail, rates
-
-
-def _check_probabilities(avail: Mapping[str, Scalar]):
-    for cid, p in avail.items():
+        p, rates[cid] = val
         if not (0 <= p <= 1):
             raise ReliabilityError(f"component {cid!r}: p={p} outside [0,1]")
+        avail[cid] = p
+    return avail, rates
 
 
 class Step(NamedTuple):
@@ -508,30 +504,65 @@ def _advance3(flats, a, v):
     return [a1, a2, a3], [v1, v2, v3]
 
 
+def _fold(state: PassState, pairs: Iterable[MatrixPair], assignment: Mapping) -> PassState:
+    """Advance ``state`` through ``pairs`` in order: the one fold behind
+    :func:`stream_step` and :func:`single_pass`.
+
+    Each distinct pair object is checked against the state's dimension and
+    compiled once per call.  Exact mode folds integers: the state enters
+    multiplied by the lcm of its denominators, each step multiplies the
+    running scale by its own, and the vectors are divided by the scale once
+    on the way out.
+    """
+    avail, rates = _split_assignment(assignment)
+    mode, dim = state.mode, len(state.a_vec)
+    compiled = {}
+    steps = []
+    for pair in pairs:
+        step = compiled.get(id(pair))
+        if step is None:
+            if pair.dim != dim:
+                raise DimensionMismatchError(
+                    f"matrix shape {pair.shape} incompatible with state dimension {dim}"
+                )
+            step = compiled[id(pair)] = _compile(pair, avail, rates, mode)
+        steps.append(step)
+
+    a, v = state.a_vec, state.v_vec
+    if mode == EXACT:
+        scale = lcm(*(x.denominator for x in a + v))
+        a = [x.numerator * (scale // x.denominator) for x in a]
+        v = [x.numerator * (scale // x.denominator) for x in v]
+
+    if dim == 3:
+        zero = 0 if mode == EXACT else 0.0
+        flats = {id(step): _flat3(step, zero) for step in compiled.values()}
+        a, v = _advance3([flats[id(step)] for step in steps], a, v)
+    else:
+        for step in steps:
+            a, v = _advance(step, a, v)
+
+    if mode == EXACT:
+        scale *= prod(step.scale for step in steps)
+        a = [Fraction(x, scale) for x in a]
+        v = [Fraction(x, scale) for x in v]
+    return PassState(
+        a_vec=tuple(a), v_vec=tuple(v), index=state.index + len(steps), mode=mode
+    )
+
+
 def stream_step(
     state: PassState, pair: MatrixPair, assignment: Mapping
 ) -> PassState:
-    """Consume one matrix pair.  single_pass is a fold of this step.
+    """Consume one matrix pair: the fold of :func:`single_pass`, one pair long.
 
     ``assignment`` maps ids to (p, lam) tuples; M' is evaluated from M and
     the rates, and a plain availability raises :class:`MissingRateError`.
-    The pair is compiled afresh on every call, and the state keeps the true
-    (unscaled) vectors.
+    The pair is compiled afresh on every call (no cache outlives a call,
+    since pair ids can be reused after garbage collection), and the state
+    keeps the true (unscaled) vectors.
     """
-    avail, rates = _split_assignment(assignment)
-    _check_probabilities(avail)
-    if pair.dim != len(state.a_vec):
-        raise DimensionMismatchError(
-            f"matrix shape {pair.shape} incompatible with state dimension {len(state.a_vec)}"
-        )
-    step = _compile(pair, avail, rates, state.mode)
-    a, v = _advance(step, state.a_vec, state.v_vec)
-    if state.mode == EXACT:
-        a = [Fraction(x, step.scale) for x in a]
-        v = [Fraction(x, step.scale) for x in v]
-    return PassState(
-        a_vec=tuple(a), v_vec=tuple(v), index=state.index + 1, mode=state.mode
-    )
+    return _fold(state, (pair,), assignment)
 
 
 @dataclass(frozen=True)
@@ -590,8 +621,10 @@ def finalize(system: TransferSystem, state: PassState) -> ReliabilityReport:
     y = sum(l * v for l, v in zip(vL, state.v_vec))
     offset = convert(system.offset, mode)
     availability = offset + system.sign * x
+    # not 1 - availability: for offset 1 and sign -1 (k-of-n:G) this is x
+    # itself, with no cancellation in approx mode
+    unavailability = (1 - offset) - system.sign * x
     frequency = system.sign * y
-    unavailability = 1 - availability
     failure_rate = frequency / availability if availability != 0 else None
     return ReliabilityReport(
         availability=availability,
@@ -615,46 +648,12 @@ def single_pass(
     ``assignment`` maps component ids to (p, lam) pairs; when omitted, the
     values carried by the system's components are used.  A plain
     availability raises :class:`MissingRateError`: M' is evaluated in the
-    pass from M and the rates.  Each distinct matrix-pair object is compiled
-    once, so systems built from a shared cell advance in O(dim^2) per step
-    with no polynomial work.
-    Exact mode folds integers and divides by the product of the step scales
-    once at the end; the rationals are the same as a step-by-step fold's.
+    pass from M and the rates.  The pass is the same fold as
+    :func:`stream_step`, run over all of ``system.pairs`` at once: each
+    distinct matrix-pair object is compiled once, so systems built from a
+    shared cell advance in O(dim^2) per step with no polynomial work, and
+    exact mode divides by the product of the step scales once at the end.
     """
-    check_mode(mode)
     if assignment is None:
         assignment = system.default_assignment()
-    avail, rates = _split_assignment(assignment)
-    _check_probabilities(avail)
-
-    compiled = {}
-    steps = []
-    for pair in system.pairs:
-        step = compiled.get(id(pair))
-        if step is None:
-            step = compiled[id(pair)] = _compile(pair, avail, rates, mode)
-        steps.append(step)
-
-    if mode == EXACT:
-        # integer state: the true vectors are a / scale and v / scale
-        scale = lcm(*(x.denominator for x in system.v_right))
-        a = [x.numerator * (scale // x.denominator) for x in system.v_right]
-        v = [0] * len(a)
-    else:
-        a = [float(x) for x in system.v_right]
-        v = [0.0] * len(a)
-
-    if len(a) == 3:
-        zero = 0 if mode == EXACT else 0.0
-        flats = {id(step): _flat3(step, zero) for step in compiled.values()}
-        a, v = _advance3([flats[id(step)] for step in steps], a, v)
-    else:
-        for step in steps:
-            a, v = _advance(step, a, v)
-
-    if mode == EXACT:
-        scale *= prod(step.scale for step in steps)
-        a = [Fraction(x, scale) for x in a]
-        v = [Fraction(x, scale) for x in v]
-    state = PassState(a_vec=tuple(a), v_vec=tuple(v), index=system.size, mode=mode)
-    return finalize(system, state)
+    return finalize(system, _fold(initial_state(system, mode), system.pairs, assignment))

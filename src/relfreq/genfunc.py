@@ -34,10 +34,6 @@ class UniPoly:
         self.coeffs = tuple(cs)
 
     @classmethod
-    def constant(cls, c) -> "UniPoly":
-        return cls([c])
-
-    @classmethod
     def p(cls) -> "UniPoly":
         return cls([0, 1])
 
@@ -110,9 +106,6 @@ class UniPoly:
 
     def __repr__(self):
         return f"UniPoly({list(self.coeffs)})"
-
-    def derivative(self) -> "UniPoly":
-        return UniPoly([i * c for i, c in enumerate(self.coeffs)][1:])
 
     def p_dp(self) -> "UniPoly":
         """p * d/dp, the identical-component rate operator without lam."""

@@ -22,7 +22,7 @@ from .core import (
     TransferSystem,
 )
 from .genfunc import kofn_availability
-from .scalars import EXACT, as_exact, check_mode, convert
+from .scalars import EXACT, as_exact
 
 FAMILY_G = "G"
 FAMILY_LINCON_F = "LinConF"
@@ -119,21 +119,13 @@ def build_lincon_f(spec: KofnSpec) -> TransferSystem:
     )
 
 
-def kofn_g_identical(
-    k: int,
-    n: int,
-    p,
-    lam,
-    mode: str = EXACT,
-    rate_unit: str = "absolute",
-) -> ReliabilityReport:
-    """Closed-form report for identical components.
+def kofn_g_identical(k: int, n: int, p, lam) -> ReliabilityReport:
+    """Exact closed-form report for identical components, in absolute units.
 
     The frequency is lam * k * C(n,k) * p^k * (1-p)^(n-k); the binomial index
     is k (verified against the generating-function expansion and the
     transfer-matrix pass, see the genfunc tests).
     """
-    check_mode(mode)
     if not (1 <= k <= n):
         raise ReliabilityError(f"k={k} out of range for n={n}")
     p = as_exact(p)
@@ -142,28 +134,17 @@ def kofn_g_identical(
     lam = as_exact(lam)
     a = kofn_availability(k, n, p)
     nu = lam * k * comb(n, k) * p**k * (1 - p) ** (n - k)
-    a = convert(a, mode)
-    nu = convert(nu, mode)
     return ReliabilityReport(
         availability=a,
         unavailability=1 - a,
         frequency=nu,
         failure_rate=nu / a if a != 0 else None,
-        mode=mode,
-        rate_unit=rate_unit,
+        mode=EXACT,
         family=f"kofn-g:{k}/{n}",
         size=n,
     )
 
 
-def identical_components(
-    n: int, p, lam=None, mu=None, prefix: str = "c"
-) -> Tuple[Component, ...]:
-    """n components sharing one availability; rates either explicit or
-    steady-state-consistent against a reference repair rate mu."""
-    if lam is not None:
-        return tuple(Component(f"{prefix}{i}", p, lam) for i in range(1, n + 1))
-    return tuple(
-        Component.steady_state(f"{prefix}{i}", p, 1 if mu is None else mu)
-        for i in range(1, n + 1)
-    )
+def identical_components(n: int, p, lam) -> Tuple[Component, ...]:
+    """n components c1..cn sharing one availability p and failure rate lam."""
+    return tuple(Component(f"c{i}", p, lam) for i in range(1, n + 1))

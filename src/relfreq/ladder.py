@@ -121,8 +121,6 @@ def cell_matrix_pair(cell: LadderCell) -> MatrixPair:
 
 def build_ladder(spec: LadderSpec) -> TransferSystem:
     """Transfer system for a ladder; vL selects the S_n or T_n terminal."""
-    ids = [comp.id for cell in spec.cells for comp in cell.components()]
-    shared = len(set(ids)) != len(ids)
     pair_cache: Dict[int, MatrixPair] = {}
     pairs = []
     for cell in spec.cells:
@@ -142,6 +140,7 @@ def build_ladder(spec: LadderSpec) -> TransferSystem:
             if comp.id not in seen:
                 seen.add(comp.id)
                 components.append(comp)
+    shared = len(components) < 5 * len(spec.cells)
     return TransferSystem(
         v_left=v_left,
         pairs=tuple(pairs),

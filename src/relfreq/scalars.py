@@ -31,17 +31,11 @@ def as_exact(x) -> Fraction:
     """Coerce to an exact rational. Strings like '3/4' or '0.93' parse exactly."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, str):
-        return Fraction(x)
     return Fraction(x)
 
 
-def as_approx(x) -> float:
-    return float(x)
-
-
 def convert(x, mode: str) -> Scalar:
-    return as_exact(x) if mode == EXACT else as_approx(x)
+    return as_exact(x) if mode == EXACT else float(x)
 
 
 def parse_scalar(text: str) -> Fraction:

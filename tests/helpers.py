@@ -50,13 +50,14 @@ def distinct_ladder_spec(p, rho, lam, xi, n, terminal=TERMINAL_T):
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_python(*args):
-    """Run a fresh interpreter on ``args`` with the package's sources importable."""
+def run_python(*args, **env):
+    """Run a fresh interpreter on ``args`` with the package's sources importable
+    and ``env`` added to the environment."""
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, *args],
         capture_output=True,
         text=True,
-        env=dict(os.environ, PYTHONPATH=path),
+        env=dict(os.environ, **env, PYTHONPATH=path),
         timeout=120,
     )

@@ -32,7 +32,7 @@ from relfreq.oracle import (
     truth_table_structure,
 )
 
-from helpers import distinct_ladder_spec
+from helpers import distinct_ladder_spec, run_python
 
 P1 = MultilinearPoly.variable("p1")
 P2 = MultilinearPoly.variable("p2")
@@ -399,6 +399,30 @@ class TestFractionFreeFold:
         folded = finalize(system, state)
         direct = single_pass(system, assignment, mode)
         assert (folded.availability, folded.frequency) == (direct.availability, direct.frequency)
+
+
+HETEROGENEOUS_LADDER = """
+from fractions import Fraction as F
+from relfreq.core import Component, single_pass
+from relfreq.ladder import LadderCell, LadderSpec, build_ladder, entry_cell
+
+def comp(name, i):
+    return Component(f"{name}{i}", F(900 + (37 * i + ord(name)) % 97, 1000), F(1 + i % 7, 10))
+
+cells = [entry_cell(comp("b", 0), comp("S", 0), comp("T", 0))]
+cells += [LadderCell(*(comp(x, i) for x in "abcST"), index=i) for i in range(1, 81)]
+report = single_pass(build_ladder(LadderSpec(tuple(cells))), mode="approx")
+print(repr(report.availability), repr(report.frequency))
+"""
+
+
+def test_approx_results_do_not_depend_on_the_hash_seed():
+    outputs = set()
+    for seed in ("1", "2", "3"):
+        proc = run_python("-c", HETEROGENEOUS_LADDER, PYTHONHASHSEED=seed)
+        assert proc.returncode == 0, proc.stderr
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1, outputs
 
 
 class TestComponent:

@@ -1,6 +1,7 @@
 """Every module-level import in the package is used, every module-level
-function and class is referenced somewhere, and the package needs nothing
-outside the standard library.
+function and class and every public method or property of a package class
+is referenced somewhere, and the package needs nothing outside the standard
+library.
 
 Names listed in a module's ``__all__`` count as used, which covers the
 package's re-exports.  The unused-import and unreferenced-definition checks
@@ -9,7 +10,7 @@ are pure stdlib ``ast``: nothing is imported or run.
 
 import ast
 import sys
-from collections import defaultdict
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -68,39 +69,65 @@ def test_detector_flags_unused_and_accepts_reexports():
     assert unused_imports(source) == [("os", 2), ("Optional", 3)]
 
 
-def _referenced_names(node):
-    """Names read, attribute names and imported names anywhere under node."""
-    out = set()
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _mentions(node):
+    """How often each name is read, used as an attribute or imported under node."""
+    out = Counter()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
-            out.add(sub.id)
+            out[sub.id] += 1
         elif isinstance(sub, ast.Attribute):
-            out.add(sub.attr)
+            out[sub.attr] += 1
         elif isinstance(sub, ast.alias):
-            out.add(sub.name.split(".")[-1])
+            out[sub.name.split(".")[-1]] += 1
     return out
 
 
-def unreferenced_definitions(package_sources, other_sources):
-    """(module, name) of each module-level function or class in the package
-    sources that no source names outside the definition itself."""
+def _module_definitions(tree):
+    """(name, node) of each module-level function or class."""
+    for stmt in tree.body:
+        if isinstance(stmt, FUNCTIONS + (ast.ClassDef,)):
+            yield stmt.name, stmt
+
+
+def _member_definitions(tree):
+    """("Class.name", node) of each public method or property of a module-level class."""
+    for stmt in tree.body:
+        if isinstance(stmt, ast.ClassDef):
+            for sub in stmt.body:
+                if isinstance(sub, FUNCTIONS) and not sub.name.startswith("_"):
+                    yield f"{stmt.name}.{sub.name}", sub
+
+
+def _unreferenced(package_sources, other_sources, definitions_of):
+    """(module, name) of each definition in the package sources whose name no
+    source mentions outside the definition itself."""
+    total = Counter()
     definitions = []
-    owners = defaultdict(set)  # name -> definitions (or None) that mention it
     for module, source in package_sources.items():
-        for stmt in ast.parse(source).body:
-            owner = None
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                owner = (module, stmt.name)
-                definitions.append(owner)
-            for name in _referenced_names(stmt):
-                owners[name].add(owner)
+        tree = ast.parse(source)
+        total.update(_mentions(tree))
+        definitions += [(module, name, node) for name, node in definitions_of(tree)]
     for source in other_sources:
-        for name in _referenced_names(ast.parse(source)):
-            owners[name].add(None)
-    return [d for d in definitions if not owners[d[1]] - {d}]
+        total.update(_mentions(ast.parse(source)))
+    return [
+        (module, name)
+        for module, name, node in definitions
+        if total[node.name] == _mentions(node)[node.name]
+    ]
 
 
-def test_every_package_definition_is_referenced():
+def unreferenced_definitions(package_sources, other_sources):
+    return _unreferenced(package_sources, other_sources, _module_definitions)
+
+
+def unreferenced_members(package_sources, other_sources):
+    return _unreferenced(package_sources, other_sources, _member_definitions)
+
+
+def _package_and_other_sources():
     package = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     others = [
         path.read_text()
@@ -108,7 +135,15 @@ def test_every_package_definition_is_referenced():
         for path in sorted((ROOT / folder).rglob("*.py"))
         if path.parent != PACKAGE
     ]
-    assert unreferenced_definitions(package, others) == []
+    return package, others
+
+
+def test_every_package_definition_is_referenced():
+    assert unreferenced_definitions(*_package_and_other_sources()) == []
+
+
+def test_every_public_member_is_referenced():
+    assert unreferenced_members(*_package_and_other_sources()) == []
 
 
 def test_definition_detector_ignores_self_reference():
@@ -120,6 +155,21 @@ def test_definition_detector_ignores_self_reference():
     assert unreferenced_definitions(package, ["from a import used\n"]) == [
         ("a", "recursive"),
         ("a", "Lonely"),
+    ]
+
+
+def test_member_detector_ignores_self_reference_and_private_names():
+    package = {
+        "a": "class Poly:\n"
+        "    def used(self):\n        return self.chained()\n"
+        "    def chained(self):\n        return 1\n"
+        "    def recursive(self):\n        return self.recursive()\n"
+        "    @property\n    def unread(self):\n        return 2\n"
+        "    def _private(self):\n        return 3\n",
+    }
+    assert unreferenced_members(package, ["Poly().used()\n"]) == [
+        ("a", "Poly.recursive"),
+        ("a", "Poly.unread"),
     ]
 
 

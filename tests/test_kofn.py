@@ -234,6 +234,17 @@ class TestIdenticalClosedForm:
         assert closed.frequency == oracle_frequency(sf, pm, rm)
 
 
+class TestHighlyReliable:
+    def test_approx_unavailability_is_the_chain_product(self):
+        # 1 - A cancels to 0.0 in floats; U read off the chain does not
+        comps = identical_components(3, 1 - F(1, 10**9), lam=F(1))
+        system = build_kofn_g(KofnSpec(2, comps))
+        exact = single_pass(system).unavailability
+        approx = single_pass(system, mode="approx").unavailability
+        assert approx > 0
+        assert approx == pytest.approx(float(exact), rel=1e-6)
+
+
 class TestDegenerateAvailabilities:
     def test_absent_component_rate_is_irrelevant(self):
         # p=0 with different rates must not change anything

@@ -55,6 +55,14 @@ class TestCellMatrix:
             for col in range(3):
                 assert entries[r, col].evaluate(assign) == expected[r][col]
 
+    @pytest.mark.parametrize("terminal", [TERMINAL_S, TERMINAL_T])
+    def test_family_tags_shared_cells(self, terminal):
+        params = LadderIdenticalParams(F(3, 4), F(9, 10), F(1), F(1), 3)
+        shared = build_ladder(identical_ladder_spec(params, terminal))
+        distinct = build_ladder(distinct_ladder_spec(F(3, 4), F(9, 10), F(1), F(1), 3, terminal))
+        assert shared.family == f"ladder:3:{terminal}:shared"
+        assert distinct.family == f"ladder:3:{terminal}"
+
     def test_entry_cell_validation(self):
         bad = LadderCell(
             a=Component("a0", F(1, 2), F(1)),

@@ -219,7 +219,7 @@ def _parse_range(text: str, integral: bool):
 
 
 def _sweep_point(args, param: str, value):
-    """One sweep row: (A, nu_bar, lambda_bar, d_ln_zeta, d_ln_alpha)."""
+    """One sweep row: (A, log10_A, nu_bar, lambda_bar, d_ln_zeta, d_ln_alpha)."""
     fixed = {
         "p": args.p, "rho": args.rho, "n": args.n,
         "lam": args.lam, "xi": args.xi,
@@ -242,6 +242,7 @@ def _sweep_point(args, param: str, value):
     row = {
         param: value,
         "A": report.availability,
+        "log10_A": report.log10_availability,  # csv writes None as ""
         "nu_bar": report.frequency,
         "lambda_bar": report.failure_rate if report.failure_rate is not None else "",
     }
@@ -268,7 +269,7 @@ def cmd_sweep(args) -> int:
     if args.param == "rho" and args.family != "ladder":
         print("error: rho only applies to the ladder family", file=sys.stderr)
         return EXIT_PARSE
-    fieldnames = [args.param, "A", "nu_bar", "lambda_bar"]
+    fieldnames = [args.param, "A", "log10_A", "nu_bar", "lambda_bar"]
     if args.family == "ladder":
         fieldnames += ["dLnZeta", "dLnAlpha"]
     rows = []

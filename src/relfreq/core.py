@@ -19,21 +19,26 @@ pairs, :func:`stream_step` folds one.  Within a call the fold compiles each
 distinct pair once into a numeric :class:`Step`: rows of ``(col, value)``
 for M and M', evaluated from the nonzero entries of M only, each M' value
 being the rate-operator image of an M entry under the assignment's rates.
-In exact mode a step also carries a scale D, the lcm of its values'
-denominators, and its values are the integers D.M and D.M'; the fold scales
-the incoming state to integers, runs on integers, multiplies the running
-scale by each D and divides once on the way out (fraction-free, no gcd per
-step).  In approx mode the values are floats and D = 1.
+A run of r references to one pair is the dual power (M + eps M')^r, with
+eps^2 = 0, taken by squaring: O(log r) steps.  In exact mode a step also
+carries a scale D, the lcm of its values' denominators, and its values are
+the integers D.M and D.M'; the fold scales the incoming state to integers,
+runs on integers, multiplies the running scale by each D and divides once
+on the way out (fraction-free, no gcd per step).  In approx mode the values
+are floats, D = 1, and the state holds mantissas and a binary exponent.
 
-Memory use is O(vector dimension), independent of the number of matrices.
+Memory use is O(vector dimension) plus O(dim^2 log r) for the powers of a
+run, independent of the number of matrices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, prod
-from typing import Iterable, Mapping, NamedTuple, Optional, Tuple
+from itertools import groupby
+from math import frexp, lcm, ldexp, log10
+from operator import countOf
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Tuple
 
 from .scalars import EXACT, Scalar, as_exact, check_mode, convert, rational_str
 
@@ -335,6 +340,14 @@ class MatrixPair:
         return cls(dim=dim, m=((),) * dim)
 
 
+def identical_runs(items: Iterable) -> Iterator[Tuple[object, int]]:
+    """(item, r) for each run of r consecutive references to one object;
+    ``countOf`` counts the rest of a run in C, matching each by identity."""
+    for _, run in groupby(items, key=id):
+        item = next(run)
+        yield item, 1 + countOf(run, item)
+
+
 @dataclass(frozen=True)
 class TransferSystem:
     """Left vector, ordered matrix pairs, right vector, affine convention.
@@ -364,7 +377,7 @@ class TransferSystem:
         dim = len(self.v_right)
         if len(self.v_left) != dim:
             raise DimensionMismatchError("v_left and v_right dimensions differ")
-        for pair in self.pairs:
+        for pair, _ in identical_runs(self.pairs):
             if pair.dim != dim:
                 raise DimensionMismatchError(
                     f"matrix shape {pair.shape} incompatible with dimension {dim}"
@@ -388,12 +401,15 @@ class TransferSystem:
 
 @dataclass(frozen=True)
 class PassState:
-    """The (A_k, V_k) vector pair threaded through the recursion."""
+    """The (A_k, V_k) vector pair threaded through the recursion, times
+    ``2**-exponent``; ``exponent`` stays 0 in exact mode, and approx mode
+    renormalises after every step so that the vectors never underflow."""
 
     a_vec: Tuple[Scalar, ...]
     v_vec: Tuple[Scalar, ...]
     index: int
     mode: str = EXACT
+    exponent: int = 0
 
     def __post_init__(self):
         if len(self.a_vec) != len(self.v_vec):
@@ -413,10 +429,11 @@ def initial_state(system: TransferSystem, mode: str = EXACT) -> PassState:
 
 
 def _split_assignment(assignment: Mapping) -> Tuple[dict, dict]:
-    """Split an ``id -> (p, lam)`` map into (avail, rates), checking each p."""
+    """Split an ``id -> (p, lam)`` map into (avail, rates), checking each p;
+    a value may be any 2-element tuple or list, such as JSON's ``[p, lam]``."""
     avail, rates = {}, {}
     for cid, val in assignment.items():
-        if not isinstance(val, tuple):
+        if not isinstance(val, (tuple, list)) or len(val) != 2:
             raise MissingRateError(cid)
         p, rates[cid] = val
         if not (0 <= p <= 1):
@@ -426,17 +443,16 @@ def _split_assignment(assignment: Mapping) -> Tuple[dict, dict]:
 
 
 class Step(NamedTuple):
-    """One matrix pair compiled to numbers for one assignment and mode.
-
-    ``m`` and ``mp`` are rows of ``(col, value)`` holding the nonzero values
-    of ``scale * M`` and ``scale * M'``.  In exact mode the values are
-    integers and ``scale`` is the lcm of the denominators of M and M'; in
-    approx mode the values are floats and ``scale`` is 1.
-    """
+    """A matrix pair, or a power of one, compiled to numbers: ``m`` and
+    ``mp`` are rows of ``(col, value)`` holding the nonzero values of M and
+    M' times ``scale / 2**exponent``.  Exact mode has integer values over
+    the lcm ``scale`` of their denominators and exponent 0; approx mode has
+    floats and scale 1."""
 
     m: Tuple[Tuple[Tuple[int, Scalar], ...], ...]
     mp: Tuple[Tuple[Tuple[int, Scalar], ...], ...]
     scale: int
+    exponent: int
 
 
 def _compile(pair: MatrixPair, avail, rates: Mapping, mode: str) -> Step:
@@ -455,21 +471,35 @@ def _compile(pair: MatrixPair, avail, rates: Mapping, mode: str) -> Step:
             for rows in mats
         ]
     m, mp = (tuple(tuple((c, x) for c, x in row if x) for row in rows) for rows in mats)
-    return Step(m, mp, scale)
+    return Step(m, mp, scale, 0)
 
 
-def _flat3(step: Step, zero: Scalar) -> Tuple[Scalar, ...]:
-    """The 18 values of a 3x3 step's M and M' row by row, zeros included."""
-    dense = [zero] * 18
-    for base, rows in ((0, step.m), (9, step.mp)):
-        for r, row in enumerate(rows):
-            for c, x in row:
-                dense[base + 3 * r + c] = x
-    return tuple(dense)
+def _normalise(rows):
+    """(rows / 2**k, k) with the largest magnitude in [0.5, 1), or k = 0 when
+    all are zero; dividing by a power of two is exact unless subnormal."""
+    k = frexp(max(abs(x) for row in rows for x in row))[1]
+    return [[ldexp(x, -k) for x in row] for row in rows], k
+
+
+def _square(step: Step, mode: str) -> Step:
+    """``step`` applied twice: (M + eps M')^2 = M M + eps (M M' + M' M),
+    three matrix products, renormalised in approx mode."""
+    dim = len(step.m)
+    rows = [[0] * dim for _ in range(2 * dim)]  # M M, then M M' + M' M
+    for base, left, right in ((0, step.m, step.m), (dim, step.m, step.mp), (dim, step.mp, step.m)):
+        for out, lrow in zip(rows[base:], left):
+            for j, x in lrow:
+                for c, y in right[j]:
+                    out[c] += x * y
+    shift = 0
+    if mode != EXACT:
+        rows, shift = _normalise(rows)
+    sparse = tuple(tuple((c, x) for c, x in enumerate(row) if x) for row in rows)
+    return Step(sparse[:dim], sparse[dim:], step.scale**2, 2 * step.exponent + shift)
 
 
 def _advance(step: Step, a, v):
-    """(scale * M a, scale * (M v + M' a)) for one compiled step."""
+    """(values of M a, values of M v + M' a) for one compiled step."""
     new_a, new_v = [], []
     for mrow, prow in zip(step.m, step.mp):
         x = y = 0
@@ -483,71 +513,52 @@ def _advance(step: Step, a, v):
     return new_a, new_v
 
 
-def _advance3(flats, a, v):
-    """The fold of :func:`_advance` over 3x3 steps given by :func:`_flat3`,
-    unrolled; it dominates long ladders.  It adds the same nonzero products
-    in the same order, so the values are equal."""
-    a1, a2, a3 = a
-    v1, v2, v3 = v
-    for flat in flats:
-        (m11, m12, m13, m21, m22, m23, m31, m32, m33,
-         d11, d12, d13, d21, d22, d23, d31, d32, d33) = flat
-        na1 = m11 * a1 + m12 * a2 + m13 * a3
-        na2 = m21 * a1 + m22 * a2 + m23 * a3
-        na3 = m31 * a1 + m32 * a2 + m33 * a3
-        v1, v2, v3 = (
-            m11 * v1 + m12 * v2 + m13 * v3 + d11 * a1 + d12 * a2 + d13 * a3,
-            m21 * v1 + m22 * v2 + m23 * v3 + d21 * a1 + d22 * a2 + d23 * a3,
-            m31 * v1 + m32 * v2 + m33 * v3 + d31 * a1 + d32 * a2 + d33 * a3,
-        )
-        a1, a2, a3 = na1, na2, na3
-    return [a1, a2, a3], [v1, v2, v3]
-
-
 def _fold(state: PassState, pairs: Iterable[MatrixPair], assignment: Mapping) -> PassState:
     """Advance ``state`` through ``pairs`` in order: the one fold behind
     :func:`stream_step` and :func:`single_pass`.
 
     Each distinct pair object is checked against the state's dimension and
-    compiled once per call.  Exact mode folds integers: the state enters
-    multiplied by the lcm of its denominators, each step multiplies the
-    running scale by its own, and the vectors are divided by the scale once
-    on the way out.
+    compiled once per call; a run of r references to it advances through the
+    powers step^(2^i) of the set bits of r.  Exact mode folds integers: the
+    state enters multiplied by the lcm of its denominators, and leaves
+    divided by that times the product of the applied steps' scales.
     """
     avail, rates = _split_assignment(assignment)
     mode, dim = state.mode, len(state.a_vec)
-    compiled = {}
-    steps = []
-    for pair in pairs:
-        step = compiled.get(id(pair))
-        if step is None:
-            if pair.dim != dim:
-                raise DimensionMismatchError(
-                    f"matrix shape {pair.shape} incompatible with state dimension {dim}"
-                )
-            step = compiled[id(pair)] = _compile(pair, avail, rates, mode)
-        steps.append(step)
-
-    a, v = state.a_vec, state.v_vec
+    a, v, index, exponent = state.a_vec, state.v_vec, state.index, state.exponent
+    scale = 1
     if mode == EXACT:
         scale = lcm(*(x.denominator for x in a + v))
         a = [x.numerator * (scale // x.denominator) for x in a]
         v = [x.numerator * (scale // x.denominator) for x in v]
 
-    if dim == 3:
-        zero = 0 if mode == EXACT else 0.0
-        flats = {id(step): _flat3(step, zero) for step in compiled.values()}
-        a, v = _advance3([flats[id(step)] for step in steps], a, v)
-    else:
-        for step in steps:
-            a, v = _advance(step, a, v)
+    powers = {}  # id(pair) -> [step, step^2, step^4, ...]
+    for pair, r in identical_runs(pairs):
+        steps = powers.get(id(pair))
+        if steps is None:
+            if pair.dim != dim:
+                raise DimensionMismatchError(
+                    f"matrix shape {pair.shape} incompatible with state dimension {dim}"
+                )
+            steps = powers[id(pair)] = [_compile(pair, avail, rates, mode)]
+        index += r
+        for bit in range(r.bit_length()):
+            if bit == len(steps):
+                steps.append(_square(steps[-1], mode))
+            if r >> bit & 1:
+                step = steps[bit]
+                a, v = _advance(step, a, v)
+                scale *= step.scale
+                exponent += step.exponent
+                if mode != EXACT:
+                    (a, v), k = _normalise((a, v))
+                    exponent += k
 
     if mode == EXACT:
-        scale *= prod(step.scale for step in steps)
         a = [Fraction(x, scale) for x in a]
         v = [Fraction(x, scale) for x in v]
     return PassState(
-        a_vec=tuple(a), v_vec=tuple(v), index=state.index + len(steps), mode=mode
+        a_vec=tuple(a), v_vec=tuple(v), index=index, mode=mode, exponent=exponent
     )
 
 
@@ -556,13 +567,25 @@ def stream_step(
 ) -> PassState:
     """Consume one matrix pair: the fold of :func:`single_pass`, one pair long.
 
-    ``assignment`` maps ids to (p, lam) tuples; M' is evaluated from M and
+    ``assignment`` maps ids to (p, lam) pairs; M' is evaluated from M and
     the rates, and a plain availability raises :class:`MissingRateError`.
     The pair is compiled afresh on every call (no cache outlives a call,
-    since pair ids can be reused after garbage collection), and the state
-    keeps the true (unscaled) vectors.
+    since pair ids can be reused after garbage collection).
     """
     return _fold(state, (pair,), assignment)
+
+
+def log10_of(x: Scalar, exponent: int = 0) -> Optional[float]:
+    """log10(x * 2**exponent), or None unless x > 0.  A rational is first
+    scaled into (0.5, 2) by a power of two, so it may lie outside the double
+    range, and a value near 1 keeps its digits."""
+    if not x > 0:
+        return None
+    if isinstance(x, Fraction):
+        k = x.numerator.bit_length() - x.denominator.bit_length()
+        x = (x.numerator << max(-k, 0)) / (x.denominator << max(k, 0))
+        exponent += k
+    return log10(x) + exponent * log10(2)
 
 
 @dataclass(frozen=True)
@@ -570,7 +593,8 @@ class ReliabilityReport:
     """A, U, mean failure frequency and mean failure rate of one system.
 
     Frequencies are absolute (per unit time) or multiples of a reference
-    repair rate, per ``rate_unit``.
+    repair rate, per ``rate_unit``.  The log10 fields (None unless positive)
+    hold also where an approx A or nu is below the double range and reads 0.
     """
 
     availability: Scalar
@@ -581,6 +605,8 @@ class ReliabilityReport:
     rate_unit: str = "absolute"
     family: str = ""
     size: int = 0
+    log10_availability: Optional[float] = None
+    log10_frequency: Optional[float] = None
 
     def as_dict(self) -> dict:
         def block(value):
@@ -594,6 +620,8 @@ class ReliabilityReport:
             "availability": block(self.availability),
             "unavailability": block(self.unavailability),
             "frequency": block(self.frequency),
+            "log10_availability": self.log10_availability,
+            "log10_frequency": self.log10_frequency,
             "meta": {
                 "family": self.family,
                 "mode": self.mode,
@@ -610,22 +638,30 @@ class ReliabilityReport:
 
 
 def finalize(system: TransferSystem, state: PassState) -> ReliabilityReport:
-    """Project a fully-advanced state with vL and apply the affine form."""
+    """Project a fully-advanced state with vL and apply the affine form.
+    With no offset, log10 A and nu/A come from the mantissas x and y, so
+    they stay right when A is below the double range."""
     if state.index != system.size:
         raise ReliabilityError(
             f"state consumed {state.index} matrices, system has {system.size}"
         )
-    mode = state.mode
+    mode, e, sign = state.mode, state.exponent, system.sign
     vL = [convert(x, mode) for x in system.v_left]
-    x = sum(l * a for l, a in zip(vL, state.a_vec))
-    y = sum(l * v for l, v in zip(vL, state.v_vec))
+    x_m = sum(l * a for l, a in zip(vL, state.a_vec))
+    y_m = sum(l * v for l, v in zip(vL, state.v_vec))
+    x, y = (x_m, y_m) if mode == EXACT else (ldexp(x_m, e), ldexp(y_m, e))
     offset = convert(system.offset, mode)
-    availability = offset + system.sign * x
+    availability = offset + sign * x
     # not 1 - availability: for offset 1 and sign -1 (k-of-n:G) this is x
     # itself, with no cancellation in approx mode
-    unavailability = (1 - offset) - system.sign * x
-    frequency = system.sign * y
-    failure_rate = frequency / availability if availability != 0 else None
+    unavailability = (1 - offset) - sign * x
+    frequency = sign * y
+    if offset == 0:
+        log10_availability = log10_of(sign * x_m, e)
+        failure_rate = y_m / x_m if x_m != 0 else None
+    else:
+        log10_availability = log10_of(availability)
+        failure_rate = frequency / availability if availability != 0 else None
     return ReliabilityReport(
         availability=availability,
         unavailability=unavailability,
@@ -635,6 +671,8 @@ def finalize(system: TransferSystem, state: PassState) -> ReliabilityReport:
         rate_unit=system.rate_unit,
         family=system.family,
         size=system.size,
+        log10_availability=log10_availability,
+        log10_frequency=log10_of(sign * y_m, e),
     )
 
 
@@ -650,9 +688,9 @@ def single_pass(
     availability raises :class:`MissingRateError`: M' is evaluated in the
     pass from M and the rates.  The pass is the same fold as
     :func:`stream_step`, run over all of ``system.pairs`` at once: each
-    distinct matrix-pair object is compiled once, so systems built from a
-    shared cell advance in O(dim^2) per step with no polynomial work, and
-    exact mode divides by the product of the step scales once at the end.
+    distinct matrix-pair object is compiled once, so a shared cell's run of
+    r references costs no polynomial work and O(log r) steps, and exact
+    mode divides by the product of the step scales once at the end.
     """
     if assignment is None:
         assignment = system.default_assignment()

@@ -20,6 +20,7 @@ from .core import (
     ReliabilityError,
     ReliabilityReport,
     TransferSystem,
+    log10_of,
 )
 from .genfunc import kofn_availability
 from .scalars import EXACT, as_exact
@@ -142,6 +143,8 @@ def kofn_g_identical(k: int, n: int, p, lam) -> ReliabilityReport:
         mode=EXACT,
         family=f"kofn-g:{k}/{n}",
         size=n,
+        log10_availability=log10_of(a),
+        log10_frequency=log10_of(nu),
     )
 
 

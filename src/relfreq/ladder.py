@@ -7,23 +7,29 @@ perfect entry edge (a_0 = 1) and no bottom rail (c_0 = 0).  Each cell maps
 to one 3x3 transfer matrix, all nine entries nonzero polynomials; the
 availability between S_0 and S_n or T_n is a product of those matrices.
 For identical cells the closed form in the three eigenvalues is evaluated
-through a rational three-term recurrence, so exact inputs give exact
-outputs with no square roots.
+through a power of the 2x2 companion matrix of the pair zeta+, zeta-, whose
+entries are rational, so exact inputs give exact outputs with no square
+roots.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from math import ldexp
 from typing import Dict, Tuple
 
 from .core import (
     Component,
     MatrixPair,
     MultilinearPoly,
+    PassState,
     ReliabilityError,
     ReliabilityReport,
     TransferSystem,
+    _fold,
+    identical_runs,
     single_pass,
 )
 from .oracle import StructureFunction, connectivity_structure
@@ -120,32 +126,28 @@ def cell_matrix_pair(cell: LadderCell) -> MatrixPair:
 
 
 def build_ladder(spec: LadderSpec) -> TransferSystem:
-    """Transfer system for a ladder; vL selects the S_n or T_n terminal."""
+    """Transfer system for a ladder; vL selects the S_n or T_n terminal.
+    Each cell object gets one pair object, so a run of one repeated cell
+    becomes a run of one pair, and only distinct cells are visited."""
     pair_cache: Dict[int, MatrixPair] = {}
+    components: Dict[str, Component] = {}
     pairs = []
-    for cell in spec.cells:
-        pair = pair_cache.get(id(cell))
-        if pair is None:
-            pair = cell_matrix_pair(cell)
-            pair_cache[id(cell)] = pair
-        pairs.append(pair)
+    for cell, r in identical_runs(spec.cells):
+        if id(cell) not in pair_cache:
+            pair_cache[id(cell)] = cell_matrix_pair(cell)
+            for comp in cell.components():
+                components.setdefault(comp.id, comp)
+        pairs.extend(repeat(pair_cache[id(cell)], r))
     if spec.terminal == TERMINAL_S:
         v_left = (Fraction(1), Fraction(0), Fraction(0))
     else:
         v_left = (Fraction(0), Fraction(1), Fraction(0))
-    components = []
-    seen = set()
-    for cell in spec.cells:
-        for comp in cell.components():
-            if comp.id not in seen:
-                seen.add(comp.id)
-                components.append(comp)
     shared = len(components) < 5 * len(spec.cells)
     return TransferSystem(
         v_left=v_left,
         pairs=tuple(pairs),
         v_right=(Fraction(1), Fraction(0), Fraction(0)),
-        components=tuple(components),
+        components=tuple(components.values()),
         family=f"ladder:{spec.n}:{spec.terminal}{':shared' if shared else ''}",
     )
 
@@ -153,9 +155,9 @@ def build_ladder(spec: LadderSpec) -> TransferSystem:
 def identical_ladder_spec(params: LadderIdenticalParams, terminal: str = TERMINAL_T) -> LadderSpec:
     """Ladder with one shared interior cell object.
 
-    All interior cells reuse the same five component ids, so the single pass
-    evaluates the cell matrices once and then advances in O(1) work per cell
-    regardless of n.
+    All interior cells reuse the same five component ids and one cell
+    object, so the single pass evaluates the cell matrix once and advances
+    through the n cells in O(log n) steps by powers of it.
     """
     p, rho = as_exact(params.p), as_exact(params.rho)
     lam, xi = as_exact(params.lam), as_exact(params.xi)
@@ -226,29 +228,16 @@ def eigen_symmetric_parts(p, rho):
     return zeta0, trace_pm, prod_pm
 
 
-def _divided_power_sums(t, d, n: int):
-    """h_j = (zeta+^j - zeta-^j)/(zeta+ - zeta-) for j = n and n+1.
-
-    Three-term recurrence h_j = t h_{j-1} - d h_{j-2} with h_0 = 0, h_1 = 1;
-    the degenerate zeta+ = zeta- case is covered automatically (the
-    recurrence computes the limit j * zeta^(j-1)).
-    """
-    if n < 0:
-        raise ReliabilityError("n must be nonnegative")
-    hm, h = (t * 0, 1 + t * 0)  # h_0, h_1 in the operand's arithmetic
-    if n == 0:
-        return hm, h
-    for _ in range(n - 1):
-        hm, h = h, t * h - d * hm
-    return h, t * h - d * hm  # h_n, h_{n+1}
-
-
 def ladder_closed_form(params: LadderIdenticalParams, mode: str = EXACT):
     """(R_Sn, R_Tn) for identical components.
 
     Exact mode returns rationals: the two closed forms only involve the
-    symmetric functions of the eigenvalue pair, so no square root appears.
-    The two results differ exactly by zeta0^(n+1)/p.
+    symmetric functions t = zeta+ + zeta- and d = zeta+ * zeta- of the
+    eigenvalue pair, so no square root appears.  The two results differ
+    exactly by zeta0^(n+1)/p.  h_j = (zeta+^j - zeta-^j)/(zeta+ - zeta-)
+    obeys h_{j+1} = t h_j - d h_{j-1} with h_0 = 0, h_1 = 1, so (h_{n+1}, h_n)
+    is [[t, -d], [1, 0]]^n (1, 0), taken by the pass's fold over a run of n
+    companion steps (for zeta+ = zeta- it is the limit j * zeta^(j-1)).
     """
     check_mode(mode)
     p = convert(params.p, mode)
@@ -257,7 +246,14 @@ def ladder_closed_form(params: LadderIdenticalParams, mode: str = EXACT):
     if p == 0:
         return (convert(0, mode), convert(0, mode))
     zeta0, t, d = eigen_symmetric_parts(p, rho)
-    h_n, h_n1 = _divided_power_sums(t, d, n)
+    companion = MatrixPair.from_entries(2, [
+        (0, 0, MultilinearPoly.constant(t)),
+        (0, 1, MultilinearPoly.constant(-d)),
+        (1, 0, MultilinearPoly.one()),
+    ])
+    one, zero = convert(1, mode), convert(0, mode)
+    state = _fold(PassState((one, zero), (zero, zero), 0, mode), repeat(companion, n), {})
+    h_n1, h_n = (ldexp(h, state.exponent) if mode != EXACT else h for h in state.a_vec)
     common = p * rho * (1 + p * rho) * h_n1 - (1 - 2 * p + p * rho) * (p * rho) ** 3 * h_n
     r_s = (zeta0 ** (n + 1) + common) / (2 * p)
     r_t = (-(zeta0 ** (n + 1)) + common) / (2 * p)

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import relfreq.core
+from relfreq.asymptotics import asymptotic_rate
 from relfreq.core import Component, ReliabilityError, single_pass
 from relfreq.ladder import (
     LadderCell,
@@ -159,6 +161,14 @@ class TestClosedForm:
         assert r_s == a_s
         assert r_t == a_t
 
+    def test_matches_pass_up_to_40_cells(self):
+        for n in range(41):
+            params = LadderIdenticalParams(F(9, 10), F(19, 20), F(1), F(1, 2), n)
+            assert ladder_closed_form(params) == (
+                ladder_frequency(params, TERMINAL_S).availability,
+                ladder_frequency(params, TERMINAL_T).availability,
+            )
+
     def test_terminal_gap_is_zeta0_power(self):
         p, rho, n = F(7, 10), F(19, 20), 5
         params = LadderIdenticalParams(p, rho, F(0), F(0), n)
@@ -227,3 +237,29 @@ class TestFrequency:
         report = ladder_frequency(params, TERMINAL_T, mode="approx")
         assert 0 < report.availability < 1
         assert report.frequency > 0
+
+
+class TestPoweredRuns:
+    @pytest.mark.parametrize("p", [F(9, 10), F(19, 20)])
+    def test_approx_within_1e_10_of_exact(self, p):
+        params = LadderIdenticalParams(p, F(1), F(1), F(0), 2000)
+        exact = ladder_frequency(params, TERMINAL_T)
+        approx = ladder_frequency(params, TERMINAL_T, mode="approx")
+        assert approx.availability == pytest.approx(float(exact.availability), rel=1e-10)
+        assert approx.frequency == pytest.approx(float(exact.frequency), rel=1e-10)
+        assert approx.log10_availability == pytest.approx(exact.log10_availability, abs=1e-10)
+
+    def test_long_run_advances_in_logarithmically_many_steps(self, monkeypatch):
+        advance = relfreq.core._advance
+        calls = []
+
+        def counted(step, a, v):
+            calls.append(step)
+            return advance(step, a, v)
+
+        monkeypatch.setattr(relfreq.core, "_advance", counted)
+        n = 10**6
+        params = LadderIdenticalParams(0.9, 1.0, 1.0, 0.0, n)
+        report = ladder_frequency(params, TERMINAL_T, mode="approx")
+        assert len(calls) <= 2 * n.bit_length()
+        assert report.failure_rate == pytest.approx(asymptotic_rate(0.9, n, 1.0), rel=1e-6)

@@ -15,16 +15,19 @@ A :class:`MatrixPair` stores only the nonzero entries of M, as
 follows from M and the rates.
 
 One fold runs every pass: :func:`single_pass` folds all of a system's
-pairs, :func:`stream_step` folds one.  Within a call the fold compiles each
-distinct pair once into a numeric :class:`Step`: rows of ``(col, value)``
-for M and M', evaluated from the nonzero entries of M only, each M' value
-being the rate-operator image of an M entry under the assignment's rates.
-A run of r references to one pair is the dual power (M + eps M')^r, with
-eps^2 = 0, taken by squaring: O(log r) steps.  In exact mode a step also
-carries a scale D, the lcm of its values' denominators, and its values are
-the integers D.M and D.M'; the fold scales the incoming state to integers,
-runs on integers, multiplies the running scale by each D and divides once
-on the way out (fraction-free, no gcd per step).  In approx mode the values
+pairs, :func:`stream_step` folds one.  With eps^2 = 0, a step of the
+recursion is the dual product (A + eps V) <- (M + eps M')(A + eps V), and
+a term c prod p_i of an entry of M evaluated at p_i (1 + eps lambda_i) is
+its value plus eps times its rate-operator image.  Within a call the fold
+compiles each distinct pair once into a numeric :class:`Step`, rows of
+dual entries ``(col, x, y)``: one walk over the terms of each distinct
+polynomial object among the nonzero entries of M gives both x and y.
+A run of r references to one pair is the dual power (M + eps M')^r, taken
+by squaring: O(log r) steps.  In exact mode a step also carries a scale
+D, the lcm of its values' denominators, and its values are the integers
+D.M and D.M'; the fold scales the incoming state to integers, runs on
+integers, multiplies the running scale by each D and divides once on the
+way out (fraction-free, no gcd per step).  In approx mode the values
 are floats, D = 1, and the state holds mantissas and a binary exponent.
 
 Memory use is O(vector dimension) plus O(dim^2 log r) for the powers of a
@@ -244,7 +247,8 @@ def apply_rate_operator(
 
     A term c * prod_{i in S} p_i maps to (sum_{i in S} lambda_i) * c *
     prod_{i in S} p_i, so the image lives on the same monomials.  Constants
-    are annihilated.
+    are annihilated.  The pass gets the image's value from :func:`_dual`
+    without building it; this operator is the reference it is tested against.
     """
     acc = {}
     for ids, coeff in poly._terms:
@@ -428,50 +432,77 @@ def initial_state(system: TransferSystem, mode: str = EXACT) -> PassState:
     return PassState(a_vec=a, v_vec=(zero,) * len(a), index=0, mode=mode)
 
 
-def _split_assignment(assignment: Mapping) -> Tuple[dict, dict]:
-    """Split an ``id -> (p, lam)`` map into (avail, rates), checking each p;
-    a value may be any 2-element tuple or list, such as JSON's ``[p, lam]``."""
-    avail, rates = {}, {}
+def _check_assignment(assignment: Mapping) -> None:
+    """Check that each value of an ``id -> (p, lam)`` map is a pair with p in
+    [0, 1]; a value may be any 2-element tuple or list, such as JSON's
+    ``[p, lam]``."""
     for cid, val in assignment.items():
         if not isinstance(val, (tuple, list)) or len(val) != 2:
             raise MissingRateError(cid)
-        p, rates[cid] = val
-        if not (0 <= p <= 1):
-            raise ReliabilityError(f"component {cid!r}: p={p} outside [0,1]")
-        avail[cid] = p
-    return avail, rates
+        if not (0 <= val[0] <= 1):
+            raise ReliabilityError(f"component {cid!r}: p={val[0]} outside [0,1]")
 
 
 class Step(NamedTuple):
-    """A matrix pair, or a power of one, compiled to numbers: ``m`` and
-    ``mp`` are rows of ``(col, value)`` holding the nonzero values of M and
-    M' times ``scale / 2**exponent``.  Exact mode has integer values over
-    the lcm ``scale`` of their denominators and exponent 0; approx mode has
-    floats and scale 1."""
+    """A matrix pair, or a power of one, compiled to numbers: ``rows`` holds,
+    row by row in column order, ``(col, x, y)`` for each entry x + eps y of
+    the dual matrix M + eps M' with x or y nonzero, times
+    ``scale / 2**exponent``.  Exact mode has integer values over the lcm
+    ``scale`` of their denominators and exponent 0; approx mode has floats
+    and scale 1."""
 
-    m: Tuple[Tuple[Tuple[int, Scalar], ...], ...]
-    mp: Tuple[Tuple[Tuple[int, Scalar], ...], ...]
+    rows: Tuple[Tuple[Tuple[int, Scalar, Scalar], ...], ...]
     scale: int
     exponent: int
 
 
-def _compile(pair: MatrixPair, avail, rates: Mapping, mode: str) -> Step:
-    """Evaluate the nonzero entries of M, and their rate-operator images
-    under ``rates`` as M', into a :class:`Step`."""
-    mats = [
-        [[(c, poly.evaluate(avail, mode)) for _, c, poly in row] for row in pair.m],
-        [[(c, apply_rate_operator(poly, rates).evaluate(avail, mode)) for _, c, poly in row]
-         for row in pair.m],
-    ]
+def _dual(poly: MultilinearPoly, assignment: Mapping, mode: str) -> Tuple[Scalar, Scalar]:
+    """(x, y): ``poly`` and its rate-operator image at ``assignment``, from
+    one walk over its terms.  A term c prod p_i adds c prod p_i to x and
+    c prod p_i sum lambda_i to y, the eps-part of the term at
+    p_i (1 + eps lambda_i) with eps^2 = 0.  x is computed in the operation
+    order of :meth:`MultilinearPoly.evaluate`, so it equals that value."""
+    num = as_exact if mode == EXACT else float
+    x = y = num(0)
+    for ids, coeff in poly._terms:
+        term, lam_total = num(coeff), num(0)
+        for cid in ids:
+            try:
+                p, lam = assignment[cid]
+            except KeyError:
+                raise MissingAvailabilityError(cid) from None
+            term = term * num(p)
+            lam_total += num(lam)
+        x += term
+        y += term * lam_total
+    return x, y
+
+
+def _compile(pair: MatrixPair, assignment: Mapping, mode: str) -> Step:
+    """The dual values of the nonzero entries of M into a :class:`Step`.
+
+    Entries that share a polynomial object (the q_i and p_i of a k-of-n
+    matrix fill every slot with two) are evaluated once: the pair keeps the
+    objects alive, so their ids are stable for the call.  An entry stays
+    when x or y is nonzero: q = 1 - p at p = 1 has x = 0 and y = -lambda.
+    """
+    duals = {}  # id(poly) -> (x, y)
+    for row in pair.m:
+        for _, _, poly in row:
+            if id(poly) not in duals:
+                duals[id(poly)] = _dual(poly, assignment, mode)
     scale = 1
     if mode == EXACT:
-        scale = lcm(*(x.denominator for rows in mats for row in rows for _, x in row))
-        mats = [
-            [[(c, x.numerator * (scale // x.denominator)) for c, x in row] for row in rows]
-            for rows in mats
-        ]
-    m, mp = (tuple(tuple((c, x) for c, x in row if x) for row in rows) for rows in mats)
-    return Step(m, mp, scale, 0)
+        scale = lcm(*(v.denominator for xy in duals.values() for v in xy))
+        duals = {
+            key: tuple(v.numerator * (scale // v.denominator) for v in xy)
+            for key, xy in duals.items()
+        }
+    rows = tuple(
+        tuple((c, *duals[id(poly)]) for _, c, poly in row if any(duals[id(poly)]))
+        for row in pair.m
+    )
+    return Step(rows, scale, 0)
 
 
 def _normalise(rows):
@@ -482,32 +513,36 @@ def _normalise(rows):
 
 
 def _square(step: Step, mode: str) -> Step:
-    """``step`` applied twice: (M + eps M')^2 = M M + eps (M M' + M' M),
-    three matrix products, renormalised in approx mode."""
-    dim = len(step.m)
-    rows = [[0] * dim for _ in range(2 * dim)]  # M M, then M M' + M' M
-    for base, left, right in ((0, step.m, step.m), (dim, step.m, step.mp), (dim, step.mp, step.m)):
-        for out, lrow in zip(rows[base:], left):
-            for j, x in lrow:
-                for c, y in right[j]:
-                    out[c] += x * y
+    """``step`` applied twice: (M + eps M')^2 = M M + eps (M M' + M' M), one
+    dual matrix product, renormalised in approx mode."""
+    dim = len(step.rows)
+    xs = [[0] * dim for _ in range(dim)]
+    ys = [[0] * dim for _ in range(dim)]
+    for x_out, y_out, row in zip(xs, ys, step.rows):
+        for j, x1, y1 in row:
+            for c, x2, y2 in step.rows[j]:
+                x_out[c] += x1 * x2
+                y_out[c] += x1 * y2 + y1 * x2
     shift = 0
     if mode != EXACT:
-        rows, shift = _normalise(rows)
-    sparse = tuple(tuple((c, x) for c, x in enumerate(row) if x) for row in rows)
-    return Step(sparse[:dim], sparse[dim:], step.scale**2, 2 * step.exponent + shift)
+        normalised, shift = _normalise(xs + ys)
+        xs, ys = normalised[:dim], normalised[dim:]
+    rows = tuple(
+        tuple((c, x, y) for c, (x, y) in enumerate(zip(x_row, y_row)) if x or y)
+        for x_row, y_row in zip(xs, ys)
+    )
+    return Step(rows, step.scale**2, 2 * step.exponent + shift)
 
 
 def _advance(step: Step, a, v):
-    """(values of M a, values of M v + M' a) for one compiled step."""
+    """(values of M a, values of M v + M' a) for one compiled step: the dual
+    product (M + eps M')(a + eps v)."""
     new_a, new_v = [], []
-    for mrow, prow in zip(step.m, step.mp):
+    for row in step.rows:
         x = y = 0
-        for j, val in mrow:
-            x += val * a[j]
-            y += val * v[j]
-        for j, val in prow:
-            y += val * a[j]
+        for j, m, mp in row:
+            x += m * a[j]
+            y += m * v[j] + mp * a[j]
         new_a.append(x)
         new_v.append(y)
     return new_a, new_v
@@ -523,7 +558,7 @@ def _fold(state: PassState, pairs: Iterable[MatrixPair], assignment: Mapping) ->
     state enters multiplied by the lcm of its denominators, and leaves
     divided by that times the product of the applied steps' scales.
     """
-    avail, rates = _split_assignment(assignment)
+    _check_assignment(assignment)
     mode, dim = state.mode, len(state.a_vec)
     a, v, index, exponent = state.a_vec, state.v_vec, state.index, state.exponent
     scale = 1
@@ -540,7 +575,7 @@ def _fold(state: PassState, pairs: Iterable[MatrixPair], assignment: Mapping) ->
                 raise DimensionMismatchError(
                     f"matrix shape {pair.shape} incompatible with state dimension {dim}"
                 )
-            steps = powers[id(pair)] = [_compile(pair, avail, rates, mode)]
+            steps = powers[id(pair)] = [_compile(pair, assignment, mode)]
         index += r
         for bit in range(r.bit_length()):
             if bit == len(steps):

@@ -109,17 +109,16 @@ def entry_cell(b: Component, S: Component, T: Component) -> LadderCell:
 
 
 def cell_matrix_pair(cell: LadderCell) -> MatrixPair:
-    a = MultilinearPoly.variable(cell.a.id)
-    b = MultilinearPoly.variable(cell.b.id)
-    c = MultilinearPoly.variable(cell.c.id)
-    S = MultilinearPoly.variable(cell.S.id)
-    T = MultilinearPoly.variable(cell.T.id)
-    one = MultilinearPoly.one()
-    abcST = a * b * c * S * T
+    """The cell's 3x3 transfer matrix, each entry written as its monomials;
+    positions (0, 2) and (1, 2) share one a b c S T object."""
+    a, b, c, S, T = (comp.id for comp in cell.components())
+    P = MultilinearPoly
+    abcST = P({(a, b, c, S, T): 1})
     m = (
-        (a * S, b * c * S * T, abcST),
-        (a * b * S * T, c * T, abcST),
-        (-(a * b * S * T), -(b * c * S * T), a * (one - 2 * b) * c * S * T),
+        (P({(a, S): 1}), P({(b, c, S, T): 1}), abcST),
+        (P({(a, b, S, T): 1}), P({(c, T): 1}), abcST),
+        (P({(a, b, S, T): -1}), P({(b, c, S, T): -1}),
+         P({(a, c, S, T): 1, (a, b, c, S, T): -2})),
     )
     entries = [(r, col, e) for r, row in enumerate(m) for col, e in enumerate(row)]
     return MatrixPair.from_entries(3, entries)

@@ -5,7 +5,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import relfreq.core
@@ -15,6 +15,7 @@ from relfreq.core import (
     DimensionMismatchError,
     Entry,
     MatrixPair,
+    MissingAvailabilityError,
     MissingRateError,
     MultilinearPoly,
     ReliabilityError,
@@ -278,6 +279,42 @@ class TestMPrimeOnlyInThePass:
             }
         )
 
+    def test_pass_evaluates_no_polynomial_objects(self, monkeypatch):
+        comps = tuple(Component(f"c{i}", F(i, 5), F(i)) for i in (1, 2, 3, 4))
+        systems = [
+            build_kofn_g(KofnSpec(2, comps)),
+            build_lincon_f(KofnSpec(2, comps, family=FAMILY_LINCON_F)),
+            build_ladder(distinct_ladder_spec(F(2, 3), F(4, 5), F(3), F(1, 2), 2)),
+            build_from_config(
+                {
+                    "family": "custom-matrices",
+                    "components": [{"id": "x", "p": "3/4", "lambda": "2"}],
+                    "v_left": ["1", "0"],
+                    "v_right": ["1", "1"],
+                    "matrices": [[[[["1", ["x"]]], []], [[["1", []], ["-1", ["x"]]], []]]],
+                }
+            ),
+        ]
+        expected = [single_pass(system) for system in systems]
+
+        def refuse(*args):
+            raise AssertionError("the pass evaluated a polynomial object")
+
+        monkeypatch.setattr(relfreq.core.MultilinearPoly, "evaluate", refuse)
+        monkeypatch.setattr(relfreq.core, "apply_rate_operator", refuse)
+        for system, report in zip(systems, expected):
+            assert single_pass(system) == report
+            single_pass(system, mode="approx")
+            state = initial_state(system)
+            for pair in system.pairs:
+                state = stream_step(state, pair, system.default_assignment())
+            assert finalize(system, state) == report
+
+    def test_missing_component_is_named(self):
+        system = one_component_system()
+        with pytest.raises(MissingAvailabilityError, match="'x'"):
+            single_pass(system, {"y": (F(1, 2), F(1))})
+
     def test_plain_availability_needs_a_rate(self):
         system = one_component_system()
         with pytest.raises(MissingRateError, match="'x'"):
@@ -351,7 +388,8 @@ def mixed_rationals():
 def fold_cases(draw):
     """(system, assignment) with mixed denominators, sign -1 and an offset,
     zero matrices, shared pair objects, runs of up to 64 consecutive
-    references to one pair object, and zero rates."""
+    references to one pair object, positions of a pair sharing one
+    polynomial object, and zero rates."""
     dim = draw(st.integers(1, 3))
     rates = st.sampled_from([F(0), F(1, 3), F(2), F(5, 7)])
     poly = st.builds(
@@ -365,7 +403,8 @@ def fold_cases(draw):
     pool = [MatrixPair.zero(dim)]
     for _ in range(draw(st.integers(1, 3))):
         positions = draw(st.lists(position, unique=True, max_size=dim * dim))
-        entries = [(r, c, draw(poly)) for r, c in positions]
+        polys = draw(st.lists(poly, min_size=1, max_size=3))
+        entries = [(r, c, draw(st.sampled_from(polys))) for r, c in positions]
         pool.append(MatrixPair.from_entries(dim, entries))
     runs = st.tuples(st.integers(0, len(pool) - 1), st.integers(1, 2) | st.integers(1, 64))
     pairs = [pool[i] for i, r in draw(st.lists(runs, max_size=6)) for _ in range(r)]
@@ -402,8 +441,20 @@ def dense_fraction_fold(system, assignment):
     return system.offset + system.sign * x, system.sign * y
 
 
+def _vanishing_entry_case():
+    """1 - x1 at x1 = (1, 2) is 0, with rate-operator image -2 at (0, 0)."""
+    x1 = MultilinearPoly.variable("x1")
+    pairs = [
+        MatrixPair.from_entries(2, [(0, 0, 1 - x1), (0, 1, x1), (1, 1, x1)]),
+        MatrixPair.from_entries(2, [(0, 0, MultilinearPoly.variable("x2")), (1, 0, x1)]),
+    ]
+    system = TransferSystem(v_left=(F(1), F(1)), pairs=pairs, v_right=(F(1), F(2)))
+    return system, {"x1": (F(1), F(2)), "x2": (F(1, 3), F(5, 7)), "x3": (F(0), F(0))}
+
+
 class TestFractionFreeFold:
     @given(fold_cases())
+    @example(_vanishing_entry_case())
     @settings(max_examples=150, deadline=None)
     def test_single_pass_equals_dense_fraction_fold(self, case):
         system, assignment = case

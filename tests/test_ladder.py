@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import relfreq.core
 from relfreq.asymptotics import asymptotic_rate
-from relfreq.core import Component, ReliabilityError, single_pass
+from relfreq.core import Component, MultilinearPoly, ReliabilityError, single_pass
 from relfreq.ladder import (
     LadderCell,
     LadderIdenticalParams,
@@ -56,6 +56,28 @@ class TestCellMatrix:
         for r in range(3):
             for col in range(3):
                 assert entries[r, col].evaluate(assign) == expected[r][col]
+
+    @pytest.mark.parametrize(
+        "cell",
+        [
+            LadderCell(*(Component(x + "1", F(1, 2), F(1)) for x in "abcST"), index=1),
+            entry_cell(Component("b0", F(1, 2), F(1)), Component("S0", F(2, 3), F(1)),
+                       Component("T0", F(3, 4), F(1))),
+        ],
+        ids=["distinct", "entry"],
+    )
+    def test_entries_equal_their_product_form(self, cell):
+        a, b, c, S, T = (MultilinearPoly.variable(x.id) for x in cell.components())
+        one = MultilinearPoly.one()
+        expected = [
+            [a * S, b * c * S * T, a * b * c * S * T],
+            [a * b * S * T, c * T, a * b * c * S * T],
+            [-(a * b * S * T), -(b * c * S * T), a * (one - 2 * b) * c * S * T],
+        ]
+        entries = {(r, col): e for row in cell_matrix_pair(cell).m for r, col, e in row}
+        assert entries == {
+            (r, col): e for r, row in enumerate(expected) for col, e in enumerate(row)
+        }
 
     @pytest.mark.parametrize("terminal", [TERMINAL_S, TERMINAL_T])
     def test_family_tags_shared_cells(self, terminal):

@@ -432,15 +432,19 @@ def initial_state(system: TransferSystem, mode: str = EXACT) -> PassState:
     return PassState(a_vec=a, v_vec=(zero,) * len(a), index=0, mode=mode)
 
 
-def _check_assignment(assignment: Mapping) -> None:
-    """Check that each value of an ``id -> (p, lam)`` map is a pair with p in
-    [0, 1]; a value may be any 2-element tuple or list, such as JSON's
-    ``[p, lam]``."""
-    for cid, val in assignment.items():
-        if not isinstance(val, (tuple, list)) or len(val) != 2:
-            raise MissingRateError(cid)
-        if not (0 <= val[0] <= 1):
-            raise ReliabilityError(f"component {cid!r}: p={val[0]} outside [0,1]")
+def _read_value(assignment: Mapping, cid: str, num) -> Tuple[Scalar, Scalar]:
+    """(p, lam) of ``cid`` in an ``id -> (p, lam)`` map, converted by
+    ``num``, after checking that the value is a pair with p in [0, 1]; a
+    value may be any 2-element tuple or list, such as JSON's ``[p, lam]``."""
+    try:
+        val = assignment[cid]
+    except KeyError:
+        raise MissingAvailabilityError(cid) from None
+    if not isinstance(val, (tuple, list)) or len(val) != 2:
+        raise MissingRateError(cid)
+    if not (0 <= val[0] <= 1):
+        raise ReliabilityError(f"component {cid!r}: p={val[0]} outside [0,1]")
+    return num(val[0]), num(val[1])
 
 
 class Step(NamedTuple):
@@ -456,23 +460,25 @@ class Step(NamedTuple):
     exponent: int
 
 
-def _dual(poly: MultilinearPoly, assignment: Mapping, mode: str) -> Tuple[Scalar, Scalar]:
+def _dual(
+    poly: MultilinearPoly, assignment: Mapping, mode: str, values: dict
+) -> Tuple[Scalar, Scalar]:
     """(x, y): ``poly`` and its rate-operator image at ``assignment``, from
     one walk over its terms.  A term c prod p_i adds c prod p_i to x and
     c prod p_i sum lambda_i to y, the eps-part of the term at
     p_i (1 + eps lambda_i) with eps^2 = 0.  x is computed in the operation
-    order of :meth:`MultilinearPoly.evaluate`, so it equals that value."""
+    order of :meth:`MultilinearPoly.evaluate`, so it equals that value.
+    ``values`` holds the checked (p, lam) of each id read so far."""
     num = as_exact if mode == EXACT else float
     x = y = num(0)
     for ids, coeff in poly._terms:
         term, lam_total = num(coeff), num(0)
         for cid in ids:
-            try:
-                p, lam = assignment[cid]
-            except KeyError:
-                raise MissingAvailabilityError(cid) from None
-            term = term * num(p)
-            lam_total += num(lam)
+            if cid not in values:
+                values[cid] = _read_value(assignment, cid, num)
+            p, lam = values[cid]
+            term = term * p
+            lam_total += lam
         x += term
         y += term * lam_total
     return x, y
@@ -485,12 +491,14 @@ def _compile(pair: MatrixPair, assignment: Mapping, mode: str) -> Step:
     matrix fill every slot with two) are evaluated once: the pair keeps the
     objects alive, so their ids are stable for the call.  An entry stays
     when x or y is nonzero: q = 1 - p at p = 1 has x = 0 and y = -lambda.
+    The assignment is read, checked and converted once per id that the
+    polynomials read, and nowhere else, so a streamed fold stays linear.
     """
-    duals = {}  # id(poly) -> (x, y)
+    duals, values = {}, {}  # id(poly) -> (x, y); component id -> (p, lam)
     for row in pair.m:
         for _, _, poly in row:
             if id(poly) not in duals:
-                duals[id(poly)] = _dual(poly, assignment, mode)
+                duals[id(poly)] = _dual(poly, assignment, mode, values)
     scale = 1
     if mode == EXACT:
         scale = lcm(*(v.denominator for xy in duals.values() for v in xy))
@@ -558,7 +566,6 @@ def _fold(state: PassState, pairs: Iterable[MatrixPair], assignment: Mapping) ->
     state enters multiplied by the lcm of its denominators, and leaves
     divided by that times the product of the applied steps' scales.
     """
-    _check_assignment(assignment)
     mode, dim = state.mode, len(state.a_vec)
     a, v, index, exponent = state.a_vec, state.v_vec, state.index, state.exponent
     scale = 1
@@ -602,10 +609,11 @@ def stream_step(
 ) -> PassState:
     """Consume one matrix pair: the fold of :func:`single_pass`, one pair long.
 
-    ``assignment`` maps ids to (p, lam) pairs; M' is evaluated from M and
-    the rates, and a plain availability raises :class:`MissingRateError`.
-    The pair is compiled afresh on every call (no cache outlives a call,
-    since pair ids can be reused after garbage collection).
+    ``assignment`` maps ids to (p, lam) pairs, of which only the ids the
+    pair reads are used; M' is evaluated from M and the rates, and a plain
+    availability raises :class:`MissingRateError`.  The pair is compiled
+    afresh on every call (no cache outlives a call, since pair ids can be
+    reused after garbage collection).
     """
     return _fold(state, (pair,), assignment)
 

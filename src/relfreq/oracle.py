@@ -1,6 +1,7 @@
-"""Brute-force reference: exhaustive state enumeration of a structure
-function gives exact availability, and pivotal decomposition gives exact
-failure frequency.  Deliberately simple and independent of the
+"""Brute-force reference: one exhaustive enumeration of the states of a
+structure function gives exact availability A and exact failure frequency
+nu together, nu from the rate operator sum_i lambda_i p_i d/dp_i applied to
+each up state's term.  Deliberately simple and independent of the
 transfer-matrix engine; the engine, not the oracle, handles scale.
 """
 
@@ -9,6 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm, prod
 from typing import Callable, Dict, Mapping, Sequence, Tuple
 
 from .scalars import as_exact
@@ -22,7 +24,12 @@ class OracleError(ValueError):
 
 @dataclass(frozen=True)
 class StructureFunction:
-    """Total Boolean map from component up/down states to system state."""
+    """Total Boolean map from component up/down states to system state.
+
+    ``fn`` is passed a dict from every id to True (up) or False (down).  The
+    enumeration reuses one dict, changing one entry between calls, so ``fn``
+    must not keep or modify the dict it is passed.
+    """
 
     ids: Tuple[str, ...]
     fn: Callable[[Dict[str, bool]], bool]
@@ -117,78 +124,76 @@ def connectivity_structure(
     return StructureFunction(ids, up, name=name)
 
 
-def _split_fixed(probs: Mapping[str, Fraction]):
-    """Components with p in {0,1} are folded out of the enumeration."""
-    free, fixed = [], {}
-    for cid, p in probs.items():
-        p = as_exact(p)
-        if p == 0:
-            fixed[cid] = False
-        elif p == 1:
-            fixed[cid] = True
-        else:
-            free.append(cid)
-    return free, fixed
+def _half_table(factors):
+    """(product of weights, sum of coefficients) of every up/down pattern of
+    ids given as ((w_down, c_down), (w_up, c_up)); bit j of an entry's
+    index is set when id j is up."""
+    table = [(1, 0)]
+    for pair in factors:
+        table = [(w * fw, c + fc) for fw, fc in pair for w, c in table]
+    return table
 
 
-def _integer_weights(free, probs):
-    """Per-component (up, down) integer weights over a common denominator."""
-    nums, dens = [], []
-    denom = 1
-    for cid in free:
-        p = probs[cid]
-        nums.append((p.numerator, p.denominator - p.numerator))
-        dens.append(p.denominator)
-        denom *= p.denominator
-    return nums, dens, denom
+def oracle_solve(
+    sf: StructureFunction, probs: Mapping, rates: Mapping
+) -> Tuple[Fraction, Fraction]:
+    """(A, nu) of ``sf`` from one exhaustive enumeration of its free ids.
 
+    The rate operator sum_j lambda_j p_j d/dp_j maps a state's term
+    w(x) = prod_{i up} p_i prod_{i down} q_i to w(x) c(x), with
+    c(x) = sum_{i up} lambda_i - sum_{i down} lambda_i p_i / q_i.  So
+    A = sum w(x) and nu = sum w(x) c(x) over the states with phi(x) = 1,
+    exactly, for any structure function, monotone or not.  Weights are
+    integers over the product of the p denominators, coefficients integers
+    over the lcm of theirs.  w and c come from tables over the low and the
+    high half of the free ids, and the states are visited in Gray code
+    order, each differing from the last in one id.
 
-def _enumerate(sf, probs, want_pivotals: bool):
-    """One exhaustive pass over the free components.
-
-    Runs over integers (a common denominator is factored out) so that the
-    inner loop is gcd-free; returns the availability and, when requested,
-    the pivotal differences A(p_i:=1) - A(p_i:=0) for every free id.
+    Ids with p in {0, 1} are fixed, not enumerated: the p_i factor vanishes
+    at p = 0, and a perfect component has no failure rate, so ``rates`` is
+    read for the free ids only.
     """
-    free, fixed = _split_fixed(probs)
+    probs = {cid: as_exact(probs[cid]) for cid in sf.ids}
+    fixed = {cid: p == 1 for cid, p in probs.items() if p in (0, 1)}
+    free = [cid for cid in sf.ids if cid not in fixed]
     m = len(free)
     if m > MAX_COMPONENTS:
         raise OracleError(f"{m} components exceed the enumeration cap of {MAX_COMPONENTS}")
-    nums, dens, denom = _integer_weights(free, probs)
-    total = 0
-    diff = [0] * m  # sum of weights-without-i, signed by the state of i
-    prefix = [1] * (m + 1)
-    for bits in itertools.product((True, False), repeat=m):
-        state = dict(fixed)
-        for cid, b in zip(free, bits):
-            state[cid] = b
-        if not sf(state):
-            continue
-        factors = [nums[i][0] if bits[i] else nums[i][1] for i in range(m)]
-        w = 1
-        for f in factors:
-            w *= f
-        total += w
-        if want_pivotals:
-            for i in range(m):
-                prefix[i + 1] = prefix[i] * factors[i]
-            suffix = 1
-            for i in range(m - 1, -1, -1):
-                w_wo = prefix[i] * suffix
-                diff[i] += w_wo if bits[i] else -w_wo
-                suffix *= factors[i]
-    availability = Fraction(total, denom) if denom != 1 else Fraction(total)
-    pivotals = {
-        cid: Fraction(diff[i] * dens[i], denom) for i, cid in enumerate(free)
-    }
-    return availability, pivotals, free
+    ps = [probs[cid] for cid in free]
+    lams = [as_exact(rates[cid]) for cid in free]
+    down = [lam * p / (1 - p) for p, lam in zip(ps, lams)]
+    scale = lcm(*(x.denominator for x in lams + down))
+    factors = [
+        ((p.denominator - p.numerator, int(-d * scale)), (p.numerator, int(lam * scale)))
+        for p, lam, d in zip(ps, lams, down)
+    ]
+    h, mask = m // 2, (1 << m // 2) - 1
+    low = [(w, w * c) for w, c in _half_table(factors[:h])]
+    high = _half_table(factors[h:])
+    sum_w, sum_wc = [0] * len(high), [0] * len(high)
+
+    fn, state, g = sf.fn, {**fixed, **dict.fromkeys(free, False)}, 0
+    for i in range(1 << m):
+        if i:  # state i of the Gray code flips the lowest set bit of i
+            bit = (i & -i).bit_length() - 1
+            g ^= 1 << bit
+            state[free[bit]] = not state[free[bit]]
+        if fn(state):
+            w, wc = low[g & mask]
+            sum_w[g >> h] += w
+            sum_wc[g >> h] += wc
+
+    a = nu = 0
+    for (w, c), s_w, s_wc in zip(high, sum_w, sum_wc):
+        a += w * s_w
+        nu += w * (s_wc + c * s_w)
+    denom = prod(p.denominator for p in ps)
+    return Fraction(a, denom), Fraction(nu, denom * scale)
 
 
 def oracle_availability(sf: StructureFunction, probs: Mapping) -> Fraction:
     """Sum over up-states of the product of p_i / q_i, exact rational."""
-    probs = {cid: as_exact(probs[cid]) for cid in sf.ids}
-    availability, _, _ = _enumerate(sf, probs, want_pivotals=False)
-    return availability
+    return oracle_solve(sf, probs, dict.fromkeys(sf.ids, 0))[0]
 
 
 def oracle_pivotal(sf: StructureFunction, probs: Mapping, pivot: str):
@@ -201,19 +206,8 @@ def oracle_pivotal(sf: StructureFunction, probs: Mapping, pivot: str):
 
 
 def oracle_frequency(sf: StructureFunction, probs: Mapping, rates: Mapping) -> Fraction:
-    """sum_i lambda_i p_i (A(p_i:=1) - A(p_i:=0)), exact by multilinearity.
-
-    Components fixed at p=0 contribute nothing (the p_i factor vanishes) and
-    perfect components carry zero rate, so only free components enter.
-    """
-    probs = {cid: as_exact(probs[cid]) for cid in sf.ids}
-    _, pivotals, free = _enumerate(sf, probs, want_pivotals=True)
-    total = Fraction(0)
-    for cid in free:
-        lam = as_exact(rates[cid])
-        if lam != 0:
-            total += lam * probs[cid] * pivotals[cid]
-    return total
+    """sum_i lambda_i p_i dA/dp_i, exact: the second half of :func:`oracle_solve`."""
+    return oracle_solve(sf, probs, rates)[1]
 
 
 def is_monotone(sf: StructureFunction) -> bool:

@@ -32,8 +32,7 @@ from .ladder import (
 from .oracle import (
     kofn_g_structure,
     lincon_f_structure,
-    oracle_availability,
-    oracle_frequency,
+    oracle_solve,
 )
 
 MAX_VERIFY_COMPONENTS = 24
@@ -151,8 +150,7 @@ def run_equivalence_trials(
         probs = {c.id: c.p for c in system.components}
         rates = {c.id: c.lam for c in system.components}
         report = single_pass(system)
-        a_oracle = oracle_availability(sf, probs)
-        nu_oracle = oracle_frequency(sf, probs, rates)
+        a_oracle, nu_oracle = oracle_solve(sf, probs, rates)
         if report.availability != a_oracle:
             result.mismatches.append(
                 Mismatch(system.family, desc, report.availability, a_oracle, "availability")

@@ -18,6 +18,7 @@ from relfreq.cli import (
 )
 import relfreq.verify
 from relfreq.core import single_pass
+from relfreq.oracle import StructureFunction
 from relfreq.verify import run_equivalence_trials
 
 
@@ -289,3 +290,35 @@ class TestVerifyCommand:
         assert len(systems) == 6
         for system in systems:
             assert sum(0 < c.p < 1 for c in system.components) <= 3, system.family
+
+    def test_one_enumeration_per_trial(self, monkeypatch):
+        drawn, systems, calls = [], [], []
+
+        def counting(make):
+            def wrapped(*args):
+                sf = make(*args)
+                drawn.append(sf)
+
+                def fn(state):
+                    calls.append(None)
+                    return sf.fn(state)
+
+                return StructureFunction(sf.ids, fn, sf.name)
+
+            return wrapped
+
+        for name in ("kofn_g_structure", "lincon_f_structure", "ladder_structure"):
+            monkeypatch.setattr(relfreq.verify, name, counting(getattr(relfreq.verify, name)))
+
+        def recording_pass(system):
+            systems.append(system)
+            return single_pass(system)
+
+        monkeypatch.setattr(relfreq.verify, "single_pass", recording_pass)
+        assert run_equivalence_trials(trials=30, max_components=10, seed=3).ok
+        assert len(drawn) == len(systems) == 30
+        states = 0
+        for sf, system in zip(drawn, systems):
+            probs = {c.id: c.p for c in system.components}
+            states += 2 ** sum(0 < probs[cid] < 1 for cid in sf.ids)
+        assert len(calls) == states

@@ -376,6 +376,15 @@ class TestStreamStep:
         with pytest.raises(DimensionMismatchError):
             stream_step(state, MatrixPair.zero(3), {})
 
+    def test_reads_only_the_ids_of_its_pair(self):
+        # a whole-system assignment is checked per step only where the step
+        # reads it, so a streamed fold stays linear in its length
+        system = one_component_system()
+        state, pair = initial_state(system), system.pairs[0]
+        clean = stream_step(state, pair, {"x": (F(3, 4), F(2))})
+        for other in (F(1, 2), (F(3, 2), F(1)), [F(1, 2)]):
+            assert stream_step(state, pair, {"x": (F(3, 4), F(2)), "z": other}) == clean
+
 
 FOLD_IDS = ("x1", "x2", "x3")
 

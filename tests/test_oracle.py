@@ -1,5 +1,6 @@
 """Brute-force oracle: structure functions, pivotal decomposition, caps."""
 
+import itertools
 from fractions import Fraction as F
 
 import pytest
@@ -17,6 +18,7 @@ from relfreq.oracle import (
     oracle_availability,
     oracle_frequency,
     oracle_pivotal,
+    oracle_solve,
     truth_table_structure,
 )
 
@@ -145,3 +147,47 @@ class TestPivotalAndFrequency:
         probs = {i: F(pn, 10) for i, (pn, _) in zip(ids, params)}
         rates = {i: F(r) for i, (_, r) in zip(ids, params)}
         assert oracle_frequency(sf, probs, rates) >= 0
+
+
+def _availability_by_definition(ids, table, probs):
+    """Sum over the up states of prod p_i (up) and 1 - p_i (down)."""
+    total = F(0)
+    for bits in itertools.product((True, False), repeat=len(ids)):
+        if table[bits]:
+            term = F(1)
+            for cid, up in zip(ids, bits):
+                term *= probs[cid] if up else 1 - probs[cid]
+            total += term
+    return total
+
+
+@st.composite
+def truth_table_cases(draw):
+    """Any truth table over 1-6 ids, monotone or not, with p in [0, 1]."""
+    n = draw(st.integers(1, 6))
+    ids = [f"c{i}" for i in range(n)]
+    outcomes = draw(st.lists(st.booleans(), min_size=2**n, max_size=2**n))
+    table = dict(zip(itertools.product((True, False), repeat=n), outcomes))
+    p_values = st.sampled_from([F(0), F(1)]) | st.fractions(0, 1, max_denominator=12)
+    probs = {cid: draw(p_values) for cid in ids}
+    # a perfect component has no failure rate (``Component`` requires it)
+    rates = {
+        cid: F(0) if probs[cid] == 1 else draw(st.fractions(0, 10, max_denominator=9))
+        for cid in ids
+    }
+    return ids, table, probs, rates
+
+
+class TestAgainstTheDefinition:
+    @given(truth_table_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_solve_equals_naive_sums(self, case):
+        ids, table, probs, rates = case
+        want_a = _availability_by_definition(ids, table, probs)
+        want_nu = F(0)
+        for cid in ids:
+            up = _availability_by_definition(ids, table, {**probs, cid: F(1)})
+            down = _availability_by_definition(ids, table, {**probs, cid: F(0)})
+            want_nu += rates[cid] * probs[cid] * (up - down)
+        sf = truth_table_structure(ids, table)
+        assert oracle_solve(sf, probs, rates) == (want_a, want_nu)

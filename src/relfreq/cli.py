@@ -75,18 +75,16 @@ def _parse_component(entry: dict, convention: str, where: str) -> Component:
 
 
 def _parse_poly(entry, where: str) -> MultilinearPoly:
-    """Entry format: list of [coeff_string, [id, ...]] terms."""
-    poly = MultilinearPoly.zero()
+    """Entry format: list of [coeff_string, [id, ...]] terms.  Terms over the
+    same set of ids are summed into one map, and p_i p_i = p_i."""
     if not isinstance(entry, list):
         raise ConfigError(f"{where}: matrix entry must be a list of terms")
+    terms = {}
     for term in entry:
         coeff = parse_scalar(str(term[0]))
-        ids = term[1] if len(term) > 1 else []
-        mono = MultilinearPoly.constant(coeff)
-        for cid in ids:
-            mono = mono * MultilinearPoly.variable(str(cid))
-        poly = poly + mono
-    return poly
+        ids = frozenset(str(cid) for cid in (term[1] if len(term) > 1 else ()))
+        terms[ids] = terms.get(ids, 0) + coeff
+    return MultilinearPoly(terms)
 
 
 def _parse_matrix(rows, where: str) -> MatrixPair:
@@ -199,23 +197,17 @@ def cmd_solve(args) -> int:
 
 
 def _parse_range(text: str, integral: bool):
+    """Values a, a + step, ... up to b.  Row i of a real range is a + i * step,
+    computed exactly from the decimal strings and then made a float, so the
+    values do not drift as repeated float sums do."""
     try:
-        a, b, step = text.split(":")
-        if integral:
-            a, b, step = int(a), int(b), int(step)
-        else:
-            a, b, step = float(a), float(b), float(step)
-    except ValueError as exc:
+        a, b, step = (int(x) if integral else Fraction(x) for x in text.split(":"))
+    except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"bad range {text!r}, expected a:b:step") from exc
     if step <= 0 or b < a:
         raise ConfigError(f"bad range {text!r}: need step > 0 and b >= a")
-    values = []
-    x = a
-    eps = step * 1e-9
-    while x <= b + eps:
-        values.append(x)
-        x += step
-    return values
+    count = (b - a) // step + 1
+    return [a + i * step if integral else float(a + i * step) for i in range(count)]
 
 
 def _sweep_point(args, param: str, value):

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
 from math import frexp, lcm, ldexp, log10
-from operator import countOf
+from operator import countOf, itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Tuple
 
 from .scalars import EXACT, Scalar, as_exact, check_mode, convert, rational_str
@@ -282,25 +282,11 @@ class Entry(NamedTuple):
 Rows = Tuple[Tuple[Entry, ...], ...]
 
 
-def _group_rows(entries: Iterable, dim: int) -> Rows:
-    """The nonzero ``(row, col, poly)`` triples of a dim x dim matrix,
-    grouped into dim rows in column order."""
-    rows = [{} for _ in range(dim)]
-    for r, c, poly in entries:
-        if not (0 <= r < dim and 0 <= c < dim):
-            raise DimensionMismatchError(f"entry ({r}, {c}) outside a {dim}x{dim} matrix")
-        if c in rows[r]:
-            raise ReliabilityError(f"entry ({r}, {c}) given twice")
-        rows[r][c] = _as_poly(poly)
-    return tuple(
-        tuple(Entry(r, c, row[c]) for c in sorted(row) if not row[c].is_zero())
-        for r, row in enumerate(rows)
-    )
-
-
 def _check_rows(rows, dim: int) -> Rows:
     """``rows`` as a tuple, once it is known to hold dim rows of nonzero
-    entries, each row's in increasing column order."""
+    entries, each row's in increasing column order.  This is the one check of
+    a pair's layout: it rejects a column out of range and a position given
+    twice."""
     rows = tuple(map(tuple, rows))
     if len(rows) != dim:
         raise DimensionMismatchError(f"{len(rows)} rows given for a {dim}x{dim} matrix")
@@ -319,7 +305,8 @@ class MatrixPair:
     pass from the assignment's rates.
 
     ``m`` holds only the nonzero entries, as :class:`Entry` triples
-    ``(row, col, poly)`` grouped into ``dim`` rows in column order.
+    ``(row, col, poly)`` grouped into ``dim`` rows in column order.  The
+    constructor checks that layout, and nothing else checks it again.
     """
 
     dim: int
@@ -336,8 +323,17 @@ class MatrixPair:
 
     @classmethod
     def from_entries(cls, dim: int, entries: Iterable) -> "MatrixPair":
-        """Pair from ``(row, col, poly)`` triples in any order; zeros are dropped."""
-        return cls(dim=dim, m=_group_rows(entries, dim))
+        """Pair from ``(row, col, poly)`` triples in any order.  Each nonzero
+        entry is placed in its row and each row sorted by column; the
+        constructor then rejects a bad column or a position given twice."""
+        rows = [[] for _ in range(dim)]
+        for r, c, poly in entries:
+            if not 0 <= r < dim:
+                raise DimensionMismatchError(f"entry ({r}, {c}) outside a {dim}x{dim} matrix")
+            poly = _as_poly(poly)
+            if not poly.is_zero():
+                rows[r].append(Entry(r, c, poly))
+        return cls(dim=dim, m=[sorted(row, key=itemgetter(1)) for row in rows])
 
     @classmethod
     def zero(cls, dim: int) -> "MatrixPair":

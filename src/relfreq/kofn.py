@@ -56,8 +56,8 @@ class KofnSpec:
 
 def _bidiagonal_g(comp: Component, k: int) -> MatrixPair:
     """k x k matrix with q_i on the diagonal and p_i on the superdiagonal."""
-    p = MultilinearPoly.variable(comp.id)
-    q = MultilinearPoly.one() - p
+    p = MultilinearPoly({(comp.id,): 1})
+    q = MultilinearPoly({(): 1, (comp.id,): -1})
     entries = [(r, r, q) for r in range(k)] + [(r, r + 1, p) for r in range(k - 1)]
     return MatrixPair.from_entries(k, entries)
 
@@ -90,8 +90,8 @@ def build_kofn_g(spec: KofnSpec) -> TransferSystem:
 
 def _lincon_matrix(comp: Component, k: int) -> MatrixPair:
     """k x k matrix with p_i down the first column and q_i on the superdiagonal."""
-    p = MultilinearPoly.variable(comp.id)
-    q = MultilinearPoly.one() - p
+    p = MultilinearPoly({(comp.id,): 1})
+    q = MultilinearPoly({(): 1, (comp.id,): -1})
     entries = [(r, 0, p) for r in range(k)] + [(r, r + 1, q) for r in range(k - 1)]
     return MatrixPair.from_entries(k, entries)
 

@@ -17,18 +17,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from math import ldexp
 from typing import Dict, Tuple
 
 from .core import (
     Component,
     MatrixPair,
     MultilinearPoly,
-    PassState,
     ReliabilityError,
     ReliabilityReport,
     TransferSystem,
-    _fold,
     identical_runs,
     single_pass,
 )
@@ -235,8 +232,10 @@ def ladder_closed_form(params: LadderIdenticalParams, mode: str = EXACT):
     eigenvalue pair, so no square root appears.  The two results differ
     exactly by zeta0^(n+1)/p.  h_j = (zeta+^j - zeta-^j)/(zeta+ - zeta-)
     obeys h_{j+1} = t h_j - d h_{j-1} with h_0 = 0, h_1 = 1, so (h_{n+1}, h_n)
-    is [[t, -d], [1, 0]]^n (1, 0), taken by the pass's fold over a run of n
-    companion steps (for zeta+ = zeta- it is the limit j * zeta^(j-1)).
+    is [[t, -d], [1, 0]]^n (1, 0) (for zeta+ = zeta- it is the limit
+    j * zeta^(j-1)).  Both forms share w . (h_{n+1}, h_n), which
+    :func:`single_pass` gives as the availability of n companion steps with
+    left vector w.
     """
     check_mode(mode)
     p = convert(params.p, mode)
@@ -250,10 +249,9 @@ def ladder_closed_form(params: LadderIdenticalParams, mode: str = EXACT):
         (0, 1, MultilinearPoly.constant(-d)),
         (1, 0, MultilinearPoly.one()),
     ])
-    one, zero = convert(1, mode), convert(0, mode)
-    state = _fold(PassState((one, zero), (zero, zero), 0, mode), repeat(companion, n), {})
-    h_n1, h_n = (ldexp(h, state.exponent) if mode != EXACT else h for h in state.a_vec)
-    common = p * rho * (1 + p * rho) * h_n1 - (1 - 2 * p + p * rho) * (p * rho) ** 3 * h_n
+    weights = (p * rho * (1 + p * rho), -(1 - 2 * p + p * rho) * (p * rho) ** 3)
+    system = TransferSystem(weights, (companion,) * n, (1, 0))
+    common = single_pass(system, {}, mode).availability
     r_s = (zeta0 ** (n + 1) + common) / (2 * p)
     r_t = (-(zeta0 ** (n + 1)) + common) / (2 * p)
     return r_s, r_t

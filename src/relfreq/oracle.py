@@ -150,17 +150,26 @@ def oracle_solve(
     order, each differing from the last in one id.
 
     Ids with p in {0, 1} are fixed, not enumerated: the p_i factor vanishes
-    at p = 0, and a perfect component has no failure rate, so ``rates`` is
-    read for the free ids only.
+    at p = 0, and a perfect component has no failure rate.  A fixed id's
+    rate may be absent, and one at p = 0 is not used.  The values
+    :class:`~relfreq.core.Component` rejects raise :class:`OracleError`:
+    p outside [0, 1], a negative rate, and a nonzero rate at p = 1.  (The
+    transfer-matrix pass is pure algebra and accepts the last.)
     """
     probs = {cid: as_exact(probs[cid]) for cid in sf.ids}
     fixed = {cid: p == 1 for cid, p in probs.items() if p in (0, 1)}
+    rates = {cid: as_exact(rates.get(cid, 0) if cid in fixed else rates[cid])
+             for cid in sf.ids}
+    for cid, p in probs.items():
+        if not 0 <= p <= 1 or rates[cid] < 0 or p == 1 and rates[cid] != 0:
+            raise OracleError(f"component {cid!r}: p={p} with failure rate "
+                              f"{rates[cid]}; need p in [0,1], rate >= 0, and 0 at p=1")
     free = [cid for cid in sf.ids if cid not in fixed]
     m = len(free)
     if m > MAX_COMPONENTS:
         raise OracleError(f"{m} components exceed the enumeration cap of {MAX_COMPONENTS}")
     ps = [probs[cid] for cid in free]
-    lams = [as_exact(rates[cid]) for cid in free]
+    lams = [rates[cid] for cid in free]
     down = [lam * p / (1 - p) for p, lam in zip(ps, lams)]
     scale = lcm(*(x.denominator for x in lams + down))
     factors = [

@@ -17,7 +17,7 @@ from relfreq.cli import (
     main,
 )
 import relfreq.verify
-from relfreq.core import single_pass
+from relfreq.core import MultilinearPoly, single_pass
 from relfreq.oracle import StructureFunction
 from relfreq.verify import run_equivalence_trials
 
@@ -110,6 +110,36 @@ class TestBuildFromConfig:
         report = single_pass(build_from_config(cfg))
         assert report.availability == F(3, 4)
         assert report.frequency == F(3, 2)
+
+    def test_custom_entry_sums_repeated_terms(self):
+        cfg = {
+            "family": "custom-matrices",
+            "components": [{"id": "a", "p": "1/2"}, {"id": "b", "p": "1/3"}],
+            "v_left": ["1"],
+            "v_right": ["1"],
+            "matrices": [[[[["1", ["a"]], ["2", ["a"]], ["1", ["b", "b"]]]]]],
+        }
+        (entry,), = build_from_config(cfg).pairs[0].m
+        assert entry.poly == MultilinearPoly({("a",): 3, ("b",): 1})
+
+    def test_builders_do_no_polynomial_arithmetic(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("polynomial arithmetic while building")
+
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__",
+                     "__mul__", "__rmul__"):
+            monkeypatch.setattr(MultilinearPoly, name, refuse)
+        custom = {
+            "family": "custom-matrices",
+            "components": [{"id": "x", "p": "3/4"}, {"id": "y", "p": "1/2"}],
+            "v_left": ["1", "0"],
+            "v_right": ["1", "1"],
+            "matrices": [[[[["1", ["x"]], ["-1", ["x", "y"]]], []],
+                          [[["1", []], ["2", ["y"]]], [["1/2", ["x"]]]]]],
+        }
+        ladder = {"family": "ladder", "p": "1/2", "rho": "9/10", "n": 3}
+        for cfg in (KOFN_CFG, dict(KOFN_CFG, family="lincon-f"), ladder, custom):
+            assert build_from_config(cfg).pairs
 
     def test_unknown_family(self):
         with pytest.raises(ConfigError):
@@ -237,6 +267,14 @@ class TestSweepCommand:
         assert code == EXIT_OK
         rows = list(csv.DictReader(out.open()))
         assert len(rows) == 3
+
+    def test_p_range_does_not_drift(self, capsys):
+        code = main(
+            ["sweep", "--family", "kofn-g", "--param", "p",
+             "--range", "0.05:0.95:0.05", "--k", "2", "--n", "4"]
+        )
+        assert code == EXIT_OK
+        assert [r["p"] for r in self.read_rows(capsys)] == [str(i / 20) for i in range(1, 20)]
 
     def test_bad_range(self, capsys):
         code = main(

@@ -69,6 +69,34 @@ def test_detector_flags_unused_and_accepts_reexports():
     assert unused_imports(source) == [("os", 2), ("Optional", 3)]
 
 
+def private_imports(source: str):
+    """(name, line) of each underscore name imported from a package module."""
+    return [
+        (alias.name, node.lineno)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").split(".")[0] == "relfreq")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_names_imported_across_modules(path):
+    assert private_imports(path.read_text()) == []
+
+
+def test_private_import_detector():
+    source = (
+        "from __future__ import annotations\n"
+        "from math import _private\n"
+        "from .core import _fold, single_pass\n"
+        "def f():\n"
+        "    from relfreq.scalars import _hidden\n"
+    )
+    assert private_imports(source) == [("_fold", 3), ("_hidden", 5)]
+
+
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 

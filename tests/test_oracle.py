@@ -134,6 +134,16 @@ class TestPivotalAndFrequency:
         rates = {"a": F(999), "b": F(1)}
         assert oracle_frequency(sf, probs, rates) == F(1) * F(1, 2)
 
+    @pytest.mark.parametrize(
+        "p_a, lam_a",
+        [(F(3, 2), F(0)), (F(-1, 2), F(0)), (F(1, 2), F(-1)), (F(1), F(5))],
+        ids=["p-above-one", "p-below-zero", "negative-rate", "rate-at-p-one"],
+    )
+    def test_rejects_what_component_rejects(self, p_a, lam_a):
+        sf = kofn_g_structure(["a", "b"], 2)
+        with pytest.raises(OracleError):
+            oracle_solve(sf, {"a": p_a, "b": F(1, 2)}, {"a": lam_a, "b": F(1)})
+
     @given(
         st.integers(1, 4),
         st.lists(

@@ -75,14 +75,22 @@ def _parse_component(entry: dict, convention: str, where: str) -> Component:
 
 
 def _parse_poly(entry, where: str) -> MultilinearPoly:
-    """Entry format: list of [coeff_string, [id, ...]] terms.  Terms over the
-    same set of ids are summed into one map, and p_i p_i = p_i."""
+    """Entry format: list of terms, each [coeff_string] or [coeff_string,
+    [id, ...]].  Terms over the same set of ids are summed into one map, and
+    p_i p_i = p_i."""
     if not isinstance(entry, list):
         raise ConfigError(f"{where}: matrix entry must be a list of terms")
     terms = {}
     for term in entry:
-        coeff = parse_scalar(str(term[0]))
-        ids = frozenset(str(cid) for cid in (term[1] if len(term) > 1 else ()))
+        if not isinstance(term, list) or not (
+            len(term) == 1 or len(term) == 2 and isinstance(term[1], list)
+        ):
+            raise ConfigError(f"{where}: term {term!r} is not [coeff] or [coeff, [id, ...]]")
+        try:
+            coeff = parse_scalar(str(term[0]))
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc}") from exc
+        ids = frozenset(str(cid) for cid in (term[1] if len(term) == 2 else ()))
         terms[ids] = terms.get(ids, 0) + coeff
     return MultilinearPoly(terms)
 

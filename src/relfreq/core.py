@@ -25,9 +25,11 @@ polynomial object among the nonzero entries of M gives both x and y.
 A run of r references to one pair is the dual power (M + eps M')^r, taken
 by squaring: O(log r) steps.  In exact mode a step also carries a scale
 D, the lcm of its values' denominators, and its values are the integers
-D.M and D.M'; the fold scales the incoming state to integers, runs on
-integers, multiplies the running scale by each D and divides once on the
-way out (fraction-free, no gcd per step).  In approx mode the values
+D.M and D.M'.  Exact mode compiles on integers too: each p, lambda and
+coefficient a pair reads is an integer over a common denominator, so the
+walk over the terms creates no Fraction.  The fold scales the incoming
+state to integers, runs on integers, multiplies the running scale by each
+D and divides once on the way out (fraction-free, no gcd per step).  In approx mode the values
 are floats, D = 1, and the state holds mantissas and a binary exponent.
 
 Memory use is O(vector dimension) plus O(dim^2 log r) for the powers of a
@@ -39,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
-from math import frexp, lcm, ldexp, log10
+from math import frexp, gcd, lcm, ldexp, log10
 from operator import countOf, itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Tuple
 
@@ -456,28 +458,28 @@ class Step(NamedTuple):
     exponent: int
 
 
-def _dual(
-    poly: MultilinearPoly, assignment: Mapping, mode: str, values: dict
-) -> Tuple[Scalar, Scalar]:
-    """(x, y): ``poly`` and its rate-operator image at ``assignment``, from
-    one walk over its terms.  A term c prod p_i adds c prod p_i to x and
-    c prod p_i sum lambda_i to y, the eps-part of the term at
-    p_i (1 + eps lambda_i) with eps^2 = 0.  x is computed in the operation
-    order of :meth:`MultilinearPoly.evaluate`, so it equals that value.
-    ``values`` holds the checked (p, lam) of each id read so far."""
-    num = as_exact if mode == EXACT else float
-    x = y = num(0)
-    for ids, coeff in poly._terms:
-        term, lam_total = num(coeff), num(0)
-        for cid in ids:
-            if cid not in values:
-                values[cid] = _read_value(assignment, cid, num)
-            p, lam = values[cid]
-            term = term * p
-            lam_total += lam
-        x += term
-        y += term * lam_total
-    return x, y
+def _duals(polys, values: Mapping, coeff, pad) -> dict:
+    """``id(poly) -> (x, y)``: each polynomial and its rate-operator image,
+    from one walk over its terms.  A term c prod p_i adds c prod p_i to x
+    and c prod p_i sum lambda_i to y, the eps-part of the term at
+    p_i (1 + eps lambda_i) with eps^2 = 0.  ``values`` maps each id to its
+    numbers (p, lambda), ``coeff`` maps a coefficient to a number, and a
+    term of s ids starts from its coefficient times ``pad[s]``.  In approx
+    mode every pad is 1 and x is computed in the operation order of
+    :meth:`MultilinearPoly.evaluate`, so it equals that value."""
+    zero, duals = coeff(0), {}
+    for poly in polys:
+        x = y = zero
+        for ids, c in poly._terms:
+            term, lam_total = coeff(c) * pad[len(ids)], zero
+            for cid in ids:
+                p, lam = values[cid]
+                term = term * p
+                lam_total += lam
+            x += term
+            y += term * lam_total
+        duals[id(poly)] = x, y
+    return duals
 
 
 def _compile(pair: MatrixPair, assignment: Mapping, mode: str) -> Step:
@@ -489,24 +491,50 @@ def _compile(pair: MatrixPair, assignment: Mapping, mode: str) -> Step:
     when x or y is nonzero: q = 1 - p at p = 1 has x = 0 and y = -lambda.
     The assignment is read, checked and converted once per id that the
     polynomials read, and nowhere else, so a streamed fold stays linear.
+
+    Exact mode walks integers.  Each p is an integer over the lcm P of the
+    p denominators, each lambda over their lcm L, each coefficient over the
+    lcm C of theirs, and a term of s ids is padded by P^(dmax - s), where
+    dmax is the most ids in a term.  Then x = X L / D and y = Y / D with
+    D = C P^dmax L, and dividing D and every value by their gcd makes the
+    scale the lcm of the values' reduced denominators.
     """
-    duals, values = {}, {}  # id(poly) -> (x, y); component id -> (p, lam)
-    for row in pair.m:
-        for _, _, poly in row:
-            if id(poly) not in duals:
-                duals[id(poly)] = _dual(poly, assignment, mode, values)
-    scale = 1
+    polys = list({id(poly): poly for row in pair.m for _, _, poly in row}.values())
+    num = as_exact if mode == EXACT else float
+    values = {
+        cid: _read_value(assignment, cid, num)
+        for cid in sorted(set().union(*[ids for poly in polys for ids, _ in poly._terms]))
+    }
     if mode == EXACT:
-        scale = lcm(*(v.denominator for xy in duals.values() for v in xy))
-        duals = {
-            key: tuple(v.numerator * (scale // v.denominator) for v in xy)
-            for key, xy in duals.items()
+        dmax = max((len(ids) for poly in polys for ids, _ in poly._terms), default=0)
+        p_den = lcm(*(p.denominator for p, _ in values.values()))
+        lam_den = lcm(*(lam.denominator for _, lam in values.values()))
+        c_den = lcm(*(c.denominator for poly in polys for _, c in poly._terms))
+        values = {
+            cid: (p.numerator * (p_den // p.denominator),
+                  lam.numerator * (lam_den // lam.denominator))
+            for cid, (p, lam) in values.items()
         }
-    rows = tuple(
-        tuple((c, *duals[id(poly)]) for _, c, poly in row if any(duals[id(poly)]))
-        for row in pair.m
-    )
-    return Step(rows, scale, 0)
+        duals = _duals(polys, values, lambda c: c.numerator * (c_den // c.denominator),
+                       [p_den ** (dmax - s) for s in range(dmax + 1)])
+        duals = {key: (x * lam_den, y) for key, (x, y) in duals.items()}
+        denom = c_den * p_den**dmax * lam_den
+        g = gcd(denom, *(v for xy in duals.values() for v in xy))
+        scale = denom // g
+        duals = {key: (x // g, y // g) for key, (x, y) in duals.items()}
+    else:
+        # no term reads more ids than the whole pair does
+        duals = _duals(polys, values, float, (1,) * (len(values) + 1))
+        scale = 1
+    rows = []
+    for row in pair.m:
+        out = []
+        for _, c, poly in row:
+            x, y = duals[id(poly)]
+            if x or y:
+                out.append((c, x, y))
+        rows.append(tuple(out))
+    return Step(tuple(rows), scale, 0)
 
 
 def _normalise(rows):

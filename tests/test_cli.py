@@ -218,6 +218,23 @@ class TestSolveCommand:
         path = write_config(tmp_path, cfg)
         assert main(["solve", path]) == EXIT_VALIDATION
 
+    @pytest.mark.parametrize(
+        "entry",
+        [[[]], [["1", "ab"]], [["1", ["a"], []]], ["1"], [{"1": ["a"]}], [["one", ["a"]]]],
+        ids=["empty-term", "string-ids", "three-items", "bare-coeff", "object", "bad-coeff"],
+    )
+    def test_malformed_custom_term_exit_code(self, tmp_path, capsys, entry):
+        cfg = {
+            "family": "custom-matrices",
+            "components": [{"id": "a", "p": "1/2"}, {"id": "b", "p": "1/3"}],
+            "v_left": ["1"],
+            "v_right": ["1"],
+            "matrices": [[[entry]]],
+        }
+        path = write_config(tmp_path, cfg)
+        assert main(["solve", path]) == EXIT_PARSE
+        assert "matrices" in capsys.readouterr().err
+
     def test_custom_matrix_unknown_id_exit_code(self, tmp_path, capsys):
         cfg = {
             "family": "custom-matrices",

@@ -209,10 +209,8 @@ class TestSinglePass:
 
     def test_series_three_components_vs_oracle(self):
         system = random_three_component_system()
-        sf = StructureFunction(
-            tuple(c.id for c in system.components),
-            lambda s: all(s[c.id] for c in system.components),
-        )
+        ids = tuple(c.id for c in system.components)
+        sf = StructureFunction(ids, lambda x: x == (1 << len(ids)) - 1)
         probs = {c.id: c.p for c in system.components}
         rates = {c.id: c.lam for c in system.components}
         report = single_pass(system)
@@ -398,13 +396,16 @@ def fold_cases(draw):
     """(system, assignment) with mixed denominators, sign -1 and an offset,
     zero matrices, shared pair objects, runs of up to 64 consecutive
     references to one pair object, positions of a pair sharing one
-    polynomial object, and zero rates."""
+    polynomial object, terms of up to three ids, and zero rates.  The rate
+    4/11 has a denominator coprime to every p, rate and coefficient
+    denominator, and terms of different sizes in one pair need padding to
+    a common denominator in the integer compile."""
     dim = draw(st.integers(1, 3))
-    rates = st.sampled_from([F(0), F(1, 3), F(2), F(5, 7)])
+    rates = st.sampled_from([F(0), F(1, 3), F(2), F(5, 7), F(4, 11)])
     poly = st.builds(
         lambda terms: MultilinearPoly(dict(terms)),
         st.lists(
-            st.tuples(st.frozensets(st.sampled_from(FOLD_IDS), max_size=2), mixed_rationals()),
+            st.tuples(st.frozensets(st.sampled_from(FOLD_IDS), max_size=3), mixed_rationals()),
             max_size=2,
         ),
     )
@@ -470,6 +471,17 @@ class TestFractionFreeFold:
         report = single_pass(system, assignment)
         assert (report.availability, report.frequency) == dense_fraction_fold(system, assignment)
         assert isinstance(report.availability, F) and isinstance(report.frequency, F)
+
+    @given(fold_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_compiled_scale_is_the_lcm_of_the_denominators(self, case):
+        # the integer compile must reduce its common denominator, or every
+        # step of the fold carries larger integers than it needs
+        system, assignment = case
+        for pair in {id(pair): pair for pair in system.pairs}.values():
+            step = relfreq.core._compile(pair, assignment, "exact")
+            values = [F(v, step.scale) for row in step.rows for _, x, y in row for v in (x, y)]
+            assert step.scale == math.lcm(*(v.denominator for v in values))
 
     @pytest.mark.parametrize("mode", ["exact", "approx"])
     @given(case=fold_cases())

@@ -74,17 +74,108 @@ class TestStructureFunctions:
     def test_monotone_detection(self):
         mono = kofn_g_structure(["a", "b", "c"], 2)
         assert is_monotone(mono)
+        # bit 0 is a, bit 1 is b
         parity = StructureFunction(
-            ("a", "b"), lambda s: s["a"] != s["b"], name="parity"
+            ("a", "b"), lambda x: (x & 1) != (x >> 1 & 1), name="parity"
         )
         assert not is_monotone(parity)
+
+
+def _states(ids):
+    """(mask, dict state) for every up/down state of ``ids``."""
+    for x in range(1 << len(ids)):
+        yield x, {cid: bool(x >> j & 1) for j, cid in enumerate(ids)}
+
+
+def _kofn_by_definition(state, ids, k):
+    return sum(state[cid] for cid in ids) >= k
+
+
+def _lincon_by_definition(state, ids, k):
+    run = 0
+    for cid in ids:
+        run = 0 if state[cid] else run + 1
+        if run >= k:
+            return False
+    return True
+
+
+def _connected_by_definition(state, graph):
+    """Union-find over the up nodes, joined by the usable edges."""
+    ids, nodes, edges, source, terminal = graph
+
+    def up(v):
+        return state[v] if v in ids else True
+
+    if not (up(source) and up(terminal)):
+        return False
+    parent = {v: v for v in nodes if up(v)}
+
+    def find(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for eid, a, b in edges:
+        if up(eid) and a in parent and b in parent:
+            parent[find(a)] = find(b)
+    return find(source) == find(terminal)
+
+
+def _ladder_graph(n, terminal):
+    """(ids, nodes, edges, source, terminal) of an n-cell ladder whose nodes
+    and edges all fail."""
+    nodes = [v for i in range(n + 1) for v in (f"S{i}", f"T{i}")]
+    edges = [(f"b{i}", f"S{i}", f"T{i}") for i in range(n + 1)]
+    for i in range(1, n + 1):
+        edges += [(f"a{i}", f"S{i-1}", f"S{i}"), (f"c{i}", f"T{i-1}", f"T{i}")]
+    ids = nodes + [eid for eid, _, _ in edges]
+    return ids, nodes, edges, "S0", f"{terminal}{n}"
+
+
+GRAPHS = {
+    "path-with-fallible-node": (
+        ["e1", "e2", "m"], ["s", "m", "t"], [("e1", "s", "m"), ("e2", "m", "t")], "s", "t"
+    ),
+    "parallel-edges": (["e1", "e2"], ["s", "t"], [("e1", "s", "t"), ("e2", "s", "t")], "s", "t"),
+    **{f"ladder-{n}-{t}": _ladder_graph(n, t) for n in (1, 2) for t in "ST"},
+}
+
+
+class TestMaskStructuresAgainstTheirDefinitions:
+    """The oracle is the engine's reference; its bit tricks are checked on
+    every state against plain scans of a dict state."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_kofn_and_lincon(self, n):
+        ids = [f"c{i}" for i in range(n)]
+        for k in range(1, n + 1):
+            for make, want in ((kofn_g_structure, _kofn_by_definition),
+                               (lincon_f_structure, _lincon_by_definition)):
+                sf = make(ids, k)
+                for x, state in _states(ids):
+                    assert bool(sf.fn(x)) == want(state, ids, k) == sf(state), (sf.name, x)
+
+    @pytest.mark.parametrize("name", GRAPHS)
+    def test_connectivity(self, name):
+        graph = GRAPHS[name]
+        sf = connectivity_structure(*graph)
+        for x, state in _states(graph[0]):
+            assert bool(sf.fn(x)) == _connected_by_definition(state, graph) == sf(state), x
+
+    def test_truth_table(self):
+        ids = ["a", "b", "c"]
+        table = {bits: sum(bits) % 2 == 1 for bits in itertools.product((True, False), repeat=3)}
+        sf = truth_table_structure(ids, table)
+        for x, state in _states(ids):
+            assert bool(sf.fn(x)) == table[tuple(state[cid] for cid in ids)] == sf(state)
 
 
 class TestAvailability:
     def test_series_parallel_by_hand(self):
         # (a AND b) OR c
         sf = StructureFunction(
-            ("a", "b", "c"), lambda s: (s["a"] and s["b"]) or s["c"]
+            ("a", "b", "c"), lambda x: x & 0b011 == 0b011 or x & 0b100 != 0
         )
         pa, pb, pc = F(1, 2), F(2, 3), F(1, 5)
         want = pa * pb + pc - pa * pb * pc
@@ -119,11 +210,11 @@ class TestPivotalAndFrequency:
             assert a == probs[cid] * up + (1 - probs[cid]) * down
 
     def test_frequency_single_component(self):
-        sf = StructureFunction(("a",), lambda s: s["a"])
+        sf = StructureFunction(("a",), lambda x: x == 1)
         assert oracle_frequency(sf, {"a": F(3, 4)}, {"a": F(2)}) == F(3, 2)
 
     def test_frequency_series(self):
-        sf = StructureFunction(("a", "b"), lambda s: s["a"] and s["b"])
+        sf = StructureFunction(("a", "b"), lambda x: x == 0b11)
         probs = {"a": F(1, 2), "b": F(2, 3)}
         rates = {"a": F(3), "b": F(5)}
         assert oracle_frequency(sf, probs, rates) == (3 + 5) * F(1, 2) * F(2, 3)

@@ -8,6 +8,7 @@ from .core import (
     PassState,
     ReliabilityError,
     ReliabilityReport,
+    Runs,
     TransferSystem,
     apply_rate_operator,
     initial_state,
@@ -22,6 +23,7 @@ __all__ = [
     "PassState",
     "ReliabilityError",
     "ReliabilityReport",
+    "Runs",
     "TransferSystem",
     "apply_rate_operator",
     "initial_state",

@@ -32,17 +32,21 @@ state to integers, runs on integers, multiplies the running scale by each
 D and divides once on the way out (fraction-free, no gcd per step).  In approx mode the values
 are floats, D = 1, and the state holds mantissas and a binary exponent.
 
-Memory use is O(vector dimension) plus O(dim^2 log r) for the powers of a
-run, independent of the number of matrices.
+A system stores its pairs as :class:`Runs`, (pair, r) runs that are never
+expanded, so building, checking and folding a system cost O(runs + sum of
+log r).  Memory use is O(runs + vector dimension) plus O(dim^2 log r) for
+the powers of a run, independent of the number of matrices.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
+from itertools import accumulate, chain, groupby, repeat
 from math import frexp, gcd, lcm, ldexp, log10
-from operator import countOf, itemgetter
+from operator import countOf, index as to_index, itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Tuple
 
 from .scalars import EXACT, Scalar, as_exact, check_mode, convert, rational_str
@@ -350,6 +354,78 @@ def identical_runs(items: Iterable) -> Iterator[Tuple[object, int]]:
         yield item, 1 + countOf(run, item)
 
 
+class Runs(Sequence):
+    """An immutable sequence stored as its runs: ``runs`` holds (item, r) for
+    each run of r >= 1 consecutive references to one object, and no two
+    adjacent runs hold the same object.
+
+    It reads like the tuple it stands for (length, iteration, indexing;
+    a slice is a tuple), but is never expanded: a run of r references costs
+    O(1) memory, so a chain of 10**12 shared cells fits.  ``Runs(items)``
+    scans a plain iterable with :func:`identical_runs`; :meth:`from_runs`
+    takes the runs themselves and scans nothing.
+    """
+
+    __slots__ = ("runs", "_ends")
+
+    def __init__(self, items: Iterable = ()):
+        if isinstance(items, Runs):
+            self.runs, self._ends = items.runs, items._ends
+        else:
+            self.runs = tuple(identical_runs(items))
+            self._ends = tuple(accumulate(r for _, r in self.runs))
+
+    @classmethod
+    def from_runs(cls, runs: Iterable[Tuple[object, int]]) -> "Runs":
+        """The sequence of ``r`` references to each ``item`` in turn, from
+        (item, r) pairs; runs of length 0 are dropped and adjacent runs of one
+        object merged, so the stored runs are the maximal ones."""
+        merged = []
+        for item, r in runs:
+            r = to_index(r)
+            if r < 0:
+                raise ValueError(f"run length {r} is negative")
+            if r == 0:
+                continue
+            if merged and merged[-1][0] is item:
+                r += merged.pop()[1]
+            merged.append((item, r))
+        out = cls.__new__(cls)
+        out.runs = tuple(merged)
+        out._ends = tuple(accumulate(r for _, r in merged))
+        return out
+
+    def __len__(self) -> int:
+        return self._ends[-1] if self._ends else 0
+
+    def __iter__(self) -> Iterator:
+        return chain.from_iterable(repeat(item, r) for item, r in self.runs)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(len(self))[i]))
+        i = to_index(i)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError("Runs index out of range")
+        return self.runs[bisect_right(self._ends, i)][0]
+
+    def __eq__(self, other):
+        """Equal when the runs are, so that systems built alike compare equal
+        as they did with pair tuples.  Unlike a tuple, r references to one
+        object differ here from r distinct but equal objects."""
+        if not isinstance(other, Runs):
+            return NotImplemented
+        return self.runs == other.runs
+
+    def __hash__(self):
+        return hash(self.runs)
+
+    def __repr__(self) -> str:
+        return f"Runs.from_runs({list(self.runs)!r})"
+
+
 @dataclass(frozen=True)
 class TransferSystem:
     """Left vector, ordered matrix pairs, right vector, affine convention.
@@ -357,10 +433,14 @@ class TransferSystem:
     ``pairs[0]`` is applied first (adjacent to ``v_right``).  The reported
     availability is ``offset + sign * (vL . product . vR)``; the default
     affine form is (0, +1), and the k-out-of-n:G construction uses (1, -1).
+    ``pairs`` is stored as :class:`Runs`: any sequence of pairs is accepted,
+    and one given as a ``Runs`` is kept unexpanded, so building and checking
+    a system costs O(runs), not O(len(pairs)).  Each run's pair is checked
+    against the vectors' dimension once.
     """
 
     v_left: Tuple[Fraction, ...]
-    pairs: Tuple[MatrixPair, ...]
+    pairs: Runs
     v_right: Tuple[Fraction, ...]
     offset: Fraction = Fraction(0)
     sign: int = 1
@@ -372,14 +452,14 @@ class TransferSystem:
         object.__setattr__(self, "v_left", tuple(as_exact(x) for x in self.v_left))
         object.__setattr__(self, "v_right", tuple(as_exact(x) for x in self.v_right))
         object.__setattr__(self, "offset", as_exact(self.offset))
-        object.__setattr__(self, "pairs", tuple(self.pairs))
+        object.__setattr__(self, "pairs", Runs(self.pairs))
         object.__setattr__(self, "components", tuple(self.components))
         if self.sign not in (1, -1):
             raise ReliabilityError("sign must be +1 or -1")
         dim = len(self.v_right)
         if len(self.v_left) != dim:
             raise DimensionMismatchError("v_left and v_right dimensions differ")
-        for pair, _ in identical_runs(self.pairs):
+        for pair, _ in self.pairs.runs:
             if pair.dim != dim:
                 raise DimensionMismatchError(
                     f"matrix shape {pair.shape} incompatible with dimension {dim}"
@@ -440,9 +520,11 @@ def _read_value(assignment: Mapping, cid: str, num) -> Tuple[Scalar, Scalar]:
         raise MissingAvailabilityError(cid) from None
     if not isinstance(val, (tuple, list)) or len(val) != 2:
         raise MissingRateError(cid)
-    if not (0 <= val[0] <= 1):
-        raise ReliabilityError(f"component {cid!r}: p={val[0]} outside [0,1]")
-    return num(val[0]), num(val[1])
+    p = val[0]
+    # a Fraction's denominator is positive: compare integers, not Fractions
+    if not (0 <= p.numerator <= p.denominator if isinstance(p, Fraction) else 0 <= p <= 1):
+        raise ReliabilityError(f"component {cid!r}: p={p} outside [0,1]")
+    return num(p), num(val[1])
 
 
 class Step(NamedTuple):
@@ -580,9 +662,12 @@ def _advance(step: Step, a, v):
     return new_a, new_v
 
 
-def _fold(state: PassState, pairs: Iterable[MatrixPair], assignment: Mapping) -> PassState:
-    """Advance ``state`` through ``pairs`` in order: the one fold behind
-    :func:`stream_step` and :func:`single_pass`.
+def _fold(
+    state: PassState, runs: Iterable[Tuple[MatrixPair, int]], assignment: Mapping
+) -> PassState:
+    """Advance ``state`` through ``runs``, (pair, r) for r references to one
+    pair, in order: the one fold behind :func:`stream_step` and
+    :func:`single_pass`.  It takes the runs as given and scans no chain.
 
     Each distinct pair object is checked against the state's dimension and
     compiled once per call; a run of r references to it advances through the
@@ -599,7 +684,7 @@ def _fold(state: PassState, pairs: Iterable[MatrixPair], assignment: Mapping) ->
         v = [x.numerator * (scale // x.denominator) for x in v]
 
     powers = {}  # id(pair) -> [step, step^2, step^4, ...]
-    for pair, r in identical_runs(pairs):
+    for pair, r in runs:
         steps = powers.get(id(pair))
         if steps is None:
             if pair.dim != dim:
@@ -639,7 +724,7 @@ def stream_step(
     afresh on every call (no cache outlives a call, since pair ids can be
     reused after garbage collection).
     """
-    return _fold(state, (pair,), assignment)
+    return _fold(state, ((pair, 1),), assignment)
 
 
 def log10_of(x: Scalar, exponent: int = 0) -> Optional[float]:
@@ -754,11 +839,12 @@ def single_pass(
     values carried by the system's components are used.  A plain
     availability raises :class:`MissingRateError`: M' is evaluated in the
     pass from M and the rates.  The pass is the same fold as
-    :func:`stream_step`, run over all of ``system.pairs`` at once: each
-    distinct matrix-pair object is compiled once, so a shared cell's run of
-    r references costs no polynomial work and O(log r) steps, and exact
-    mode divides by the product of the step scales once at the end.
+    :func:`stream_step`, run over the stored runs of ``system.pairs`` at
+    once: each distinct matrix-pair object is compiled once, so a shared
+    cell's run of r references costs no polynomial work and O(log r) steps,
+    and the chain is never expanded.  Exact mode divides by the product of
+    the step scales once at the end.
     """
     if assignment is None:
         assignment = system.default_assignment()
-    return finalize(system, _fold(initial_state(system, mode), system.pairs, assignment))
+    return finalize(system, _fold(initial_state(system, mode), system.pairs.runs, assignment))

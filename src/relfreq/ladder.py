@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
 from typing import Dict, Tuple
 
 from .core import (
@@ -25,8 +24,8 @@ from .core import (
     MultilinearPoly,
     ReliabilityError,
     ReliabilityReport,
+    Runs,
     TransferSystem,
-    identical_runs,
     single_pass,
 )
 from .oracle import StructureFunction, connectivity_structure
@@ -53,11 +52,16 @@ class LadderCell:
 
 @dataclass(frozen=True)
 class LadderSpec:
-    cells: Tuple[LadderCell, ...]
+    """Cells 0..n in order and the terminal, S_n or T_n.  ``cells`` is stored
+    as :class:`Runs`: any sequence of cells is accepted, and one given as a
+    ``Runs`` is kept unexpanded, so a run of one shared cell object costs
+    O(1) however long it is."""
+
+    cells: Runs
     terminal: str = TERMINAL_T
 
     def __post_init__(self):
-        object.__setattr__(self, "cells", tuple(self.cells))
+        object.__setattr__(self, "cells", Runs(self.cells))
         if not self.cells:
             raise ReliabilityError("ladder needs at least cell 0")
         if self.terminal not in (TERMINAL_S, TERMINAL_T):
@@ -123,17 +127,18 @@ def cell_matrix_pair(cell: LadderCell) -> MatrixPair:
 
 def build_ladder(spec: LadderSpec) -> TransferSystem:
     """Transfer system for a ladder; vL selects the S_n or T_n terminal.
-    Each cell object gets one pair object, so a run of one repeated cell
-    becomes a run of one pair, and only distinct cells are visited."""
+    Each cell object gets one pair object, so each run of cells becomes a
+    run of pairs: only the runs are visited, and the chain is never
+    expanded."""
     pair_cache: Dict[int, MatrixPair] = {}
     components: Dict[str, Component] = {}
-    pairs = []
-    for cell, r in identical_runs(spec.cells):
+    runs = []
+    for cell, r in spec.cells.runs:
         if id(cell) not in pair_cache:
             pair_cache[id(cell)] = cell_matrix_pair(cell)
             for comp in cell.components():
                 components.setdefault(comp.id, comp)
-        pairs.extend(repeat(pair_cache[id(cell)], r))
+        runs.append((pair_cache[id(cell)], r))
     if spec.terminal == TERMINAL_S:
         v_left = (Fraction(1), Fraction(0), Fraction(0))
     else:
@@ -141,7 +146,7 @@ def build_ladder(spec: LadderSpec) -> TransferSystem:
     shared = len(components) < 5 * len(spec.cells)
     return TransferSystem(
         v_left=v_left,
-        pairs=tuple(pairs),
+        pairs=Runs.from_runs(runs),
         v_right=(Fraction(1), Fraction(0), Fraction(0)),
         components=tuple(components.values()),
         family=f"ladder:{spec.n}:{spec.terminal}{':shared' if shared else ''}",
@@ -152,8 +157,9 @@ def identical_ladder_spec(params: LadderIdenticalParams, terminal: str = TERMINA
     """Ladder with one shared interior cell object.
 
     All interior cells reuse the same five component ids and one cell
-    object, so the single pass evaluates the cell matrix once and advances
-    through the n cells in O(log n) steps by powers of it.
+    object, stored as the runs [(cell 0, 1), (interior, n)], so building
+    the system costs O(1) and the single pass evaluates the cell matrix once
+    and advances through the n cells in O(log n) steps by powers of it.
     """
     p, rho = as_exact(params.p), as_exact(params.rho)
     lam, xi = as_exact(params.lam), as_exact(params.xi)
@@ -172,7 +178,7 @@ def identical_ladder_spec(params: LadderIdenticalParams, terminal: str = TERMINA
         T=Component("T", rho, xi),
         index=1,
     )
-    return LadderSpec(cells=(cell0,) + (interior,) * params.n, terminal=terminal)
+    return LadderSpec(Runs.from_runs([(cell0, 1), (interior, params.n)]), terminal)
 
 
 def ladder_structure(spec: LadderSpec) -> StructureFunction:
@@ -234,8 +240,8 @@ def ladder_closed_form(params: LadderIdenticalParams, mode: str = EXACT):
     obeys h_{j+1} = t h_j - d h_{j-1} with h_0 = 0, h_1 = 1, so (h_{n+1}, h_n)
     is [[t, -d], [1, 0]]^n (1, 0) (for zeta+ = zeta- it is the limit
     j * zeta^(j-1)).  Both forms share w . (h_{n+1}, h_n), which
-    :func:`single_pass` gives as the availability of n companion steps with
-    left vector w.
+    :func:`single_pass` gives as the availability of one run of n companion
+    steps with left vector w.
     """
     check_mode(mode)
     p = convert(params.p, mode)
@@ -250,7 +256,7 @@ def ladder_closed_form(params: LadderIdenticalParams, mode: str = EXACT):
         (1, 0, MultilinearPoly.one()),
     ])
     weights = (p * rho * (1 + p * rho), -(1 - 2 * p + p * rho) * (p * rho) ** 3)
-    system = TransferSystem(weights, (companion,) * n, (1, 0))
+    system = TransferSystem(weights, Runs.from_runs([(companion, n)]), (1, 0))
     common = single_pass(system, {}, mode).availability
     r_s = (zeta0 ** (n + 1) + common) / (2 * p)
     r_t = (-(zeta0 ** (n + 1)) + common) / (2 * p)

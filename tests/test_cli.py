@@ -17,6 +17,7 @@ from relfreq.cli import (
     main,
 )
 import relfreq.verify
+from relfreq.asymptotics import asymptotic_rate
 from relfreq.core import MultilinearPoly, single_pass
 from relfreq.oracle import StructureFunction
 from relfreq.verify import run_equivalence_trials
@@ -274,6 +275,20 @@ class TestSweepCommand:
         assert len(rows) == 5
         assert "dLnZeta" in rows[0] and "dLnAlpha" in rows[0]
         assert float(rows[0]["dLnZeta"]) > 0
+
+    def test_sweep_p_ladder_of_10_to_the_12_cells(self, capsys):
+        # the shared-cell chain is held as runs, so no 10**12-long tuple is built
+        n = 10**12
+        code = main(
+            ["sweep", "--family", "ladder", "--param", "p",
+             "--range", "0.8:0.9:0.1", "--n", str(n), "--lam", "1"]
+        )
+        assert code == EXIT_OK
+        rows = self.read_rows(capsys)
+        assert len(rows) == 2
+        for row in rows:
+            expected = asymptotic_rate(float(row["p"]), n, 1.0)
+            assert float(row["lambda_bar"]) == pytest.approx(expected, rel=1e-6)
 
     def test_sweep_to_file(self, tmp_path):
         out = tmp_path / "sweep.csv"

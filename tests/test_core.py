@@ -1,6 +1,7 @@
 """Core engine: polynomial arithmetic, the rate operator, and the pass."""
 
 import dataclasses
+import json
 import math
 from fractions import Fraction as F
 
@@ -19,6 +20,7 @@ from relfreq.core import (
     MissingRateError,
     MultilinearPoly,
     ReliabilityError,
+    Runs,
     TransferSystem,
     apply_rate_operator,
     finalize,
@@ -28,7 +30,12 @@ from relfreq.core import (
     stream_step,
 )
 from relfreq.kofn import FAMILY_LINCON_F, KofnSpec, build_kofn_g, build_lincon_f
-from relfreq.ladder import build_ladder
+from relfreq.ladder import (
+    LadderIdenticalParams,
+    LadderSpec,
+    build_ladder,
+    identical_ladder_spec,
+)
 from relfreq.oracle import (
     StructureFunction,
     oracle_availability,
@@ -229,6 +236,13 @@ class TestSinglePass:
         system = one_component_system()
         with pytest.raises(ReliabilityError):
             single_pass(system, {"x": (F(3, 2), F(1))})
+
+    @pytest.mark.parametrize("mode", ["exact", "approx"])
+    @pytest.mark.parametrize("p", [F(1) + F(1, 10**30), -F(1, 10**40)])
+    def test_probability_just_out_of_range_rejected(self, p, mode):
+        # both round to a float in [0, 1]: the check must be made exactly
+        with pytest.raises(ReliabilityError):
+            single_pass(one_component_system(), {"x": (p, F(1))}, mode)
 
     def test_dimension_mismatch_rejected(self):
         pair = MatrixPair.zero(2)
@@ -501,6 +515,57 @@ class TestFractionFreeFold:
             )
         direct = single_pass(system, assignment, mode)
         assert (folded.availability, folded.frequency) == (direct.availability, direct.frequency)
+
+
+def slices():
+    bound = st.none() | st.integers(-12, 12)
+    return st.builds(slice, bound, bound, st.none() | st.integers(-3, 3).filter(bool))
+
+
+class TestRuns:
+    @given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 4)), max_size=8), slices())
+    @settings(max_examples=200, deadline=None)
+    def test_reads_like_the_tuple_it_stands_for(self, run_list, sl):
+        # three objects, so adjacent runs of one object are common
+        pool = [object() for _ in range(3)]
+        runs = [(pool[i], r) for i, r in run_list]
+        expanded = tuple(item for item, r in runs for _ in range(r))
+        seq = Runs.from_runs(runs)
+        assert len(seq) == len(expanded)
+        assert tuple(seq) == expanded
+        assert all(seq[i] is expanded[i] for i in range(-len(expanded), len(expanded)))
+        for i in (len(expanded), -len(expanded) - 1):
+            with pytest.raises(IndexError):
+                seq[i]
+        assert seq[sl] == expanded[sl] and isinstance(seq[sl], tuple)
+        # the stored runs are the maximal ones, however the sequence was given
+        assert seq.runs == Runs(expanded).runs == Runs(seq).runs
+        assert seq == Runs(expanded) and hash(seq) == hash(Runs(expanded))
+        assert all(r > 0 for _, r in seq.runs)
+        assert all(a is not b for (a, _), (b, _) in zip(seq.runs, seq.runs[1:]))
+
+    def test_negative_run_rejected(self):
+        with pytest.raises(ValueError):
+            Runs.from_runs([(object(), -1)])
+
+    @pytest.mark.parametrize("mode", ["exact", "approx"])
+    def test_shared_ladder_reports_as_the_expanded_chain(self, mode):
+        params = LadderIdenticalParams(F(9, 10), F(99, 100), F(1), F(1, 2), 3000)
+        spec = identical_ladder_spec(params)
+        assert len(spec.cells.runs) == 2
+        expanded = LadderSpec(tuple(spec.cells), spec.terminal)
+        reports = [single_pass(build_ladder(s), mode=mode).as_dict() for s in (spec, expanded)]
+        assert json.dumps(reports[0]) == json.dumps(reports[1])
+
+    @pytest.mark.parametrize("mode", ["exact", "approx"])
+    def test_kofn_system_reports_as_its_pair_tuple(self, mode):
+        comps = tuple(Component(f"c{i}", F(80 + i, 100), F(1 + i, 10)) for i in range(12))
+        system = build_kofn_g(KofnSpec(5, comps))
+        pairs = tuple(system.pairs)
+        from_runs = dataclasses.replace(system, pairs=Runs.from_runs((pair, 1) for pair in pairs))
+        from_tuple = dataclasses.replace(system, pairs=pairs)
+        reports = [single_pass(s, mode=mode).as_dict() for s in (from_runs, from_tuple)]
+        assert json.dumps(reports[0]) == json.dumps(reports[1])
 
 
 HETEROGENEOUS_LADDER = """

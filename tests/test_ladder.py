@@ -271,7 +271,8 @@ class TestPoweredRuns:
         assert approx.frequency == pytest.approx(float(exact.frequency), rel=1e-10)
         assert approx.log10_availability == pytest.approx(exact.log10_availability, abs=1e-10)
 
-    def test_long_run_advances_in_logarithmically_many_steps(self, monkeypatch):
+    @pytest.mark.parametrize("n", [10**6, 10**12])
+    def test_long_run_advances_in_logarithmically_many_steps(self, monkeypatch, n):
         advance = relfreq.core._advance
         calls = []
 
@@ -280,8 +281,11 @@ class TestPoweredRuns:
             return advance(step, a, v)
 
         monkeypatch.setattr(relfreq.core, "_advance", counted)
-        n = 10**6
         params = LadderIdenticalParams(0.9, 1.0, 1.0, 0.0, n)
-        report = ladder_frequency(params, TERMINAL_T, mode="approx")
+        system = build_ladder(identical_ladder_spec(params, TERMINAL_T))
+        # the chain is held as two runs, cell 0 and n shared cells, never expanded
+        assert len(system.pairs) == n + 1
+        assert len(system.pairs.runs) == 2
+        report = single_pass(system, mode="approx")
         assert len(calls) <= 2 * n.bit_length()
         assert report.failure_rate == pytest.approx(asymptotic_rate(0.9, n, 1.0), rel=1e-6)

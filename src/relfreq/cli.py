@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
+from contextlib import nullcontext, suppress
 from fractions import Fraction
 from typing import Optional
 
@@ -54,6 +56,16 @@ def _require(cfg: dict, key: str, where: str = "config"):
     return cfg[key]
 
 
+def _integer(cfg: dict, key: str, default=None) -> int:
+    """``cfg[key]`` from a JSON integer or a string that ``int`` parses; a
+    float, a boolean or anything else is a config error."""
+    value = _require(cfg, key) if default is None else cfg.get(key, default)
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        with suppress(ValueError):
+            return int(value)
+    raise ConfigError(f"config: {key} must be an integer, got {value!r}")
+
+
 def _parse_component(entry: dict, convention: str, where: str) -> Component:
     if not isinstance(entry, dict):
         raise ConfigError(f"{where}: component entry must be an object")
@@ -62,8 +74,8 @@ def _parse_component(entry: dict, convention: str, where: str) -> Component:
         p = parse_scalar(str(_require(entry, "p", where)))
     except ValueError as exc:
         raise ConfigError(f"{where}: bad p for {cid!r}: {exc}") from exc
-    mu = parse_scalar(str(entry["mu"])) if "mu" in entry else None
     try:
+        mu = parse_scalar(str(entry["mu"])) if "mu" in entry else None
         if convention == "steady-state-mu":
             return Component.steady_state(cid, p, mu if mu is not None else 1)
         lam = parse_scalar(str(entry.get("lambda", "0")))
@@ -119,7 +131,7 @@ def build_from_config(cfg: dict) -> TransferSystem:
         comps = tuple(
             _parse_component(e, convention, f"components[{i}]") for i, e in enumerate(raw)
         )
-        k = int(_require(cfg, "k"))
+        k = _integer(cfg, "k")
         fam = FAMILY_G if family == "kofn-g" else FAMILY_LINCON_F
         spec = KofnSpec(k, comps, family=fam, rate_unit=rate_unit)
         return build_kofn_g(spec) if fam == FAMILY_G else build_lincon_f(spec)
@@ -144,7 +156,7 @@ def build_from_config(cfg: dict) -> TransferSystem:
             rho=parse_scalar(str(cfg.get("rho", "1"))),
             lam=parse_scalar(str(cfg.get("lambda", "0"))),
             xi=parse_scalar(str(cfg.get("xi", "0"))),
-            n=int(_require(cfg, "n")),
+            n=_integer(cfg, "n"),
         )
         return build_ladder(identical_ladder_spec(params, terminal))
 
@@ -162,7 +174,7 @@ def build_from_config(cfg: dict) -> TransferSystem:
             pairs=pairs,
             v_right=tuple(parse_scalar(str(x)) for x in _require(cfg, "v_right")),
             offset=parse_scalar(str(cfg.get("offset", "0"))),
-            sign=int(cfg.get("sign", 1)),
+            sign=_integer(cfg, "sign", 1),
             components=comps,
             rate_unit=rate_unit,
             family="custom-matrices",
@@ -196,11 +208,18 @@ def cmd_solve(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     payload = json.dumps(report.as_dict(), indent=2, sort_keys=True)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(payload + "\n")
-    else:
-        print(payload)
+    return _write_out(args.out, payload + "\n")
+
+
+def _write_out(path: Optional[str], text: str) -> int:
+    """Write ``text`` to the file at ``path``, or to stdout when there is none;
+    an output that cannot be written is a usage error."""
+    try:
+        with open(path, "w", newline="") if path else nullcontext(sys.stdout) as out:
+            out.write(text)
+    except OSError as exc:
+        print(f"error: cannot write {path or 'stdout'}: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     return EXIT_OK
 
 
@@ -279,15 +298,11 @@ def cmd_sweep(args) -> int:
     except (ReliabilityError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    out = open(args.out, "w", newline="") if args.out else sys.stdout
-    try:
-        writer = csv.DictWriter(out, fieldnames=fieldnames)
-        writer.writeheader()
-        writer.writerows(rows)
-    finally:
-        if args.out:
-            out.close()
-    return EXIT_OK
+    text = io.StringIO()
+    writer = csv.DictWriter(text, fieldnames=fieldnames)
+    writer.writeheader()
+    writer.writerows(rows)
+    return _write_out(args.out, text.getvalue())
 
 
 def cmd_verify(args) -> int:

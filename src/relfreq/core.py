@@ -23,14 +23,14 @@ compiles each distinct pair once into a numeric :class:`Step`, rows of
 dual entries ``(col, x, y)``: one walk over the terms of each distinct
 polynomial object among the nonzero entries of M gives both x and y.
 A run of r references to one pair is the dual power (M + eps M')^r, taken
-by squaring: O(log r) steps.  In exact mode a step also carries a scale
-D, the lcm of its values' denominators, and its values are the integers
-D.M and D.M'.  Exact mode compiles on integers too: each p, lambda and
-coefficient a pair reads is an integer over a common denominator, so the
-walk over the terms creates no Fraction.  The fold scales the incoming
-state to integers, runs on integers, multiplies the running scale by each
-D and divides once on the way out (fraction-free, no gcd per step).  In approx mode the values
-are floats, D = 1, and the state holds mantissas and a binary exponent.
+by squaring: O(log r) steps.  Steps and states store value * scale *
+2**-exponent: exact mode integers over a common denominator, approx mode
+floats over scale 1 with a binary exponent against underflow.
+:func:`initial_state` puts vR over its lcm, the fold multiplies the
+state's scale by each step's, and :func:`finalize` divides vL.A and vL.V
+by it, once each.  Each p, lambda and coefficient the exact compile reads
+is an integer over a common denominator too, so no Fraction is made in
+between.
 
 A system stores its pairs as :class:`Runs`, (pair, r) runs that are never
 expanded, so building, checking and folding a system cost O(runs + sum of
@@ -46,8 +46,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, groupby, repeat
 from math import frexp, gcd, lcm, ldexp, log10
-from operator import countOf, index as to_index, itemgetter
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Tuple
+from operator import countOf, index as to_index, itemgetter, mul, truediv
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Tuple
 
 from .scalars import EXACT, Scalar, as_exact, check_mode, convert, rational_str
 
@@ -481,21 +481,34 @@ class TransferSystem:
 # The single pass
 
 
+def _scaler(values: Sequence, mode: str) -> Tuple[Callable, int]:
+    """(num, scale), where num(x) is the number stored for x, x * scale: in
+    exact mode an integer, with scale the lcm of the denominators of the
+    rationals ``values``; in approx mode a float, with scale 1."""
+    if mode != EXACT:
+        return float, 1
+    scale = lcm(*[x.denominator for x in values])
+    return lambda x: x.numerator * (scale // x.denominator), scale
+
+
 @dataclass(frozen=True)
 class PassState:
-    """The (A_k, V_k) vector pair threaded through the recursion, times
-    ``2**-exponent``; ``exponent`` stays 0 in exact mode, and approx mode
-    renormalises after every step so that the vectors never underflow."""
+    """The (A_k, V_k) vector pair threaded through the recursion, in the
+    format of a :class:`Step`: integers over ``scale`` in exact mode, floats
+    times ``2**-exponent`` in approx mode, renormalised after every step."""
 
     a_vec: Tuple[Scalar, ...]
     v_vec: Tuple[Scalar, ...]
     index: int
     mode: str = EXACT
     exponent: int = 0
+    scale: int = 1
 
     def __post_init__(self):
         if len(self.a_vec) != len(self.v_vec):
             raise DimensionMismatchError("a_vec and v_vec dimensions differ")
+        if self.scale < 1:
+            raise ReliabilityError(f"state scale {self.scale} is below 1")
 
 
 def initial_state(system: TransferSystem, mode: str = EXACT) -> PassState:
@@ -505,9 +518,9 @@ def initial_state(system: TransferSystem, mode: str = EXACT) -> PassState:
     initialization, since M_1 . 0 = 0.
     """
     check_mode(mode)
-    a = tuple(convert(x, mode) for x in system.v_right)
-    zero = Fraction(0) if mode == EXACT else 0.0
-    return PassState(a_vec=a, v_vec=(zero,) * len(a), index=0, mode=mode)
+    num, scale = _scaler(system.v_right, mode)
+    a = tuple(map(num, system.v_right))
+    return PassState(a, (num(0),) * len(a), 0, mode, scale=scale)
 
 
 def _read_value(assignment: Mapping, cid: str, num) -> Tuple[Scalar, Scalar]:
@@ -530,10 +543,8 @@ def _read_value(assignment: Mapping, cid: str, num) -> Tuple[Scalar, Scalar]:
 class Step(NamedTuple):
     """A matrix pair, or a power of one, compiled to numbers: ``rows`` holds,
     row by row in column order, ``(col, x, y)`` for each entry x + eps y of
-    the dual matrix M + eps M' with x or y nonzero, times
-    ``scale / 2**exponent``.  Exact mode has integer values over the lcm
-    ``scale`` of their denominators and exponent 0; approx mode has floats
-    and scale 1."""
+    the dual matrix M + eps M' with x or y nonzero, stored as
+    value * scale * 2**-exponent, the format of a :class:`PassState`."""
 
     rows: Tuple[Tuple[Tuple[int, Scalar, Scalar], ...], ...]
     scale: int
@@ -588,17 +599,12 @@ def _compile(pair: MatrixPair, assignment: Mapping, mode: str) -> Step:
         for cid in sorted(set().union(*[ids for poly in polys for ids, _ in poly._terms]))
     }
     if mode == EXACT:
+        p_num, p_den = _scaler([p for p, _ in values.values()], mode)
+        lam_num, lam_den = _scaler([lam for _, lam in values.values()], mode)
+        coeff, c_den = _scaler([c for poly in polys for _, c in poly._terms], mode)
         dmax = max((len(ids) for poly in polys for ids, _ in poly._terms), default=0)
-        p_den = lcm(*(p.denominator for p, _ in values.values()))
-        lam_den = lcm(*(lam.denominator for _, lam in values.values()))
-        c_den = lcm(*(c.denominator for poly in polys for _, c in poly._terms))
-        values = {
-            cid: (p.numerator * (p_den // p.denominator),
-                  lam.numerator * (lam_den // lam.denominator))
-            for cid, (p, lam) in values.items()
-        }
-        duals = _duals(polys, values, lambda c: c.numerator * (c_den // c.denominator),
-                       [p_den ** (dmax - s) for s in range(dmax + 1)])
+        values = {cid: (p_num(p), lam_num(lam)) for cid, (p, lam) in values.items()}
+        duals = _duals(polys, values, coeff, [p_den ** (dmax - s) for s in range(dmax + 1)])
         duals = {key: (x * lam_den, y) for key, (x, y) in duals.items()}
         denom = c_den * p_den**dmax * lam_den
         g = gcd(denom, *(v for xy in duals.values() for v in xy))
@@ -671,18 +677,12 @@ def _fold(
 
     Each distinct pair object is checked against the state's dimension and
     compiled once per call; a run of r references to it advances through the
-    powers step^(2^i) of the set bits of r.  Exact mode folds integers: the
-    state enters multiplied by the lcm of its denominators, and leaves
-    divided by that times the product of the applied steps' scales.
+    powers step^(2^i) of the set bits of r.  A step multiplies the state's
+    scale by its own and adds its exponent, so nothing is divided.
     """
     mode, dim = state.mode, len(state.a_vec)
     a, v, index, exponent = state.a_vec, state.v_vec, state.index, state.exponent
-    scale = 1
-    if mode == EXACT:
-        scale = lcm(*(x.denominator for x in a + v))
-        a = [x.numerator * (scale // x.denominator) for x in a]
-        v = [x.numerator * (scale // x.denominator) for x in v]
-
+    scale = state.scale
     powers = {}  # id(pair) -> [step, step^2, step^4, ...]
     for pair, r in runs:
         steps = powers.get(id(pair))
@@ -704,13 +704,7 @@ def _fold(
                 if mode != EXACT:
                     (a, v), k = _normalise((a, v))
                     exponent += k
-
-    if mode == EXACT:
-        a = [Fraction(x, scale) for x in a]
-        v = [Fraction(x, scale) for x in v]
-    return PassState(
-        a_vec=tuple(a), v_vec=tuple(v), index=index, mode=mode, exponent=exponent
-    )
+    return PassState(tuple(a), tuple(v), index, mode, exponent, scale)
 
 
 def stream_step(
@@ -791,16 +785,20 @@ class ReliabilityReport:
 
 def finalize(system: TransferSystem, state: PassState) -> ReliabilityReport:
     """Project a fully-advanced state with vL and apply the affine form.
-    With no offset, log10 A and nu/A come from the mantissas x and y, so
-    they stay right when A is below the double range."""
+    With vL in the state's format, X = vL.A and Y = vL.V are divided by the
+    scales: the pass's two reductions in exact mode, divisions by 1 in
+    approx mode.  With no offset, log10 A and nu/A = Y/X come from the
+    projections, so they stay right when A is below the double range."""
     if state.index != system.size:
         raise ReliabilityError(
             f"state consumed {state.index} matrices, system has {system.size}"
         )
     mode, e, sign = state.mode, state.exponent, system.sign
-    vL = [convert(x, mode) for x in system.v_left]
-    x_m = sum(l * a for l, a in zip(vL, state.a_vec))
-    y_m = sum(l * v for l, v in zip(vL, state.v_vec))
+    num, scale = _scaler(system.v_left, mode)
+    vL = list(map(num, system.v_left))
+    den, divide = scale * state.scale, (Fraction if mode == EXACT else truediv)
+    x_s, y_s = (sum(map(mul, vL, vec)) for vec in (state.a_vec, state.v_vec))
+    x_m, y_m = divide(x_s, den), divide(y_s, den)
     x, y = (x_m, y_m) if mode == EXACT else (ldexp(x_m, e), ldexp(y_m, e))
     offset = convert(system.offset, mode)
     availability = offset + sign * x
@@ -810,7 +808,7 @@ def finalize(system: TransferSystem, state: PassState) -> ReliabilityReport:
     frequency = sign * y
     if offset == 0:
         log10_availability = log10_of(sign * x_m, e)
-        failure_rate = y_m / x_m if x_m != 0 else None
+        failure_rate = divide(y_s, x_s) if x_s != 0 else None
     else:
         log10_availability = log10_of(availability)
         failure_rate = frequency / availability if availability != 0 else None
@@ -842,8 +840,9 @@ def single_pass(
     :func:`stream_step`, run over the stored runs of ``system.pairs`` at
     once: each distinct matrix-pair object is compiled once, so a shared
     cell's run of r references costs no polynomial work and O(log r) steps,
-    and the chain is never expanded.  Exact mode divides by the product of
-    the step scales once at the end.
+    and the chain is never expanded.  The exact state stays integers over
+    one scale from :func:`initial_state` to :func:`finalize`, which makes
+    the pass's two divisions.
     """
     if assignment is None:
         assignment = system.default_assignment()

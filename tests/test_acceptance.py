@@ -119,8 +119,8 @@ def test_criterion_4_generating_function_consistency(capsys):
             state = initial_state(system)
             for n in range(1, 31):
                 state = stream_step(state, pair, assignment)
-                a_matrix = 1 - state.a_vec[0]
-                nu_matrix = -state.v_vec[0]
+                a_matrix = 1 - F(state.a_vec[0], state.scale)
+                nu_matrix = -F(state.v_vec[0], state.scale)
                 if a_coeffs[n](p) != a_matrix or f_direct[n](p) != nu_matrix:
                     ok = False
             if not ok:

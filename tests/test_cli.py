@@ -248,6 +248,52 @@ class TestSolveCommand:
         assert main(["solve", path]) == EXIT_VALIDATION
         assert "ghost" in capsys.readouterr().err
 
+    INTEGER_CFGS = {
+        "kofn-g": KOFN_CFG,
+        "ladder": {"family": "ladder", "p": "9/10", "lambda": "1", "n": 3},
+        "custom-matrices": {
+            "family": "custom-matrices",
+            "components": [{"id": "x", "p": "3/4", "lambda": "2"}],
+            "v_left": ["1"], "v_right": ["1"], "offset": "1",
+            "matrices": [[[[["1", ["x"]]]]]],
+        },
+    }
+
+    @pytest.mark.parametrize(
+        "family, key, value",
+        [("kofn-g", "k", 1.9), ("kofn-g", "k", True), ("kofn-g", "k", "abc"),
+         ("kofn-g", "k", None), ("ladder", "n", 2.7), ("ladder", "n", "2.7"),
+         ("custom-matrices", "sign", -1.0), ("custom-matrices", "sign", [1])],
+    )
+    def test_integer_field_rejects_non_integers(self, tmp_path, capsys, family, key, value):
+        cfg = {**self.INTEGER_CFGS[family], key: value}
+        assert main(["solve", write_config(tmp_path, cfg)]) == EXIT_PARSE
+        assert f"{key} must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "family, key, value",
+        [("kofn-g", "k", "2"), ("ladder", "n", " 3 "), ("custom-matrices", "sign", "-1")],
+    )
+    def test_integer_field_accepts_integer_strings(self, family, key, value):
+        cfg = self.INTEGER_CFGS[family]
+        assert build_from_config({**cfg, key: value}) == build_from_config({**cfg, key: int(value)})
+
+    @pytest.mark.parametrize(
+        "convention, field",
+        [("explicit", "mu"), ("steady-state-mu", "mu"), ("explicit", "lambda")],
+    )
+    def test_unparseable_rate_exit_code(self, tmp_path, capsys, convention, field):
+        cfg = dict(KOFN_CFG, rate_convention=convention, k=1)
+        cfg["components"] = [{"id": "c1", "p": "9/10", field: "x"}]
+        assert main(["solve", write_config(tmp_path, cfg)]) == EXIT_PARSE
+        assert "'c1'" in capsys.readouterr().err
+
+    def test_unwritable_out_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "out"
+        assert main(["solve", write_config(tmp_path, KOFN_CFG), "--out", str(out)]) == EXIT_PARSE
+        assert f"cannot write {out}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSweepCommand:
     def read_rows(self, capsys):
@@ -299,6 +345,15 @@ class TestSweepCommand:
         assert code == EXIT_OK
         rows = list(csv.DictReader(out.open()))
         assert len(rows) == 3
+
+    def test_unwritable_out_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "out"
+        code = main(
+            ["sweep", "--family", "lincon-f", "--param", "n",
+             "--range", "2:6:2", "--k", "2", "--out", str(out)]
+        )
+        assert code == EXIT_PARSE
+        assert f"cannot write {out}" in capsys.readouterr().err
 
     def test_p_range_does_not_drift(self, capsys):
         code = main(

@@ -19,6 +19,7 @@ from relfreq.core import (
     MissingAvailabilityError,
     MissingRateError,
     MultilinearPoly,
+    PassState,
     ReliabilityError,
     Runs,
     TransferSystem,
@@ -360,8 +361,8 @@ class TestStreamStep:
         assignment = system.default_assignment()
         stepped = stream_step(state, system.pairs[0], assignment)
         # A_1 = M_1 vR, V_1 = M'_1 vR
-        assert stepped.a_vec == (F(3, 4),)
-        assert stepped.v_vec == (F(2) * F(3, 4),)
+        assert tuple(F(x, stepped.scale) for x in stepped.a_vec) == (F(3, 4),)
+        assert tuple(F(x, stepped.scale) for x in stepped.v_vec) == (F(2) * F(3, 4),)
         assert stepped.index == 1
 
     def test_fold_equals_single_pass(self):
@@ -374,6 +375,35 @@ class TestStreamStep:
         direct = single_pass(system)
         assert report.availability == direct.availability
         assert report.frequency == direct.frequency
+
+    def test_exact_fold_makes_no_fraction(self, monkeypatch):
+        # the exact state stays integers over one scale between
+        # initial_state and finalize, so a streamed step divides nothing
+        system = build_ladder(identical_ladder_spec(
+            LadderIdenticalParams(F(9, 10), F(99, 100), F(1, 3), F(1, 7), 50)))
+        assignment = system.default_assignment()
+        state = initial_state(system)
+        made = []
+        new = F.__new__
+
+        def counting(cls, *args, **kwargs):
+            made.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(F, "__new__", staticmethod(counting))
+        for pair in system.pairs:
+            state = stream_step(state, pair, assignment)
+        monkeypatch.undo()
+        assert len(made) == 0, f"{len(made)} Fractions made in {len(system.pairs)} steps"
+        report = finalize(system, state)
+        direct = single_pass(system)
+        assert (report.availability, report.frequency) == (direct.availability, direct.frequency)
+
+    def test_state_scale_is_at_least_one(self):
+        for scale in (0, -3):
+            with pytest.raises(ReliabilityError, match="scale"):
+                PassState((1,), (0,), 0, scale=scale)
+        assert PassState((1,), (0,), 0).scale == 1
 
     def test_zero_matrix_annihilates(self):
         system = one_component_system()

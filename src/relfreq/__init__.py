@@ -3,6 +3,7 @@ repairable systems whose availability is a product of transfer matrices."""
 
 from .core import (
     Component,
+    Layout,
     MatrixPair,
     MultilinearPoly,
     PassState,
@@ -18,6 +19,7 @@ from .core import (
 
 __all__ = [
     "Component",
+    "Layout",
     "MatrixPair",
     "MultilinearPoly",
     "PassState",

@@ -10,8 +10,9 @@ matrix level means threading the pair (M_k, M'_k) through one ordered pass:
     A_k = M_k A_{k-1}
     V_k = M_k V_{k-1} + M'_k A_{k-1}
 
-A :class:`MatrixPair` stores only the nonzero entries of M, as
-``(row, col, poly)`` triples grouped by row; M' is not stored, since it
+A :class:`MatrixPair` stores M as its distinct nonzero polynomials, one
+per slot, over a :class:`Layout` of ``(col, slot)`` positions row by row
+that every pair of one family and k shares; M' is not stored, since it
 follows from M and the rates.
 
 One fold runs every pass: :func:`single_pass` folds all of a system's
@@ -20,8 +21,8 @@ recursion is the dual product (A + eps V) <- (M + eps M')(A + eps V), and
 a term c prod p_i of an entry of M evaluated at p_i (1 + eps lambda_i) is
 its value plus eps times its rate-operator image.  Within a call the fold
 compiles each distinct pair once into a numeric :class:`Step`, rows of
-dual entries ``(col, x, y)``: one walk over the terms of each distinct
-polynomial object among the nonzero entries of M gives both x and y.
+dual entries ``(col, x, y)``: one walk over the terms of each slot's
+polynomial gives both x and y, and the layout places them.
 A run of r references to one pair is the dual power (M + eps M')^r, taken
 by squaring: O(log r) steps.  Steps and states store value * scale *
 2**-exponent: exact mode integers over a common denominator, approx mode
@@ -46,7 +47,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, groupby, repeat
 from math import frexp, gcd, lcm, ldexp, log10
-from operator import countOf, index as to_index, itemgetter, mul, truediv
+from operator import countOf, index as to_index, mul, truediv
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Tuple
 
 from .scalars import EXACT, Scalar, as_exact, check_mode, convert, rational_str
@@ -285,65 +286,108 @@ class Entry(NamedTuple):
         return self.poly.is_zero()
 
 
-Rows = Tuple[Tuple[Entry, ...], ...]
+@dataclass(frozen=True)
+class Layout:
+    """Where the nonzero entries of a ``dim`` x ``dim`` matrix sit, apart
+    from their values, so that every pair of one family and k shares one.
 
+    ``rows`` holds, row by row, ``(col, slot)`` for each nonzero position in
+    strictly increasing column order; ``slot`` indexes a pair's ``polys``,
+    and positions that hold one polynomial share a slot.  The constructor is
+    the one check of a layout: it rejects the wrong number of rows, a column
+    out of range, out of order or repeated, and a slot out of range or
+    unused.
+    """
 
-def _check_rows(rows, dim: int) -> Rows:
-    """``rows`` as a tuple, once it is known to hold dim rows of nonzero
-    entries, each row's in increasing column order.  This is the one check of
-    a pair's layout: it rejects a column out of range and a position given
-    twice."""
-    rows = tuple(map(tuple, rows))
-    if len(rows) != dim:
-        raise DimensionMismatchError(f"{len(rows)} rows given for a {dim}x{dim} matrix")
-    for r, row in enumerate(rows):
-        col = -1
-        for e in row:
-            if e.row != r or not col < e.col < dim or e.is_zero():
-                raise ReliabilityError(f"entry {e!r} out of place in row {r}")
-            col = e.col
-    return rows
+    dim: int
+    rows: Tuple[Tuple[Tuple[int, int], ...], ...]
+    slots: int
+
+    def __post_init__(self):
+        rows = tuple(tuple((col, slot) for col, slot in row) for row in self.rows)
+        object.__setattr__(self, "rows", rows)
+        if self.dim < 1:
+            raise DimensionMismatchError("empty matrix")
+        if len(rows) != self.dim:
+            raise DimensionMismatchError(f"{len(rows)} rows given for a {self.dim}x{self.dim} matrix")
+        used = set()
+        for r, row in enumerate(rows):
+            last = -1
+            for col, slot in row:
+                if not last < col < self.dim or not 0 <= slot < self.slots:
+                    raise ReliabilityError(f"position ({col}, slot {slot}) out of place in row {r}")
+                used.add(slot)
+                last = col
+        if len(used) != self.slots:
+            raise ReliabilityError(f"{self.slots - len(used)} of {self.slots} slots are unused")
 
 
 @dataclass(frozen=True)
 class MatrixPair:
-    """A square transfer matrix; its rate-operator image M' is derived in the
-    pass from the assignment's rates.
+    """A square transfer matrix M, stored as its distinct polynomials over a
+    :class:`Layout`; its rate-operator image M' is derived in the pass from
+    the assignment's rates.
 
-    ``m`` holds only the nonzero entries, as :class:`Entry` triples
-    ``(row, col, poly)`` grouped into ``dim`` rows in column order.  The
-    constructor checks that layout, and nothing else checks it again.
+    ``polys`` holds one nonzero polynomial per slot of ``layout``.  Pairs of
+    one family and k share one layout object and differ only in their
+    polys: a k x k bidiagonal pair stores q_i and p_i, not 2k - 1 entries.
+    The layout checked its positions once; the constructor checks in
+    O(slots) that the polys fit it.
     """
 
     dim: int
-    m: Rows
+    polys: Tuple[MultilinearPoly, ...]
+    layout: Layout
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise DimensionMismatchError("empty matrix")
-        object.__setattr__(self, "m", _check_rows(self.m, self.dim))
+        polys = tuple(self.polys)
+        object.__setattr__(self, "polys", polys)
+        if self.layout.dim != self.dim:
+            raise DimensionMismatchError(
+                f"a {self.layout.dim}x{self.layout.dim} layout for a {self.dim}x{self.dim} matrix"
+            )
+        if len(polys) != self.layout.slots:
+            raise ReliabilityError(f"{len(polys)} polynomials for {self.layout.slots} slots")
+        if any(poly.is_zero() for poly in polys):
+            raise ReliabilityError("each slot needs a nonzero polynomial")
 
     @property
     def shape(self) -> Tuple[int, int]:
         return (self.dim, self.dim)
 
+    @property
+    def m(self) -> Tuple[Tuple[Entry, ...], ...]:
+        """The nonzero entries of M, as :class:`Entry` triples grouped into
+        ``dim`` rows in column order."""
+        polys = self.polys
+        return tuple(
+            tuple(Entry(r, col, polys[slot]) for col, slot in row)
+            for r, row in enumerate(self.layout.rows)
+        )
+
     @classmethod
     def from_entries(cls, dim: int, entries: Iterable) -> "MatrixPair":
-        """Pair from ``(row, col, poly)`` triples in any order.  Each nonzero
-        entry is placed in its row and each row sorted by column; the
-        constructor then rejects a bad column or a position given twice."""
+        """Pair from ``(row, col, poly)`` triples in any order.  Zero entries
+        are dropped, each distinct polynomial object gets one slot, and each
+        row is sorted by column; the layout's constructor then rejects a bad
+        column or a position given twice."""
         rows = [[] for _ in range(dim)]
+        slots, polys = {}, []
         for r, c, poly in entries:
             if not 0 <= r < dim:
                 raise DimensionMismatchError(f"entry ({r}, {c}) outside a {dim}x{dim} matrix")
             poly = _as_poly(poly)
             if not poly.is_zero():
-                rows[r].append(Entry(r, c, poly))
-        return cls(dim=dim, m=[sorted(row, key=itemgetter(1)) for row in rows])
+                slot = slots.get(id(poly))
+                if slot is None:
+                    slot = slots[id(poly)] = len(polys)
+                    polys.append(poly)
+                rows[r].append((c, slot))
+        return cls(dim, polys, Layout(dim, map(sorted, rows), len(polys)))
 
     @classmethod
     def zero(cls, dim: int) -> "MatrixPair":
-        return cls(dim=dim, m=((),) * dim)
+        return cls(dim, (), Layout(dim, ((),) * dim, 0))
 
 
 def identical_runs(items: Iterable) -> Iterator[Tuple[object, int]]:
@@ -436,7 +480,8 @@ class TransferSystem:
     ``pairs`` is stored as :class:`Runs`: any sequence of pairs is accepted,
     and one given as a ``Runs`` is kept unexpanded, so building and checking
     a system costs O(runs), not O(len(pairs)).  Each run's pair is checked
-    against the vectors' dimension once.
+    against the vectors' dimension once.  Components that share an id are
+    kept once, the first in order, and must agree in p and lambda.
     """
 
     v_left: Tuple[Fraction, ...]
@@ -453,7 +498,12 @@ class TransferSystem:
         object.__setattr__(self, "v_right", tuple(as_exact(x) for x in self.v_right))
         object.__setattr__(self, "offset", as_exact(self.offset))
         object.__setattr__(self, "pairs", Runs(self.pairs))
-        object.__setattr__(self, "components", tuple(self.components))
+        components = {}
+        for comp in self.components:
+            first = components.setdefault(comp.id, comp)
+            if (first.p, first.lam) != (comp.p, comp.lam):
+                raise ReliabilityError(f"component {comp.id!r} is given twice with different values")
+        object.__setattr__(self, "components", tuple(components.values()))
         if self.sign not in (1, -1):
             raise ReliabilityError("sign must be +1 or -1")
         dim = len(self.v_right)
@@ -551,16 +601,17 @@ class Step(NamedTuple):
     exponent: int
 
 
-def _duals(polys, values: Mapping, coeff, pad) -> dict:
-    """``id(poly) -> (x, y)``: each polynomial and its rate-operator image,
-    from one walk over its terms.  A term c prod p_i adds c prod p_i to x
-    and c prod p_i sum lambda_i to y, the eps-part of the term at
-    p_i (1 + eps lambda_i) with eps^2 = 0.  ``values`` maps each id to its
-    numbers (p, lambda), ``coeff`` maps a coefficient to a number, and a
-    term of s ids starts from its coefficient times ``pad[s]``.  In approx
-    mode every pad is 1 and x is computed in the operation order of
-    :meth:`MultilinearPoly.evaluate`, so it equals that value."""
-    zero, duals = coeff(0), {}
+def _duals(polys, values: Mapping, coeff, pad) -> list:
+    """(x, y) for each polynomial of ``polys`` in order, one per slot: the
+    polynomial and its rate-operator image, from one walk over its terms.
+    A term c prod p_i adds c prod p_i to x and c prod p_i sum lambda_i to
+    y, the eps-part of the term at p_i (1 + eps lambda_i) with eps^2 = 0.
+    ``values`` maps each id to its numbers (p, lambda), ``coeff`` maps a
+    coefficient to a number, and a term of s ids starts from its
+    coefficient times ``pad[s]``.  In approx mode every pad is 1 and x is
+    computed in the operation order of :meth:`MultilinearPoly.evaluate`, so
+    it equals that value."""
+    zero, duals = coeff(0), []
     for poly in polys:
         x = y = zero
         for ids, c in poly._terms:
@@ -571,18 +622,18 @@ def _duals(polys, values: Mapping, coeff, pad) -> dict:
                 lam_total += lam
             x += term
             y += term * lam_total
-        duals[id(poly)] = x, y
+        duals.append((x, y))
     return duals
 
 
 def _compile(pair: MatrixPair, assignment: Mapping, mode: str) -> Step:
     """The dual values of the nonzero entries of M into a :class:`Step`.
 
-    Entries that share a polynomial object (the q_i and p_i of a k-of-n
-    matrix fill every slot with two) are evaluated once: the pair keeps the
-    objects alive, so their ids are stable for the call.  An entry stays
-    when x or y is nonzero: q = 1 - p at p = 1 has x = 0 and y = -lambda.
-    The assignment is read, checked and converted once per id that the
+    Each slot's polynomial is evaluated once, and each row of the layout
+    gathers ``(col, x, y)`` from its slots: the q_i and p_i of a k-of-n
+    matrix fill all 2k - 1 positions from two walks.  An entry stays when x
+    or y is nonzero: q = 1 - p at p = 1 has x = 0 and y = -lambda.  The
+    assignment is read, checked and converted once per id that the
     polynomials read, and nowhere else, so a streamed fold stays linear.
 
     Exact mode walks integers.  Each p is an integer over the lcm P of the
@@ -592,7 +643,7 @@ def _compile(pair: MatrixPair, assignment: Mapping, mode: str) -> Step:
     D = C P^dmax L, and dividing D and every value by their gcd makes the
     scale the lcm of the values' reduced denominators.
     """
-    polys = list({id(poly): poly for row in pair.m for _, _, poly in row}.values())
+    polys = pair.polys
     num = as_exact if mode == EXACT else float
     values = {
         cid: _read_value(assignment, cid, num)
@@ -605,20 +656,20 @@ def _compile(pair: MatrixPair, assignment: Mapping, mode: str) -> Step:
         dmax = max((len(ids) for poly in polys for ids, _ in poly._terms), default=0)
         values = {cid: (p_num(p), lam_num(lam)) for cid, (p, lam) in values.items()}
         duals = _duals(polys, values, coeff, [p_den ** (dmax - s) for s in range(dmax + 1)])
-        duals = {key: (x * lam_den, y) for key, (x, y) in duals.items()}
+        duals = [(x * lam_den, y) for x, y in duals]
         denom = c_den * p_den**dmax * lam_den
-        g = gcd(denom, *(v for xy in duals.values() for v in xy))
+        g = gcd(denom, *(v for xy in duals for v in xy))
         scale = denom // g
-        duals = {key: (x // g, y // g) for key, (x, y) in duals.items()}
+        duals = [(x // g, y // g) for x, y in duals]
     else:
         # no term reads more ids than the whole pair does
         duals = _duals(polys, values, float, (1,) * (len(values) + 1))
         scale = 1
     rows = []
-    for row in pair.m:
+    for row in pair.layout.rows:
         out = []
-        for _, c, poly in row:
-            x, y = duals[id(poly)]
+        for c, slot in row:
+            x, y = duals[slot]
             if x or y:
                 out.append((c, x, y))
         rows.append(tuple(out))

@@ -1,6 +1,7 @@
 """Builders for k-out-of-n:G and linear consecutive k-out-of-n:F systems.
 
-Both families reduce to k x k transfer matrices, one matrix per component.
+Both families reduce to k x k transfer matrices, one matrix per component;
+a family's matrices share one layout and differ only in q_i and p_i.
 Component 1 sits adjacent to the right boundary vector; for the consecutive
 family the list order is the physical line order, so adjacency is encoded by
 position.  Closed forms for identical components are provided alongside.
@@ -15,6 +16,7 @@ from typing import Tuple
 
 from .core import (
     Component,
+    Layout,
     MatrixPair,
     MultilinearPoly,
     ReliabilityError,
@@ -54,12 +56,16 @@ class KofnSpec:
         return len(self.components)
 
 
-def _bidiagonal_g(comp: Component, k: int) -> MatrixPair:
-    """k x k matrix with q_i on the diagonal and p_i on the superdiagonal."""
-    p = MultilinearPoly({(comp.id,): 1})
-    q = MultilinearPoly({(): 1, (comp.id,): -1})
-    entries = [(r, r, q) for r in range(k)] + [(r, r + 1, p) for r in range(k - 1)]
-    return MatrixPair.from_entries(k, entries)
+def _component_polys(comp: Component) -> Tuple[MultilinearPoly, MultilinearPoly]:
+    """(q_i, p_i) of one component, written as monomials."""
+    return MultilinearPoly({(): 1, (comp.id,): -1}), MultilinearPoly({(comp.id,): 1})
+
+
+def _superdiagonal_layout(k: int, col) -> Layout:
+    """k x k layout whose row r holds slot 0 at column ``col(r)`` and, for
+    r < k - 1, slot 1 on the superdiagonal; k = 1 has slot 0 only."""
+    rows = [((col(r), 0), (r + 1, 1)) for r in range(k - 1)] + [((col(k - 1), 0),)]
+    return Layout(k, rows, min(k, 2))
 
 
 def build_kofn_g(spec: KofnSpec) -> TransferSystem:
@@ -73,7 +79,12 @@ def build_kofn_g(spec: KofnSpec) -> TransferSystem:
     if spec.family != FAMILY_G:
         raise ReliabilityError(f"expected family {FAMILY_G!r}, got {spec.family!r}")
     k = spec.k
-    pairs = tuple(_bidiagonal_g(c, k) for c in spec.components)
+    # q_i on the diagonal (slot 0), p_i on the superdiagonal (slot 1)
+    layout = _superdiagonal_layout(k, lambda r: r)
+    pairs = tuple(
+        MatrixPair(k, (q, p)[:layout.slots], layout)
+        for q, p in map(_component_polys, spec.components)
+    )
     v_left = (Fraction(1),) + (Fraction(0),) * (k - 1)
     v_right = (Fraction(1),) * k
     return TransferSystem(
@@ -88,14 +99,6 @@ def build_kofn_g(spec: KofnSpec) -> TransferSystem:
     )
 
 
-def _lincon_matrix(comp: Component, k: int) -> MatrixPair:
-    """k x k matrix with p_i down the first column and q_i on the superdiagonal."""
-    p = MultilinearPoly({(comp.id,): 1})
-    q = MultilinearPoly({(): 1, (comp.id,): -1})
-    entries = [(r, 0, p) for r in range(k)] + [(r, r + 1, q) for r in range(k - 1)]
-    return MatrixPair.from_entries(k, entries)
-
-
 def build_lincon_f(spec: KofnSpec) -> TransferSystem:
     """Transfer system for a linear consecutive k-out-of-n:F system.
 
@@ -107,7 +110,12 @@ def build_lincon_f(spec: KofnSpec) -> TransferSystem:
             f"expected family {FAMILY_LINCON_F!r}, got {spec.family!r}"
         )
     k = spec.k
-    pairs = tuple(_lincon_matrix(c, k) for c in spec.components)
+    # p_i down the first column (slot 0), q_i on the superdiagonal (slot 1)
+    layout = _superdiagonal_layout(k, lambda r: 0)
+    pairs = tuple(
+        MatrixPair(k, (p, q)[:layout.slots], layout)
+        for q, p in map(_component_polys, spec.components)
+    )
     v_left = (Fraction(1),) + (Fraction(0),) * (k - 1)
     v_right = (Fraction(1),) * k
     return TransferSystem(
@@ -149,5 +157,7 @@ def kofn_g_identical(k: int, n: int, p, lam) -> ReliabilityReport:
 
 
 def identical_components(n: int, p, lam) -> Tuple[Component, ...]:
-    """n components c1..cn sharing one availability p and failure rate lam."""
+    """n components c1..cn sharing one availability p and failure rate lam;
+    a perfect component (p = 1) gets rate 0, as it never fails."""
+    lam = 0 if p == 1 else lam
     return tuple(Component(f"c{i}", p, lam) for i in range(1, n + 1))

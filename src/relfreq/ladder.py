@@ -20,6 +20,7 @@ from typing import Dict, Tuple
 
 from .core import (
     Component,
+    Layout,
     MatrixPair,
     MultilinearPoly,
     ReliabilityError,
@@ -109,46 +110,50 @@ def entry_cell(b: Component, S: Component, T: Component) -> LadderCell:
     )
 
 
+# Slots 0-7 of a cell's polynomials; positions (0, 2) and (1, 2) share slot 2.
+_CELL_LAYOUT = Layout(3, (((0, 0), (1, 1), (2, 2)),
+                          ((0, 3), (1, 4), (2, 2)),
+                          ((0, 5), (1, 6), (2, 7))), 8)
+
+
 def cell_matrix_pair(cell: LadderCell) -> MatrixPair:
-    """The cell's 3x3 transfer matrix, each entry written as its monomials;
-    positions (0, 2) and (1, 2) share one a b c S T object."""
+    """The cell's 3x3 transfer matrix, each entry written as its monomials,
+    over the one cell layout that every cell's pair shares."""
     a, b, c, S, T = (comp.id for comp in cell.components())
     P = MultilinearPoly
-    abcST = P({(a, b, c, S, T): 1})
-    m = (
-        (P({(a, S): 1}), P({(b, c, S, T): 1}), abcST),
-        (P({(a, b, S, T): 1}), P({(c, T): 1}), abcST),
-        (P({(a, b, S, T): -1}), P({(b, c, S, T): -1}),
-         P({(a, c, S, T): 1, (a, b, c, S, T): -2})),
+    polys = (
+        P({(a, S): 1}), P({(b, c, S, T): 1}), P({(a, b, c, S, T): 1}),
+        P({(a, b, S, T): 1}), P({(c, T): 1}),
+        P({(a, b, S, T): -1}), P({(b, c, S, T): -1}),
+        P({(a, c, S, T): 1, (a, b, c, S, T): -2}),
     )
-    entries = [(r, col, e) for r, row in enumerate(m) for col, e in enumerate(row)]
-    return MatrixPair.from_entries(3, entries)
+    return MatrixPair(3, polys, _CELL_LAYOUT)
 
 
 def build_ladder(spec: LadderSpec) -> TransferSystem:
     """Transfer system for a ladder; vL selects the S_n or T_n terminal.
     Each cell object gets one pair object, so each run of cells becomes a
     run of pairs: only the runs are visited, and the chain is never
-    expanded."""
+    expanded.  The system keeps one of each id among the cells' components
+    and rejects an id given different values."""
     pair_cache: Dict[int, MatrixPair] = {}
-    components: Dict[str, Component] = {}
+    components = []
     runs = []
     for cell, r in spec.cells.runs:
         if id(cell) not in pair_cache:
             pair_cache[id(cell)] = cell_matrix_pair(cell)
-            for comp in cell.components():
-                components.setdefault(comp.id, comp)
+            components += cell.components()
         runs.append((pair_cache[id(cell)], r))
     if spec.terminal == TERMINAL_S:
         v_left = (Fraction(1), Fraction(0), Fraction(0))
     else:
         v_left = (Fraction(0), Fraction(1), Fraction(0))
-    shared = len(components) < 5 * len(spec.cells)
+    shared = len({comp.id for comp in components}) < 5 * len(spec.cells)
     return TransferSystem(
         v_left=v_left,
         pairs=Runs.from_runs(runs),
         v_right=(Fraction(1), Fraction(0), Fraction(0)),
-        components=tuple(components.values()),
+        components=components,
         family=f"ladder:{spec.n}:{spec.terminal}{':shared' if shared else ''}",
     )
 

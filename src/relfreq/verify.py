@@ -110,11 +110,9 @@ def _random_ladder(rng: random.Random, max_components: int):
 
 
 def _corrupt_system(system: TransferSystem) -> TransferSystem:
-    """Test hook: perturb one matrix entry so equivalence must fail."""
+    """Test hook: perturb the first matrix's slot 0 so equivalence must fail."""
     pair = system.pairs[0]
-    (first, *rest), *rows = pair.m
-    bad_first = first._replace(poly=first.poly + Fraction(1, 97))
-    bad = replace(pair, m=((bad_first, *rest), *rows))
+    bad = replace(pair, polys=(pair.polys[0] + Fraction(1, 97),) + pair.polys[1:])
     return replace(system, pairs=(bad,) + system.pairs[1:])
 
 

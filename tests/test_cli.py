@@ -288,6 +288,38 @@ class TestSolveCommand:
         assert main(["solve", write_config(tmp_path, cfg)]) == EXIT_PARSE
         assert "'c1'" in capsys.readouterr().err
 
+    LADDER_CELLS = [
+        {"b": {"id": "b0", "p": "9/10", "lambda": "1"},
+         "S": {"id": "S0", "p": "1"}, "T": {"id": "T0", "p": "1"}},
+        {"a": {"id": "b0", "p": "9/10", "lambda": "1"}, "b": {"id": "b1", "p": "9/10"},
+         "c": {"id": "c1", "p": "9/10"}, "S": {"id": "S1", "p": "1"}, "T": {"id": "T1", "p": "1"}},
+    ]
+
+    def test_ladder_id_reused_with_equal_values_is_one_component(self):
+        cfg = {"family": "ladder", "terminal": "Sn", "cells": self.LADDER_CELLS}
+        system = build_from_config(cfg)
+        ids = [c.id for c in system.components]
+        assert ids.count("b0") == 1 and len(ids) == len(set(ids))
+
+    def test_ladder_id_reused_with_another_value_exit_code(self, tmp_path, capsys):
+        cells = json.loads(json.dumps(self.LADDER_CELLS))
+        cells[1]["a"]["p"] = "0.5"
+        cfg = {"family": "ladder", "terminal": "Sn", "cells": cells}
+        assert main(["solve", write_config(tmp_path, cfg)]) == EXIT_VALIDATION
+        assert "'b0'" in capsys.readouterr().err
+
+    def test_custom_id_listed_twice_with_another_value_exit_code(self, tmp_path, capsys):
+        cfg = {
+            "family": "custom-matrices",
+            "components": [{"id": "x", "p": "3/4", "lambda": "2"},
+                           {"id": "x", "p": "1/4", "lambda": "2"}],
+            "v_left": ["1"],
+            "v_right": ["1"],
+            "matrices": [[[[["1", ["x"]]]]]],
+        }
+        assert main(["solve", write_config(tmp_path, cfg)]) == EXIT_VALIDATION
+        assert "'x'" in capsys.readouterr().err
+
     def test_unwritable_out_exit_code(self, tmp_path, capsys):
         out = tmp_path / "missing" / "out"
         assert main(["solve", write_config(tmp_path, KOFN_CFG), "--out", str(out)]) == EXIT_PARSE
@@ -310,6 +342,18 @@ class TestSweepCommand:
         assert rows[0].keys() >= {"p", "A", "nu_bar", "lambda_bar"}
         avails = [float(r["A"]) for r in rows]
         assert avails == sorted(avails)  # monotone in p
+
+    @pytest.mark.parametrize("family", ["kofn-g", "lincon-f"])
+    def test_sweep_p_up_to_one(self, capsys, family):
+        # a perfect component gets rate 0, as the ladder's identical spec does
+        code = main(
+            ["sweep", "--family", family, "--param", "p",
+             "--range", "0.5:1:0.25", "--k", "2", "--n", "4"]
+        )
+        assert code == EXIT_OK
+        rows = self.read_rows(capsys)
+        assert [r["p"] for r in rows] == ["0.5", "0.75", "1.0"]
+        assert float(rows[-1]["A"]) == 1.0 and float(rows[-1]["nu_bar"]) == 0.0
 
     def test_sweep_n_ladder_with_derivative_columns(self, capsys):
         code = main(

@@ -15,6 +15,7 @@ from relfreq.core import (
     Component,
     DimensionMismatchError,
     Entry,
+    Layout,
     MatrixPair,
     MissingAvailabilityError,
     MissingRateError,
@@ -176,14 +177,32 @@ class TestMatrixPair:
             MatrixPair.from_entries(2, entries)
 
     @pytest.mark.parametrize(
-        "m",
-        [((Entry(1, 0, P1),), ()), ((Entry(0, 1, P1), Entry(0, 0, P2)), ()),
-         ((Entry(0, 0, MultilinearPoly.zero()),), ()), ((),)],
-        ids=["wrong-row", "unsorted", "zero", "too-few-rows"],
+        "dim, rows, slots",
+        [(2, ((),), 0), (2, ((), (), ()), 0), (0, (), 0),
+         (2, (((0, 0),), ((2, 0),)), 1), (2, (((-1, 0),), ()), 1),
+         (2, (((1, 0), (0, 0)), ()), 1), (2, (((0, 0), (0, 1)), ()), 2),
+         (2, (((0, 1),), ()), 1), (2, (((0, -1),), ()), 1), (2, (((0, 0),), ()), 2)],
+        ids=["too-few-rows", "too-many-rows", "empty", "column", "negative-column",
+             "unsorted", "repeated-column", "slot", "negative-slot", "unused-slot"],
     )
-    def test_constructor_rejects_misplaced_entries(self, m):
+    def test_layout_rejects_malformed_rows(self, dim, rows, slots):
         with pytest.raises(ReliabilityError):
-            MatrixPair(dim=2, m=m)
+            Layout(dim, rows, slots)
+
+    @pytest.mark.parametrize(
+        "dim, polys",
+        [(3, (P1,)), (2, ()), (2, (P1, P2)), (2, (MultilinearPoly.zero(),))],
+        ids=["dim", "too-few-polys", "too-many-polys", "zero"],
+    )
+    def test_pair_rejects_polys_that_do_not_fit_its_layout(self, dim, polys):
+        layout = Layout(2, (((0, 0),), ((1, 0),)), 1)
+        with pytest.raises(ReliabilityError):
+            MatrixPair(dim, polys, layout)
+
+    def test_from_entries_gives_each_polynomial_object_one_slot(self):
+        pair = MatrixPair.from_entries(2, [(0, 0, P1), (1, 1, P1), (0, 1, P2)])
+        assert pair.polys == (P1, P2)
+        assert pair.layout == Layout(2, (((0, 0), (1, 1)), ((1, 0),)), 2)
 
 
 def one_component_system(p=F(3, 4), lam=F(2)):

@@ -64,6 +64,17 @@ class TestKofnG:
                 nonzeros = [sum(map(len, pair.m)), sum(not x.is_zero() for x in images)]
                 assert nonzeros == [2 * k - 1, 2 * k - 1]
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 7])
+    def test_pairs_share_one_layout_and_hold_two_polys(self, k):
+        comps = identical_components(k + 2, F(2, 3), lam=F(3))
+        for system in (
+            build_kofn_g(KofnSpec(k, comps)),
+            build_lincon_f(KofnSpec(k, comps, family=FAMILY_LINCON_F)),
+        ):
+            layout = system.pairs[0].layout
+            assert all(pair.layout is layout for pair in system.pairs)
+            assert [len(pair.polys) for pair in system.pairs] == [min(k, 2)] * (k + 2)
+
     def test_series_when_k_equals_n(self):
         comps = tuple(
             Component(f"c{i}", F(i, i + 1), F(1, i)) for i in (1, 2, 3, 4)

@@ -87,6 +87,13 @@ class TestCellMatrix:
         assert shared.family == f"ladder:3:{terminal}:shared"
         assert distinct.family == f"ladder:3:{terminal}"
 
+    def test_cells_share_one_layout(self):
+        system = build_ladder(distinct_ladder_spec(F(3, 4), F(9, 10), F(1), F(1), 3))
+        pairs = list(system.pairs)
+        assert len({id(pair) for pair in pairs}) == 4
+        assert all(pair.layout is pairs[0].layout for pair in pairs)
+        assert [len(pair.polys) for pair in pairs] == [8] * 4
+
     def test_entry_cell_validation(self):
         bad = LadderCell(
             a=Component("a0", F(1, 2), F(1)),

@@ -109,12 +109,22 @@ def _parse_poly(entry, where: str) -> MultilinearPoly:
 
 def _parse_matrix(rows, where: str) -> MatrixPair:
     """Square list of rows of entries; only the nonzero entries are kept."""
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise ConfigError(f"{where}: matrix must be a list of rows")
     if any(len(row) != len(rows) for row in rows):
         raise DimensionMismatchError(f"{where}: matrix must be square")
     entries = [
         (r, c, _parse_poly(e, where)) for r, row in enumerate(rows) for c, e in enumerate(row)
     ]
     return MatrixPair.from_entries(len(rows), entries)
+
+
+def _list(cfg: dict, key: str) -> list:
+    """``cfg[key]``, which must be a JSON list."""
+    value = _require(cfg, key)
+    if not isinstance(value, list):
+        raise ConfigError(f"config: {key} must be a list, got {value!r}")
+    return value
 
 
 def build_from_config(cfg: dict) -> TransferSystem:
@@ -140,8 +150,10 @@ def build_from_config(cfg: dict) -> TransferSystem:
         terminal = cfg.get("terminal", TERMINAL_T)
         if "cells" in cfg:
             cells = []
-            for i, cell_cfg in enumerate(cfg["cells"]):
+            for i, cell_cfg in enumerate(_list(cfg, "cells")):
                 where = f"cells[{i}]"
+                if not isinstance(cell_cfg, dict):
+                    raise ConfigError(f"{where}: cell must be an object")
                 parts = {
                     key: _parse_component(_require(cell_cfg, key, where), convention, where)
                     for key in (("b", "S", "T") if i == 0 else ("a", "b", "c", "S", "T"))
@@ -167,12 +179,12 @@ def build_from_config(cfg: dict) -> TransferSystem:
         )
         pairs = tuple(
             _parse_matrix(m, f"matrices[{i}]")
-            for i, m in enumerate(_require(cfg, "matrices"))
+            for i, m in enumerate(_list(cfg, "matrices"))
         )
         return TransferSystem(
-            v_left=tuple(parse_scalar(str(x)) for x in _require(cfg, "v_left")),
+            v_left=tuple(parse_scalar(str(x)) for x in _list(cfg, "v_left")),
             pairs=pairs,
-            v_right=tuple(parse_scalar(str(x)) for x in _require(cfg, "v_right")),
+            v_right=tuple(parse_scalar(str(x)) for x in _list(cfg, "v_right")),
             offset=parse_scalar(str(cfg.get("offset", "0"))),
             sign=_integer(cfg, "sign", 1),
             components=comps,
@@ -237,13 +249,10 @@ def _parse_range(text: str, integral: bool):
     return [a + i * step if integral else float(a + i * step) for i in range(count)]
 
 
-def _sweep_point(args, param: str, value):
-    """One sweep row: (A, log10_A, nu_bar, lambda_bar, d_ln_zeta, d_ln_alpha)."""
-    fixed = {
-        "p": args.p, "rho": args.rho, "n": args.n,
-        "lam": args.lam, "xi": args.xi,
-    }
-    fixed[param] = value
+def _sweep_point(args, fixed: dict, param: str, value):
+    """One sweep row: (A, log10_A, nu_bar, lambda_bar, d_ln_zeta, d_ln_alpha).
+    ``fixed`` holds the parsed --p, --rho, --lam and --xi and the --n."""
+    fixed = {**fixed, param: value}
     n = int(fixed["n"])
     if args.family == "kofn-g":
         comps = identical_components(n, _frac(fixed["p"]), lam=_frac(fixed["lam"]))
@@ -288,13 +297,20 @@ def cmd_sweep(args) -> int:
     if args.param == "rho" and args.family != "ladder":
         print("error: rho only applies to the ladder family", file=sys.stderr)
         return EXIT_PARSE
+    fixed = {"n": args.n}
+    for name in ("p", "rho", "lam", "xi"):
+        try:
+            fixed[name] = parse_scalar(getattr(args, name))
+        except ValueError as exc:
+            print(f"error: --{name}: {exc}", file=sys.stderr)
+            return EXIT_PARSE
     fieldnames = [args.param, "A", "log10_A", "nu_bar", "lambda_bar"]
     if args.family == "ladder":
         fieldnames += ["dLnZeta", "dLnAlpha"]
     rows = []
     try:
         for v in values:
-            rows.append(_sweep_point(args, args.param, v))
+            rows.append(_sweep_point(args, fixed, args.param, v))
     except (ReliabilityError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

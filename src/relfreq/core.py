@@ -10,10 +10,12 @@ matrix level means threading the pair (M_k, M'_k) through one ordered pass:
     A_k = M_k A_{k-1}
     V_k = M_k V_{k-1} + M'_k A_{k-1}
 
-A :class:`MatrixPair` stores M as its distinct nonzero polynomials, one
-per slot, over a :class:`Layout` of ``(col, slot)`` positions row by row
-that every pair of one family and k shares; M' is not stored, since it
-follows from M and the rates.
+A family applies one matrix function to every component's values, so a
+:class:`Layout` holds that function once: its ``(col, slot)`` positions
+row by row and one polynomial per slot over local variables 0..v-1.  A
+:class:`MatrixPair` binds a layout to the component ids of its variables,
+so a pair stores no polynomial, and M' is not stored, since it follows
+from M and the rates.
 
 One fold runs every pass: :func:`single_pass` folds all of a system's
 pairs, :func:`stream_step` folds one.  With eps^2 = 0, a step of the
@@ -22,7 +24,8 @@ a term c prod p_i of an entry of M evaluated at p_i (1 + eps lambda_i) is
 its value plus eps times its rate-operator image.  Within a call the fold
 compiles each distinct pair once into a numeric :class:`Step`, rows of
 dual entries ``(col, x, y)``: one walk over the terms of each slot's
-polynomial gives both x and y, and the layout places them.
+polynomial, by variable index, gives both x and y, and the layout places
+them.
 A run of r references to one pair is the dual power (M + eps M')^r, taken
 by squaring: O(log r) steps.  Steps and states store value * scale *
 2**-exponent: exact mode integers over a common denominator, approx mode
@@ -43,7 +46,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, chain, groupby, repeat
 from math import frexp, gcd, lcm, ldexp, log10
@@ -93,17 +96,19 @@ class Component:
     mu: Optional[Fraction] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "p", as_exact(self.p))
-        object.__setattr__(self, "lam", as_exact(self.lam))
+        p, lam = as_exact(self.p), as_exact(self.lam)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "lam", lam)
         if self.mu is not None:
             object.__setattr__(self, "mu", as_exact(self.mu))
-        if not (0 <= self.p <= 1):
-            raise ReliabilityError(f"component {self.id!r}: p={self.p} outside [0,1]")
-        if self.lam < 0:
+        # a Fraction's denominator is positive: compare integers, not Fractions
+        if not 0 <= p.numerator <= p.denominator:
+            raise ReliabilityError(f"component {self.id!r}: p={p} outside [0,1]")
+        if lam.numerator < 0:
             raise ReliabilityError(f"component {self.id!r}: negative failure rate")
-        if self.mu is not None and self.mu < 0:
+        if self.mu is not None and self.mu.numerator < 0:
             raise ReliabilityError(f"component {self.id!r}: negative repair rate")
-        if self.p == 1 and self.lam != 0:
+        if p.numerator == p.denominator and lam.numerator:
             raise ReliabilityError(
                 f"component {self.id!r}: a perfect component must have zero failure rate"
             )
@@ -123,9 +128,9 @@ class Component:
 # Multilinear polynomials
 
 
-def _norm_terms(terms) -> Tuple[Tuple[Tuple[str, ...], Fraction], ...]:
-    """(sorted id tuple, nonzero coefficient) pairs in a canonical order;
-    keys naming the same set of ids are summed."""
+def _norm_terms(terms) -> Tuple[Tuple[Tuple, Fraction], ...]:
+    """(sorted key tuple, nonzero coefficient) pairs in a canonical order;
+    keys naming the same set of ids (or layout variables) are summed."""
     out = {}
     for ids, coeff in dict(terms).items():
         key = tuple(sorted(set(ids)))
@@ -288,24 +293,40 @@ class Entry(NamedTuple):
 
 @dataclass(frozen=True)
 class Layout:
-    """Where the nonzero entries of a ``dim`` x ``dim`` matrix sit, apart
-    from their values, so that every pair of one family and k shares one.
+    """One matrix function of a family, written once over local variables,
+    so that every pair of one family and k shares it.
 
     ``rows`` holds, row by row, ``(col, slot)`` for each nonzero position in
-    strictly increasing column order; ``slot`` indexes a pair's ``polys``,
-    and positions that hold one polynomial share a slot.  The constructor is
-    the one check of a layout: it rejects the wrong number of rows, a column
-    out of range, out of order or repeated, and a slot out of range or
-    unused.
+    strictly increasing column order; positions that hold one polynomial
+    share a slot.  ``polys`` holds each slot's polynomial over the variables
+    0..v-1, as a ``{(j, ...): coeff}`` map or its items, with the semantics
+    of :class:`MultilinearPoly` terms; it is stored normalised, and
+    ``variables`` is v.  A :class:`MatrixPair` binds each variable to a
+    component id.
+
+    The constructor is the one check of a layout: it rejects the wrong
+    number of rows, a column out of range, out of order or repeated, a slot
+    out of range or unused, a zero polynomial and a variable that no term
+    reads.  It also derives, once for every pair, what a compile reads:
+    each slot's terms as (coefficient, variable indices), with the
+    coefficients as integers over their lcm ``coeff_scale`` and as floats,
+    and ``degree``, the most variables in a term.
     """
 
     dim: int
     rows: Tuple[Tuple[Tuple[int, int], ...], ...]
-    slots: int
+    polys: Tuple[Tuple[Tuple[Tuple[int, ...], Fraction], ...], ...]
+    variables: int = field(init=False, compare=False)
+    degree: int = field(init=False, repr=False, compare=False)
+    coeff_scale: int = field(init=False, repr=False, compare=False)
+    int_terms: tuple = field(init=False, repr=False, compare=False)
+    float_terms: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rows = tuple(tuple((col, slot) for col, slot in row) for row in self.rows)
+        polys = tuple(map(_norm_terms, self.polys))
         object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "polys", polys)
         if self.dim < 1:
             raise DimensionMismatchError("empty matrix")
         if len(rows) != self.dim:
@@ -314,46 +335,75 @@ class Layout:
         for r, row in enumerate(rows):
             last = -1
             for col, slot in row:
-                if not last < col < self.dim or not 0 <= slot < self.slots:
+                if not last < col < self.dim or not 0 <= slot < len(polys):
                     raise ReliabilityError(f"position ({col}, slot {slot}) out of place in row {r}")
                 used.add(slot)
                 last = col
-        if len(used) != self.slots:
-            raise ReliabilityError(f"{self.slots - len(used)} of {self.slots} slots are unused")
+        if len(used) != len(polys):
+            raise ReliabilityError(f"{len(polys) - len(used)} of {len(polys)} slots are unused")
+        if not all(polys):
+            raise ReliabilityError("each slot needs a nonzero polynomial")
+        read = {j for poly in polys for vs, _ in poly for j in vs}
+        if read != set(range(len(read))):
+            unread = min(set(range(len(read))) - read)
+            raise ReliabilityError(f"variable {unread} of a {len(read)}-variable layout is read by no term")
+        num, scale = _scaler([c for poly in polys for _, c in poly], EXACT)
+        object.__setattr__(self, "variables", len(read))
+        object.__setattr__(self, "degree", max((len(vs) for poly in polys for vs, _ in poly), default=0))
+        object.__setattr__(self, "coeff_scale", scale)
+        object.__setattr__(self, "int_terms", tuple(tuple((num(c), vs) for vs, c in poly) for poly in polys))
+        object.__setattr__(self, "float_terms", tuple(tuple((float(c), vs) for vs, c in poly) for poly in polys))
+
+
+def _bound_poly(terms, ids) -> MultilinearPoly:
+    """A layout polynomial's ``terms`` with variable j read as ``ids[j]``;
+    terms that name one id twice or come to one set of ids are summed."""
+    out = {}
+    for vs, c in terms:
+        key = frozenset(ids[j] for j in vs)
+        out[key] = out.get(key, 0) + c
+    return MultilinearPoly(out)
 
 
 @dataclass(frozen=True)
 class MatrixPair:
-    """A square transfer matrix M, stored as its distinct polynomials over a
-    :class:`Layout`; its rate-operator image M' is derived in the pass from
-    the assignment's rates.
+    """A square transfer matrix M: a :class:`Layout` bound to components,
+    ``ids[j]`` being the component id of the layout's variable j.  Its
+    rate-operator image M' is derived in the pass from the assignment's
+    rates.
 
-    ``polys`` holds one nonzero polynomial per slot of ``layout``.  Pairs of
-    one family and k share one layout object and differ only in their
-    polys: a k x k bidiagonal pair stores q_i and p_i, not 2k - 1 entries.
-    The layout checked its positions once; the constructor checks in
-    O(slots) that the polys fit it.
+    Pairs of one family and k share one layout object and differ only in
+    their ids: a k-out-of-n pair binds one id, a ladder cell's five.  The
+    layout checked its positions and polynomials once; the constructor
+    checks in O(v) that the binding has one distinct id per variable.  Ids
+    that name one component twice need p_i p_i = p_i, which :meth:`bind`
+    gets from :meth:`from_entries`.  ``polys`` and ``m`` are read-only
+    views derived from the layout and the ids.
     """
 
-    dim: int
-    polys: Tuple[MultilinearPoly, ...]
     layout: Layout
+    ids: Tuple[str, ...]
 
     def __post_init__(self):
-        polys = tuple(self.polys)
-        object.__setattr__(self, "polys", polys)
-        if self.layout.dim != self.dim:
-            raise DimensionMismatchError(
-                f"a {self.layout.dim}x{self.layout.dim} layout for a {self.dim}x{self.dim} matrix"
-            )
-        if len(polys) != self.layout.slots:
-            raise ReliabilityError(f"{len(polys)} polynomials for {self.layout.slots} slots")
-        if any(poly.is_zero() for poly in polys):
-            raise ReliabilityError("each slot needs a nonzero polynomial")
+        ids = tuple(self.ids)
+        object.__setattr__(self, "ids", ids)
+        if len(ids) != self.layout.variables:
+            raise ReliabilityError(f"{len(ids)} ids for a layout of {self.layout.variables} variables")
+        if len(set(ids)) != len(ids):
+            raise ReliabilityError(f"ids {ids!r} name one component twice")
+
+    @property
+    def dim(self) -> int:
+        return self.layout.dim
 
     @property
     def shape(self) -> Tuple[int, int]:
         return (self.dim, self.dim)
+
+    @property
+    def polys(self) -> Tuple[MultilinearPoly, ...]:
+        """Each slot's polynomial over the bound ids."""
+        return tuple(_bound_poly(terms, self.ids) for terms in self.layout.polys)
 
     @property
     def m(self) -> Tuple[Tuple[Entry, ...], ...]:
@@ -366,10 +416,23 @@ class MatrixPair:
         )
 
     @classmethod
+    def bind(cls, layout: Layout, ids: Sequence) -> "MatrixPair":
+        """``layout`` bound to ``ids``.  Ids that name one component twice
+        go through :meth:`from_entries`, so that p_i p_i = p_i."""
+        ids = tuple(ids)
+        if len(set(ids)) == len(ids) or len(ids) != layout.variables:
+            return cls(layout, ids)  # the constructor checks the length
+        polys = [_bound_poly(terms, ids) for terms in layout.polys]
+        return cls.from_entries(layout.dim, [
+            (r, col, polys[slot]) for r, row in enumerate(layout.rows) for col, slot in row
+        ])
+
+    @classmethod
     def from_entries(cls, dim: int, entries: Iterable) -> "MatrixPair":
         """Pair from ``(row, col, poly)`` triples in any order.  Zero entries
-        are dropped, each distinct polynomial object gets one slot, and each
-        row is sorted by column; the layout's constructor then rejects a bad
+        are dropped, each distinct polynomial object gets one slot, each row
+        is sorted by column, and the variables are the sorted ids that the
+        polynomials read; the layout's constructor then rejects a bad
         column or a position given twice."""
         rows = [[] for _ in range(dim)]
         slots, polys = {}, []
@@ -383,11 +446,14 @@ class MatrixPair:
                     slot = slots[id(poly)] = len(polys)
                     polys.append(poly)
                 rows[r].append((c, slot))
-        return cls(dim, polys, Layout(dim, map(sorted, rows), len(polys)))
+        ids = sorted({cid for poly in polys for key, _ in poly._terms for cid in key})
+        var = {cid: j for j, cid in enumerate(ids)}
+        terms = [[(tuple(map(var.__getitem__, key)), c) for key, c in poly._terms] for poly in polys]
+        return cls(Layout(dim, map(sorted, rows), terms), ids)
 
     @classmethod
     def zero(cls, dim: int) -> "MatrixPair":
-        return cls(dim, (), Layout(dim, ((),) * dim, 0))
+        return cls(Layout(dim, ((),) * dim, ()), ())
 
 
 def identical_runs(items: Iterable) -> Iterator[Tuple[object, int]]:
@@ -601,25 +667,24 @@ class Step(NamedTuple):
     exponent: int
 
 
-def _duals(polys, values: Mapping, coeff, pad) -> list:
-    """(x, y) for each polynomial of ``polys`` in order, one per slot: the
+def _duals(terms, ps, lams, pad, zero) -> list:
+    """(x, y) for each slot of a layout's ``terms`` in order: the slot's
     polynomial and its rate-operator image, from one walk over its terms.
-    A term c prod p_i adds c prod p_i to x and c prod p_i sum lambda_i to
-    y, the eps-part of the term at p_i (1 + eps lambda_i) with eps^2 = 0.
-    ``values`` maps each id to its numbers (p, lambda), ``coeff`` maps a
-    coefficient to a number, and a term of s ids starts from its
-    coefficient times ``pad[s]``.  In approx mode every pad is 1 and x is
-    computed in the operation order of :meth:`MultilinearPoly.evaluate`, so
-    it equals that value."""
-    zero, duals = coeff(0), []
-    for poly in polys:
+    A term c prod p_j adds c prod p_j to x and c prod p_j sum lambda_j to
+    y, the eps-part of the term at p_j (1 + eps lambda_j) with eps^2 = 0.
+    ``ps`` and ``lams`` hold the numbers of each variable, and a term of s
+    variables starts from its coefficient times ``pad[s]``.  In approx mode
+    every pad is 1, and x is computed in the operation order of
+    :meth:`MultilinearPoly.evaluate` over ids that sort in variable order,
+    so it equals that value."""
+    duals = []
+    for slot in terms:
         x = y = zero
-        for ids, c in poly._terms:
-            term, lam_total = coeff(c) * pad[len(ids)], zero
-            for cid in ids:
-                p, lam = values[cid]
-                term = term * p
-                lam_total += lam
+        for c, vs in slot:
+            term, lam_total = c * pad[len(vs)], zero
+            for j in vs:
+                term = term * ps[j]
+                lam_total += lams[j]
             x += term
             y += term * lam_total
         duals.append((x, y))
@@ -629,44 +694,41 @@ def _duals(polys, values: Mapping, coeff, pad) -> list:
 def _compile(pair: MatrixPair, assignment: Mapping, mode: str) -> Step:
     """The dual values of the nonzero entries of M into a :class:`Step`.
 
-    Each slot's polynomial is evaluated once, and each row of the layout
-    gathers ``(col, x, y)`` from its slots: the q_i and p_i of a k-of-n
-    matrix fill all 2k - 1 positions from two walks.  An entry stays when x
-    or y is nonzero: q = 1 - p at p = 1 has x = 0 and y = -lambda.  The
-    assignment is read, checked and converted once per id that the
-    polynomials read, and nowhere else, so a streamed fold stays linear.
+    The assignment is read, checked and converted once per bound id, in
+    variable order, and nowhere else, so a streamed fold stays linear.
+    Each slot's polynomial is then walked once by variable index, and each
+    row of the layout gathers ``(col, x, y)`` from its slots: the q_i and
+    p_i of a k-of-n matrix fill all 2k - 1 positions from two walks.  An
+    entry stays when x or y is nonzero: q = 1 - p at p = 1 has x = 0 and
+    y = -lambda.  The coefficients, their lcm and the degree come
+    precomputed from the layout.
 
     Exact mode walks integers.  Each p is an integer over the lcm P of the
     p denominators, each lambda over their lcm L, each coefficient over the
-    lcm C of theirs, and a term of s ids is padded by P^(dmax - s), where
-    dmax is the most ids in a term.  Then x = X L / D and y = Y / D with
-    D = C P^dmax L, and dividing D and every value by their gcd makes the
-    scale the lcm of the values' reduced denominators.
+    layout's ``coeff_scale`` C, and a term of s variables is padded by
+    P^(d - s), where d is the layout's degree.  Then x = X L / D and
+    y = Y / D with D = C P^d L, and dividing D and every value by their gcd
+    makes the scale the lcm of the values' reduced denominators.
     """
-    polys = pair.polys
-    num = as_exact if mode == EXACT else float
-    values = {
-        cid: _read_value(assignment, cid, num)
-        for cid in sorted(set().union(*[ids for poly in polys for ids, _ in poly._terms]))
-    }
+    layout = pair.layout
+    values = [_read_value(assignment, cid, as_exact if mode == EXACT else float) for cid in pair.ids]
+    ps, lams = [p for p, _ in values], [lam for _, lam in values]
     if mode == EXACT:
-        p_num, p_den = _scaler([p for p, _ in values.values()], mode)
-        lam_num, lam_den = _scaler([lam for _, lam in values.values()], mode)
-        coeff, c_den = _scaler([c for poly in polys for _, c in poly._terms], mode)
-        dmax = max((len(ids) for poly in polys for ids, _ in poly._terms), default=0)
-        values = {cid: (p_num(p), lam_num(lam)) for cid, (p, lam) in values.items()}
-        duals = _duals(polys, values, coeff, [p_den ** (dmax - s) for s in range(dmax + 1)])
+        p_num, p_den = _scaler(ps, mode)
+        lam_num, lam_den = _scaler(lams, mode)
+        degree = layout.degree
+        pad = [p_den ** (degree - s) for s in range(degree + 1)]
+        duals = _duals(layout.int_terms, list(map(p_num, ps)), list(map(lam_num, lams)), pad, 0)
         duals = [(x * lam_den, y) for x, y in duals]
-        denom = c_den * p_den**dmax * lam_den
+        denom = layout.coeff_scale * p_den**degree * lam_den
         g = gcd(denom, *(v for xy in duals for v in xy))
         scale = denom // g
         duals = [(x // g, y // g) for x, y in duals]
     else:
-        # no term reads more ids than the whole pair does
-        duals = _duals(polys, values, float, (1,) * (len(values) + 1))
+        duals = _duals(layout.float_terms, ps, lams, (1,) * (layout.degree + 1), 0.0)
         scale = 1
     rows = []
-    for row in pair.layout.rows:
+    for row in layout.rows:
         out = []
         for c, slot in row:
             x, y = duals[slot]

@@ -1,7 +1,8 @@
 """Builders for k-out-of-n:G and linear consecutive k-out-of-n:F systems.
 
 Both families reduce to k x k transfer matrices, one matrix per component;
-a family's matrices share one layout and differ only in q_i and p_i.
+a family's matrices share one layout, written over one variable, and each
+binds it to its component's id.
 Component 1 sits adjacent to the right boundary vector; for the consecutive
 family the list order is the physical line order, so adjacency is encoded by
 position.  Closed forms for identical components are provided alongside.
@@ -18,7 +19,6 @@ from .core import (
     Component,
     Layout,
     MatrixPair,
-    MultilinearPoly,
     ReliabilityError,
     ReliabilityReport,
     TransferSystem,
@@ -56,16 +56,17 @@ class KofnSpec:
         return len(self.components)
 
 
-def _component_polys(comp: Component) -> Tuple[MultilinearPoly, MultilinearPoly]:
-    """(q_i, p_i) of one component, written as monomials."""
-    return MultilinearPoly({(): 1, (comp.id,): -1}), MultilinearPoly({(comp.id,): 1})
+# q_i = 1 - p_i and p_i over a pair's one variable, bound to component i
+_Q = {(): 1, (0,): -1}
+_P = {(0,): 1}
 
 
-def _superdiagonal_layout(k: int, col) -> Layout:
+def _superdiagonal_layout(k: int, col, polys) -> Layout:
     """k x k layout whose row r holds slot 0 at column ``col(r)`` and, for
-    r < k - 1, slot 1 on the superdiagonal; k = 1 has slot 0 only."""
+    r < k - 1, slot 1 on the superdiagonal; ``polys`` are the two slots'
+    polynomials, and k = 1 has slot 0 only."""
     rows = [((col(r), 0), (r + 1, 1)) for r in range(k - 1)] + [((col(k - 1), 0),)]
-    return Layout(k, rows, min(k, 2))
+    return Layout(k, rows, polys[:min(k, 2)])
 
 
 def build_kofn_g(spec: KofnSpec) -> TransferSystem:
@@ -80,11 +81,8 @@ def build_kofn_g(spec: KofnSpec) -> TransferSystem:
         raise ReliabilityError(f"expected family {FAMILY_G!r}, got {spec.family!r}")
     k = spec.k
     # q_i on the diagonal (slot 0), p_i on the superdiagonal (slot 1)
-    layout = _superdiagonal_layout(k, lambda r: r)
-    pairs = tuple(
-        MatrixPair(k, (q, p)[:layout.slots], layout)
-        for q, p in map(_component_polys, spec.components)
-    )
+    layout = _superdiagonal_layout(k, lambda r: r, (_Q, _P))
+    pairs = tuple(MatrixPair(layout, (c.id,)) for c in spec.components)
     v_left = (Fraction(1),) + (Fraction(0),) * (k - 1)
     v_right = (Fraction(1),) * k
     return TransferSystem(
@@ -111,11 +109,8 @@ def build_lincon_f(spec: KofnSpec) -> TransferSystem:
         )
     k = spec.k
     # p_i down the first column (slot 0), q_i on the superdiagonal (slot 1)
-    layout = _superdiagonal_layout(k, lambda r: 0)
-    pairs = tuple(
-        MatrixPair(k, (p, q)[:layout.slots], layout)
-        for q, p in map(_component_polys, spec.components)
-    )
+    layout = _superdiagonal_layout(k, lambda r: 0, (_P, _Q))
+    pairs = tuple(MatrixPair(layout, (c.id,)) for c in spec.components)
     v_left = (Fraction(1),) + (Fraction(0),) * (k - 1)
     v_right = (Fraction(1),) * k
     return TransferSystem(
@@ -133,7 +128,9 @@ def kofn_g_identical(k: int, n: int, p, lam) -> ReliabilityReport:
 
     The frequency is lam * k * C(n,k) * p^k * (1-p)^(n-k); the binomial index
     is k (verified against the generating-function expansion and the
-    transfer-matrix pass, see the genfunc tests).
+    transfer-matrix pass, see the genfunc tests).  At p = 1 the components
+    never fail, so lam is taken as 0, as :func:`identical_components` does;
+    a negative lam is rejected.
     """
     if not (1 <= k <= n):
         raise ReliabilityError(f"k={k} out of range for n={n}")
@@ -141,6 +138,10 @@ def kofn_g_identical(k: int, n: int, p, lam) -> ReliabilityReport:
     if not (0 <= p <= 1):
         raise ReliabilityError(f"p={p} outside [0,1]")
     lam = as_exact(lam)
+    if lam < 0:
+        raise ReliabilityError(f"negative failure rate {lam}")
+    if p == 1:
+        lam = Fraction(0)  # a perfect component never fails, as in identical_components
     a = kofn_availability(k, n, p)
     nu = lam * k * comb(n, k) * p**k * (1 - p) ** (n - k)
     return ReliabilityReport(

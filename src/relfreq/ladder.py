@@ -110,24 +110,27 @@ def entry_cell(b: Component, S: Component, T: Component) -> LadderCell:
     )
 
 
-# Slots 0-7 of a cell's polynomials; positions (0, 2) and (1, 2) share slot 2.
-_CELL_LAYOUT = Layout(3, (((0, 0), (1, 1), (2, 2)),
-                          ((0, 3), (1, 4), (2, 2)),
-                          ((0, 5), (1, 6), (2, 7))), 8)
+# Variables 0-4 are the cell's S, T, a, b, c: the sorted order of the ids
+# the builders and configs use (S1 < T1 < a1 < b1 < c1), so a float term
+# multiplies its factors in the order of MultilinearPoly.evaluate.  Slots
+# 0-7 hold the entries, and positions (0, 2) and (1, 2) share slot 2.
+_S, _T, _A, _B, _C = range(5)
+_CELL_LAYOUT = Layout(
+    3,
+    (((0, 0), (1, 1), (2, 2)),
+     ((0, 3), (1, 4), (2, 2)),
+     ((0, 5), (1, 6), (2, 7))),
+    ({(_A, _S): 1}, {(_B, _C, _S, _T): 1}, {(_A, _B, _C, _S, _T): 1},
+     {(_A, _B, _S, _T): 1}, {(_C, _T): 1},
+     {(_A, _B, _S, _T): -1}, {(_B, _C, _S, _T): -1},
+     {(_A, _C, _S, _T): 1, (_A, _B, _C, _S, _T): -2}),
+)
 
 
 def cell_matrix_pair(cell: LadderCell) -> MatrixPair:
-    """The cell's 3x3 transfer matrix, each entry written as its monomials,
-    over the one cell layout that every cell's pair shares."""
-    a, b, c, S, T = (comp.id for comp in cell.components())
-    P = MultilinearPoly
-    polys = (
-        P({(a, S): 1}), P({(b, c, S, T): 1}), P({(a, b, c, S, T): 1}),
-        P({(a, b, S, T): 1}), P({(c, T): 1}),
-        P({(a, b, S, T): -1}), P({(b, c, S, T): -1}),
-        P({(a, c, S, T): 1, (a, b, c, S, T): -2}),
-    )
-    return MatrixPair(3, polys, _CELL_LAYOUT)
+    """The cell's 3x3 transfer matrix: the one cell layout that every
+    cell's pair shares, bound to the cell's component ids."""
+    return MatrixPair.bind(_CELL_LAYOUT, (cell.S.id, cell.T.id, cell.a.id, cell.b.id, cell.c.id))
 
 
 def build_ladder(spec: LadderSpec) -> TransferSystem:

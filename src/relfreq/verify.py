@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import List
 
-from .core import Component, TransferSystem, single_pass
+from .core import Component, MatrixPair, TransferSystem, single_pass
 from .kofn import (
     FAMILY_G,
     FAMILY_LINCON_F,
@@ -110,9 +110,14 @@ def _random_ladder(rng: random.Random, max_components: int):
 
 
 def _corrupt_system(system: TransferSystem) -> TransferSystem:
-    """Test hook: perturb the first matrix's slot 0 so equivalence must fail."""
+    """Test hook: perturb the first matrix's slot 0, at every position that
+    holds it, so equivalence must fail."""
     pair = system.pairs[0]
-    bad = replace(pair, polys=(pair.polys[0] + Fraction(1, 97),) + pair.polys[1:])
+    polys = list(pair.polys)
+    polys[0] += Fraction(1, 97)
+    bad = MatrixPair.from_entries(pair.dim, [
+        (r, col, polys[slot]) for r, row in enumerate(pair.layout.rows) for col, slot in row
+    ])
     return replace(system, pairs=(bad,) + system.pairs[1:])
 
 

@@ -6,7 +6,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from relfreq.core import Component
+from relfreq.core import Component, apply_rate_operator
 from relfreq.kofn import KofnSpec
 from relfreq.ladder import LadderCell, LadderSpec, TERMINAL_T, entry_cell
 
@@ -45,6 +45,27 @@ def distinct_ladder_spec(p, rho, lam, xi, n, terminal=TERMINAL_T):
             )
         )
     return LadderSpec(tuple(cells), terminal)
+
+
+def dense_fraction_fold(system, assignment):
+    """(A, nu) by a plain dense Fraction fold, one matrix product per step."""
+    avail = {cid: p for cid, (p, _) in assignment.items()}
+    rates = {cid: lam for cid, (_, lam) in assignment.items()}
+    dim = system.dim
+    a, v = list(system.v_right), [Fraction(0)] * dim
+    for pair in system.pairs:
+        m = [[Fraction(0)] * dim for _ in range(dim)]
+        mp = [[Fraction(0)] * dim for _ in range(dim)]
+        for r, c, e in (e for row in pair.m for e in row):
+            m[r][c] = e.evaluate(avail)
+            mp[r][c] = apply_rate_operator(e, rates).evaluate(avail)
+        a, v = (
+            [sum(m[r][j] * a[j] for j in range(dim)) for r in range(dim)],
+            [sum(m[r][j] * v[j] + mp[r][j] * a[j] for j in range(dim)) for r in range(dim)],
+        )
+    x = sum(l * ai for l, ai in zip(system.v_left, a))
+    y = sum(l * vi for l, vi in zip(system.v_left, v))
+    return system.offset + system.sign * x, system.sign * y
 
 
 ROOT = Path(__file__).resolve().parent.parent

@@ -327,6 +327,40 @@ class TestSolveCommand:
         assert not out.exists()
 
 
+CUSTOM_1X1 = {
+    "family": "custom-matrices",
+    "components": [{"id": "x", "p": "3/4", "lambda": "2"}],
+    "v_left": ["1"],
+    "v_right": ["1"],
+    "matrices": [[[[["1", ["x"]]]]]],
+}
+MALFORMED = {
+    **{f"sweep-{family}-{flag[2:]}": (
+        ["sweep", "--family", family, "--param", "n", "--range", "1:2:1", flag, value], flag)
+       for family in ("kofn-g", "lincon-f", "ladder")
+       for flag, value in (("--lam", "abc"), ("--p", "0.x"))},
+    "sweep-ladder-rho": (["sweep", "--family", "ladder", "--param", "n", "--range", "1:2:1",
+                          "--rho", "one"], "--rho"),
+    "sweep-ladder-xi": (["sweep", "--family", "ladder", "--param", "p", "--range", "0.5:0.6:0.1",
+                         "--xi", "1/0"], "--xi"),
+    "cells-entry": ({"family": "ladder", "cells": [5]}, "cells[0]"),
+    "cells": ({"family": "ladder", "cells": 5}, "cells"),
+    "matrices-entry": ({**CUSTOM_1X1, "matrices": [5]}, "matrices[0]"),
+    "matrices-row": ({**CUSTOM_1X1, "matrices": [[5]]}, "matrices[0]"),
+    "matrices": ({**CUSTOM_1X1, "matrices": 5}, "matrices"),
+    "v_left": ({**CUSTOM_1X1, "v_left": "1"}, "v_left"),
+    "v_right": ({**CUSTOM_1X1, "v_right": 5}, "v_right"),
+}
+
+
+@pytest.mark.parametrize("command, field", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_input_exits_2_and_names_the_field(tmp_path, capsys, command, field):
+    if isinstance(command, dict):
+        command = ["solve", write_config(tmp_path, command)]
+    assert main(command) == EXIT_PARSE
+    assert field in capsys.readouterr().err
+
+
 class TestSweepCommand:
     def read_rows(self, capsys):
         return list(csv.DictReader(io.StringIO(capsys.readouterr().out)))

@@ -45,11 +45,12 @@ from relfreq.oracle import (
     truth_table_structure,
 )
 
-from helpers import distinct_ladder_spec, run_python
+from helpers import dense_fraction_fold, distinct_ladder_spec, run_python
 
 P1 = MultilinearPoly.variable("p1")
 P2 = MultilinearPoly.variable("p2")
 P3 = MultilinearPoly.variable("p3")
+X0 = {(0,): 1}  # p_0, the polynomial of a layout's variable 0
 
 
 def rationals(max_num=30, max_den=9):
@@ -177,32 +178,47 @@ class TestMatrixPair:
             MatrixPair.from_entries(2, entries)
 
     @pytest.mark.parametrize(
-        "dim, rows, slots",
-        [(2, ((),), 0), (2, ((), (), ()), 0), (0, (), 0),
-         (2, (((0, 0),), ((2, 0),)), 1), (2, (((-1, 0),), ()), 1),
-         (2, (((1, 0), (0, 0)), ()), 1), (2, (((0, 0), (0, 1)), ()), 2),
-         (2, (((0, 1),), ()), 1), (2, (((0, -1),), ()), 1), (2, (((0, 0),), ()), 2)],
+        "dim, rows, polys",
+        [(2, ((),), ()), (2, ((), (), ()), ()), (0, (), ()),
+         (2, (((0, 0),), ((2, 0),)), (X0,)), (2, (((-1, 0),), ()), (X0,)),
+         (2, (((1, 0), (0, 0)), ()), (X0,)), (2, (((0, 0), (0, 1)), ()), (X0, X0)),
+         (2, (((0, 1),), ()), (X0,)), (2, (((0, -1),), ()), (X0,)), (2, (((0, 0),), ()), (X0, X0))],
         ids=["too-few-rows", "too-many-rows", "empty", "column", "negative-column",
              "unsorted", "repeated-column", "slot", "negative-slot", "unused-slot"],
     )
-    def test_layout_rejects_malformed_rows(self, dim, rows, slots):
+    def test_layout_rejects_malformed_rows(self, dim, rows, polys):
         with pytest.raises(ReliabilityError):
-            Layout(dim, rows, slots)
+            Layout(dim, rows, polys)
 
     @pytest.mark.parametrize(
-        "dim, polys",
-        [(3, (P1,)), (2, ()), (2, (P1, P2)), (2, (MultilinearPoly.zero(),))],
-        ids=["dim", "too-few-polys", "too-many-polys", "zero"],
+        "dim, polys, ids",
+        [(3, (X0,), ("x",)), (2, ({(0, 1): 1},), ("x",)), (2, (X0,), ("x", "y")),
+         (2, ({},), ("x",)), (2, ({(0,): 1, (0, 1): 0},), ("x", "y")),
+         (2, ({(1,): 1},), ("y",)), (2, ({(0, 1): 1},), ("x", "x"))],
+        ids=["dim", "too-few-polys", "too-many-polys", "zero", "zero-coefficient",
+             "unread-variable", "repeated-id"],
     )
-    def test_pair_rejects_polys_that_do_not_fit_its_layout(self, dim, polys):
-        layout = Layout(2, (((0, 0),), ((1, 0),)), 1)
+    def test_pair_rejects_polys_that_do_not_fit_its_layout(self, dim, polys, ids):
+        # a pair binds one distinct id to each variable of a valid layout,
+        # and a system takes only pairs of its own dimension
         with pytest.raises(ReliabilityError):
-            MatrixPair(dim, polys, layout)
+            layout = Layout(dim, [((r, 0),) for r in range(dim)], polys)
+            TransferSystem((1, 0), (MatrixPair(layout, ids),), (1, 0))
 
     def test_from_entries_gives_each_polynomial_object_one_slot(self):
         pair = MatrixPair.from_entries(2, [(0, 0, P1), (1, 1, P1), (0, 1, P2)])
         assert pair.polys == (P1, P2)
-        assert pair.layout == Layout(2, (((0, 0), (1, 1)), ((1, 0),)), 2)
+        assert pair.ids == ("p1", "p2")
+        assert pair.layout == Layout(2, (((0, 0), (1, 1)), ((1, 0),)), ({(0,): 1}, {(1,): 1}))
+
+    def test_bind_reads_an_id_named_twice_once(self):
+        # p_i p_i = p_i: a binding that names one id twice is not a power
+        layout = Layout(1, (((0, 0),),), ({(0, 1): 1, (): 1},))
+        pair = MatrixPair.bind(layout, ("x", "x"))
+        assert pair.ids == ("x",) and pair.polys == (MultilinearPoly({("x",): 1, (): 1}),)
+        assert MatrixPair.bind(layout, ("x", "y")) == MatrixPair(layout, ("x", "y"))
+        with pytest.raises(ReliabilityError):
+            MatrixPair.bind(layout, ("x",))
 
 
 def one_component_system(p=F(3, 4), lam=F(2)):
@@ -493,27 +509,6 @@ def fold_cases(draw):
     return system, {cid: (draw(p), draw(rates)) for cid in FOLD_IDS}
 
 
-def dense_fraction_fold(system, assignment):
-    """(A, nu) by a plain dense Fraction fold, one matrix product per step."""
-    avail = {cid: p for cid, (p, _) in assignment.items()}
-    rates = {cid: lam for cid, (_, lam) in assignment.items()}
-    dim = system.dim
-    a, v = list(system.v_right), [F(0)] * dim
-    for pair in system.pairs:
-        m = [[F(0)] * dim for _ in range(dim)]
-        mp = [[F(0)] * dim for _ in range(dim)]
-        for r, c, e in (e for row in pair.m for e in row):
-            m[r][c] = e.evaluate(avail)
-            mp[r][c] = apply_rate_operator(e, rates).evaluate(avail)
-        a, v = (
-            [sum(m[r][j] * a[j] for j in range(dim)) for r in range(dim)],
-            [sum(m[r][j] * v[j] + mp[r][j] * a[j] for j in range(dim)) for r in range(dim)],
-        )
-    x = sum(l * ai for l, ai in zip(system.v_left, a))
-    y = sum(l * vi for l, vi in zip(system.v_left, v))
-    return system.offset + system.sign * x, system.sign * y
-
-
 def _vanishing_entry_case():
     """1 - x1 at x1 = (1, 2) is 0, with rate-operator image -2 at (0, 0)."""
     x1 = MultilinearPoly.variable("x1")
@@ -564,6 +559,70 @@ class TestFractionFreeFold:
             )
         direct = single_pass(system, assignment, mode)
         assert (folded.availability, folded.frequency) == (direct.availability, direct.frequency)
+
+
+BINDING_IDS = ("x1", "x2", "x3", "x4")
+
+
+@st.composite
+def bound_layouts(draw):
+    """(layout, ids, assignment): a layout of dimension 1-3 whose slots hold
+    polynomials of up to three terms over up to four variables, each term
+    reading up to three, with every variable read; ``ids`` binds them to
+    distinct ids in any order."""
+    dim = draw(st.integers(1, 3))
+    read = st.frozensets(st.integers(0, 3), max_size=3)
+    poly = st.dictionaries(read, mixed_rationals().filter(bool), min_size=1, max_size=3)
+    cells = draw(st.lists(st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1)),
+                          unique=True, min_size=1, max_size=dim * dim))
+    polys = draw(st.lists(poly, min_size=1, max_size=len(cells)))
+    extra = st.integers(0, len(polys) - 1)
+    slots = draw(st.permutations(list(range(len(polys))) + draw(
+        st.lists(extra, min_size=len(cells) - len(polys), max_size=len(cells) - len(polys)))))
+    rows = [sorted((c, slot) for (r, c), slot in zip(cells, slots) if r == row) for row in range(dim)]
+    # renumber the variables the terms read to 0..v-1, so that none is unread
+    var = {j: i for i, j in enumerate(sorted(set().union(*(key for poly in polys for key in poly))))}
+    polys = [{frozenset(map(var.get, key)): c for key, c in poly.items()} for poly in polys]
+    ids = draw(st.permutations(BINDING_IDS))[:len(var)]
+    p = st.builds(F, st.integers(0, 7), st.just(7)) | st.sampled_from([F(1, 3), F(9, 10)])
+    rates = st.sampled_from([F(0), F(1, 3), F(2), F(5, 7), F(4, 11)])
+    assignment = {cid: (draw(p), draw(rates)) for cid in BINDING_IDS}
+    return Layout(dim, rows, polys), tuple(ids), assignment
+
+
+class TestBoundLayouts:
+    @given(bound_layouts())
+    @settings(max_examples=150, deadline=None)
+    def test_compile_equals_compile_of_the_derived_entries(self, case):
+        layout, ids, assignment = case
+        pair, sorted_pair = MatrixPair(layout, ids), MatrixPair(layout, sorted(ids))
+        # from_entries numbers the variables in sorted id order, so an approx
+        # product multiplies its factors in the same order only when the
+        # binding is sorted; exact mode takes any binding
+        compile_ = relfreq.core._compile
+        for mode, bound in (("exact", pair), ("approx", sorted_pair)):
+            twin = MatrixPair.from_entries(layout.dim, [e for row in bound.m for e in row])
+            assert compile_(bound, assignment, mode) == compile_(twin, assignment, mode)
+        vector = tuple(F(i + 1, 3) for i in range(layout.dim))
+        system = TransferSystem(vector, [pair, sorted_pair, pair, pair], vector[::-1], offset=F(1, 2))
+        report = single_pass(system, assignment)
+        assert (report.availability, report.frequency) == dense_fraction_fold(system, assignment)
+
+    def test_builders_make_no_polynomial_objects(self, monkeypatch):
+        made = []
+        init = MultilinearPoly.__init__
+
+        def counting(self, terms=()):
+            made.append(terms)
+            init(self, terms)
+
+        monkeypatch.setattr(MultilinearPoly, "__init__", counting)
+        ladder = build_ladder(distinct_ladder_spec(F(2, 3), F(4, 5), F(3), F(1, 2), 50))
+        comps = tuple(Component(f"c{i}", F(i, 61), F(i, 7)) for i in range(1, 61))
+        kofn = build_kofn_g(KofnSpec(20, comps))
+        lincon = build_lincon_f(KofnSpec(20, comps, family=FAMILY_LINCON_F))
+        assert made == []
+        assert (len(ladder.pairs), len(kofn.pairs), len(lincon.pairs)) == (51, 60, 60)
 
 
 def slices():
@@ -653,3 +712,17 @@ class TestComponent:
     def test_probability_bounds(self):
         with pytest.raises(ReliabilityError):
             Component("x", F(11, 10))
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [(("x", F(11, 10)), "component 'x': p=11/10 outside [0,1]"),
+         (("x", F(-1, 10)), "component 'x': p=-1/10 outside [0,1]"),
+         (("x", F(1, 2), F(-1, 3)), "component 'x': negative failure rate"),
+         (("x", F(1, 2), F(1), F(-2)), "component 'x': negative repair rate"),
+         (("x", 1, F(1, 3)), "component 'x': a perfect component must have zero failure rate")],
+        ids=["above-one", "below-zero", "negative-rate", "negative-repair", "perfect-with-rate"],
+    )
+    def test_rejections_name_the_component_and_the_fault(self, args, message):
+        with pytest.raises(ReliabilityError) as info:
+            Component(*args)
+        assert str(info.value) == message

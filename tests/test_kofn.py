@@ -244,6 +244,20 @@ class TestIdenticalClosedForm:
         assert closed.availability == oracle_availability(sf, pm)
         assert closed.frequency == oracle_frequency(sf, pm, rm)
 
+    @pytest.mark.parametrize("p", [F(0), F(1, 2), F(1)])
+    def test_equals_the_pass_for_every_p(self, p):
+        # at p = 1 a component never fails, so the pass gives it rate 0
+        for n in range(1, 5):
+            comps = identical_components(n, p, lam=F(3))
+            for k in range(1, n + 1):
+                closed = kofn_g_identical(k, n, p, F(3))
+                report = single_pass(build_kofn_g(KofnSpec(k, comps)))
+                assert (closed.availability, closed.frequency) == (report.availability, report.frequency)
+
+    def test_negative_rate_rejected(self):
+        with pytest.raises(ReliabilityError):
+            kofn_g_identical(2, 3, F(1, 2), F(-1))
+
 
 class TestHighlyReliable:
     def test_approx_unavailability_is_the_chain_product(self):

@@ -94,6 +94,24 @@ class TestCellMatrix:
         assert all(pair.layout is pairs[0].layout for pair in pairs)
         assert [len(pair.polys) for pair in pairs] == [8] * 4
 
+    @pytest.mark.parametrize(
+        "terminal, availability, frequency",
+        [(TERMINAL_S, F(3, 5), F(9, 10)), (TERMINAL_T, F(3, 5), F(101, 100))],
+    )
+    def test_cell_whose_rail_and_rung_share_an_id(self, terminal, availability, frequency):
+        # a and b of cell 1 are one edge e1, so p_e p_e = p_e: S1 is reached
+        # with probability p_e rho_S1 = 3/5, not p_e^2 rho_S1
+        e = Component("e1", F(2, 3), F(1))
+        cells = (
+            entry_cell(Component("b0", F(1, 2), F(1)), Component("S0", F(1)), Component("T0", F(1))),
+            LadderCell(a=e, b=e, c=Component("c1", F(3, 4), F(2)),
+                       S=Component("S1", F(9, 10), F(1, 2)), T=Component("T1", F(4, 5), F(1, 3)),
+                       index=1),
+        )
+        assert cell_matrix_pair(cells[1]).ids == ("S1", "T1", "c1", "e1")
+        report = single_pass(build_ladder(LadderSpec(cells, terminal)))
+        assert (report.availability, report.frequency) == (availability, frequency)
+
     def test_entry_cell_validation(self):
         bad = LadderCell(
             a=Component("a0", F(1, 2), F(1)),

@@ -13,3 +13,13 @@ def test_sweep_log_derivatives():
     proc = run_python(str(ROOT / "scripts" / "sweep_log_derivatives.py"))
     assert proc.returncode == 0, proc.stderr
     assert "# max dLnZeta" in proc.stderr
+
+
+def test_output_digest():
+    proc = run_python(str(ROOT / "scripts" / "output_digest.py"))
+    assert proc.returncode == 0, proc.stderr
+    lines = [line.split("  ", 1) for line in proc.stdout.splitlines()]
+    names = [name for _, name in lines]
+    assert len(names) == len(set(names)) == 19
+    assert all(len(digest) == 64 and int(digest, 16) >= 0 for digest, _ in lines)
+    assert "solve ladder-600 approx" in names and "verify seed 3 corrupt" in names

@@ -2,10 +2,12 @@
 """Print one SHA-256 digest per output of a fixed, seeded set of runs.
 
 The set covers exact and approx ``relfreq solve`` reports of the two worked
-examples, a 600-cell heterogeneous ladder, a 50-of-200:G system and a
-2x2 custom-matrices system with offset 1 and sign -1; a ladder ``sweep``
-CSV; and ``relfreq verify --trials 200`` at seeds 0-3, clean and with the
-corrupting test hook, whose mismatch line prints rationals.  Every input
+examples, a 600-cell heterogeneous ladder, a 40-cell ladder whose cells
+reuse component ids, a 50-of-200:G system and a 2x2 custom-matrices system
+with offset 1 and sign -1; ``sweep`` CSVs over p of a ladder, a k-of-n:G
+and a consecutive-k-of-n:F system; and ``relfreq verify --trials 200`` at
+seeds 0-3, clean and with the corrupting test hook, whose mismatch line
+prints rationals.  Every input
 is built here from fixed seeds, so two checkouts give identical lines
 exactly when their outputs are byte-identical:
 
@@ -51,6 +53,25 @@ def heterogeneous_ladder(rng, cells):
     rows = [{key: comp(f"{key}0") for key in "bST"}]
     rows += [{key: comp(f"{key}{i}") for key in "abcST"} for i in range(1, cells + 1)]
     return {"family": "ladder", "rate_convention": "explicit", "terminal": "Tn", "cells": rows}
+
+
+def shared_id_ladder(rng, cells):
+    """Cell i's top rail and rung are one component r{i}, its bottom rail
+    c{i // 2} is shared with a neighbouring cell, and every cell's S node
+    is the one component S, so a pair binds an id twice and cells share
+    ids; one id always has one p and lambda."""
+    values = {}
+
+    def comp(cid):
+        if cid not in values:
+            values[cid] = {"id": cid, "p": f"{rng.randint(800, 990)}/1000",
+                           "lambda": f"{rng.randint(1, 20)}/10"}
+        return values[cid]
+
+    rows = [{"b": comp("r0"), "S": comp("S"), "T": comp("T0")}]
+    rows += [{"a": comp(f"r{i}"), "b": comp(f"r{i}"), "c": comp(f"c{i // 2}"),
+              "S": comp("S"), "T": comp(f"T{i}")} for i in range(1, cells + 1)]
+    return {"family": "ladder", "rate_convention": "explicit", "terminal": "Sn", "cells": rows}
 
 
 def kofn_50_of_200(rng):
@@ -99,6 +120,7 @@ def digests(workdir: Path):
         "worked-5-of-8-G": worked_5_of_8(),
         "worked-lincon-4-of-11-F": worked_lincon_4_of_11(),
         "ladder-600": heterogeneous_ladder(random.Random(600), 600),
+        "ladder-40-shared-ids": shared_id_ladder(random.Random(40), 40),
         "kofn-50-of-200-G": kofn_50_of_200(random.Random(200)),
         "custom-offset-sign": custom_offset_sign(),
     }
@@ -109,11 +131,16 @@ def digests(workdir: Path):
             out_path = workdir / f"{name}.{mode}.out"
             code, _ = run(["solve", str(cfg_path), "--mode", mode, "--out", str(out_path)])
             yield f"solve {name} {mode}", f"exit {code}\n".encode() + read(out_path)
-    csv_path = workdir / "sweep.csv"
-    code, _ = run(["sweep", "--family", "ladder", "--param", "p", "--range", "0.05:0.95:0.1",
-                   "--n", "3000", "--rho", "0.99", "--lam", "1", "--xi", "0.5",
-                   "--out", str(csv_path)])
-    yield "sweep ladder p", f"exit {code}\n".encode() + read(csv_path)
+    sweeps = {
+        "ladder": ["--n", "3000", "--rho", "0.99", "--lam", "1", "--xi", "0.5"],
+        "kofn-g": ["--k", "10", "--n", "30", "--lam", "3/2"],
+        "lincon-f": ["--k", "3", "--n", "40", "--lam", "1/3"],
+    }
+    for family, flags in sweeps.items():
+        csv_path = workdir / f"sweep-{family}.csv"
+        code, _ = run(["sweep", "--family", family, "--param", "p", "--range", "0.05:0.95:0.1",
+                       *flags, "--out", str(csv_path)])
+        yield f"sweep {family} p", f"exit {code}\n".encode() + read(csv_path)
     for seed in range(4):
         for extra in ([], ["--corrupt"]):
             code, text = run(["verify", "--trials", "200", "--seed", str(seed), *extra])

@@ -9,7 +9,7 @@ per unit repair rate.
 from fractions import Fraction
 
 from relfreq.core import Component, single_pass
-from relfreq.kofn import FAMILY_LINCON_F, KofnSpec, build_kofn_g, build_lincon_f
+from relfreq.kofn import KofnSpec, build_kofn_g, build_lincon_f
 from relfreq.scalars import rational_str
 
 
@@ -41,7 +41,7 @@ def main():
         "Lin/Con/4/11:F, p = 0.70 .. 0.90",
         single_pass(
             build_lincon_f(
-                KofnSpec(4, comps_11, family=FAMILY_LINCON_F, rate_unit="mu")
+                KofnSpec(4, comps_11, rate_unit="mu")
             )
         ),
     )

@@ -62,12 +62,16 @@ def log_derivatives(p: float) -> Tuple[float, float]:
     return d_zeta, d_alpha
 
 
-def dominant_amplitude(p: float, n_fit: int = 60) -> float:
+# the ladder length at which dominant_amplitude reads alpha+
+_FIT_CELLS = 60
+
+
+def dominant_amplitude(p: float) -> float:
     """alpha+ extracted from the closed form: R_Tn / zeta+^n at large n."""
     _, zp, _ = eigenvalues(p, 1.0)
-    params = LadderIdenticalParams(p, 1.0, 0.0, 0.0, n_fit)
+    params = LadderIdenticalParams(p, 1.0, 0.0, 0.0, _FIT_CELLS)
     _, r_t = ladder_closed_form(params, mode="approx")
-    return r_t / zp**n_fit
+    return r_t / zp**_FIT_CELLS
 
 
 def ladder_asymptotics(p: float) -> LadderAsymptotics:

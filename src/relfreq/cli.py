@@ -26,7 +26,7 @@ from .core import (
     TransferSystem,
     single_pass,
 )
-from .kofn import FAMILY_G, FAMILY_LINCON_F, KofnSpec, build_kofn_g, build_lincon_f, identical_components
+from .kofn import KofnSpec, build_kofn_g, build_lincon_f, identical_components
 from .ladder import (
     LadderCell,
     LadderIdenticalParams,
@@ -88,11 +88,11 @@ def _parse_component(entry: dict, convention: str, where: str) -> Component:
 
 def _parse_poly(entry, where: str) -> MultilinearPoly:
     """Entry format: list of terms, each [coeff_string] or [coeff_string,
-    [id, ...]].  Terms over the same set of ids are summed into one map, and
+    [id, ...]].  Terms over the same set of ids are summed, and
     p_i p_i = p_i."""
     if not isinstance(entry, list):
         raise ConfigError(f"{where}: matrix entry must be a list of terms")
-    terms = {}
+    terms = []
     for term in entry:
         if not isinstance(term, list) or not (
             len(term) == 1 or len(term) == 2 and isinstance(term[1], list)
@@ -102,8 +102,7 @@ def _parse_poly(entry, where: str) -> MultilinearPoly:
             coeff = parse_scalar(str(term[0]))
         except ValueError as exc:
             raise ConfigError(f"{where}: {exc}") from exc
-        ids = frozenset(str(cid) for cid in (term[1] if len(term) == 2 else ()))
-        terms[ids] = terms.get(ids, 0) + coeff
+        terms.append(([str(cid) for cid in term[1]] if len(term) == 2 else (), coeff))
     return MultilinearPoly(terms)
 
 
@@ -141,10 +140,8 @@ def build_from_config(cfg: dict) -> TransferSystem:
         comps = tuple(
             _parse_component(e, convention, f"components[{i}]") for i, e in enumerate(raw)
         )
-        k = _integer(cfg, "k")
-        fam = FAMILY_G if family == "kofn-g" else FAMILY_LINCON_F
-        spec = KofnSpec(k, comps, family=fam, rate_unit=rate_unit)
-        return build_kofn_g(spec) if fam == FAMILY_G else build_lincon_f(spec)
+        build = build_kofn_g if family == "kofn-g" else build_lincon_f
+        return build(KofnSpec(_integer(cfg, "k"), comps, rate_unit=rate_unit))
 
     if family == "ladder":
         terminal = cfg.get("terminal", TERMINAL_T)
@@ -236,9 +233,9 @@ def _write_out(path: Optional[str], text: str) -> int:
 
 
 def _parse_range(text: str, integral: bool):
-    """Values a, a + step, ... up to b.  Row i of a real range is a + i * step,
-    computed exactly from the decimal strings and then made a float, so the
-    values do not drift as repeated float sums do."""
+    """Values a, a + step, ... up to b.  Row i of a real range is the exact
+    rational a + i * step of the decimal strings, so the values do not
+    drift as repeated float sums do."""
     try:
         a, b, step = (int(x) if integral else Fraction(x) for x in text.split(":"))
     except (ValueError, ZeroDivisionError) as exc:
@@ -246,29 +243,27 @@ def _parse_range(text: str, integral: bool):
     if step <= 0 or b < a:
         raise ConfigError(f"bad range {text!r}: need step > 0 and b >= a")
     count = (b - a) // step + 1
-    return [a + i * step if integral else float(a + i * step) for i in range(count)]
+    return [a + i * step for i in range(count)]
 
 
 def _sweep_point(args, fixed: dict, param: str, value):
     """One sweep row: (A, log10_A, nu_bar, lambda_bar, d_ln_zeta, d_ln_alpha).
-    ``fixed`` holds the parsed --p, --rho, --lam and --xi and the --n."""
+    ``fixed`` holds the parsed --p, --rho, --lam and --xi and the --n, and
+    ``value`` is exact; the CSV gets it as a float."""
     fixed = {**fixed, param: value}
     n = int(fixed["n"])
-    if args.family == "kofn-g":
-        comps = identical_components(n, _frac(fixed["p"]), lam=_frac(fixed["lam"]))
-        system = build_kofn_g(KofnSpec(args.k, comps))
-    elif args.family == "lincon-f":
-        comps = identical_components(n, _frac(fixed["p"]), lam=_frac(fixed["lam"]))
-        system = build_lincon_f(KofnSpec(args.k, comps, family=FAMILY_LINCON_F))
-    else:
+    if args.family == "ladder":
         params = LadderIdenticalParams(
             float(fixed["p"]), float(fixed["rho"]), float(fixed["lam"]),
             float(fixed["xi"]), n,
         )
         system = build_ladder(identical_ladder_spec(params, args.terminal))
+    else:
+        build = build_kofn_g if args.family == "kofn-g" else build_lincon_f
+        system = build(KofnSpec(args.k, identical_components(n, fixed["p"], lam=fixed["lam"])))
     report = single_pass(system, mode=APPROX)
     row = {
-        param: value,
+        param: value if param == "n" else float(value),
         "A": report.availability,
         "log10_A": report.log10_availability,  # csv writes None as ""
         "nu_bar": report.frequency,
@@ -282,10 +277,6 @@ def _sweep_point(args, fixed: dict, param: str, value):
         else:
             row["dLnZeta"] = row["dLnAlpha"] = ""
     return row
-
-
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(str(x))
 
 
 def cmd_sweep(args) -> int:

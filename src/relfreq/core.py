@@ -14,8 +14,9 @@ A family applies one matrix function to every component's values, so a
 :class:`Layout` holds that function once: its ``(col, slot)`` positions
 row by row and one polynomial per slot over local variables 0..v-1.  A
 :class:`MatrixPair` binds a layout to the component ids of its variables,
-so a pair stores no polynomial, and M' is not stored, since it follows
-from M and the rates.
+so a pair stores no polynomial; a binding that names one component twice
+is rewritten over its distinct ids, so that p_i p_i = p_i.  M' is not
+stored, since it follows from M and the rates.
 
 One fold runs every pass: :func:`single_pass` folds all of a system's
 pairs, :func:`stream_step` folds one.  With eps^2 = 0, a step of the
@@ -129,13 +130,13 @@ class Component:
 
 
 def _norm_terms(terms) -> Tuple[Tuple[Tuple, Fraction], ...]:
-    """(sorted key tuple, nonzero coefficient) pairs in a canonical order;
-    keys naming the same set of ids (or layout variables) are summed."""
+    """(sorted key tuple, nonzero coefficient) pairs in a canonical order,
+    from a ``{ids: coeff}`` map or its items; keys naming the same set of
+    ids (or layout variables) are summed, also when items repeat a key."""
     out = {}
-    for ids, coeff in dict(terms).items():
+    for ids, coeff in terms.items() if isinstance(terms, Mapping) else terms:
         key = tuple(sorted(set(ids)))
-        coeff = as_exact(coeff)
-        out[key] = out[key] + coeff if key in out else coeff
+        out[key] = out.get(key, 0) + as_exact(coeff)
     return tuple(sorted(((ids, c) for ids, c in out.items() if c != 0),
                         key=lambda kv: (len(kv[0]), kv[0])))
 
@@ -247,6 +248,8 @@ class MultilinearPoly:
 def _as_poly(x) -> MultilinearPoly:
     if isinstance(x, MultilinearPoly):
         return x
+    if isinstance(x, Mapping):
+        return MultilinearPoly(x)
     if isinstance(x, (int, Fraction)):
         return MultilinearPoly.constant(x)
     raise TypeError(f"cannot interpret {x!r} as a multilinear polynomial")
@@ -356,13 +359,8 @@ class Layout:
 
 
 def _bound_poly(terms, ids) -> MultilinearPoly:
-    """A layout polynomial's ``terms`` with variable j read as ``ids[j]``;
-    terms that name one id twice or come to one set of ids are summed."""
-    out = {}
-    for vs, c in terms:
-        key = frozenset(ids[j] for j in vs)
-        out[key] = out.get(key, 0) + c
-    return MultilinearPoly(out)
+    """A layout polynomial's ``terms`` with variable j read as ``ids[j]``."""
+    return MultilinearPoly([(tuple(ids[j] for j in vs), c) for vs, c in terms])
 
 
 @dataclass(frozen=True)
@@ -375,22 +373,28 @@ class MatrixPair:
     Pairs of one family and k share one layout object and differ only in
     their ids: a k-out-of-n pair binds one id, a ladder cell's five.  The
     layout checked its positions and polynomials once; the constructor
-    checks in O(v) that the binding has one distinct id per variable.  Ids
-    that name one component twice need p_i p_i = p_i, which :meth:`bind`
-    gets from :meth:`from_entries`.  ``polys`` and ``m`` are read-only
-    views derived from the layout and the ids.
+    checks in O(v) that the binding has one id per variable.  Ids that name
+    one component twice need p_i p_i = p_i: the constructor then rewrites
+    the pair over the distinct ids through :meth:`from_entries`, so
+    ``layout`` and ``ids`` become that pair's.  ``polys`` and ``m`` are
+    read-only views derived from the layout and the ids.
     """
 
     layout: Layout
     ids: Tuple[str, ...]
 
     def __post_init__(self):
-        ids = tuple(self.ids)
-        object.__setattr__(self, "ids", ids)
-        if len(ids) != self.layout.variables:
-            raise ReliabilityError(f"{len(ids)} ids for a layout of {self.layout.variables} variables")
+        layout, ids = self.layout, tuple(self.ids)
+        if len(ids) != layout.variables:
+            raise ReliabilityError(f"{len(ids)} ids for a layout of {layout.variables} variables")
         if len(set(ids)) != len(ids):
-            raise ReliabilityError(f"ids {ids!r} name one component twice")
+            polys = [_bound_poly(terms, ids) for terms in layout.polys]
+            merged = MatrixPair.from_entries(layout.dim, [
+                (r, col, polys[slot]) for r, row in enumerate(layout.rows) for col, slot in row
+            ])
+            layout, ids = merged.layout, merged.ids
+            object.__setattr__(self, "layout", layout)
+        object.__setattr__(self, "ids", ids)
 
     @property
     def dim(self) -> int:
@@ -416,44 +420,26 @@ class MatrixPair:
         )
 
     @classmethod
-    def bind(cls, layout: Layout, ids: Sequence) -> "MatrixPair":
-        """``layout`` bound to ``ids``.  Ids that name one component twice
-        go through :meth:`from_entries`, so that p_i p_i = p_i."""
-        ids = tuple(ids)
-        if len(set(ids)) == len(ids) or len(ids) != layout.variables:
-            return cls(layout, ids)  # the constructor checks the length
-        polys = [_bound_poly(terms, ids) for terms in layout.polys]
-        return cls.from_entries(layout.dim, [
-            (r, col, polys[slot]) for r, row in enumerate(layout.rows) for col, slot in row
-        ])
-
-    @classmethod
     def from_entries(cls, dim: int, entries: Iterable) -> "MatrixPair":
-        """Pair from ``(row, col, poly)`` triples in any order.  Zero entries
-        are dropped, each distinct polynomial object gets one slot, each row
-        is sorted by column, and the variables are the sorted ids that the
-        polynomials read; the layout's constructor then rejects a bad
-        column or a position given twice."""
+        """Pair from ``(row, col, poly)`` triples in any order, a poly being
+        a :class:`MultilinearPoly`, a constant or a ``{ids: coeff}`` term
+        map.  Zero entries are dropped, equal polynomials share one slot,
+        each row is sorted by column, and the variables are the sorted ids
+        that the polynomials read; the layout's constructor then rejects a
+        bad column or a position given twice.  With no entries it is the
+        zero pair."""
         rows = [[] for _ in range(dim)]
-        slots, polys = {}, []
+        slots = {}  # polynomial -> slot, in slot order
         for r, c, poly in entries:
             if not 0 <= r < dim:
                 raise DimensionMismatchError(f"entry ({r}, {c}) outside a {dim}x{dim} matrix")
             poly = _as_poly(poly)
             if not poly.is_zero():
-                slot = slots.get(id(poly))
-                if slot is None:
-                    slot = slots[id(poly)] = len(polys)
-                    polys.append(poly)
-                rows[r].append((c, slot))
-        ids = sorted({cid for poly in polys for key, _ in poly._terms for cid in key})
+                rows[r].append((c, slots.setdefault(poly, len(slots))))
+        ids = sorted({cid for poly in slots for key, _ in poly._terms for cid in key})
         var = {cid: j for j, cid in enumerate(ids)}
-        terms = [[(tuple(map(var.__getitem__, key)), c) for key, c in poly._terms] for poly in polys]
+        terms = [[(tuple(map(var.__getitem__, key)), c) for key, c in poly._terms] for poly in slots]
         return cls(Layout(dim, map(sorted, rows), terms), ids)
-
-    @classmethod
-    def zero(cls, dim: int) -> "MatrixPair":
-        return cls(Layout(dim, ((),) * dim, ()), ())
 
 
 def identical_runs(items: Iterable) -> Iterator[Tuple[object, int]]:

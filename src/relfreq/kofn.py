@@ -27,15 +27,11 @@ from .core import (
 from .genfunc import kofn_availability
 from .scalars import EXACT, as_exact
 
-FAMILY_G = "G"
-FAMILY_LINCON_F = "LinConF"
-
 
 @dataclass(frozen=True)
 class KofnSpec:
     k: int
     components: Tuple[Component, ...]
-    family: str = FAMILY_G
     rate_unit: str = "absolute"
 
     def __post_init__(self):
@@ -45,8 +41,6 @@ class KofnSpec:
             raise ReliabilityError("need at least one component")
         if not (1 <= self.k <= n):
             raise ReliabilityError(f"k={self.k} out of range for n={n}")
-        if self.family not in (FAMILY_G, FAMILY_LINCON_F):
-            raise ReliabilityError(f"unknown family {self.family!r}")
         ids = [c.id for c in self.components]
         if len(set(ids)) != len(ids):
             raise ReliabilityError("component ids must be distinct")
@@ -61,12 +55,24 @@ _Q = {(): 1, (0,): -1}
 _P = {(0,): 1}
 
 
-def _superdiagonal_layout(k: int, col, polys) -> Layout:
-    """k x k layout whose row r holds slot 0 at column ``col(r)`` and, for
+def _build(spec: KofnSpec, col, polys, family: str, offset=0, sign=1) -> TransferSystem:
+    """The system of one k x k pair per component, each binding its id to
+    one layout whose row r holds slot 0 at column ``col(r)`` and, for
     r < k - 1, slot 1 on the superdiagonal; ``polys`` are the two slots'
     polynomials, and k = 1 has slot 0 only."""
+    k = spec.k
     rows = [((col(r), 0), (r + 1, 1)) for r in range(k - 1)] + [((col(k - 1), 0),)]
-    return Layout(k, rows, polys[:min(k, 2)])
+    layout = Layout(k, rows, polys[:min(k, 2)])
+    return TransferSystem(
+        v_left=(Fraction(1),) + (Fraction(0),) * (k - 1),
+        pairs=tuple(MatrixPair(layout, (c.id,)) for c in spec.components),
+        v_right=(Fraction(1),) * k,
+        offset=offset,
+        sign=sign,
+        components=spec.components,
+        rate_unit=spec.rate_unit,
+        family=f"{family}:{k}/{spec.n}",
+    )
 
 
 def build_kofn_g(spec: KofnSpec) -> TransferSystem:
@@ -77,24 +83,8 @@ def build_kofn_g(spec: KofnSpec) -> TransferSystem:
     The derivative matrices carry the minus signs automatically, so no
     post-hoc sign fixing is ever applied.
     """
-    if spec.family != FAMILY_G:
-        raise ReliabilityError(f"expected family {FAMILY_G!r}, got {spec.family!r}")
-    k = spec.k
     # q_i on the diagonal (slot 0), p_i on the superdiagonal (slot 1)
-    layout = _superdiagonal_layout(k, lambda r: r, (_Q, _P))
-    pairs = tuple(MatrixPair(layout, (c.id,)) for c in spec.components)
-    v_left = (Fraction(1),) + (Fraction(0),) * (k - 1)
-    v_right = (Fraction(1),) * k
-    return TransferSystem(
-        v_left=v_left,
-        pairs=pairs,
-        v_right=v_right,
-        offset=Fraction(1),
-        sign=-1,
-        components=spec.components,
-        rate_unit=spec.rate_unit,
-        family=f"kofn-g:{k}/{spec.n}",
-    )
+    return _build(spec, lambda r: r, (_Q, _P), "kofn-g", offset=1, sign=-1)
 
 
 def build_lincon_f(spec: KofnSpec) -> TransferSystem:
@@ -103,24 +93,8 @@ def build_lincon_f(spec: KofnSpec) -> TransferSystem:
     The system fails iff at least k consecutive components are down; the
     component list order is the line order, with component 1 applied first.
     """
-    if spec.family != FAMILY_LINCON_F:
-        raise ReliabilityError(
-            f"expected family {FAMILY_LINCON_F!r}, got {spec.family!r}"
-        )
-    k = spec.k
     # p_i down the first column (slot 0), q_i on the superdiagonal (slot 1)
-    layout = _superdiagonal_layout(k, lambda r: 0, (_P, _Q))
-    pairs = tuple(MatrixPair(layout, (c.id,)) for c in spec.components)
-    v_left = (Fraction(1),) + (Fraction(0),) * (k - 1)
-    v_right = (Fraction(1),) * k
-    return TransferSystem(
-        v_left=v_left,
-        pairs=pairs,
-        v_right=v_right,
-        components=spec.components,
-        rate_unit=spec.rate_unit,
-        family=f"lincon-f:{spec.k}/{spec.n}",
-    )
+    return _build(spec, lambda r: 0, (_P, _Q), "lincon-f")
 
 
 def kofn_g_identical(k: int, n: int, p, lam) -> ReliabilityReport:

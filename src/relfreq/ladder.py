@@ -22,7 +22,6 @@ from .core import (
     Component,
     Layout,
     MatrixPair,
-    MultilinearPoly,
     ReliabilityError,
     ReliabilityReport,
     Runs,
@@ -130,7 +129,7 @@ _CELL_LAYOUT = Layout(
 def cell_matrix_pair(cell: LadderCell) -> MatrixPair:
     """The cell's 3x3 transfer matrix: the one cell layout that every
     cell's pair shares, bound to the cell's component ids."""
-    return MatrixPair.bind(_CELL_LAYOUT, (cell.S.id, cell.T.id, cell.a.id, cell.b.id, cell.c.id))
+    return MatrixPair(_CELL_LAYOUT, (cell.S.id, cell.T.id, cell.a.id, cell.b.id, cell.c.id))
 
 
 def build_ladder(spec: LadderSpec) -> TransferSystem:
@@ -258,11 +257,7 @@ def ladder_closed_form(params: LadderIdenticalParams, mode: str = EXACT):
     if p == 0:
         return (convert(0, mode), convert(0, mode))
     zeta0, t, d = eigen_symmetric_parts(p, rho)
-    companion = MatrixPair.from_entries(2, [
-        (0, 0, MultilinearPoly.constant(t)),
-        (0, 1, MultilinearPoly.constant(-d)),
-        (1, 0, MultilinearPoly.one()),
-    ])
+    companion = MatrixPair.from_entries(2, [(0, 0, {(): t}), (0, 1, {(): -d}), (1, 0, {(): 1})])
     weights = (p * rho * (1 + p * rho), -(1 - 2 * p + p * rho) * (p * rho) ** 3)
     system = TransferSystem(weights, Runs.from_runs([(companion, n)]), (1, 0))
     common = single_pass(system, {}, mode).availability

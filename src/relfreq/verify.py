@@ -12,14 +12,8 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import List
 
-from .core import Component, MatrixPair, TransferSystem, single_pass
-from .kofn import (
-    FAMILY_G,
-    FAMILY_LINCON_F,
-    KofnSpec,
-    build_kofn_g,
-    build_lincon_f,
-)
+from .core import Component, Layout, MatrixPair, TransferSystem, single_pass
+from .kofn import KofnSpec, build_kofn_g, build_lincon_f
 from .ladder import (
     LadderCell,
     LadderSpec,
@@ -30,12 +24,11 @@ from .ladder import (
     ladder_structure,
 )
 from .oracle import (
+    MAX_COMPONENTS,
     kofn_g_structure,
     lincon_f_structure,
     oracle_solve,
 )
-
-MAX_VERIFY_COMPONENTS = 24
 
 
 @dataclass
@@ -63,18 +56,14 @@ def _random_component(rng: random.Random, cid: str) -> Component:
     return Component(cid, p, lam)
 
 
-def _random_kofn(rng: random.Random, max_components: int, family: str):
+def _random_kofn(rng: random.Random, max_components: int, build, structure, name: str):
+    """A random k-of-n system from ``build``, with its ``structure``
+    function; ``name`` heads the description."""
     n = rng.randint(1, min(12, max_components))
     k = rng.randint(1, n)
     comps = tuple(_random_component(rng, f"c{i}") for i in range(1, n + 1))
-    spec = KofnSpec(k, comps, family=family)
-    if family == FAMILY_G:
-        system = build_kofn_g(spec)
-        sf = kofn_g_structure([c.id for c in comps], k)
-    else:
-        system = build_lincon_f(spec)
-        sf = lincon_f_structure([c.id for c in comps], k)
-    return system, sf, f"{family} k={k} n={n}"
+    system = build(KofnSpec(k, comps))
+    return system, structure([c.id for c in comps], k), f"{name} k={k} n={n}"
 
 
 def _random_ladder(rng: random.Random, max_components: int):
@@ -110,14 +99,12 @@ def _random_ladder(rng: random.Random, max_components: int):
 
 
 def _corrupt_system(system: TransferSystem) -> TransferSystem:
-    """Test hook: perturb the first matrix's slot 0, at every position that
-    holds it, so equivalence must fail."""
+    """Test hook: add 1/97 to the first matrix's slot 0, at every position
+    that holds it, so equivalence must fail."""
     pair = system.pairs[0]
-    polys = list(pair.polys)
-    polys[0] += Fraction(1, 97)
-    bad = MatrixPair.from_entries(pair.dim, [
-        (r, col, polys[slot]) for r, row in enumerate(pair.layout.rows) for col, slot in row
-    ])
+    layout = pair.layout
+    polys = (layout.polys[0] + (((), Fraction(1, 97)),),) + layout.polys[1:]
+    bad = MatrixPair(Layout(layout.dim, layout.rows, polys), pair.ids)
     return replace(system, pairs=(bad,) + system.pairs[1:])
 
 
@@ -125,8 +112,8 @@ def check_sizes(trials: int, max_components: int) -> None:
     """Raise ValueError unless trials >= 1 and 1 <= max_components <= the cap."""
     if trials < 1:
         raise ValueError(f"trials={trials} must be at least 1")
-    if not 1 <= max_components <= MAX_VERIFY_COMPONENTS:
-        raise ValueError(f"max_components={max_components} outside [1, {MAX_VERIFY_COMPONENTS}]")
+    if not 1 <= max_components <= MAX_COMPONENTS:
+        raise ValueError(f"max_components={max_components} outside [1, {MAX_COMPONENTS}]")
 
 
 def run_equivalence_trials(
@@ -141,8 +128,8 @@ def run_equivalence_trials(
     rng = random.Random(seed)
     result = VerifyResult(trials=trials)
     makers = [
-        lambda: _random_kofn(rng, max_components, FAMILY_G),
-        lambda: _random_kofn(rng, max_components, FAMILY_LINCON_F),
+        lambda: _random_kofn(rng, max_components, build_kofn_g, kofn_g_structure, "G"),
+        lambda: _random_kofn(rng, max_components, build_lincon_f, lincon_f_structure, "LinConF"),
     ]
     if max_components >= 4:  # the smallest ladder has 4 fallible edges
         makers.append(lambda: _random_ladder(rng, max_components))

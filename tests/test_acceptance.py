@@ -26,7 +26,6 @@ from relfreq.genfunc import (
     series_operator,
 )
 from relfreq.kofn import (
-    FAMILY_LINCON_F,
     KofnSpec,
     build_kofn_g,
     build_lincon_f,
@@ -70,7 +69,7 @@ def test_criterion_2_worked_consecutive_4_of_11(capsys):
     comps = lincon_4_11_components()
     t0 = time.perf_counter()
     report = single_pass(
-        build_lincon_f(KofnSpec(4, comps, family=FAMILY_LINCON_F, rate_unit="mu"))
+        build_lincon_f(KofnSpec(4, comps, rate_unit="mu"))
     )
     elapsed = time.perf_counter() - t0
     sf = lincon_f_structure([c.id for c in comps], 4)

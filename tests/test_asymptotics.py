@@ -78,8 +78,8 @@ class TestLogDerivatives:
         for p in (0.3, 0.5, 0.7):
             _, d_alpha = log_derivatives(p)
             h = 1e-6
-            a_hi = dominant_amplitude(p * (1 + h), n_fit=120)
-            a_lo = dominant_amplitude(p * (1 - h), n_fit=120)
+            a_hi = dominant_amplitude(p * (1 + h))
+            a_lo = dominant_amplitude(p * (1 - h))
             numeric = (math.log(a_hi) - math.log(a_lo)) / (2 * h)
             assert d_alpha == pytest.approx(numeric, rel=1e-4)
 

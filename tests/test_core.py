@@ -31,7 +31,7 @@ from relfreq.core import (
     single_pass,
     stream_step,
 )
-from relfreq.kofn import FAMILY_LINCON_F, KofnSpec, build_kofn_g, build_lincon_f
+from relfreq.kofn import KofnSpec, build_kofn_g, build_lincon_f
 from relfreq.ladder import (
     LadderIdenticalParams,
     LadderSpec,
@@ -153,6 +153,24 @@ class TestPolynomials:
     def test_idempotent_multiplication(self):
         assert P1 * P1 == P1
 
+    @pytest.mark.parametrize(
+        "items, terms",
+        [([(("a",), 1), (("a",), 2)], {("a",): 3}),
+         ([(("a", "b"), 1), (("b", "a"), 2)], {("a", "b"): 3}),
+         ([((), 1), (("a",), -1), ((), F(1, 97))], {(): F(98, 97), ("a",): -1}),
+         ([(("a",), 1), (("a", "b"), 1), (("b", "a"), -1)], {("a",): 1})],
+        ids=["repeated-key", "reordered-key", "appended-constant", "cancelled-key"],
+    )
+    def test_items_equal_their_summed_map(self, items, terms):
+        # every item counts: a key given twice is summed, not overwritten
+        assert MultilinearPoly(items) == MultilinearPoly(terms)
+        var = {"a": 0, "b": 1}.__getitem__
+
+        def layout(pairs):
+            return Layout(1, (((0, 0),),), ([(tuple(map(var, key)), c) for key, c in pairs],))
+
+        assert layout(items) == layout(terms.items())
+
     def test_no_zero_terms_stored(self):
         assert not (P1 - P1).terms
 
@@ -194,31 +212,43 @@ class TestMatrixPair:
         "dim, polys, ids",
         [(3, (X0,), ("x",)), (2, ({(0, 1): 1},), ("x",)), (2, (X0,), ("x", "y")),
          (2, ({},), ("x",)), (2, ({(0,): 1, (0, 1): 0},), ("x", "y")),
-         (2, ({(1,): 1},), ("y",)), (2, ({(0, 1): 1},), ("x", "x"))],
+         (2, ({(1,): 1},), ("y",))],
         ids=["dim", "too-few-polys", "too-many-polys", "zero", "zero-coefficient",
-             "unread-variable", "repeated-id"],
+             "unread-variable"],
     )
     def test_pair_rejects_polys_that_do_not_fit_its_layout(self, dim, polys, ids):
-        # a pair binds one distinct id to each variable of a valid layout,
-        # and a system takes only pairs of its own dimension
+        # a pair binds one id to each variable of a valid layout, and a
+        # system takes only pairs of its own dimension
         with pytest.raises(ReliabilityError):
             layout = Layout(dim, [((r, 0),) for r in range(dim)], polys)
             TransferSystem((1, 0), (MatrixPair(layout, ids),), (1, 0))
 
-    def test_from_entries_gives_each_polynomial_object_one_slot(self):
-        pair = MatrixPair.from_entries(2, [(0, 0, P1), (1, 1, P1), (0, 1, P2)])
+    @pytest.mark.parametrize(
+        "second", [P1, MultilinearPoly({("p1",): 1}), {("p1",): 1}],
+        ids=["same-object", "equal-object", "term-map"],
+    )
+    def test_from_entries_gives_each_polynomial_value_one_slot(self, second):
+        pair = MatrixPair.from_entries(2, [(0, 0, P1), (1, 1, second), (0, 1, P2)])
         assert pair.polys == (P1, P2)
         assert pair.ids == ("p1", "p2")
         assert pair.layout == Layout(2, (((0, 0), (1, 1)), ((1, 0),)), ({(0,): 1}, {(1,): 1}))
 
     def test_bind_reads_an_id_named_twice_once(self):
-        # p_i p_i = p_i: a binding that names one id twice is not a power
+        # p_i p_i = p_i: a binding that names one id twice is not a power;
+        # the constructor rewrites it over the distinct ids in sorted order
         layout = Layout(1, (((0, 0),),), ({(0, 1): 1, (): 1},))
-        pair = MatrixPair.bind(layout, ("x", "x"))
+        pair = MatrixPair(layout, ("x", "x"))
         assert pair.ids == ("x",) and pair.polys == (MultilinearPoly({("x",): 1, (): 1}),)
-        assert MatrixPair.bind(layout, ("x", "y")) == MatrixPair(layout, ("x", "y"))
+        assert pair.layout == Layout(1, (((0, 0),),), ({(0,): 1, (): 1},))
+        assert MatrixPair(layout, ("y", "x")).ids == ("y", "x")
         with pytest.raises(ReliabilityError):
-            MatrixPair.bind(layout, ("x",))
+            MatrixPair(layout, ("x",))
+        # two slots that become equal share one; variables follow the ids' order
+        layout = Layout(2, (((0, 0), (1, 1)), ((1, 2),)),
+                        ({(0, 1): 1}, {(2,): 1}, {(0,): 1, (1,): -1}))
+        pair = MatrixPair(layout, ("y", "y", "x"))
+        assert pair.ids == ("x", "y")
+        assert pair.layout == Layout(2, (((0, 0), (1, 1)), ()), ({(1,): 1}, {(0,): 1}))
 
 
 def one_component_system(p=F(3, 4), lam=F(2)):
@@ -281,7 +311,7 @@ class TestSinglePass:
             single_pass(one_component_system(), {"x": (p, F(1))}, mode)
 
     def test_dimension_mismatch_rejected(self):
-        pair = MatrixPair.zero(2)
+        pair = MatrixPair.from_entries(2, ())
         with pytest.raises(DimensionMismatchError):
             TransferSystem(v_left=(F(1),), pairs=(pair,), v_right=(F(1),))
 
@@ -315,7 +345,7 @@ class TestMPrimeOnlyInThePass:
         monkeypatch.setattr(relfreq.core, "apply_rate_operator", refuse)
         comps = tuple(Component(f"c{i}", F(i, 5), F(i)) for i in (1, 2, 3, 4))
         build_kofn_g(KofnSpec(2, comps))
-        build_lincon_f(KofnSpec(2, comps, family=FAMILY_LINCON_F))
+        build_lincon_f(KofnSpec(2, comps))
         build_ladder(distinct_ladder_spec(F(2, 3), F(4, 5), F(3), F(1, 2), 2))
         build_from_config(
             {
@@ -331,7 +361,7 @@ class TestMPrimeOnlyInThePass:
         comps = tuple(Component(f"c{i}", F(i, 5), F(i)) for i in (1, 2, 3, 4))
         systems = [
             build_kofn_g(KofnSpec(2, comps)),
-            build_lincon_f(KofnSpec(2, comps, family=FAMILY_LINCON_F)),
+            build_lincon_f(KofnSpec(2, comps)),
             build_ladder(distinct_ladder_spec(F(2, 3), F(4, 5), F(3), F(1, 2), 2)),
             build_from_config(
                 {
@@ -443,7 +473,7 @@ class TestStreamStep:
     def test_zero_matrix_annihilates(self):
         system = one_component_system()
         state = initial_state(system)
-        stepped = stream_step(state, MatrixPair.zero(1), {"x": (F(1, 2), F(1))})
+        stepped = stream_step(state, MatrixPair.from_entries(1, ()), {"x": (F(1, 2), F(1))})
         assert stepped.a_vec == (0,)
         assert stepped.v_vec == (0,)
 
@@ -451,7 +481,7 @@ class TestStreamStep:
         system = one_component_system()
         state = initial_state(system)
         with pytest.raises(DimensionMismatchError):
-            stream_step(state, MatrixPair.zero(3), {})
+            stream_step(state, MatrixPair.from_entries(3, ()), {})
 
     def test_reads_only_the_ids_of_its_pair(self):
         # a whole-system assignment is checked per step only where the step
@@ -489,7 +519,7 @@ def fold_cases(draw):
         ),
     )
     position = st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1))
-    pool = [MatrixPair.zero(dim)]
+    pool = [MatrixPair.from_entries(dim, ())]
     for _ in range(draw(st.integers(1, 3))):
         positions = draw(st.lists(position, unique=True, max_size=dim * dim))
         polys = draw(st.lists(poly, min_size=1, max_size=3))
@@ -620,7 +650,7 @@ class TestBoundLayouts:
         ladder = build_ladder(distinct_ladder_spec(F(2, 3), F(4, 5), F(3), F(1, 2), 50))
         comps = tuple(Component(f"c{i}", F(i, 61), F(i, 7)) for i in range(1, 61))
         kofn = build_kofn_g(KofnSpec(20, comps))
-        lincon = build_lincon_f(KofnSpec(20, comps, family=FAMILY_LINCON_F))
+        lincon = build_lincon_f(KofnSpec(20, comps))
         assert made == []
         assert (len(ladder.pairs), len(kofn.pairs), len(lincon.pairs)) == (51, 60, 60)
 

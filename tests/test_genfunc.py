@@ -21,7 +21,6 @@ from relfreq.genfunc import (
 )
 from relfreq.kofn import KofnSpec, build_kofn_g, build_lincon_f, identical_components
 from relfreq.core import single_pass
-from relfreq.kofn import FAMILY_LINCON_F
 
 P_POINTS = [F(1, 10), F(1, 4), F(1, 3), F(1, 2), F(3, 5), F(7, 10), F(9, 10)]
 
@@ -83,7 +82,6 @@ class TestSeriesExtraction:
                         KofnSpec(
                             min(k, n),
                             identical_components(n, p, lam=F(1)),
-                            family=FAMILY_LINCON_F,
                         )
                     )
                 )
@@ -124,7 +122,6 @@ class TestOperatorIdentity:
                     KofnSpec(
                         k,
                         identical_components(n, p, lam=lam),
-                        family=FAMILY_LINCON_F,
                     )
                 )
             )

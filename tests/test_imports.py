@@ -1,7 +1,7 @@
 """Every module-level import in the package is used, every module-level
 function and class and every public method or property of a package class
-is referenced somewhere, and the package needs nothing outside the standard
-library.
+is referenced somewhere, every package name the benchmark reads exists, and
+the package needs nothing outside the standard library.
 
 Names listed in a module's ``__all__`` count as used, which covers the
 package's re-exports.  The unused-import and unreferenced-definition checks
@@ -9,6 +9,8 @@ are pure stdlib ``ast``: nothing is imported or run.
 """
 
 import ast
+import importlib
+import inspect
 import sys
 from collections import Counter
 from pathlib import Path
@@ -213,3 +215,39 @@ def test_cli_imports_only_the_standard_library():
     loaded = proc.stdout.split()
     assert "relfreq" in loaded
     assert [m for m in loaded if m not in sys.stdlib_module_names and m != "relfreq"] == []
+
+
+def benchmark_names():
+    """(module, attribute path) of each package name the benchmark reads:
+    every name a ``perfbench`` module imports from the package, every
+    ``relfreq.<module>.<name>`` it reads, and every tracer target."""
+    names = set()
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "relfreq":
+                names.update((node.module, alias.name) for alias in node.names)
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute)
+                  and isinstance(node.value.value, ast.Name) and node.value.value.id == "relfreq"
+                  and not node.attr.startswith("__")):
+                names.add((f"relfreq.{node.value.attr}", node.attr))
+            elif (isinstance(node, ast.Assign) and path.name == "tracing.py"
+                  and any(isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets)):
+                names.update((module, attr) for _, module, attr in ast.literal_eval(node.value))
+    return sorted(names)
+
+
+def test_every_name_the_benchmark_reads_resolves():
+    # the benchmark's own tests need a number for every traced layer, so a
+    # deleted name would otherwise show only in its slow smoke runs
+    names = benchmark_names()
+    assert ("relfreq.kofn", "build_lincon_f") in names
+    assert ("relfreq.core", "MultilinearPoly.evaluate") in names
+    missing = []
+    for module, path in names:
+        obj = importlib.import_module(module)
+        for part in path.split("."):
+            obj = getattr(obj, part, None)
+        if not (callable(obj) or inspect.ismodule(obj)):
+            missing.append(f"{module}.{path}")
+    assert missing == []

@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 
 from relfreq.core import Component, ReliabilityError, apply_rate_operator, single_pass
 from relfreq.kofn import (
-    FAMILY_G,
-    FAMILY_LINCON_F,
     KofnSpec,
     build_kofn_g,
     build_lincon_f,
@@ -56,7 +54,7 @@ class TestKofnG:
         comps = identical_components(k + 2, F(2, 3), lam=F(3))
         for system in (
             build_kofn_g(KofnSpec(k, comps)),
-            build_lincon_f(KofnSpec(k, comps, family=FAMILY_LINCON_F)),
+            build_lincon_f(KofnSpec(k, comps)),
         ):
             rates = {c.id: c.lam for c in comps}
             for pair in system.pairs:
@@ -69,7 +67,7 @@ class TestKofnG:
         comps = identical_components(k + 2, F(2, 3), lam=F(3))
         for system in (
             build_kofn_g(KofnSpec(k, comps)),
-            build_lincon_f(KofnSpec(k, comps, family=FAMILY_LINCON_F)),
+            build_lincon_f(KofnSpec(k, comps)),
         ):
             layout = system.pairs[0].layout
             assert all(pair.layout is layout for pair in system.pairs)
@@ -133,7 +131,7 @@ class TestKofnG:
 class TestLinConF:
     def test_worked_4_of_11(self):
         system = build_lincon_f(
-            KofnSpec(4, lincon_4_11_components(), family=FAMILY_LINCON_F, rate_unit="mu")
+            KofnSpec(4, lincon_4_11_components(), rate_unit="mu")
         )
         report = single_pass(system)
         assert report.availability == F(30105385968617, 30517578125000)
@@ -145,7 +143,7 @@ class TestLinConF:
     def test_worked_4_of_11_against_oracle(self):
         comps = lincon_4_11_components()
         report = single_pass(
-            build_lincon_f(KofnSpec(4, comps, family=FAMILY_LINCON_F))
+            build_lincon_f(KofnSpec(4, comps))
         )
         sf = lincon_f_structure([c.id for c in comps], 4)
         pm = {c.id: c.p for c in comps}
@@ -156,7 +154,7 @@ class TestLinConF:
     def test_k_one_is_series(self):
         comps = tuple(Component(f"c{i}", F(i, 6), F(1)) for i in (1, 2, 3))
         report = single_pass(
-            build_lincon_f(KofnSpec(1, comps, family=FAMILY_LINCON_F))
+            build_lincon_f(KofnSpec(1, comps))
         )
         assert report.availability == F(1, 6) * F(2, 6) * F(3, 6)
 
@@ -169,7 +167,7 @@ class TestLinConF:
             )
         )
         report = single_pass(
-            build_lincon_f(KofnSpec(2, comps, family=FAMILY_LINCON_F))
+            build_lincon_f(KofnSpec(2, comps))
         )
         sf = lincon_f_structure([c.id for c in comps], 2)
         pm = {c.id: c.p for c in comps}
@@ -186,10 +184,10 @@ class TestLinConF:
         ]
         shuffled = [base[0], base[1], base[3], base[2]]
         a1 = single_pass(
-            build_lincon_f(KofnSpec(2, tuple(base), family=FAMILY_LINCON_F))
+            build_lincon_f(KofnSpec(2, tuple(base)))
         ).availability
         a2 = single_pass(
-            build_lincon_f(KofnSpec(2, tuple(shuffled), family=FAMILY_LINCON_F))
+            build_lincon_f(KofnSpec(2, tuple(shuffled)))
         ).availability
         assert a1 != a2
 
@@ -197,7 +195,7 @@ class TestLinConF:
         comps = tuple(Component(f"c{i}", F(1, 3), F(1)) for i in range(1, 7))
         avails = [
             single_pass(
-                build_lincon_f(KofnSpec(k, comps, family=FAMILY_LINCON_F))
+                build_lincon_f(KofnSpec(k, comps))
             ).availability
             for k in range(1, 7)
         ]
@@ -206,7 +204,7 @@ class TestLinConF:
     def test_families_agree_on_series(self):
         comps = tuple(Component(f"c{i}", F(i, 5), F(i, 2)) for i in (1, 2, 3))
         g = single_pass(build_kofn_g(KofnSpec(3, comps)))
-        f = single_pass(build_lincon_f(KofnSpec(1, comps, family=FAMILY_LINCON_F)))
+        f = single_pass(build_lincon_f(KofnSpec(1, comps)))
         assert g.availability == f.availability
         assert g.frequency == f.frequency
 

@@ -3,12 +3,13 @@
 
 The set covers exact and approx ``relfreq solve`` reports of the two worked
 examples, a 600-cell heterogeneous ladder, a 40-cell ladder whose cells
-reuse component ids, a 50-of-200:G system and a 2x2 custom-matrices system
-with offset 1 and sign -1; ``sweep`` CSVs over p of a ladder, a k-of-n:G
-and a consecutive-k-of-n:F system; and ``relfreq verify --trials 200`` at
-seeds 0-3, clean and with the corrupting test hook, whose mismatch line
-prints rationals.  Every input
-is built here from fixed seeds, so two checkouts give identical lines
+reuse component ids, a 50-of-200:G system, a 2x2 custom-matrices system
+with offset 1 and sign -1, and a 2x2 custom-matrices system whose scalars
+are JSON numbers, exponent and signed strings, spaced ratios and leading
+zeros; ``sweep`` CSVs over p of a ladder, a k-of-n:G and a
+consecutive-k-of-n:F system; and ``relfreq verify --trials 200`` at seeds
+0-3, clean and with the corrupting test hook, whose mismatch line prints
+rationals.  Every input is built here from fixed seeds, so two checkouts give identical lines
 exactly when their outputs are byte-identical:
 
     diff <(python3 scripts/output_digest.py) \\
@@ -100,6 +101,25 @@ def custom_offset_sign():
     }
 
 
+def custom_scalar_forms():
+    """A 2x2 custom-matrices system whose scalars are written in the other
+    forms a config may use: JSON numbers, exponents, a sign, spaces around
+    num/den and leading zeros."""
+    x, y, one = ["x"], ["y"], []
+    return {
+        "family": "custom-matrices",
+        "components": [{"id": "x", "p": 0.9, "lambda": "2.5e-1"},
+                       {"id": "y", "p": " 3/4 ", "lambda": 2}],
+        "v_left": ["+0.5", 0.5],
+        "v_right": ["0012.50e-1", 1],
+        "offset": "0E0",
+        "matrices": [
+            [[[[0.5, x], ["+0.25", y]], [["2.5e-1", ["x", "y"]]]], [[[" 3/4 ", one]], [["0012.50", y]]]],
+            [[[["1", y]], [["-1E-1", x], ["1/10", one]]], [[[" 1/2", x]], [[1, one], [-0.5, y]]]],
+        ],
+    }
+
+
 def run(argv):
     """(exit code, stdout) of an in-process ``relfreq`` call."""
     out = io.StringIO()
@@ -123,6 +143,7 @@ def digests(workdir: Path):
         "ladder-40-shared-ids": shared_id_ladder(random.Random(40), 40),
         "kofn-50-of-200-G": kofn_50_of_200(random.Random(200)),
         "custom-offset-sign": custom_offset_sign(),
+        "custom-scalar-forms": custom_scalar_forms(),
     }
     for name, cfg in configs.items():
         cfg_path = workdir / f"{name}.json"

@@ -13,7 +13,6 @@ import io
 import json
 import sys
 from contextlib import nullcontext, suppress
-from fractions import Fraction
 from typing import Optional
 
 from . import asymptotics
@@ -237,8 +236,8 @@ def _parse_range(text: str, integral: bool):
     rational a + i * step of the decimal strings, so the values do not
     drift as repeated float sums do."""
     try:
-        a, b, step = (int(x) if integral else Fraction(x) for x in text.split(":"))
-    except (ValueError, ZeroDivisionError) as exc:
+        a, b, step = (int(x) if integral else parse_scalar(x) for x in text.split(":"))
+    except ValueError as exc:
         raise ConfigError(f"bad range {text!r}, expected a:b:step") from exc
     if step <= 0 or b < a:
         raise ConfigError(f"bad range {text!r}: need step > 0 and b >= a")

@@ -212,26 +212,7 @@ def oracle_availability(sf: StructureFunction, probs: Mapping) -> Fraction:
     return oracle_solve(sf, probs, dict.fromkeys(sf.ids, 0))[0]
 
 
-def oracle_pivotal(sf: StructureFunction, probs: Mapping, pivot: str):
-    """(A with p_pivot := 1, A with p_pivot := 0)."""
-    up = {cid: as_exact(probs[cid]) for cid in sf.ids}
-    up[pivot] = Fraction(1)
-    down = dict(up)
-    down[pivot] = Fraction(0)
-    return oracle_availability(sf, up), oracle_availability(sf, down)
-
-
 def oracle_frequency(sf: StructureFunction, probs: Mapping, rates: Mapping) -> Fraction:
     """sum_i lambda_i p_i dA/dp_i, exact: the second half of :func:`oracle_solve`."""
     return oracle_solve(sf, probs, rates)[1]
 
-
-def is_monotone(sf: StructureFunction) -> bool:
-    """Check coherence by testing every single-bit upgrade of every up state."""
-    n = len(sf.ids)
-    if n > 16:
-        raise OracleError("monotonicity check capped at 16 components")
-    fn = sf.fn
-    return all(
-        fn(x | 1 << j) for x in range(1 << n) if fn(x) for j in range(n) if not x >> j & 1
-    )

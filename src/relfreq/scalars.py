@@ -39,9 +39,22 @@ def convert(x, mode: str) -> Scalar:
 
 
 def parse_scalar(text: str) -> Fraction:
-    """Parse a decimal or 'num/den' string into an exact rational."""
+    """Parse a decimal or 'num/den' string into an exact rational.
+
+    ASCII ``digits[.digits]`` and ``digits/digits``, the forms configs use,
+    are split here as ``Fraction(text)`` splits them, with its value and
+    errors but not its regex; any other form goes to ``Fraction(text)``.
+    """
+    s = text.strip()
     try:
-        return Fraction(text.strip())
+        if s.isascii():
+            whole, sep, rest = s.partition("/") if "/" in s else s.partition(".")
+            if whole.isdigit() and (rest.isdigit() or not sep):
+                if sep == "/":
+                    return Fraction(int(whole), int(rest))
+                scale = 10 ** len(rest)
+                return Fraction(int(whole) * scale + int(rest or "0"), scale)
+        return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"cannot parse scalar {text!r}: {exc}") from exc
 

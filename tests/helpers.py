@@ -9,6 +9,7 @@ from pathlib import Path
 from relfreq.core import Component, apply_rate_operator
 from relfreq.kofn import KofnSpec
 from relfreq.ladder import LadderCell, LadderSpec, TERMINAL_T, entry_cell
+from relfreq.oracle import oracle_availability
 
 
 def example_7_2_components():
@@ -66,6 +67,19 @@ def dense_fraction_fold(system, assignment):
     x = sum(l * ai for l, ai in zip(system.v_left, a))
     y = sum(l * vi for l, vi in zip(system.v_left, v))
     return system.offset + system.sign * x, system.sign * y
+
+
+def oracle_pivotal(sf, probs, pivot):
+    """(A with p_pivot := 1, A with p_pivot := 0), both from the oracle."""
+    return tuple(oracle_availability(sf, {**probs, pivot: p}) for p in (1, 0))
+
+
+def is_monotone(sf) -> bool:
+    """Check coherence by testing every single-bit upgrade of every up state."""
+    n, fn = len(sf.ids), sf.fn
+    return all(
+        fn(x | 1 << j) for x in range(1 << n) if fn(x) for j in range(n) if not x >> j & 1
+    )
 
 
 ROOT = Path(__file__).resolve().parent.parent

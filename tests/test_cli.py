@@ -447,6 +447,26 @@ class TestSweepCommand:
         )
         assert code == EXIT_PARSE
 
+    @pytest.mark.parametrize("span, reason", [
+        ("1/0:1:1", ", expected a:b:step"),
+        ("a:b", ", expected a:b:step"),
+        ("0.1:0.5", ", expected a:b:step"),
+        ("0.1:0.5:0", ": need step > 0 and b >= a"),
+        ("0.5:0.1:0.1", ": need step > 0 and b >= a"),
+    ])
+    def test_bad_range_message(self, capsys, span, reason):
+        code = main(["sweep", "--family", "kofn-g", "--param", "p", "--range", span])
+        assert code == EXIT_PARSE
+        assert capsys.readouterr().err == f"error: bad range {span!r}{reason}\n"
+
+    def test_range_reads_every_scalar_form(self, capsys):
+        code = main(
+            ["sweep", "--family", "kofn-g", "--param", "p",
+             "--range", " 1/4:+0.5:2.5e-1", "--k", "2", "--n", "4"]
+        )
+        assert code == EXIT_OK
+        assert [r["p"] for r in self.read_rows(capsys)] == ["0.25", "0.5"]
+
     def test_rho_requires_ladder(self, capsys):
         code = main(
             ["sweep", "--family", "kofn-g", "--param", "rho", "--range", "0.1:0.9:0.4"]

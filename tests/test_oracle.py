@@ -7,17 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import is_monotone, oracle_pivotal
 from relfreq.oracle import (
     MAX_COMPONENTS,
     OracleError,
     StructureFunction,
     connectivity_structure,
-    is_monotone,
     kofn_g_structure,
     lincon_f_structure,
     oracle_availability,
     oracle_frequency,
-    oracle_pivotal,
     oracle_solve,
     truth_table_structure,
 )

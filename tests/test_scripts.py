@@ -20,7 +20,8 @@ def test_output_digest():
     assert proc.returncode == 0, proc.stderr
     lines = [line.split("  ", 1) for line in proc.stdout.splitlines()]
     names = [name for _, name in lines]
-    assert len(names) == len(set(names)) == 23
+    assert len(names) == len(set(names)) == 25
     assert all(len(digest) == 64 and int(digest, 16) >= 0 for digest, _ in lines)
     assert "solve ladder-600 approx" in names and "verify seed 3 corrupt" in names
     assert "solve ladder-40-shared-ids exact" in names and "sweep lincon-f p" in names
+    assert "solve custom-scalar-forms exact" in names

@@ -36,7 +36,7 @@ from .ladder import (
     entry_cell,
     identical_ladder_spec,
 )
-from .scalars import APPROX, EXACT, parse_scalar
+from .scalars import APPROX, EXACT, parse_scalar, rational_str
 from .verify import check_sizes, run_equivalence_trials
 
 EXIT_OK = 0
@@ -65,24 +65,28 @@ def _integer(cfg: dict, key: str, default=None) -> int:
     raise ConfigError(f"config: {key} must be an integer, got {value!r}")
 
 
+def _scalar(value, where: str, key, cid=None):
+    """``value`` read by ``parse_scalar`` through its ``str``; a value it
+    cannot parse is a config error that names field ``key`` of ``where``
+    (and the component ``cid``).  The message is formatted only on error,
+    as a config may hold thousands of scalars."""
+    try:
+        return parse_scalar(str(value))
+    except ValueError as exc:
+        about = "" if cid is None else f" for {cid!r}"
+        raise ConfigError(f"{where}: bad {key}{about}: {exc}") from exc
+
+
 def _parse_component(entry: dict, convention: str, where: str) -> Component:
     if not isinstance(entry, dict):
         raise ConfigError(f"{where}: component entry must be an object")
     cid = _require(entry, "id", where)
-    try:
-        p = parse_scalar(str(_require(entry, "p", where)))
-    except ValueError as exc:
-        raise ConfigError(f"{where}: bad p for {cid!r}: {exc}") from exc
-    try:
-        mu = parse_scalar(str(entry["mu"])) if "mu" in entry else None
-        if convention == "steady-state-mu":
-            return Component.steady_state(cid, p, mu if mu is not None else 1)
-        lam = parse_scalar(str(entry.get("lambda", "0")))
-        return Component(cid, p, lam, mu)
-    except ReliabilityError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"{where}: bad rate for {cid!r}: {exc}") from exc
+    p = _scalar(_require(entry, "p", where), where, "p", cid)
+    mu = _scalar(entry["mu"], where, "mu", cid) if "mu" in entry else None
+    if convention == "steady-state-mu":
+        return Component.steady_state(cid, p, mu if mu is not None else 1)
+    lam = _scalar(entry.get("lambda", "0"), where, "lambda", cid)
+    return Component(cid, p, lam, mu)
 
 
 def _parse_poly(entry, where: str) -> MultilinearPoly:
@@ -97,10 +101,7 @@ def _parse_poly(entry, where: str) -> MultilinearPoly:
             len(term) == 1 or len(term) == 2 and isinstance(term[1], list)
         ):
             raise ConfigError(f"{where}: term {term!r} is not [coeff] or [coeff, [id, ...]]")
-        try:
-            coeff = parse_scalar(str(term[0]))
-        except ValueError as exc:
-            raise ConfigError(f"{where}: {exc}") from exc
+        coeff = _scalar(term[0], where, "coefficient")
         terms.append(([str(cid) for cid in term[1]] if len(term) == 2 else (), coeff))
     return MultilinearPoly(terms)
 
@@ -125,6 +126,19 @@ def _list(cfg: dict, key: str) -> list:
     return value
 
 
+def _components(cfg: dict, convention: str) -> tuple:
+    """The components of the JSON list ``cfg["components"]``."""
+    return tuple(
+        _parse_component(e, convention, f"components[{i}]")
+        for i, e in enumerate(_list(cfg, "components"))
+    )
+
+
+def _vector(cfg: dict, key: str) -> tuple:
+    """The scalars of the JSON list ``cfg[key]``."""
+    return tuple(_scalar(x, "config", f"{key}[{i}]") for i, x in enumerate(_list(cfg, key)))
+
+
 def build_from_config(cfg: dict) -> TransferSystem:
     family = _require(cfg, "family")
     convention = cfg.get("rate_convention", "explicit")
@@ -133,12 +147,7 @@ def build_from_config(cfg: dict) -> TransferSystem:
     rate_unit = "mu" if convention == "steady-state-mu" else "absolute"
 
     if family in ("kofn-g", "lincon-f"):
-        raw = _require(cfg, "components")
-        if not isinstance(raw, list) or not raw:
-            raise ReliabilityError("component list must be non-empty")
-        comps = tuple(
-            _parse_component(e, convention, f"components[{i}]") for i, e in enumerate(raw)
-        )
+        comps = _components(cfg, convention)
         build = build_kofn_g if family == "kofn-g" else build_lincon_f
         return build(KofnSpec(_integer(cfg, "k"), comps, rate_unit=rate_unit))
 
@@ -160,28 +169,25 @@ def build_from_config(cfg: dict) -> TransferSystem:
                     cells.append(LadderCell(index=i, **parts))
             return build_ladder(LadderSpec(tuple(cells), terminal))
         params = LadderIdenticalParams(
-            p=parse_scalar(str(_require(cfg, "p"))),
-            rho=parse_scalar(str(cfg.get("rho", "1"))),
-            lam=parse_scalar(str(cfg.get("lambda", "0"))),
-            xi=parse_scalar(str(cfg.get("xi", "0"))),
+            p=_scalar(_require(cfg, "p"), "config", "p"),
+            rho=_scalar(cfg.get("rho", "1"), "config", "rho"),
+            lam=_scalar(cfg.get("lambda", "0"), "config", "lambda"),
+            xi=_scalar(cfg.get("xi", "0"), "config", "xi"),
             n=_integer(cfg, "n"),
         )
         return build_ladder(identical_ladder_spec(params, terminal))
 
     if family == "custom-matrices":
-        raw = _require(cfg, "components")
-        comps = tuple(
-            _parse_component(e, convention, f"components[{i}]") for i, e in enumerate(raw)
-        )
+        comps = _components(cfg, convention)
         pairs = tuple(
             _parse_matrix(m, f"matrices[{i}]")
             for i, m in enumerate(_list(cfg, "matrices"))
         )
         return TransferSystem(
-            v_left=tuple(parse_scalar(str(x)) for x in _list(cfg, "v_left")),
+            v_left=_vector(cfg, "v_left"),
             pairs=pairs,
-            v_right=tuple(parse_scalar(str(x)) for x in _list(cfg, "v_right")),
-            offset=parse_scalar(str(cfg.get("offset", "0"))),
+            v_right=_vector(cfg, "v_right"),
+            offset=_scalar(cfg.get("offset", "0"), "config", "offset"),
             sign=_integer(cfg, "sign", 1),
             components=comps,
             rate_unit=rate_unit,
@@ -214,6 +220,12 @@ def cmd_solve(args) -> int:
         report = single_pass(system, mode=args.mode)
     except ReliabilityError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    # a float A can leave [0, 1] by rounding; an exact one only when the
+    # matrices describe no availability
+    if args.mode == EXACT and not 0 <= report.availability <= 1:
+        print(f"error: availability A = {rational_str(report.availability)} outside [0, 1]",
+              file=sys.stderr)
         return EXIT_VALIDATION
     payload = json.dumps(report.as_dict(), indent=2, sort_keys=True)
     return _write_out(args.out, payload + "\n")

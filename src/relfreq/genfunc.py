@@ -1,20 +1,22 @@
 """Rational generating functions in z with coefficients polynomial in p.
 
-Coefficients stay exact rational polynomials until evaluation, so the
-``lam * p * d/dp`` operator acts exactly and identities between generating
-functions can be checked as polynomial identities.  Coefficient extraction
-runs the linear recurrence induced by the denominator; cost is
-O(N * deg_z(den) * polynomial degree) for N coefficients, with no automatic
-truncation.
+A generating function's numerator and denominator are each one
+:class:`UniPoly` in z whose coefficients are UniPolys in p, so both levels
+share one polynomial type.  Coefficients stay exact rational polynomials
+until evaluation, so the ``lam * p * d/dp`` operator acts exactly and
+identities between generating functions can be checked as polynomial
+identities.  Coefficient extraction runs the linear recurrence induced by
+the denominator; cost is O(N * deg_z(den) * polynomial degree) for N
+coefficients, with no automatic truncation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
+from .kofn import kofn_availability
 from .scalars import as_exact
 
 
@@ -23,12 +25,17 @@ class GenfuncError(ValueError):
 
 
 class UniPoly:
-    """Univariate polynomial in p over exact rationals."""
+    """Univariate polynomial over exact rationals or over UniPolys.
+
+    Here a polynomial in p has rational coefficients, and a polynomial in z
+    has polynomials in p as coefficients.  A product or sum of the two
+    levels would read p's coefficients as z's, so a p-polynomial enters a
+    z-polynomial only as a coefficient (see :func:`_z`)."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Sequence = ()):
-        cs = [as_exact(c) for c in coeffs]
+        cs = [c if isinstance(c, UniPoly) else as_exact(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -127,46 +134,27 @@ def _as_unipoly(x) -> UniPoly:
     raise TypeError(f"cannot interpret {x!r} as a polynomial in p")
 
 
-PolyZ = Tuple[UniPoly, ...]  # polynomial in z, coefficients polynomial in p
-
-
-def _as_polyz(coeffs) -> PolyZ:
-    out = [_as_unipoly(c) for c in coeffs]
-    while out and out[-1].is_zero():
-        out.pop()
-    return tuple(out)
-
-
-def polyz_mul(a: PolyZ, b: PolyZ) -> PolyZ:
-    if not a or not b:
-        return ()
-    out = [UniPoly() for _ in range(len(a) + len(b) - 1)]
-    for i, ca in enumerate(a):
-        for j, cb in enumerate(b):
-            out[i + j] = out[i + j] + ca * cb
-    return _as_polyz(out)
-
-
-def polyz_pow(a: PolyZ, exp: int) -> PolyZ:
-    out: PolyZ = (UniPoly([1]),)
-    for _ in range(exp):
-        out = polyz_mul(out, a)
-    return out
+def _z(coeffs) -> UniPoly:
+    """The polynomial in z whose coefficients, lowest power first, are the
+    polynomials in p (or rationals) ``coeffs``."""
+    return UniPoly([_as_unipoly(c) for c in coeffs])
 
 
 @dataclass(frozen=True)
 class RationalGF:
-    """num(z)/den(z) with UniPoly coefficients; den(0) must be invertible."""
+    """num(z)/den(z), each a UniPoly in z over UniPolys in p (or given as the
+    sequence of its p-polynomial coefficients); den(0) must be invertible."""
 
-    num: PolyZ
-    den: PolyZ
+    num: UniPoly
+    den: UniPoly
 
     def __post_init__(self):
-        object.__setattr__(self, "num", _as_polyz(self.num))
-        object.__setattr__(self, "den", _as_polyz(self.den))
-        if not self.den or self.den[0].is_zero():
+        for name in ("num", "den"):
+            f = getattr(self, name)
+            object.__setattr__(self, name, _z(f.coeffs if isinstance(f, UniPoly) else f))
+        if self.den.is_zero() or self.den.coeffs[0].is_zero():
             raise GenfuncError("denominator has zero constant term")
-        if self.den[0].degree > 0:
+        if self.den.coeffs[0].degree > 0:
             raise GenfuncError(
                 "denominator constant term must be a nonzero constant in p"
             )
@@ -180,9 +168,9 @@ def gf_kofn_g(k: int) -> RationalGF:
         raise GenfuncError("k must be nonnegative")
     p = UniPoly.p()
     q = UniPoly.one_minus_p()
-    num = (UniPoly(),) * k + (p**k,)
-    den = polyz_mul((UniPoly([1]), UniPoly([-1])), polyz_pow((UniPoly([1]), -q), k))
-    return RationalGF(num=_as_polyz(num), den=den)
+    num = _z([0] * k + [p**k])
+    den = _z([1, -1]) * _z([1, -q]) ** k
+    return RationalGF(num=num, den=den)
 
 
 def gf_kofn_g_freq(k: int, lam=1) -> RationalGF:
@@ -193,9 +181,9 @@ def gf_kofn_g_freq(k: int, lam=1) -> RationalGF:
     lam = as_exact(lam)
     p = UniPoly.p()
     q = UniPoly.one_minus_p()
-    num = (UniPoly(),) * k + (p**k * (lam * k),)
-    den = polyz_pow((UniPoly([1]), -q), k + 1)
-    return RationalGF(num=_as_polyz(num), den=den)
+    num = _z([0] * k + [p**k * (lam * k)])
+    den = _z([1, -q]) ** (k + 1)
+    return RationalGF(num=num, den=den)
 
 
 def gf_lincon_f(k: int) -> RationalGF:
@@ -205,69 +193,40 @@ def gf_lincon_f(k: int) -> RationalGF:
         raise GenfuncError("k must be positive")
     p = UniPoly.p()
     qk = UniPoly.one_minus_p() ** k
-    num = (UniPoly([1]),) + (UniPoly(),) * (k - 1) + (-qk,)
-    den = (UniPoly([1]), UniPoly([-1])) + (UniPoly(),) * (k - 1) + (p * qk,)
-    return RationalGF(num=_as_polyz(num), den=_as_polyz(den))
+    num = _z([1] + [0] * (k - 1) + [-qk])
+    den = _z([1, -1] + [0] * (k - 1) + [p * qk])
+    return RationalGF(num=num, den=den)
 
 
 def series_coeffs(gf: RationalGF, n_max: int) -> List[UniPoly]:
     """Coefficients of z^0 .. z^n_max via the denominator's recurrence."""
     if n_max < 0:
         raise GenfuncError("n_max must be nonnegative")
-    d0 = gf.den[0].coeffs[0]
-    inv = 1 / d0
+    num, den = gf.num.coeffs, gf.den.coeffs
+    inv = 1 / den[0].coeffs[0]
     out: List[UniPoly] = []
     for n in range(n_max + 1):
-        acc = gf.num[n] if n < len(gf.num) else UniPoly()
-        for j in range(1, min(n, len(gf.den) - 1) + 1):
-            acc = acc - gf.den[j] * out[n - j]
+        acc = num[n] if n < len(num) else UniPoly()
+        for j in range(1, min(n, len(den) - 1) + 1):
+            acc = acc - den[j] * out[n - j]
         out.append(acc * inv)
     return out
-
-
-def _op_polyz(coeffs: PolyZ, lam: Fraction) -> PolyZ:
-    return _as_polyz([c.p_dp() * lam for c in coeffs])
 
 
 def series_operator(obj, lam=1):
     """Apply lam * p * d/dp termwise; accepts a RationalGF or a coefficient
     list and returns the same shape."""
     lam = as_exact(lam)
-    if isinstance(obj, RationalGF):
-        num = _as_polyz(
-            [
-                a + b
-                for a, b in _zip_pad(
-                    polyz_mul(_op_polyz(obj.num, lam), obj.den),
-                    [-c for c in polyz_mul(obj.num, _op_polyz(obj.den, lam))],
-                )
-            ]
-        )
-        return RationalGF(num=num, den=polyz_mul(obj.den, obj.den))
-    return [_as_unipoly(c).p_dp() * lam for c in obj]
-
-
-def _zip_pad(a, b):
-    n = max(len(a), len(b))
-    za = list(a) + [UniPoly()] * (n - len(a))
-    zb = list(b) + [UniPoly()] * (n - len(b))
-    return zip(za, zb)
+    if not isinstance(obj, RationalGF):
+        return [_as_unipoly(c).p_dp() * lam for c in obj]
+    num, den = obj.num, obj.den
+    d_num, d_den = (_z(series_operator(f.coeffs, lam)) for f in (num, den))
+    return RationalGF(num=d_num * den - num * d_den, den=den * den)
 
 
 def gf_equal(a: RationalGF, b: RationalGF) -> bool:
     """Equality as rational functions, by cross-multiplication."""
-    return polyz_mul(a.num, b.den) == polyz_mul(b.num, a.den)
-
-
-def kofn_availability(k: int, n: int, p) -> Fraction:
-    """A_{k,n} for identical components, with the A_{0,n} = 1 convention."""
-    if k < 0 or n < 0:
-        raise GenfuncError("k and n must be nonnegative")
-    p = as_exact(p)
-    if k == 0:
-        return Fraction(1)
-    q = 1 - p
-    return sum((comb(n, l) * p**l * q ** (n - l) for l in range(k, n + 1)), Fraction(0))
+    return a.num * b.den == b.num * a.den
 
 
 def kofn_recurrence_check(k: int, n: int, p) -> bool:

@@ -24,7 +24,6 @@ from .core import (
     TransferSystem,
     log10_of,
 )
-from .genfunc import kofn_availability
 from .scalars import EXACT, as_exact
 
 
@@ -95,6 +94,17 @@ def build_lincon_f(spec: KofnSpec) -> TransferSystem:
     """
     # p_i down the first column (slot 0), q_i on the superdiagonal (slot 1)
     return _build(spec, lambda r: 0, (_P, _Q), "lincon-f")
+
+
+def kofn_availability(k: int, n: int, p) -> Fraction:
+    """A_{k,n} for identical components, with the A_{0,n} = 1 convention."""
+    if k < 0 or n < 0:
+        raise ReliabilityError("k and n must be nonnegative")
+    p = as_exact(p)
+    if k == 0:
+        return Fraction(1)
+    q = 1 - p
+    return sum((comb(n, l) * p**l * q ** (n - l) for l in range(k, n + 1)), Fraction(0))
 
 
 def kofn_g_identical(k: int, n: int, p, lam) -> ReliabilityReport:

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import runpy
 from fractions import Fraction as F
 
 import pytest
@@ -21,6 +22,8 @@ from relfreq.asymptotics import asymptotic_rate
 from relfreq.core import MultilinearPoly, single_pass
 from relfreq.oracle import StructureFunction
 from relfreq.verify import run_equivalence_trials
+
+from helpers import ROOT
 
 
 def write_config(tmp_path, cfg, name="system.json"):
@@ -334,6 +337,8 @@ CUSTOM_1X1 = {
     "v_right": ["1"],
     "matrices": [[[[["1", ["x"]]]]]],
 }
+LADDER_IDENTICAL = {"family": "ladder", "p": "9/10", "lambda": "1", "n": 3}
+
 MALFORMED = {
     **{f"sweep-{family}-{flag[2:]}": (
         ["sweep", "--family", family, "--param", "n", "--range", "1:2:1", flag, value], flag)
@@ -350,6 +355,14 @@ MALFORMED = {
     "matrices": ({**CUSTOM_1X1, "matrices": 5}, "matrices"),
     "v_left": ({**CUSTOM_1X1, "v_left": "1"}, "v_left"),
     "v_right": ({**CUSTOM_1X1, "v_right": 5}, "v_right"),
+    "v_left-entry": ({**CUSTOM_1X1, "v_left": ["abc"]}, "v_left[0]"),
+    "v_right-entry": ({**CUSTOM_1X1, "v_right": ["1/0"]}, "v_right[0]"),
+    "offset": ({**CUSTOM_1X1, "offset": "one"}, "offset"),
+    **{f"ladder-{key}": ({**LADDER_IDENTICAL, key: "abc"}, f"bad {key}")
+       for key in ("p", "rho", "lambda", "xi")},
+    "custom-components": ({**CUSTOM_1X1, "components": 5}, "components"),
+    "kofn-components": ({**KOFN_CFG, "components": {"id": "c1", "p": "1/2"}}, "components"),
+    "lincon-components": ({**KOFN_CFG, "family": "lincon-f", "components": "c1"}, "components"),
 }
 
 
@@ -359,6 +372,35 @@ def test_malformed_input_exits_2_and_names_the_field(tmp_path, capsys, command, 
         command = ["solve", write_config(tmp_path, command)]
     assert main(command) == EXIT_PARSE
     assert field in capsys.readouterr().err
+
+
+def test_empty_kofn_component_list_exit_code(tmp_path, capsys):
+    assert main(["solve", write_config(tmp_path, {**KOFN_CFG, "components": []})]) == EXIT_VALIDATION
+    assert "at least one component" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name, code, availability",
+    [("custom_scalar_forms", EXIT_VALIDATION, "24663/6400"),
+     ("custom_offset_sign", EXIT_OK, "749/800")],
+)
+def test_exact_solve_rejects_availability_outside_unit_interval(
+    tmp_path, capsys, name, code, availability
+):
+    # custom matrices can describe no availability; an exact A outside [0, 1]
+    # shows it, while a negative frequency alone (custom_offset_sign) does not
+    digest = runpy.run_path(str(ROOT / "scripts" / "output_digest.py"))
+    path = write_config(tmp_path, digest[name]())
+    assert main(["solve", path]) == code
+    out, err = capsys.readouterr()
+    if code == EXIT_OK:
+        report = json.loads(out)
+        assert report["availability"]["rational"] == availability
+        assert report["frequency"]["rational"] == "-9/80"
+    else:
+        assert out == "" and f"availability A = {availability} outside [0, 1]" in err
+    # approx mode is unchecked: there a valid A can exceed 1 by rounding
+    assert main(["solve", path, "--mode", "approx"]) == EXIT_OK
 
 
 class TestSweepCommand:

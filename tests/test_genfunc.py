@@ -14,13 +14,18 @@ from relfreq.genfunc import (
     gf_kofn_g,
     gf_kofn_g_freq,
     gf_lincon_f,
-    kofn_availability,
     kofn_recurrence_check,
     series_coeffs,
     series_operator,
 )
-from relfreq.kofn import KofnSpec, build_kofn_g, build_lincon_f, identical_components
-from relfreq.core import single_pass
+from relfreq.kofn import (
+    KofnSpec,
+    build_kofn_g,
+    build_lincon_f,
+    identical_components,
+    kofn_availability,
+)
+from relfreq.core import ReliabilityError, single_pass
 
 P_POINTS = [F(1, 10), F(1, 4), F(1, 3), F(1, 2), F(3, 5), F(7, 10), F(9, 10)]
 
@@ -133,9 +138,7 @@ class TestOperatorIdentity:
         once = series_operator(gf, lam=F(1))
         assert gf_equal(
             twice,
-            RationalGF(
-                num=tuple(c * 2 for c in once.num), den=once.den
-            ),
+            RationalGF(num=once.num * 2, den=once.den),
         )
 
 
@@ -154,5 +157,5 @@ class TestRecurrence:
     def test_invalid_args(self):
         with pytest.raises(GenfuncError):
             kofn_recurrence_check(0, 3, F(1, 2))
-        with pytest.raises(GenfuncError):
+        with pytest.raises(ReliabilityError):
             kofn_availability(-1, 2, F(1, 2))

@@ -6,11 +6,14 @@ examples, a 600-cell heterogeneous ladder, a 40-cell ladder whose cells
 reuse component ids, a 50-of-200:G system, a 2x2 custom-matrices system
 with offset 1 and sign -1, and a 2x2 custom-matrices system whose scalars
 are JSON numbers, exponent and signed strings, spaced ratios and leading
-zeros; ``sweep`` CSVs over p of a ladder, a k-of-n:G and a
-consecutive-k-of-n:F system; and ``relfreq verify --trials 200`` at seeds
-0-3, clean and with the corrupting test hook, whose mismatch line prints
-rationals.  Every input is built here from fixed seeds, so two checkouts give identical lines
-exactly when their outputs are byte-identical:
+zeros, and a two-cell ladder given cell by cell under the steady-state
+convention, whose reports carry the rate unit "mu"; ``sweep`` CSVs over p
+of a ladder, a k-of-n:G and a consecutive-k-of-n:F system; and
+``relfreq verify --trials 200`` at seeds 0-3, clean and with a fault
+injected here (1/97 added to slot 0 of each system's first pair), whose
+mismatch line prints rationals.  Every input is built here from fixed
+seeds, so two checkouts give identical lines exactly when their outputs are
+byte-identical:
 
     diff <(python3 scripts/output_digest.py) \\
          <(PYTHONPATH=../other/src python3 ../other/scripts/output_digest.py)
@@ -23,9 +26,14 @@ import json
 import random
 import sys
 import tempfile
+from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
+from relfreq import verify
 from relfreq.cli import main as relfreq
+from relfreq.core import Layout, MatrixPair, single_pass
 
 
 def worked_5_of_8():
@@ -120,6 +128,34 @@ def custom_scalar_forms():
     }
 
 
+def ladder_cells_mu():
+    """A two-cell ladder given cell by cell under the steady-state
+    convention: lambda p = mu q with each component's own mu."""
+    def comp(cid, p, mu="1"):
+        return {"id": cid, "p": p, "mu": mu}
+
+    return {
+        "family": "ladder",
+        "rate_convention": "steady-state-mu",
+        "terminal": "Tn",
+        "cells": [
+            {"b": comp("b0", "9/10"), "S": comp("S0", "1"), "T": comp("T0", "1")},
+            {"a": comp("a1", "4/5", "2"), "b": comp("b1", "7/10"), "c": comp("c1", "19/20"),
+             "S": comp("S1", "99/100", "1/2"), "T": comp("T1", "1")},
+        ],
+    }
+
+
+def corrupt_pass(system):
+    """``single_pass`` of ``system`` with 1/97 added to its first pair's
+    slot 0, at every position that holds it, so no oracle agrees."""
+    pair = system.pairs[0]
+    layout = pair.layout
+    polys = (layout.polys[0] + (((), Fraction(1, 97)),),) + layout.polys[1:]
+    bad = MatrixPair(Layout(layout.dim, layout.rows, polys), pair.ids)
+    return single_pass(replace(system, pairs=(bad,) + system.pairs[1:]))
+
+
 def run(argv):
     """(exit code, stdout) of an in-process ``relfreq`` call."""
     out = io.StringIO()
@@ -144,6 +180,7 @@ def digests(workdir: Path):
         "kofn-50-of-200-G": kofn_50_of_200(random.Random(200)),
         "custom-offset-sign": custom_offset_sign(),
         "custom-scalar-forms": custom_scalar_forms(),
+        "ladder-cells-mu": ladder_cells_mu(),
     }
     for name, cfg in configs.items():
         cfg_path = workdir / f"{name}.json"
@@ -163,9 +200,10 @@ def digests(workdir: Path):
                        *flags, "--out", str(csv_path)])
         yield f"sweep {family} p", f"exit {code}\n".encode() + read(csv_path)
     for seed in range(4):
-        for extra in ([], ["--corrupt"]):
-            code, text = run(["verify", "--trials", "200", "--seed", str(seed), *extra])
-            yield f"verify seed {seed}{' corrupt' if extra else ''}", f"exit {code}\n{text}".encode()
+        for suffix, solve in (("", single_pass), (" corrupt", corrupt_pass)):
+            with mock.patch.object(verify, "single_pass", solve):
+                code, text = run(["verify", "--trials", "200", "--seed", str(seed)])
+            yield f"verify seed {seed}{suffix}", f"exit {code}\n{text}".encode()
 
 
 def main():

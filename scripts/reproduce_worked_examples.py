@@ -31,7 +31,7 @@ def main():
     )
     show(
         "5-out-of-8:G, p = 0.90 .. 0.83",
-        single_pass(build_kofn_g(KofnSpec(5, comps_8, rate_unit="mu"))),
+        single_pass(build_kofn_g(KofnSpec(5, comps_8))),
     )
 
     comps_11 = tuple(
@@ -39,11 +39,7 @@ def main():
     )
     show(
         "Lin/Con/4/11:F, p = 0.70 .. 0.90",
-        single_pass(
-            build_lincon_f(
-                KofnSpec(4, comps_11, rate_unit="mu")
-            )
-        ),
+        single_pass(build_lincon_f(KofnSpec(4, comps_11))),
     )
 
 

@@ -13,6 +13,7 @@ import io
 import json
 import sys
 from contextlib import nullcontext, suppress
+from dataclasses import replace
 from typing import Optional
 
 from . import asymptotics
@@ -77,10 +78,23 @@ def _scalar(value, where: str, key, cid=None):
         raise ConfigError(f"{where}: bad {key}{about}: {exc}") from exc
 
 
+def _id(value, where: str, term=None) -> str:
+    """A component id: a JSON string as it is, or a JSON integer (not a
+    boolean) as its decimal string, so ``5`` and ``"5"`` name one component
+    in ``components`` and in matrix terms.  Anything else is a config error
+    that names the ``id`` field, or the matrix ``term`` that holds it."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, int) and not isinstance(value, bool):
+        return str(value)
+    about = "id" if term is None else f"id in term {term!r}"
+    raise ConfigError(f"{where}: {about} must be a string or an integer, got {value!r}")
+
+
 def _parse_component(entry: dict, convention: str, where: str) -> Component:
     if not isinstance(entry, dict):
         raise ConfigError(f"{where}: component entry must be an object")
-    cid = _require(entry, "id", where)
+    cid = _id(_require(entry, "id", where), where)
     p = _scalar(_require(entry, "p", where), where, "p", cid)
     mu = _scalar(entry["mu"], where, "mu", cid) if "mu" in entry else None
     if convention == "steady-state-mu":
@@ -102,7 +116,7 @@ def _parse_poly(entry, where: str) -> MultilinearPoly:
         ):
             raise ConfigError(f"{where}: term {term!r} is not [coeff] or [coeff, [id, ...]]")
         coeff = _scalar(term[0], where, "coefficient")
-        terms.append(([str(cid) for cid in term[1]] if len(term) == 2 else (), coeff))
+        terms.append(([_id(cid, where, term) for cid in term[1]] if len(term) == 2 else (), coeff))
     return MultilinearPoly(terms)
 
 
@@ -144,12 +158,11 @@ def build_from_config(cfg: dict) -> TransferSystem:
     convention = cfg.get("rate_convention", "explicit")
     if convention not in ("explicit", "steady-state-mu"):
         raise ConfigError(f"unknown rate_convention {convention!r}")
-    rate_unit = "mu" if convention == "steady-state-mu" else "absolute"
 
     if family in ("kofn-g", "lincon-f"):
         comps = _components(cfg, convention)
         build = build_kofn_g if family == "kofn-g" else build_lincon_f
-        return build(KofnSpec(_integer(cfg, "k"), comps, rate_unit=rate_unit))
+        return build(KofnSpec(_integer(cfg, "k"), comps))
 
     if family == "ladder":
         terminal = cfg.get("terminal", TERMINAL_T)
@@ -168,6 +181,11 @@ def build_from_config(cfg: dict) -> TransferSystem:
                 else:
                     cells.append(LadderCell(index=i, **parts))
             return build_ladder(LadderSpec(tuple(cells), terminal))
+        if convention != "explicit":
+            raise ConfigError(
+                f"config: an identical ladder takes lambda and xi, so rate_convention "
+                f"must be 'explicit', got {convention!r}"
+            )
         params = LadderIdenticalParams(
             p=_scalar(_require(cfg, "p"), "config", "p"),
             rho=_scalar(cfg.get("rho", "1"), "config", "rho"),
@@ -190,7 +208,6 @@ def build_from_config(cfg: dict) -> TransferSystem:
             offset=_scalar(cfg.get("offset", "0"), "config", "offset"),
             sign=_integer(cfg, "sign", 1),
             components=comps,
-            rate_unit=rate_unit,
             family="custom-matrices",
         )
 
@@ -221,6 +238,9 @@ def cmd_solve(args) -> int:
     except ReliabilityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    if cfg.get("rate_convention") == "steady-state-mu":
+        # the frequencies are multiples of the components' common repair rate
+        report = replace(report, rate_unit="mu")
     # a float A can leave [0, 1] by rounding; an exact one only when the
     # matrices describe no availability
     if args.mode == EXACT and not 0 <= report.availability <= 1:
@@ -333,7 +353,6 @@ def cmd_verify(args) -> int:
         trials=args.trials,
         max_components=args.max_components,
         seed=args.seed,
-        corrupt=args.corrupt,
     )
     if result.ok:
         print(f"verify: {result.trials} randomized instances, all exact matches")
@@ -378,7 +397,6 @@ def make_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--max-components", type=int, default=12)
     p_verify.add_argument("--trials", type=int, default=200)
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
     p_verify.set_defaults(func=cmd_verify)
 
     return parser

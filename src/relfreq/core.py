@@ -87,8 +87,7 @@ class Component:
 
     ``lam`` and ``mu`` are failure and repair rates per unit time; when the
     rates are expressed as multiples of a single reference repair rate, the
-    stored values are the multipliers and the surrounding report is tagged
-    ``rate_unit="mu"``.
+    stored values are the multipliers.
     """
 
     id: str
@@ -542,7 +541,6 @@ class TransferSystem:
     offset: Fraction = Fraction(0)
     sign: int = 1
     components: Tuple[Component, ...] = ()
-    rate_unit: str = "absolute"
     family: str = ""
 
     def __post_init__(self):
@@ -917,7 +915,6 @@ def finalize(system: TransferSystem, state: PassState) -> ReliabilityReport:
         frequency=frequency,
         failure_rate=failure_rate,
         mode=mode,
-        rate_unit=system.rate_unit,
         family=system.family,
         size=system.size,
         log10_availability=log10_availability,

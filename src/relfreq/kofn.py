@@ -31,7 +31,6 @@ from .scalars import EXACT, as_exact
 class KofnSpec:
     k: int
     components: Tuple[Component, ...]
-    rate_unit: str = "absolute"
 
     def __post_init__(self):
         object.__setattr__(self, "components", tuple(self.components))
@@ -69,7 +68,6 @@ def _build(spec: KofnSpec, col, polys, family: str, offset=0, sign=1) -> Transfe
         offset=offset,
         sign=sign,
         components=spec.components,
-        rate_unit=spec.rate_unit,
         family=f"{family}:{k}/{spec.n}",
     )
 

@@ -215,7 +215,6 @@ def ladder_structure(spec: LadderSpec) -> StructureFunction:
         edges=edges,
         source=spec.cells[0].S.id,
         terminal=terminal,
-        name=f"ladder:{spec.n}:{spec.terminal}",
     )
 
 
@@ -232,8 +231,7 @@ def eigen_symmetric_parts(p, rho):
     """(zeta0, zeta+ + zeta-, zeta+ * zeta-) -- all rational in p and rho."""
     zeta0 = p * rho * (1 - p * rho)
     trace_pm = p * rho * (1 + 2 * p * (1 - p) * rho)
-    disc = discriminant(p, rho)
-    prod_pm = (p * rho) ** 2 * ((1 + 2 * p * (1 - p) * rho) ** 2 - disc) / 4
+    prod_pm = (p * rho) ** 3 * (1 - 2 * p + p * rho)
     return zeta0, trace_pm, prod_pm
 
 
@@ -258,7 +256,7 @@ def ladder_closed_form(params: LadderIdenticalParams, mode: str = EXACT):
         return (convert(0, mode), convert(0, mode))
     zeta0, t, d = eigen_symmetric_parts(p, rho)
     companion = MatrixPair.from_entries(2, [(0, 0, {(): t}), (0, 1, {(): -d}), (1, 0, {(): 1})])
-    weights = (p * rho * (1 + p * rho), -(1 - 2 * p + p * rho) * (p * rho) ** 3)
+    weights = (p * rho * (1 + p * rho), -d)
     system = TransferSystem(weights, Runs.from_runs([(companion, n)]), (1, 0))
     common = single_pass(system, {}, mode).availability
     r_s = (zeta0 ** (n + 1) + common) / (2 * p)

@@ -37,7 +37,6 @@ class StructureFunction:
 
     ids: Tuple[str, ...]
     fn: Callable[[int], bool]
-    name: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "ids", tuple(self.ids))
@@ -52,7 +51,7 @@ def kofn_g_structure(ids: Sequence[str], k: int) -> StructureFunction:
     ids = tuple(ids)
     if not (1 <= k <= len(ids)):
         raise OracleError(f"k={k} out of range for n={len(ids)}")
-    return StructureFunction(ids, lambda x: x.bit_count() >= k, name=f"kofn-g:{k}/{len(ids)}")
+    return StructureFunction(ids, lambda x: x.bit_count() >= k)
 
 
 def lincon_f_structure(ids: Sequence[str], k: int) -> StructureFunction:
@@ -79,7 +78,7 @@ def lincon_f_structure(ids: Sequence[str], k: int) -> StructureFunction:
             d &= d >> shift
         return not d
 
-    return StructureFunction(ids, up, name=f"lincon-f:{k}/{len(ids)}")
+    return StructureFunction(ids, up)
 
 
 def truth_table_structure(ids: Sequence[str], table: Mapping) -> StructureFunction:
@@ -88,7 +87,7 @@ def truth_table_structure(ids: Sequence[str], table: Mapping) -> StructureFuncti
     by_mask = {
         sum(1 << j for j, up in enumerate(bits) if up): value for bits, value in table.items()
     }
-    return StructureFunction(ids, by_mask.__getitem__, name="truth-table")
+    return StructureFunction(ids, by_mask.__getitem__)
 
 
 def connectivity_structure(
@@ -97,7 +96,6 @@ def connectivity_structure(
     edges: Sequence[Tuple[str, str, str]],
     source: str,
     terminal: str,
-    name: str = "two-terminal",
 ) -> StructureFunction:
     """s-t connectivity over failing nodes and edges.
 
@@ -136,7 +134,7 @@ def connectivity_structure(
                     todo.append(w)
         return s == t
 
-    return StructureFunction(ids, up, name=name)
+    return StructureFunction(ids, up)
 
 
 def _half_table(factors):

@@ -3,10 +3,11 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
-from relfreq.core import Component, apply_rate_operator
+from relfreq.core import Component, Layout, MatrixPair, apply_rate_operator
 from relfreq.kofn import KofnSpec
 from relfreq.ladder import LadderCell, LadderSpec, TERMINAL_T, entry_cell
 from relfreq.oracle import oracle_availability
@@ -67,6 +68,16 @@ def dense_fraction_fold(system, assignment):
     x = sum(l * ai for l, ai in zip(system.v_left, a))
     y = sum(l * vi for l, vi in zip(system.v_left, v))
     return system.offset + system.sign * x, system.sign * y
+
+
+def corrupt_system(system):
+    """``system`` with 1/97 added to its first pair's slot 0, at every
+    position that holds it, so that its results disagree with the oracle."""
+    pair = system.pairs[0]
+    layout = pair.layout
+    polys = (layout.polys[0] + (((), Fraction(1, 97)),),) + layout.polys[1:]
+    bad = MatrixPair(Layout(layout.dim, layout.rows, polys), pair.ids)
+    return replace(system, pairs=(bad,) + system.pairs[1:])
 
 
 def oracle_pivotal(sf, probs, pivot):

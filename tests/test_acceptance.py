@@ -52,9 +52,7 @@ def scoreboard(capsys, number, label, ok):
 
 def test_criterion_1_worked_5_of_8(capsys):
     t0 = time.perf_counter()
-    report = single_pass(
-        build_kofn_g(KofnSpec(5, example_7_2_components(), rate_unit="mu"))
-    )
+    report = single_pass(build_kofn_g(KofnSpec(5, example_7_2_components())))
     elapsed = time.perf_counter() - t0
     ok = (
         report.availability == F(615925280183, 625000000000)
@@ -68,9 +66,7 @@ def test_criterion_1_worked_5_of_8(capsys):
 def test_criterion_2_worked_consecutive_4_of_11(capsys):
     comps = lincon_4_11_components()
     t0 = time.perf_counter()
-    report = single_pass(
-        build_lincon_f(KofnSpec(4, comps, rate_unit="mu"))
-    )
+    report = single_pass(build_lincon_f(KofnSpec(4, comps)))
     elapsed = time.perf_counter() - t0
     sf = lincon_f_structure([c.id for c in comps], 4)
     nu_oracle = oracle_frequency(

@@ -23,7 +23,7 @@ from relfreq.core import MultilinearPoly, single_pass
 from relfreq.oracle import StructureFunction
 from relfreq.verify import run_equivalence_trials
 
-from helpers import ROOT
+from helpers import ROOT, corrupt_system
 
 
 def write_config(tmp_path, cfg, name="system.json"):
@@ -56,7 +56,7 @@ class TestBuildFromConfig:
         system = build_from_config(cfg)
         assert single_pass(system).availability > 0
 
-    def test_steady_state_convention(self):
+    def test_steady_state_convention(self, tmp_path, capsys):
         cfg = {
             "family": "kofn-g",
             "k": 1,
@@ -66,7 +66,8 @@ class TestBuildFromConfig:
         report = single_pass(build_from_config(cfg))
         # lam p = mu q with mu = 1
         assert report.frequency == F(1, 10)
-        assert report.rate_unit == "mu"
+        assert main(["solve", write_config(tmp_path, cfg)]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["meta"]["rate_unit"] == "mu"
 
     def test_ladder_identical(self):
         cfg = {
@@ -323,6 +324,40 @@ class TestSolveCommand:
         assert main(["solve", write_config(tmp_path, cfg)]) == EXIT_VALIDATION
         assert "'x'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cfg", [
+        KOFN_CFG,
+        {**KOFN_CFG, "family": "lincon-f"},
+        {"family": "ladder", "terminal": "Sn", "cells": LADDER_CELLS},
+        {"family": "custom-matrices", "components": [{"id": "x", "p": "3/4"}],
+         "v_left": ["1"], "v_right": ["1"], "matrices": [[[[["1", ["x"]]]]]]},
+    ], ids=["kofn-g", "lincon-f", "ladder-cells", "custom-matrices"])
+    @pytest.mark.parametrize("convention, unit", [("explicit", "absolute"), ("steady-state-mu", "mu")])
+    def test_every_family_is_labelled_with_its_rate_unit(self, tmp_path, capsys, cfg, convention, unit):
+        cfg = {**cfg, "rate_convention": convention}
+        for mode in ("exact", "approx"):
+            assert main(["solve", write_config(tmp_path, cfg), "--mode", mode]) == EXIT_OK
+            report = json.loads(capsys.readouterr().out)
+            assert report["meta"]["rate_unit"] == report["frequency"]["per"] == unit
+            assert report["availability"]["per"] == "absolute"
+
+    def test_numeric_ids_name_the_same_components_as_their_strings(self, tmp_path, capsys):
+        def config(five, seven):
+            return {
+                "family": "custom-matrices",
+                "components": [{"id": five, "p": "3/4", "lambda": "2"},
+                               {"id": seven, "p": "1/2", "lambda": "1/3"}],
+                "v_left": ["1"],
+                "v_right": ["1"],
+                "matrices": [[[[["1", [five]], ["-1/2", [five, seven]]]]], [[[["1", [seven]]]]]],
+            }
+
+        outputs = []
+        for cfg in (config(5, 7), config("5", "7"), config(5, "7")):
+            assert main(["solve", write_config(tmp_path, cfg)]) == EXIT_OK
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert json.loads(outputs[0])["availability"]["rational"] == "9/32"
+
     def test_unwritable_out_exit_code(self, tmp_path, capsys):
         out = tmp_path / "missing" / "out"
         assert main(["solve", write_config(tmp_path, KOFN_CFG), "--out", str(out)]) == EXIT_PARSE
@@ -363,6 +398,12 @@ MALFORMED = {
     "custom-components": ({**CUSTOM_1X1, "components": 5}, "components"),
     "kofn-components": ({**KOFN_CFG, "components": {"id": "c1", "p": "1/2"}}, "components"),
     "lincon-components": ({**KOFN_CFG, "family": "lincon-f", "components": "c1"}, "components"),
+    "ladder-rate_convention": (
+        {**LADDER_IDENTICAL, "rate_convention": "steady-state-mu"}, "rate_convention"),
+    "component-id": ({**CUSTOM_1X1, "components": [{"id": ["x"], "p": "3/4"}]},
+                     "components[0]: id must be"),
+    "term-id": ({**CUSTOM_1X1, "matrices": [[[[["1", [["x"]]]]]]]},
+                "matrices[0]: id in term ['1', [['x']]] must be"),
 }
 
 
@@ -522,10 +563,12 @@ class TestVerifyCommand:
         assert code == EXIT_OK
         assert "all exact matches" in capsys.readouterr().out
 
-    def test_corrupt_run_detected(self, capsys):
-        code = main(
-            ["verify", "--trials", "6", "--max-components", "6", "--corrupt"]
-        )
+    def test_corrupt_run_detected(self, capsys, monkeypatch):
+        def corrupt_pass(system):
+            return single_pass(corrupt_system(system))
+
+        monkeypatch.setattr(relfreq.verify, "single_pass", corrupt_pass)
+        code = main(["verify", "--trials", "6", "--max-components", "6"])
         assert code == EXIT_MISMATCH
         assert "MISMATCH" in capsys.readouterr().out
 
@@ -568,7 +611,7 @@ class TestVerifyCommand:
                     calls.append(None)
                     return sf.fn(state)
 
-                return StructureFunction(sf.ids, fn, sf.name)
+                return StructureFunction(sf.ids, fn)
 
             return wrapped
 

@@ -28,12 +28,11 @@ from helpers import example_7_2_components, lincon_4_11_components
 
 class TestKofnG:
     def test_worked_5_of_8(self):
-        system = build_kofn_g(KofnSpec(5, example_7_2_components(), rate_unit="mu"))
+        system = build_kofn_g(KofnSpec(5, example_7_2_components()))
         report = single_pass(system)
         assert report.availability == F(615925280183, 625000000000)
         assert report.frequency == F(8012914359, 156250000000)
         assert float(report.failure_rate) == pytest.approx(0.0520382, abs=1e-7)
-        assert report.rate_unit == "mu"
 
     def test_matrix_shapes_and_prime_entries(self):
         comps = identical_components(3, F(1, 2), lam=F(2))
@@ -130,9 +129,7 @@ class TestKofnG:
 
 class TestLinConF:
     def test_worked_4_of_11(self):
-        system = build_lincon_f(
-            KofnSpec(4, lincon_4_11_components(), rate_unit="mu")
-        )
+        system = build_lincon_f(KofnSpec(4, lincon_4_11_components()))
         report = single_pass(system)
         assert report.availability == F(30105385968617, 30517578125000)
         # independently confirmed by the oracle; the decimal is 0.050953

@@ -74,9 +74,7 @@ class TestStructureFunctions:
         mono = kofn_g_structure(["a", "b", "c"], 2)
         assert is_monotone(mono)
         # bit 0 is a, bit 1 is b
-        parity = StructureFunction(
-            ("a", "b"), lambda x: (x & 1) != (x >> 1 & 1), name="parity"
-        )
+        parity = StructureFunction(("a", "b"), lambda x: (x & 1) != (x >> 1 & 1))
         assert not is_monotone(parity)
 
 
@@ -153,7 +151,7 @@ class TestMaskStructuresAgainstTheirDefinitions:
                                (lincon_f_structure, _lincon_by_definition)):
                 sf = make(ids, k)
                 for x, state in _states(ids):
-                    assert bool(sf.fn(x)) == want(state, ids, k) == sf(state), (sf.name, x)
+                    assert bool(sf.fn(x)) == want(state, ids, k) == sf(state), (make.__name__, k, x)
 
     @pytest.mark.parametrize("name", GRAPHS)
     def test_connectivity(self, name):

@@ -11,7 +11,9 @@ convention, whose reports carry the rate unit "mu"; ``sweep`` CSVs over p
 of a ladder, a k-of-n:G and a consecutive-k-of-n:F system; and
 ``relfreq verify --trials 200`` at seeds 0-3, clean and with a fault
 injected here (1/97 added to slot 0 of each system's first pair), whose
-mismatch line prints rationals.  Every input is built here from fixed
+mismatch line prints rationals; and the first 31 coefficients, polynomials
+in p, of the generating functions over n of 3-of-n:G, its frequency,
+consecutive-3-of-n:F and the ladder to T_n with perfect nodes.  Every input is built here from fixed
 seeds, so two checkouts give identical lines exactly when their outputs are
 byte-identical:
 
@@ -34,6 +36,9 @@ from unittest import mock
 from relfreq import verify
 from relfreq.cli import main as relfreq
 from relfreq.core import Layout, MatrixPair, single_pass
+from relfreq.genfunc import UniPoly, series_coeffs, series_operator, transfer_gf
+from relfreq.kofn import KofnSpec, build_kofn_g, build_lincon_f, identical_components
+from relfreq.ladder import LadderIdenticalParams, build_ladder, identical_ladder_spec
 
 
 def worked_5_of_8():
@@ -156,6 +161,34 @@ def corrupt_pass(system):
     return single_pass(replace(system, pairs=(bad,) + system.pairs[1:]))
 
 
+def identical_gfs():
+    """{name: generating function over n} for identical components, each
+    derived from its family's transfer matrix with every edge read as p:
+    a k-of-n system repeats one component's pair, and the ladder its one
+    interior cell after cell 0."""
+    p = UniPoly([0, 1])
+
+    def one_pair(build):
+        system = build(KofnSpec(3, identical_components(3, Fraction(1, 2), 1)))
+        return transfer_gf(replace(system, pairs=system.pairs[:1]), {"c1": p})
+
+    kofn = one_pair(build_kofn_g)
+    ladder = build_ladder(identical_ladder_spec(LadderIdenticalParams(Fraction(1, 2), 1, 0, 0, 1)))
+    edges = {"b0", "a", "b", "c"}
+    return {
+        "kofn-3-G": kofn,
+        "kofn-3-G frequency": series_operator(kofn, 1),
+        "lincon-3-F": one_pair(build_lincon_f),
+        "ladder-Tn": transfer_gf(ladder, {c.id: p if c.id in edges else c.p for c in ladder.components}),
+    }
+
+
+def series_text(gf) -> bytes:
+    """The coefficients of z^0 .. z^30, one line each, as the rational
+    coefficients of the polynomial in p, lowest power first."""
+    return "\n".join(" ".join(map(str, c.coeffs)) for c in series_coeffs(gf, 30)).encode()
+
+
 def run(argv):
     """(exit code, stdout) of an in-process ``relfreq`` call."""
     out = io.StringIO()
@@ -204,6 +237,8 @@ def digests(workdir: Path):
             with mock.patch.object(verify, "single_pass", solve):
                 code, text = run(["verify", "--trials", "200", "--seed", str(seed)])
             yield f"verify seed {seed}{suffix}", f"exit {code}\n{text}".encode()
+    for name, gf in identical_gfs().items():
+        yield f"gf {name}", series_text(gf)
 
 
 def main():

@@ -18,8 +18,8 @@ from typing import Dict, FrozenSet, List, Tuple
 
 from .core import Component
 from .ladder import (
-    TERMINAL_S, TERMINAL_T, LadderCell, LadderIdenticalParams, LadderSpec, discriminant,
-    eigen_symmetric_parts, entry_cell, ladder_closed_form, ladder_structure,
+    TERMINAL_S, TERMINAL_T, LadderCell, LadderSpec, discriminant, eigen_symmetric_parts,
+    entry_cell, ladder_structure,
 )
 
 
@@ -62,16 +62,11 @@ def log_derivatives(p: float) -> Tuple[float, float]:
     return d_zeta, d_alpha
 
 
-# the ladder length at which dominant_amplitude reads alpha+
-_FIT_CELLS = 60
-
-
 def dominant_amplitude(p: float) -> float:
-    """alpha+ extracted from the closed form: R_Tn / zeta+^n at large n."""
-    _, zp, _ = eigenvalues(p, 1.0)
-    params = LadderIdenticalParams(p, 1.0, 0.0, 0.0, _FIT_CELLS)
-    _, r_t = ladder_closed_form(params, mode="approx")
-    return r_t / zp**_FIT_CELLS
+    """alpha+, the limit of R_Tn / zeta+^n in :func:`ladder.ladder_closed_form`
+    for perfect nodes: (p (1 + p) zeta+ - zeta+ zeta-) / (2 p (zeta+ - zeta-))."""
+    _, zp, zm = eigenvalues(p, 1.0)
+    return (p * (1 + p) * zp - zp * zm) / (2 * p * (zp - zm))
 
 
 def ladder_asymptotics(p: float) -> LadderAsymptotics:

@@ -98,6 +98,8 @@ def _parse_component(entry: dict, convention: str, where: str) -> Component:
     p = _scalar(_require(entry, "p", where), where, "p", cid)
     mu = _scalar(entry["mu"], where, "mu", cid) if "mu" in entry else None
     if convention == "steady-state-mu":
+        if "lambda" in entry:
+            raise ConfigError(f"{where}: rate_convention 'steady-state-mu' derives lambda of {cid!r}")
         return Component.steady_state(cid, p, mu if mu is not None else 1)
     lam = _scalar(entry.get("lambda", "0"), where, "lambda", cid)
     return Component(cid, p, lam, mu)

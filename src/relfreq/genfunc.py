@@ -5,7 +5,9 @@ A generating function's numerator and denominator are each one
 share one polynomial type.  Coefficients stay exact rational polynomials
 until evaluation, so the ``lam * p * d/dp`` operator acts exactly and
 identities between generating functions can be checked as polynomial
-identities.  Coefficient extraction runs the linear recurrence induced by
+identities.  :func:`transfer_gf` derives a system's generating function
+from the matrix its builder wrote, so no family's is written twice here.
+Coefficient extraction runs the linear recurrence induced by
 the denominator; cost is O(N * deg_z(den) * polynomial degree) for N
 coefficients, with no automatic truncation.
 """
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import List, Sequence
 
 from .kofn import kofn_availability
@@ -39,14 +42,6 @@ class UniPoly:
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
-
-    @classmethod
-    def p(cls) -> "UniPoly":
-        return cls([0, 1])
-
-    @classmethod
-    def one_minus_p(cls) -> "UniPoly":
-        return cls([1, -1])
 
     @property
     def degree(self) -> int:
@@ -160,42 +155,50 @@ class RationalGF:
             )
 
 
-def gf_kofn_g(k: int) -> RationalGF:
-    """Generating function of A_{k,n} over n: p^k z^k / ((1-z)(1-(1-p)z)^k).
-
-    k = 0 is the trivially-available family, 1/(1-z)."""
-    if k < 0:
-        raise GenfuncError("k must be nonnegative")
-    p = UniPoly.p()
-    q = UniPoly.one_minus_p()
-    num = _z([0] * k + [p**k])
-    den = _z([1, -1]) * _z([1, -q]) ** k
-    return RationalGF(num=num, den=den)
+def _matrix(pair, values) -> List[List[UniPoly]]:
+    """M of ``pair`` as rows of polynomials in p, built from its layout with
+    each bound id read as ``values[id]``."""
+    xs = [_as_unipoly(values[cid]) for cid in pair.ids]
+    slots = [sum((prod((xs[j] for j in vs), start=UniPoly([c])) for vs, c in terms), UniPoly())
+             for terms in pair.layout.polys]
+    return [[slots[row[col]] if col in row else UniPoly() for col in range(pair.dim)]
+            for row in map(dict, pair.layout.rows)]
 
 
-def gf_kofn_g_freq(k: int, lam=1) -> RationalGF:
-    """Generating function of the failure frequency of k-out-of-n:G systems
-    with identical components: lam k p^k z^k / (1-(1-p)z)^(k+1)."""
-    if k < 1:
-        raise GenfuncError("k must be positive")
-    lam = as_exact(lam)
-    p = UniPoly.p()
-    q = UniPoly.one_minus_p()
-    num = _z([0] * k + [p**k * (lam * k)])
-    den = _z([1, -q]) ** (k + 1)
-    return RationalGF(num=num, den=den)
+def _det(rows) -> UniPoly:
+    """Determinant of a square matrix of polynomials in z, expanded along
+    the first row past its zero entries: only +, - and * are used."""
+    if not rows:
+        return _z([1])
+    return sum(((-1) ** j * entry * _det([row[:j] + row[j + 1:] for row in rows[1:]])
+                for j, entry in enumerate(rows[0]) if not entry.is_zero()), UniPoly())
 
 
-def gf_lincon_f(k: int) -> RationalGF:
-    """Generating function of consecutive-k availability over n:
-    (1 - (1-p)^k z^k) / (1 - z + p (1-p)^k z^(k+1))."""
-    if k < 1:
-        raise GenfuncError("k must be positive")
-    p = UniPoly.p()
-    qk = UniPoly.one_minus_p() ** k
-    num = _z([1] + [0] * (k - 1) + [-qk])
-    den = _z([1, -1] + [0] * (k - 1) + [p * qk])
-    return RationalGF(num=num, den=den)
+def transfer_gf(system, values) -> RationalGF:
+    """sum_n A_n z^n, A_n being the availability of ``system`` with its last
+    run's pair M applied n times after its earlier runs and each component
+    id read as the polynomial in p ``values[id]``.
+
+    With w = vR pushed through the earlier runs and B = I - zM, the series
+    is offset/(1 - z) + sign * vL adj(B) w / det B, where vL adj(B) w =
+    det(B + w vL^T) - det B by the matrix determinant lemma.  A family's
+    matrix is read from its pairs' layouts, the one place it is written."""
+    if not system.pairs:
+        raise GenfuncError("the system has no pair to repeat")
+    *earlier, (last, _) = system.pairs.runs
+    w = [_as_unipoly(x) for x in system.v_right]
+    for pair, r in earlier:
+        m = _matrix(pair, values)
+        for _ in range(r):
+            w = [sum((e * x for e, x in zip(row, w)), UniPoly()) for row in m]
+    b = [[_z([int(i == j), -e]) for j, e in enumerate(row)]
+         for i, row in enumerate(_matrix(last, values))]
+    det_b = _det(b)
+    num = (_det([[e + _z([w[i] * v]) for e, v in zip(row, system.v_left)]
+                 for i, row in enumerate(b)]) - det_b) * system.sign
+    if not system.offset:
+        return RationalGF(num, det_b)
+    return RationalGF(num * _z([1, -1]) + det_b * system.offset, det_b * _z([1, -1]))
 
 
 def series_coeffs(gf: RationalGF, n_max: int) -> List[UniPoly]:

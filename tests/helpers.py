@@ -8,8 +8,17 @@ from fractions import Fraction
 from pathlib import Path
 
 from relfreq.core import Component, Layout, MatrixPair, apply_rate_operator
-from relfreq.kofn import KofnSpec
-from relfreq.ladder import LadderCell, LadderSpec, TERMINAL_T, entry_cell
+from relfreq.genfunc import RationalGF, UniPoly, transfer_gf
+from relfreq.kofn import KofnSpec, identical_components
+from relfreq.ladder import (
+    LadderCell,
+    LadderIdenticalParams,
+    LadderSpec,
+    TERMINAL_T,
+    build_ladder,
+    entry_cell,
+    identical_ladder_spec,
+)
 from relfreq.oracle import oracle_availability
 
 
@@ -91,6 +100,56 @@ def is_monotone(sf) -> bool:
     return all(
         fn(x | 1 << j) for x in range(1 << n) if fn(x) for j in range(n) if not x >> j & 1
     )
+
+
+# ---------------------------------------------------------------------------
+# Generating functions: the paper's published forms, and the ones that
+# transfer_gf derives from the builders' matrices
+
+P = UniPoly([0, 1])
+Q = UniPoly([1, -1])
+
+
+def in_z(*coeffs):
+    """The polynomial in z whose coefficients, lowest power first, are the
+    rationals or polynomials in p ``coeffs``."""
+    return UniPoly([c if isinstance(c, UniPoly) else UniPoly([c]) for c in coeffs])
+
+
+def gf_kofn_g(k):
+    """The paper's sum_n A_{k,n} z^n for k-out-of-n:G with identical
+    components: p^k z^k / ((1-z)(1-(1-p)z)^k); k = 0 gives 1/(1-z)."""
+    return RationalGF(in_z(*[0] * k, P**k), in_z(1, -1) * in_z(1, -Q) ** k)
+
+
+def gf_kofn_g_freq(k, lam=1):
+    """The paper's frequency series of k-out-of-n:G with identical
+    components: lam k p^k z^k / (1-(1-p)z)^(k+1)."""
+    return RationalGF(in_z(*[0] * k, P**k * (lam * k)), in_z(1, -Q) ** (k + 1))
+
+
+def gf_lincon_f(k):
+    """The paper's consecutive-k-out-of-n:F availability series:
+    (1 - (1-p)^k z^k) / (1 - z + p (1-p)^k z^(k+1))."""
+    return RationalGF(in_z(1, *[0] * (k - 1), -(Q**k)), in_z(1, -1, *[0] * (k - 1), P * Q**k))
+
+
+def family_gf(build, k):
+    """transfer_gf of the family of ``build`` (a k-of-n builder) over n: the
+    pair of one component, read as p, repeated n times."""
+    system = build(KofnSpec(k, identical_components(k, Fraction(1, 2), 1)))
+    return transfer_gf(replace(system, pairs=system.pairs[:1]), {"c1": P})
+
+
+LADDER_EDGES = ("b0", "a", "b", "c")
+
+
+def ladder_gf(rho, terminal):
+    """transfer_gf of the identical ladder over its n interior cells, with
+    every edge read as p and every node as the rational ``rho``."""
+    params = LadderIdenticalParams(Fraction(1, 2), rho, 0, 0, 1)
+    system = build_ladder(identical_ladder_spec(params, terminal))
+    return transfer_gf(system, {c.id: P if c.id in LADDER_EDGES else c.p for c in system.components})
 
 
 ROOT = Path(__file__).resolve().parent.parent

@@ -19,8 +19,6 @@ from relfreq.asymptotics import (
 from relfreq.core import initial_state, single_pass, stream_step
 from relfreq.genfunc import (
     gf_equal,
-    gf_kofn_g,
-    gf_kofn_g_freq,
     kofn_recurrence_check,
     series_coeffs,
     series_operator,
@@ -40,7 +38,14 @@ from relfreq.ladder import (
 from relfreq.oracle import lincon_f_structure, oracle_frequency
 from relfreq.verify import run_equivalence_trials
 
-from helpers import example_7_2_components, lincon_4_11_components
+from helpers import (
+    example_7_2_components,
+    family_gf,
+    gf_kofn_g,
+    gf_kofn_g_freq,
+    gf_lincon_f,
+    lincon_4_11_components,
+)
 
 
 def scoreboard(capsys, number, label, ok):
@@ -95,9 +100,16 @@ def test_criterion_4_generating_function_consistency(capsys):
     lam = F(1)
     ok = True
     for k in range(1, 7):
-        # rational-function identity between the operator image of the
-        # availability series and the closed-form frequency series
-        if not gf_equal(series_operator(gf_kofn_g(k), lam), gf_kofn_g_freq(k, lam)):
+        # the series derived from each builder's transfer matrix are the
+        # published forms, and the operator image of the availability series
+        # is the closed-form frequency series, as rational functions
+        derived = family_gf(build_kofn_g, k)
+        if not (
+            gf_equal(derived, gf_kofn_g(k))
+            and gf_equal(family_gf(build_lincon_f, k), gf_lincon_f(k))
+            and gf_equal(series_operator(derived, lam), gf_kofn_g_freq(k, lam))
+            and gf_equal(series_operator(gf_kofn_g(k), lam), gf_kofn_g_freq(k, lam))
+        ):
             ok = False
             break
         a_coeffs = series_coeffs(gf_kofn_g(k), 30)
@@ -124,7 +136,8 @@ def test_criterion_4_generating_function_consistency(capsys):
             break
     scoreboard(
         capsys,
-        4, "generating functions match the matrix fold exactly (k<=6, n<=30)", ok
+        4, "transfer-matrix generating functions are the published ones and match "
+        "the matrix fold exactly (k<=6, n<=30)", ok
     )
 
 

@@ -83,6 +83,14 @@ class TestLogDerivatives:
             numeric = (math.log(a_hi) - math.log(a_lo)) / (2 * h)
             assert d_alpha == pytest.approx(numeric, rel=1e-4)
 
+    @pytest.mark.parametrize("p", [1e-3, 1e-2, 0.05])
+    def test_alpha_plus_is_the_large_n_amplitude_at_small_p(self, p):
+        # zeta0 / zeta+ is near 1 - 2p here, so a fit at moderate n is far off
+        n = 10**5
+        report = ladder_frequency(LadderIdenticalParams(p, 1.0, 1.0, 0.0, n), TERMINAL_T, mode="approx")
+        predicted = n * math.log10(eigenvalues(p)[1]) + math.log10(dominant_amplitude(p))
+        assert abs(report.log10_availability - predicted) < 1e-9
+
     def test_domain(self):
         with pytest.raises(AsymptoticsError):
             log_derivatives(0.0)

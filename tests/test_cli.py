@@ -32,6 +32,15 @@ def write_config(tmp_path, cfg, name="system.json"):
     return str(path)
 
 
+def drop_lambdas(node):
+    """A copy of a config with no "lambda" field, which steady-state-mu derives."""
+    if isinstance(node, dict):
+        return {key: drop_lambdas(value) for key, value in node.items() if key != "lambda"}
+    if isinstance(node, list):
+        return list(map(drop_lambdas, node))
+    return node
+
+
 KOFN_CFG = {
     "family": "kofn-g",
     "k": 2,
@@ -333,7 +342,8 @@ class TestSolveCommand:
     ], ids=["kofn-g", "lincon-f", "ladder-cells", "custom-matrices"])
     @pytest.mark.parametrize("convention, unit", [("explicit", "absolute"), ("steady-state-mu", "mu")])
     def test_every_family_is_labelled_with_its_rate_unit(self, tmp_path, capsys, cfg, convention, unit):
-        cfg = {**cfg, "rate_convention": convention}
+        cfg = {**(drop_lambdas(cfg) if convention == "steady-state-mu" else cfg),
+               "rate_convention": convention}
         for mode in ("exact", "approx"):
             assert main(["solve", write_config(tmp_path, cfg), "--mode", mode]) == EXIT_OK
             report = json.loads(capsys.readouterr().out)
@@ -402,6 +412,10 @@ MALFORMED = {
         {**LADDER_IDENTICAL, "rate_convention": "steady-state-mu"}, "rate_convention"),
     "component-id": ({**CUSTOM_1X1, "components": [{"id": ["x"], "p": "3/4"}]},
                      "components[0]: id must be"),
+    "steady-state-mu-lambda": (
+        {"family": "kofn-g", "k": 1, "rate_convention": "steady-state-mu",
+         "components": [{"id": "c1", "p": "9/10", "lambda": "5"}]},
+        "components[0]: rate_convention 'steady-state-mu' derives lambda of 'c1'"),
     "term-id": ({**CUSTOM_1X1, "matrices": [[[[["1", [["x"]]]]]]]},
                 "matrices[0]: id in term ['1', [['x']]] must be"),
 }

@@ -11,12 +11,10 @@ from relfreq.genfunc import (
     RationalGF,
     UniPoly,
     gf_equal,
-    gf_kofn_g,
-    gf_kofn_g_freq,
-    gf_lincon_f,
     kofn_recurrence_check,
     series_coeffs,
     series_operator,
+    transfer_gf,
 )
 from relfreq.kofn import (
     KofnSpec,
@@ -25,19 +23,29 @@ from relfreq.kofn import (
     identical_components,
     kofn_availability,
 )
-from relfreq.core import ReliabilityError, single_pass
+from relfreq.core import MatrixPair, ReliabilityError, TransferSystem, single_pass
+from relfreq.ladder import (
+    TERMINAL_S,
+    TERMINAL_T,
+    LadderIdenticalParams,
+    build_ladder,
+    eigen_symmetric_parts,
+    identical_ladder_spec,
+)
+
+from helpers import P, family_gf, gf_kofn_g, gf_kofn_g_freq, gf_lincon_f, ladder_gf
 
 P_POINTS = [F(1, 10), F(1, 4), F(1, 3), F(1, 2), F(3, 5), F(7, 10), F(9, 10)]
 
 
 class TestUniPoly:
     def test_arithmetic(self):
-        p = UniPoly.p()
+        p = UniPoly([0, 1])
         f = (1 - p) ** 2 * 3 + p
         assert f(F(1, 2)) == 3 * F(1, 4) + F(1, 2)
 
     def test_p_dp(self):
-        p = UniPoly.p()
+        p = UniPoly([0, 1])
         f = p**3 + 2 * p - 5
         assert f.p_dp() == 3 * p**3 + 2 * p
 
@@ -46,7 +54,7 @@ class TestUniPoly:
 
     def test_negative_power_rejected(self):
         with pytest.raises(GenfuncError):
-            UniPoly.p() ** -1
+            UniPoly([0, 1]) ** -1
 
 
 class TestSeriesExtraction:
@@ -140,6 +148,65 @@ class TestOperatorIdentity:
             twice,
             RationalGF(num=once.num * 2, den=once.den),
         )
+
+
+class TestTransferGF:
+    """transfer_gf derives each family's series from its builder's matrix."""
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_published_forms(self, k):
+        derived = family_gf(build_kofn_g, k)
+        assert gf_equal(derived, gf_kofn_g(k))
+        assert gf_equal(series_operator(derived, F(5, 3)), gf_kofn_g_freq(k, F(5, 3)))
+        assert gf_equal(family_gf(build_lincon_f, k), gf_lincon_f(k))
+
+    @pytest.mark.parametrize("rho", [F(1), F(4, 5)])
+    @pytest.mark.parametrize("terminal", [TERMINAL_S, TERMINAL_T])
+    def test_ladder_series_matches_the_pass(self, rho, terminal):
+        gf = ladder_gf(rho, terminal)
+        coeffs = series_coeffs(gf, 40)
+        # the frequency series with node rate xi = 0, the nodes being constants
+        fcoeffs = series_coeffs(series_operator(gf, F(3, 2)), 20)
+        for p in (F(3, 5), F(2, 7)):
+            for n in range(41):
+                params = LadderIdenticalParams(p, rho, F(3, 2), 0, n)
+                report = single_pass(build_ladder(identical_ladder_spec(params, terminal)))
+                assert coeffs[n](p) == report.availability
+                if n <= 20:
+                    assert fcoeffs[n](p) == report.frequency
+
+    @pytest.mark.parametrize("rho", [F(1), F(4, 5)])
+    @pytest.mark.parametrize("terminal", [TERMINAL_S, TERMINAL_T])
+    def test_ladder_denominator_is_the_eigenvalue_product(self, rho, terminal):
+        # det(I - zM) = (1 - zeta0 z)(1 - t z + d z^2)
+        zeta0, t, d = eigen_symmetric_parts(P, rho)
+        assert ladder_gf(rho, terminal).den.coeffs == (
+            UniPoly([1]), -(zeta0 + t), zeta0 * t + d, -zeta0 * d
+        )
+
+    def test_custom_pair_with_offset_and_sign(self):
+        # an earlier pair sets w; the repeated pair mixes p and constants
+        first = MatrixPair.from_entries(2, [(0, 0, {("x",): 1}), (1, 0, {(): F(1, 3)}),
+                                            (1, 1, {("x",): -1, (): 1})])
+        repeated = MatrixPair.from_entries(2, [(0, 0, {("y",): F(1, 2)}), (0, 1, {(): F(1, 4)}),
+                                               (1, 0, {("y",): 1, (): -1}), (1, 1, {("y",): 1})])
+
+        def system(n):
+            return TransferSystem((F(1), F(2)), (first,) + (repeated,) * n, (F(1, 2), F(1)),
+                                  offset=1, sign=-1)
+
+        gf = transfer_gf(system(1), {"x": F(3, 4), "y": P})
+        coeffs = series_coeffs(gf, 10)
+        fcoeffs = series_coeffs(series_operator(gf, F(2)), 10)
+        for p in (F(1, 3), F(9, 10)):
+            for n in range(11):
+                # x is the constant 3/4 in the series, so its rate is 0
+                report = single_pass(system(n), {"x": (F(3, 4), 0), "y": (p, F(2))})
+                assert (coeffs[n](p), fcoeffs[n](p)) == (report.availability, report.frequency)
+
+    def test_system_without_pairs_rejected(self):
+        with pytest.raises(GenfuncError):
+            transfer_gf(TransferSystem((1,), (), (1,)), {})
 
 
 class TestRecurrence:

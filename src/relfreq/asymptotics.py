@@ -12,29 +12,18 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, FrozenSet, List, Tuple
 
 from .core import Component
 from .ladder import (
-    TERMINAL_S, TERMINAL_T, LadderCell, LadderSpec, discriminant, eigen_symmetric_parts,
-    entry_cell, ladder_structure,
+    TERMINAL_S, TERMINAL_T, LadderSpec, discriminant, distinct_ladder_cells,
+    eigen_symmetric_parts, ladder_structure,
 )
 
 
 class AsymptoticsError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class LadderAsymptotics:
-    zeta0: float
-    zeta_plus: float
-    zeta_minus: float
-    alpha_plus: float
-    d_ln_zeta: float
-    d_ln_alpha: float
 
 
 def eigenvalues(p: float, rho: float = 1.0) -> Tuple[float, float, float]:
@@ -64,22 +53,14 @@ def log_derivatives(p: float) -> Tuple[float, float]:
 
 def dominant_amplitude(p: float) -> float:
     """alpha+, the limit of R_Tn / zeta+^n in :func:`ladder.ladder_closed_form`
-    for perfect nodes: (p (1 + p) zeta+ - zeta+ zeta-) / (2 p (zeta+ - zeta-))."""
+    for perfect nodes: (p (1 + p) zeta+ - zeta+ zeta-) / (2 p (zeta+ - zeta-)).
+    Where that denominator is 0 in floats (p = 0, or p so small that the
+    product underflows) it raises :class:`AsymptoticsError`."""
     _, zp, zm = eigenvalues(p, 1.0)
-    return (p * (1 + p) * zp - zp * zm) / (2 * p * (zp - zm))
-
-
-def ladder_asymptotics(p: float) -> LadderAsymptotics:
-    zeta0, zp, zm = eigenvalues(p, 1.0)
-    d_zeta, d_alpha = log_derivatives(p)
-    return LadderAsymptotics(
-        zeta0=zeta0,
-        zeta_plus=zp,
-        zeta_minus=zm,
-        alpha_plus=dominant_amplitude(p),
-        d_ln_zeta=d_zeta,
-        d_ln_alpha=d_alpha,
-    )
+    denominator = 2 * p * (zp - zm)
+    if denominator == 0:
+        raise AsymptoticsError(f"alpha+ is undefined at p={p}: 2p(zeta+ - zeta-) is 0")
+    return (p * (1 + p) * zp - zp * zm) / denominator
 
 
 def asymptotic_rate(p: float, n: int, lam: float) -> float:
@@ -141,12 +122,8 @@ def minimal_cuts_size2(n: int, terminal: str = "S") -> List[FrozenSet[str]]:
     def node(cid):
         return Component(cid, 1)
 
-    cells = [entry_cell(edge("b0"), node("S0"), node("T0"))]
-    for i in range(1, n + 1):
-        cells.append(LadderCell(
-            edge(f"a{i}"), edge(f"b{i}"), edge(f"c{i}"), node(f"S{i}"), node(f"T{i}"), i
-        ))
-    spec = LadderSpec(tuple(cells), TERMINAL_S if terminal == "S" else TERMINAL_T)
+    cells = distinct_ladder_cells(n, edge, node)
+    spec = LadderSpec(cells, TERMINAL_S if terminal == "S" else TERMINAL_T)
     structure = ladder_structure(spec)
     components = [comp for cell in cells for comp in cell.components()]
     ids = ["b0"] + [comp.id for cell in cells[1:] for comp in (cell.a, cell.c, cell.b)]

@@ -13,7 +13,6 @@ import io
 import json
 import sys
 from contextlib import nullcontext, suppress
-from dataclasses import replace
 from typing import Optional
 
 from . import asymptotics
@@ -96,13 +95,15 @@ def _parse_component(entry: dict, convention: str, where: str) -> Component:
         raise ConfigError(f"{where}: component entry must be an object")
     cid = _id(_require(entry, "id", where), where)
     p = _scalar(_require(entry, "p", where), where, "p", cid)
-    mu = _scalar(entry["mu"], where, "mu", cid) if "mu" in entry else None
     if convention == "steady-state-mu":
         if "lambda" in entry:
             raise ConfigError(f"{where}: rate_convention 'steady-state-mu' derives lambda of {cid!r}")
-        return Component.steady_state(cid, p, mu if mu is not None else 1)
+        mu = _scalar(entry["mu"], where, "mu", cid) if "mu" in entry else 1
+        return Component.steady_state(cid, p, mu)
+    if "mu" in entry:
+        raise ConfigError(f"{where}: mu of {cid!r} needs rate_convention 'steady-state-mu'")
     lam = _scalar(entry.get("lambda", "0"), where, "lambda", cid)
-    return Component(cid, p, lam, mu)
+    return Component(cid, p, lam)
 
 
 def _parse_poly(entry, where: str) -> MultilinearPoly:
@@ -181,7 +182,7 @@ def build_from_config(cfg: dict) -> TransferSystem:
                 if i == 0:
                     cells.append(entry_cell(parts["b"], parts["S"], parts["T"]))
                 else:
-                    cells.append(LadderCell(index=i, **parts))
+                    cells.append(LadderCell(**parts))
             return build_ladder(LadderSpec(tuple(cells), terminal))
         if convention != "explicit":
             raise ConfigError(
@@ -240,16 +241,15 @@ def cmd_solve(args) -> int:
     except ReliabilityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    if cfg.get("rate_convention") == "steady-state-mu":
-        # the frequencies are multiples of the components' common repair rate
-        report = replace(report, rate_unit="mu")
     # a float A can leave [0, 1] by rounding; an exact one only when the
     # matrices describe no availability
     if args.mode == EXACT and not 0 <= report.availability <= 1:
         print(f"error: availability A = {rational_str(report.availability)} outside [0, 1]",
               file=sys.stderr)
         return EXIT_VALIDATION
-    payload = json.dumps(report.as_dict(), indent=2, sort_keys=True)
+    # under steady-state-mu the frequencies are multiples of the repair rate
+    unit = "mu" if cfg.get("rate_convention") == "steady-state-mu" else "absolute"
+    payload = json.dumps(report.as_dict(unit), indent=2, sort_keys=True)
     return _write_out(args.out, payload + "\n")
 
 
@@ -359,7 +359,7 @@ def cmd_verify(args) -> int:
     if result.ok:
         print(f"verify: {result.trials} randomized instances, all exact matches")
         return EXIT_OK
-    m = result.mismatches[0]
+    m = result.mismatch
     print("verify: MISMATCH")
     print(f"  instance: {m.description}")
     print(f"  quantity: {m.quantity}")

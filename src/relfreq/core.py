@@ -49,9 +49,9 @@ from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, chain, groupby, repeat
+from itertools import accumulate, chain, repeat
 from math import frexp, gcd, lcm, ldexp, log10
-from operator import countOf, index as to_index, mul, truediv
+from operator import index as to_index, mul, truediv
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Tuple
 
 from .scalars import EXACT, Scalar, as_exact, check_mode, convert, rational_str
@@ -85,29 +85,23 @@ class MissingAvailabilityError(ReliabilityError):
 class Component:
     """One repairable element.
 
-    ``lam`` and ``mu`` are failure and repair rates per unit time; when the
-    rates are expressed as multiples of a single reference repair rate, the
-    stored values are the multipliers.
+    ``lam`` is the failure rate per unit time; when rates are expressed as
+    multiples of a single reference repair rate, it is the multiplier.
     """
 
     id: str
     p: Fraction
     lam: Fraction = Fraction(0)
-    mu: Optional[Fraction] = None
 
     def __post_init__(self):
         p, lam = as_exact(self.p), as_exact(self.lam)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "lam", lam)
-        if self.mu is not None:
-            object.__setattr__(self, "mu", as_exact(self.mu))
         # a Fraction's denominator is positive: compare integers, not Fractions
         if not 0 <= p.numerator <= p.denominator:
             raise ReliabilityError(f"component {self.id!r}: p={p} outside [0,1]")
         if lam.numerator < 0:
             raise ReliabilityError(f"component {self.id!r}: negative failure rate")
-        if self.mu is not None and self.mu.numerator < 0:
-            raise ReliabilityError(f"component {self.id!r}: negative repair rate")
         if p.numerator == p.denominator and lam.numerator:
             raise ReliabilityError(
                 f"component {self.id!r}: a perfect component must have zero failure rate"
@@ -118,10 +112,12 @@ class Component:
         """Component whose failure rate satisfies lam * p = mu * (1 - p)."""
         p = as_exact(p)
         mu = as_exact(mu)
+        if mu < 0:
+            raise ReliabilityError(f"component {id!r}: negative repair rate")
         if p == 0:
             raise ReliabilityError(f"component {id!r}: p=0 has no steady-state rate")
         lam = mu * (1 - p) / p
-        return cls(id=id, p=p, lam=lam, mu=mu)
+        return cls(id=id, p=p, lam=lam)
 
 
 # ---------------------------------------------------------------------------
@@ -160,14 +156,6 @@ class MultilinearPoly:
     @property
     def terms(self) -> dict:
         return dict(self._terms)
-
-    @classmethod
-    def zero(cls) -> "MultilinearPoly":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "MultilinearPoly":
-        return cls({(): Fraction(1)})
 
     @classmethod
     def constant(cls, c) -> "MultilinearPoly":
@@ -400,10 +388,6 @@ class MatrixPair:
         return self.layout.dim
 
     @property
-    def shape(self) -> Tuple[int, int]:
-        return (self.dim, self.dim)
-
-    @property
     def polys(self) -> Tuple[MultilinearPoly, ...]:
         """Each slot's polynomial over the bound ids."""
         return tuple(_bound_poly(terms, self.ids) for terms in self.layout.polys)
@@ -441,14 +425,6 @@ class MatrixPair:
         return cls(Layout(dim, map(sorted, rows), terms), ids)
 
 
-def identical_runs(items: Iterable) -> Iterator[Tuple[object, int]]:
-    """(item, r) for each run of r consecutive references to one object;
-    ``countOf`` counts the rest of a run in C, matching each by identity."""
-    for _, run in groupby(items, key=id):
-        item = next(run)
-        yield item, 1 + countOf(run, item)
-
-
 class Runs(Sequence):
     """An immutable sequence stored as its runs: ``runs`` holds (item, r) for
     each run of r >= 1 consecutive references to one object, and no two
@@ -457,8 +433,9 @@ class Runs(Sequence):
     It reads like the tuple it stands for (length, iteration, indexing;
     a slice is a tuple), but is never expanded: a run of r references costs
     O(1) memory, so a chain of 10**12 shared cells fits.  ``Runs(items)``
-    scans a plain iterable with :func:`identical_runs`; :meth:`from_runs`
-    takes the runs themselves and scans nothing.
+    reads each item of a plain iterable as a run of 1 and :meth:`from_runs`
+    takes the runs themselves; both store them through one merge.  A
+    ``Runs`` given to ``Runs`` is taken as it is, in O(1).
     """
 
     __slots__ = ("runs", "_ends")
@@ -467,14 +444,19 @@ class Runs(Sequence):
         if isinstance(items, Runs):
             self.runs, self._ends = items.runs, items._ends
         else:
-            self.runs = tuple(identical_runs(items))
-            self._ends = tuple(accumulate(r for _, r in self.runs))
+            self._merge(zip(items, repeat(1)))
 
     @classmethod
     def from_runs(cls, runs: Iterable[Tuple[object, int]]) -> "Runs":
         """The sequence of ``r`` references to each ``item`` in turn, from
-        (item, r) pairs; runs of length 0 are dropped and adjacent runs of one
-        object merged, so the stored runs are the maximal ones."""
+        (item, r) pairs."""
+        out = cls.__new__(cls)
+        out._merge(runs)
+        return out
+
+    def _merge(self, runs: Iterable[Tuple[object, int]]) -> None:
+        """Store the maximal runs of (item, r) pairs: runs of length 0 are
+        dropped and adjacent runs of one object, matched by identity, joined."""
         merged = []
         for item, r in runs:
             r = to_index(r)
@@ -485,10 +467,8 @@ class Runs(Sequence):
             if merged and merged[-1][0] is item:
                 r += merged.pop()[1]
             merged.append((item, r))
-        out = cls.__new__(cls)
-        out.runs = tuple(merged)
-        out._ends = tuple(accumulate(r for _, r in merged))
-        return out
+        self.runs = tuple(merged)
+        self._ends = tuple(accumulate(r for _, r in merged))
 
     def __len__(self) -> int:
         return self._ends[-1] if self._ends else 0
@@ -562,7 +542,7 @@ class TransferSystem:
         for pair, _ in self.pairs.runs:
             if pair.dim != dim:
                 raise DimensionMismatchError(
-                    f"matrix shape {pair.shape} incompatible with dimension {dim}"
+                    f"matrix shape ({pair.dim}, {pair.dim}) incompatible with dimension {dim}"
                 )
 
     @property
@@ -786,7 +766,7 @@ def _fold(
         if steps is None:
             if pair.dim != dim:
                 raise DimensionMismatchError(
-                    f"matrix shape {pair.shape} incompatible with state dimension {dim}"
+                    f"matrix shape ({pair.dim}, {pair.dim}) incompatible with state dimension {dim}"
                 )
             steps = powers[id(pair)] = [_compile(pair, assignment, mode)]
         index += r
@@ -835,9 +815,8 @@ def log10_of(x: Scalar, exponent: int = 0) -> Optional[float]:
 class ReliabilityReport:
     """A, U, mean failure frequency and mean failure rate of one system.
 
-    Frequencies are absolute (per unit time) or multiples of a reference
-    repair rate, per ``rate_unit``.  The log10 fields (None unless positive)
-    hold also where an approx A or nu is below the double range and reads 0.
+    The log10 fields (None unless positive) hold also where an approx A or
+    nu is below the double range and reads 0.
     """
 
     availability: Scalar
@@ -845,23 +824,26 @@ class ReliabilityReport:
     frequency: Scalar
     failure_rate: Optional[Scalar]
     mode: str
-    rate_unit: str = "absolute"
     family: str = ""
     size: int = 0
     log10_availability: Optional[float] = None
     log10_frequency: Optional[float] = None
 
-    def as_dict(self) -> dict:
-        def block(value):
+    def as_dict(self, rate_unit: str = "absolute") -> dict:
+        """The report as JSON-ready blocks.  Frequencies are ``"per"``
+        ``rate_unit``: absolute (per unit time), or ``"mu"`` when they are
+        multiples of a reference repair rate; A and U are dimensionless, so
+        theirs read ``"absolute"``."""
+        def block(value, per=rate_unit):
             entry = {"decimal": repr(float(value))}
             if self.mode == EXACT:
                 entry["rational"] = rational_str(value)
-            entry["per"] = self.rate_unit
+            entry["per"] = per
             return entry
 
         out = {
-            "availability": block(self.availability),
-            "unavailability": block(self.unavailability),
+            "availability": block(self.availability, "absolute"),
+            "unavailability": block(self.unavailability, "absolute"),
             "frequency": block(self.frequency),
             "log10_availability": self.log10_availability,
             "log10_frequency": self.log10_frequency,
@@ -869,14 +851,11 @@ class ReliabilityReport:
                 "family": self.family,
                 "mode": self.mode,
                 "size": self.size,
-                "rate_unit": self.rate_unit,
+                "rate_unit": rate_unit,
             },
         }
         if self.failure_rate is not None:
             out["failure_rate"] = block(self.failure_rate)
-        # availability and unavailability are dimensionless
-        out["availability"]["per"] = "absolute"
-        out["unavailability"]["per"] = "absolute"
         return out
 
 

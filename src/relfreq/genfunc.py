@@ -19,7 +19,6 @@ from fractions import Fraction
 from math import prod
 from typing import List, Sequence
 
-from .kofn import kofn_availability
 from .scalars import as_exact
 
 
@@ -230,13 +229,3 @@ def series_operator(obj, lam=1):
 def gf_equal(a: RationalGF, b: RationalGF) -> bool:
     """Equality as rational functions, by cross-multiplication."""
     return a.num * b.den == b.num * a.den
-
-
-def kofn_recurrence_check(k: int, n: int, p) -> bool:
-    """A_{k,n+1} = (1-p) A_{k,n} + p A_{k-1,n}, on exact values."""
-    if not (1 <= k <= n):
-        raise GenfuncError(f"need 1 <= k <= n, got k={k}, n={n}")
-    p = as_exact(p)
-    lhs = kofn_availability(k, n + 1, p)
-    rhs = (1 - p) * kofn_availability(k, n, p) + p * kofn_availability(k - 1, n, p)
-    return lhs == rhs

@@ -15,16 +15,8 @@ from fractions import Fraction
 from math import comb
 from typing import Tuple
 
-from .core import (
-    Component,
-    Layout,
-    MatrixPair,
-    ReliabilityError,
-    ReliabilityReport,
-    TransferSystem,
-    log10_of,
-)
-from .scalars import EXACT, as_exact
+from .core import Component, Layout, MatrixPair, ReliabilityError, TransferSystem
+from .scalars import as_exact
 
 
 @dataclass(frozen=True)
@@ -105,8 +97,8 @@ def kofn_availability(k: int, n: int, p) -> Fraction:
     return sum((comb(n, l) * p**l * q ** (n - l) for l in range(k, n + 1)), Fraction(0))
 
 
-def kofn_g_identical(k: int, n: int, p, lam) -> ReliabilityReport:
-    """Exact closed-form report for identical components, in absolute units.
+def kofn_g_identical(k: int, n: int, p, lam) -> Tuple[Fraction, Fraction]:
+    """Exact closed-form (A, nu) for identical components, in absolute units.
 
     The frequency is lam * k * C(n,k) * p^k * (1-p)^(n-k); the binomial index
     is k (verified against the generating-function expansion and the
@@ -126,17 +118,7 @@ def kofn_g_identical(k: int, n: int, p, lam) -> ReliabilityReport:
         lam = Fraction(0)  # a perfect component never fails, as in identical_components
     a = kofn_availability(k, n, p)
     nu = lam * k * comb(n, k) * p**k * (1 - p) ** (n - k)
-    return ReliabilityReport(
-        availability=a,
-        unavailability=1 - a,
-        frequency=nu,
-        failure_rate=nu / a if a != 0 else None,
-        mode=EXACT,
-        family=f"kofn-g:{k}/{n}",
-        size=n,
-        log10_availability=log10_of(a),
-        log10_frequency=log10_of(nu),
-    )
+    return a, nu
 
 
 def identical_components(n: int, p, lam) -> Tuple[Component, ...]:

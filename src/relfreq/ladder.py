@@ -44,7 +44,7 @@ class LadderCell:
     c: Component
     S: Component
     T: Component
-    index: int = 0
+    index: int = 0  # read by nothing; kept while perfbench's approx-stream sets it
 
     def components(self) -> Tuple[Component, ...]:
         return (self.a, self.b, self.c, self.S, self.T)
@@ -105,8 +105,19 @@ def entry_cell(b: Component, S: Component, T: Component) -> LadderCell:
         c=Component("__no_rail__", 0, 0),
         S=S,
         T=T,
-        index=0,
     )
+
+
+def distinct_ladder_cells(n: int, edge, node) -> Tuple[LadderCell, ...]:
+    """Cells 0..n whose components all have distinct ids: ``edge(id)`` makes
+    b0 and each a_i, b_i, c_i, and ``node(id)`` each S_i and T_i, called
+    cell by cell in the order b0, S0, T0, then a_i, b_i, c_i, S_i, T_i."""
+    cells = [entry_cell(edge("b0"), node("S0"), node("T0"))]
+    for i in range(1, n + 1):
+        cells.append(LadderCell(
+            edge(f"a{i}"), edge(f"b{i}"), edge(f"c{i}"), node(f"S{i}"), node(f"T{i}")
+        ))
+    return tuple(cells)
 
 
 # Variables 0-4 are the cell's S, T, a, b, c: the sorted order of the ids
@@ -183,7 +194,6 @@ def identical_ladder_spec(params: LadderIdenticalParams, terminal: str = TERMINA
         c=Component("c", p, lam),
         S=Component("S", rho, xi),
         T=Component("T", rho, xi),
-        index=1,
     )
     return LadderSpec(Runs.from_runs([(cell0, 1), (interior, params.n)]), terminal)
 

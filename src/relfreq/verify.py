@@ -8,19 +8,18 @@ demands identical rationals for availability and failure frequency.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import List
+from typing import Optional
 
 from .core import Component, single_pass
 from .kofn import KofnSpec, build_kofn_g, build_lincon_f
 from .ladder import (
-    LadderCell,
     LadderSpec,
     TERMINAL_S,
     TERMINAL_T,
     build_ladder,
-    entry_cell,
+    distinct_ladder_cells,
     ladder_structure,
 )
 from .oracle import (
@@ -42,11 +41,11 @@ class Mismatch:
 @dataclass
 class VerifyResult:
     trials: int
-    mismatches: List[Mismatch] = field(default_factory=list)
+    mismatch: Optional[Mismatch] = None
 
     @property
     def ok(self) -> bool:
-        return not self.mismatches
+        return self.mismatch is None
 
 
 def _random_component(rng: random.Random, cid: str) -> Component:
@@ -78,20 +77,9 @@ def _random_ladder(rng: random.Random, max_components: int):
             return Component(cid, 1, 0)
         return _random_component(rng, cid)
 
-    cells = [entry_cell(_random_component(rng, "b0"), node("S0"), node("T0"))]
-    for i in range(1, n + 1):
-        cells.append(
-            LadderCell(
-                a=_random_component(rng, f"a{i}"),
-                b=_random_component(rng, f"b{i}"),
-                c=_random_component(rng, f"c{i}"),
-                S=node(f"S{i}"),
-                T=node(f"T{i}"),
-                index=i,
-            )
-        )
+    cells = distinct_ladder_cells(n, lambda cid: _random_component(rng, cid), node)
     terminal = TERMINAL_S if rng.random() < 0.5 else TERMINAL_T
-    spec = LadderSpec(tuple(cells), terminal)
+    spec = LadderSpec(cells, terminal)
     system = build_ladder(spec)
     sf = ladder_structure(spec)
     return system, sf, f"ladder n={n} terminal={terminal} perfect_nodes={perfect_nodes}"
@@ -128,13 +116,9 @@ def run_equivalence_trials(
         report = single_pass(system)
         a_oracle, nu_oracle = oracle_solve(sf, probs, rates)
         if report.availability != a_oracle:
-            result.mismatches.append(
-                Mismatch(desc, report.availability, a_oracle, "availability")
-            )
+            result.mismatch = Mismatch(desc, report.availability, a_oracle, "availability")
         elif report.frequency != nu_oracle:
-            result.mismatches.append(
-                Mismatch(desc, report.frequency, nu_oracle, "frequency")
-            )
-        if result.mismatches:
+            result.mismatch = Mismatch(desc, report.frequency, nu_oracle, "frequency")
+        if result.mismatch is not None:
             break
     return result

@@ -11,12 +11,11 @@ from relfreq.core import Component, Layout, MatrixPair, apply_rate_operator
 from relfreq.genfunc import RationalGF, UniPoly, transfer_gf
 from relfreq.kofn import KofnSpec, identical_components
 from relfreq.ladder import (
-    LadderCell,
     LadderIdenticalParams,
     LadderSpec,
     TERMINAL_T,
     build_ladder,
-    entry_cell,
+    distinct_ladder_cells,
     identical_ladder_spec,
 )
 from relfreq.oracle import oracle_availability
@@ -39,23 +38,10 @@ def lincon_4_11_components():
 
 def distinct_ladder_spec(p, rho, lam, xi, n, terminal=TERMINAL_T):
     """Ladder with one distinct component id per slot (oracle-compatible)."""
-    cells = [
-        entry_cell(
-            Component("b0", p, lam), Component("S0", rho, xi), Component("T0", rho, xi)
-        )
-    ]
-    for i in range(1, n + 1):
-        cells.append(
-            LadderCell(
-                a=Component(f"a{i}", p, lam),
-                b=Component(f"b{i}", p, lam),
-                c=Component(f"c{i}", p, lam),
-                S=Component(f"S{i}", rho, xi),
-                T=Component(f"T{i}", rho, xi),
-                index=i,
-            )
-        )
-    return LadderSpec(tuple(cells), terminal)
+    cells = distinct_ladder_cells(
+        n, lambda cid: Component(cid, p, lam), lambda cid: Component(cid, rho, xi)
+    )
+    return LadderSpec(cells, terminal)
 
 
 def dense_fraction_fold(system, assignment):

@@ -19,7 +19,6 @@ from relfreq.asymptotics import (
 from relfreq.core import initial_state, single_pass, stream_step
 from relfreq.genfunc import (
     gf_equal,
-    kofn_recurrence_check,
     series_coeffs,
     series_operator,
 )
@@ -28,6 +27,7 @@ from relfreq.kofn import (
     build_kofn_g,
     build_lincon_f,
     identical_components,
+    kofn_availability,
 )
 from relfreq.ladder import (
     LadderIdenticalParams,
@@ -226,7 +226,8 @@ def test_criterion_8_performance(capsys):
 def test_criterion_9_recurrence(capsys):
     p_points = [F(1, 7), F(1, 3), F(1, 2), F(2, 3), F(9, 10)]
     ok = all(
-        kofn_recurrence_check(k, n, p)
+        kofn_availability(k, n + 1, p)
+        == (1 - p) * kofn_availability(k, n, p) + p * kofn_availability(k - 1, n, p)
         for k in range(1, 9)
         for n in range(k, 41)
         for p in p_points

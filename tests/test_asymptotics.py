@@ -12,7 +12,6 @@ from relfreq.asymptotics import (
     dominant_amplitude,
     eigenvalues,
     first_order_rate,
-    ladder_asymptotics,
     log_derivative_maxima,
     log_derivatives,
     minimal_cuts_size2,
@@ -90,6 +89,12 @@ class TestLogDerivatives:
         report = ladder_frequency(LadderIdenticalParams(p, 1.0, 1.0, 0.0, n), TERMINAL_T, mode="approx")
         predicted = n * math.log10(eigenvalues(p)[1]) + math.log10(dominant_amplitude(p))
         assert abs(report.log10_availability - predicted) < 1e-9
+
+    @pytest.mark.parametrize("p", [0.0, 1e-170, 1e-300])
+    def test_alpha_plus_rejects_p_where_its_denominator_is_zero(self, p):
+        # at 1e-170 and 1e-300 zeta+ > zeta- but 2p(zeta+ - zeta-) underflows
+        with pytest.raises(AsymptoticsError, match=f"p={p}"):
+            dominant_amplitude(p)
 
     def test_domain(self):
         with pytest.raises(AsymptoticsError):
@@ -181,10 +186,19 @@ class TestMinimalCuts:
             minimal_cuts_size2(2, terminal="X")
 
 
-class TestBundle:
+class TestConsistency:
     def test_ladder_asymptotics_consistency(self):
-        info = ladder_asymptotics(0.6)
-        zeta0, zp, zm = eigenvalues(0.6)
-        assert info.zeta_plus == zp
-        assert info.zeta0 == zeta0
-        assert info.alpha_plus == pytest.approx(dominant_amplitude(0.6), rel=1e-12)
+        # the three functions describe one ladder: ln R_Tn is near
+        # ln alpha+ + n ln zeta+, and its log-derivative in p is near
+        # d_alpha + n d_zeta
+        p, n, h = 0.6, 200, 1e-6
+        zeta0, zp, zm = eigenvalues(p)
+        assert zp > zeta0 > 0 and zp > abs(zm)
+        d_zeta, d_alpha = log_derivatives(p)
+
+        def ln_r_t(x):
+            return math.log(ladder_closed_form(LadderIdenticalParams(x, 1.0, 0.0, 0.0, n), "approx")[1])
+
+        assert ln_r_t(p) == pytest.approx(math.log(dominant_amplitude(p)) + n * math.log(zp), rel=1e-12)
+        numeric = (ln_r_t(p * (1 + h)) - ln_r_t(p * (1 - h))) / (2 * h)
+        assert numeric == pytest.approx(d_alpha + n * d_zeta, rel=1e-6)

@@ -416,6 +416,10 @@ MALFORMED = {
         {"family": "kofn-g", "k": 1, "rate_convention": "steady-state-mu",
          "components": [{"id": "c1", "p": "9/10", "lambda": "5"}]},
         "components[0]: rate_convention 'steady-state-mu' derives lambda of 'c1'"),
+    "explicit-mu": (
+        {"family": "kofn-g", "k": 1, "rate_convention": "explicit",
+         "components": [{"id": "c1", "p": "9/10", "mu": "7"}]},
+        "components[0]: mu of 'c1' needs rate_convention 'steady-state-mu'"),
     "term-id": ({**CUSTOM_1X1, "matrices": [[[[["1", [["x"]]]]]]]},
                 "matrices[0]: id in term ['1', [['x']]] must be"),
 }

@@ -79,7 +79,7 @@ class TestRateOperator:
         assert image == expected
 
     def test_constant_annihilated(self):
-        assert apply_rate_operator(MultilinearPoly.one(), {}).is_zero()
+        assert apply_rate_operator(MultilinearPoly.constant(1), {}).is_zero()
 
     def test_perfect_component_zero_rate(self):
         assert apply_rate_operator(P1, {"p1": F(0)}).is_zero()
@@ -111,8 +111,8 @@ class TestRateOperator:
     def test_matrix_level_product_rule(self):
         P4, P5, P6 = (MultilinearPoly.variable(f"p{i}") for i in (4, 5, 6))
         rates = {f"p{i}": F(i, 2) for i in range(1, 7)}
-        m = ((0, 0, P1), (0, 1, P2), (1, 0, P3), (1, 1, MultilinearPoly.one() - P1))
-        n = ((0, 0, P5 * P6), (0, 1, MultilinearPoly.one()), (1, 0, P4), (1, 1, P5))
+        m = ((0, 0, P1), (0, 1, P2), (1, 0, P3), (1, 1, MultilinearPoly.constant(1) - P1))
+        n = ((0, 0, P5 * P6), (0, 1, MultilinearPoly.constant(1)), (1, 0, P4), (1, 1, P5))
 
         def rows(entries):
             return MatrixPair.from_entries(2, entries).m
@@ -125,13 +125,13 @@ class TestRateOperator:
             for r, i, e in (e for row in x for e in row):
                 for j, c, f in (f for row in y for f in row):
                     if i == j:
-                        acc[r, c] = acc.get((r, c), MultilinearPoly.zero()) + e * f
+                        acc[r, c] = acc.get((r, c), MultilinearPoly()) + e * f
             return rows((r, c, e) for (r, c), e in acc.items())
 
         def as_dict(*matrices):
             acc = {}
             for r, c, e in (e for x in matrices for row in x for e in row):
-                acc[r, c] = acc.get((r, c), MultilinearPoly.zero()) + e
+                acc[r, c] = acc.get((r, c), MultilinearPoly()) + e
             return {pos: e for pos, e in acc.items() if not e.is_zero()}
 
         m, n = rows(m), rows(n)
@@ -184,7 +184,7 @@ class TestPolynomials:
 
 class TestMatrixPair:
     def test_from_entries_drops_zeros_and_sorts_rows(self):
-        pair = MatrixPair.from_entries(2, [(1, 1, P2), (0, 1, MultilinearPoly.zero()), (1, 0, P1)])
+        pair = MatrixPair.from_entries(2, [(1, 1, P2), (0, 1, MultilinearPoly()), (1, 0, P1)])
         assert pair.m == ((), (Entry(1, 0, P1), Entry(1, 1, P2)))
 
     @pytest.mark.parametrize(
@@ -733,7 +733,7 @@ def test_approx_results_do_not_depend_on_the_hash_seed():
 class TestComponent:
     def test_steady_state_balance(self):
         c = Component.steady_state("x", F(9, 10), mu=F(3))
-        assert c.lam * c.p == c.mu * (1 - c.p)
+        assert c.lam * c.p == F(3) * (1 - c.p)
 
     def test_perfect_component_requires_zero_rate(self):
         with pytest.raises(ReliabilityError):
@@ -748,11 +748,15 @@ class TestComponent:
         [(("x", F(11, 10)), "component 'x': p=11/10 outside [0,1]"),
          (("x", F(-1, 10)), "component 'x': p=-1/10 outside [0,1]"),
          (("x", F(1, 2), F(-1, 3)), "component 'x': negative failure rate"),
-         (("x", F(1, 2), F(1), F(-2)), "component 'x': negative repair rate"),
          (("x", 1, F(1, 3)), "component 'x': a perfect component must have zero failure rate")],
-        ids=["above-one", "below-zero", "negative-rate", "negative-repair", "perfect-with-rate"],
+        ids=["above-one", "below-zero", "negative-rate", "perfect-with-rate"],
     )
     def test_rejections_name_the_component_and_the_fault(self, args, message):
         with pytest.raises(ReliabilityError) as info:
             Component(*args)
         assert str(info.value) == message
+
+    def test_steady_state_rejects_a_negative_repair_rate(self):
+        with pytest.raises(ReliabilityError) as info:
+            Component.steady_state("x", F(1, 2), mu=F(-2))
+        assert str(info.value) == "component 'x': negative repair rate"

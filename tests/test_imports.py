@@ -1,7 +1,8 @@
 """Every module-level import in the package is used, every module-level
 function and class and every public method or property of a package class
-is referenced somewhere, every package name the benchmark reads exists, and
-the package needs nothing outside the standard library.
+is referenced somewhere, only ``core.finalize`` makes a report, no package
+code sets ``LadderCell.index``, every package name the benchmark reads
+exists, and the package needs nothing outside the standard library.
 
 Names listed in a module's ``__all__`` count as used, which covers the
 package's re-exports.  The unused-import and unreferenced-definition checks
@@ -201,6 +202,49 @@ def test_member_detector_ignores_self_reference_and_private_names():
         ("a", "Poly.recursive"),
         ("a", "Poly.unread"),
     ]
+
+
+def one_maker_breaches(module: str, source: str):
+    """(function, line) of each call in ``module`` that makes a report or a
+    ladder cell the wrong way: ``ReliabilityReport(...)`` anywhere but in
+    ``core.finalize``, and ``LadderCell`` given an index, by keyword or as
+    its sixth argument, anywhere.  The function is the enclosing
+    module-level function or class, or None."""
+    out = []
+    for stmt in ast.parse(source).body:
+        owner = getattr(stmt, "name", None)
+        for node in ast.walk(stmt):
+            if not isinstance(node, ast.Call):
+                continue
+            callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if (callee == "ReliabilityReport" and (module, owner) != ("core", "finalize")
+                    or callee == "LadderCell" and (
+                        len(node.args) > 5 or any(kw.arg == "index" for kw in node.keywords))):
+                out.append((owner, node.lineno))
+    return out
+
+
+def test_finalize_makes_every_report_and_no_cell_is_given_an_index():
+    # one constructor per job: a report comes from finalize alone, and
+    # LadderCell.index, which nothing reads, is set by no package code
+    breaches = {path.stem: one_maker_breaches(path.stem, path.read_text())
+                for path in sorted(PACKAGE.glob("*.py"))}
+    assert {module: found for module, found in breaches.items() if found} == {}
+
+
+def test_one_maker_detector():
+    source = (
+        "from .core import ReliabilityReport\n"
+        "from . import ladder\n"
+        "def finalize():\n    return ReliabilityReport(1)\n"
+        "def closed_form():\n    return ReliabilityReport(2)\n"
+        "def cell(i):\n    return ladder.LadderCell(*parts(), index=i)\n"
+        "def plain():\n    return ladder.LadderCell(*parts())\n"
+        "def sixth(i):\n    return LadderCell(a, b, c, S, T, i)\n"
+    )
+    assert one_maker_breaches("core", source) == [("closed_form", 6), ("cell", 8), ("sixth", 12)]
+    assert one_maker_breaches("kofn", source) == [
+        ("finalize", 4), ("closed_form", 6), ("cell", 8), ("sixth", 12)]
 
 
 def test_cli_imports_only_the_standard_library():

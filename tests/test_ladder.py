@@ -43,7 +43,7 @@ class TestCellMatrix:
             index=1,
         )
         pair = cell_matrix_pair(cell)
-        assert pair.shape == (3, 3)
+        assert pair.dim == 3
         assign = {k: v for k, v in [("a", F(1, 2)), ("b", F(1, 3)), ("c", F(1, 5)), ("S", F(2, 3)), ("T", F(3, 4))]}
         a, b, c, S, T = assign["a"], assign["b"], assign["c"], assign["S"], assign["T"]
         expected = [
@@ -68,7 +68,7 @@ class TestCellMatrix:
     )
     def test_entries_equal_their_product_form(self, cell):
         a, b, c, S, T = (MultilinearPoly.variable(x.id) for x in cell.components())
-        one = MultilinearPoly.one()
+        one = MultilinearPoly.constant(1)
         expected = [
             [a * S, b * c * S * T, a * b * c * S * T],
             [a * b * S * T, c * T, a * b * c * S * T],

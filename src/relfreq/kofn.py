@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 from typing import Tuple
 
@@ -43,16 +44,30 @@ class KofnSpec:
 # q_i = 1 - p_i and p_i over a pair's one variable, bound to component i
 _Q = {(): 1, (0,): -1}
 _P = {(0,): 1}
+# each family's slot 0 column in row r and its two slots' polynomials:
+# k-of-n:G has q_i on the diagonal and p_i on the superdiagonal, lincon-F
+# p_i down the first column and q_i on the superdiagonal
+_FAMILIES = {
+    "kofn-g": (lambda r: r, (_Q, _P)),
+    "lincon-f": (lambda r: 0, (_P, _Q)),
+}
 
 
-def _build(spec: KofnSpec, col, polys, family: str, offset=0, sign=1) -> TransferSystem:
-    """The system of one k x k pair per component, each binding its id to
-    one layout whose row r holds slot 0 at column ``col(r)`` and, for
-    r < k - 1, slot 1 on the superdiagonal; ``polys`` are the two slots'
-    polynomials, and k = 1 has slot 0 only."""
-    k = spec.k
+@lru_cache(maxsize=256)
+def _layout(family: str, k: int) -> Layout:
+    """The one k x k layout of ``family``, shared by all its systems: row r
+    holds slot 0 at the family's column and, for r < k - 1, slot 1 on the
+    superdiagonal; k = 1 has slot 0 only."""
+    col, polys = _FAMILIES[family]
     rows = [((col(r), 0), (r + 1, 1)) for r in range(k - 1)] + [((col(k - 1), 0),)]
-    layout = Layout(k, rows, polys[:min(k, 2)])
+    return Layout(k, rows, polys[:min(k, 2)])
+
+
+def _build(spec: KofnSpec, family: str, offset=0, sign=1) -> TransferSystem:
+    """The system of one k x k pair per component, each binding its id to
+    the family's layout."""
+    k = spec.k
+    layout = _layout(family, k)
     return TransferSystem(
         v_left=(Fraction(1),) + (Fraction(0),) * (k - 1),
         pairs=tuple(MatrixPair(layout, (c.id,)) for c in spec.components),
@@ -72,8 +87,7 @@ def build_kofn_g(spec: KofnSpec) -> TransferSystem:
     The derivative matrices carry the minus signs automatically, so no
     post-hoc sign fixing is ever applied.
     """
-    # q_i on the diagonal (slot 0), p_i on the superdiagonal (slot 1)
-    return _build(spec, lambda r: r, (_Q, _P), "kofn-g", offset=1, sign=-1)
+    return _build(spec, "kofn-g", offset=1, sign=-1)
 
 
 def build_lincon_f(spec: KofnSpec) -> TransferSystem:
@@ -82,8 +96,7 @@ def build_lincon_f(spec: KofnSpec) -> TransferSystem:
     The system fails iff at least k consecutive components are down; the
     component list order is the line order, with component 1 applied first.
     """
-    # p_i down the first column (slot 0), q_i on the superdiagonal (slot 1)
-    return _build(spec, lambda r: 0, (_P, _Q), "lincon-f")
+    return _build(spec, "lincon-f")
 
 
 def kofn_availability(k: int, n: int, p) -> Fraction:

@@ -80,12 +80,25 @@ def oracle_pivotal(sf, probs, pivot):
     return tuple(oracle_availability(sf, {**probs, pivot: p}) for p in (1, 0))
 
 
+def state_columns(n):
+    """(columns, full) over all 2**n states of n ids, by definition: bit x
+    of column j is set when bit j of state x is, and full has every bit."""
+    columns = [sum(1 << x for x in range(1 << n) if x >> j & 1) for j in range(n)]
+    return columns, (1 << (1 << n)) - 1
+
+
+def up_states(sf):
+    """The up states of ``sf`` from one call over all its states: bit x is
+    set when state x is up."""
+    return sf.fn(*state_columns(len(sf.ids)))
+
+
 def is_monotone(sf) -> bool:
-    """Check coherence by testing every single-bit upgrade of every up state."""
-    n, fn = len(sf.ids), sf.fn
-    return all(
-        fn(x | 1 << j) for x in range(1 << n) if fn(x) for j in range(n) if not x >> j & 1
-    )
+    """Coherence, bitwise: raising id j from down to up takes state x to
+    x + 2**j, so the up states with j down, shifted by 2**j, must be up."""
+    columns, full = state_columns(len(sf.ids))
+    u = sf.fn(columns, full)
+    return all(((u & ~c) << (1 << j)) & ~u == 0 for j, c in enumerate(columns))
 
 
 # ---------------------------------------------------------------------------

@@ -625,9 +625,9 @@ class TestVerifyCommand:
                 sf = make(*args)
                 drawn.append(sf)
 
-                def fn(state):
-                    calls.append(None)
-                    return sf.fn(state)
+                def fn(cols, full):
+                    calls.append(full)
+                    return sf.fn(cols, full)
 
                 return StructureFunction(sf.ids, fn)
 
@@ -643,8 +643,8 @@ class TestVerifyCommand:
         monkeypatch.setattr(relfreq.verify, "single_pass", recording_pass)
         assert run_equivalence_trials(trials=30, max_components=10, seed=3).ok
         assert len(drawn) == len(systems) == 30
-        states = 0
-        for sf, system in zip(drawn, systems):
+        # one call per trial, its ``full`` one bit for each state of the free ids
+        assert len(calls) == 30
+        for sf, system, full in zip(drawn, systems, calls):
             probs = {c.id: c.p for c in system.components}
-            states += 2 ** sum(0 < probs[cid] < 1 for cid in sf.ids)
-        assert len(calls) == states
+            assert full == (1 << 2 ** sum(0 < probs[cid] < 1 for cid in sf.ids)) - 1

@@ -283,7 +283,7 @@ class TestSinglePass:
     def test_series_three_components_vs_oracle(self):
         system = random_three_component_system()
         ids = tuple(c.id for c in system.components)
-        sf = StructureFunction(ids, lambda x: x == (1 << len(ids)) - 1)
+        sf = StructureFunction(ids, lambda cols, full: cols[0] & cols[1] & cols[2])
         probs = {c.id: c.p for c in system.components}
         rates = {c.id: c.lam for c in system.components}
         report = single_pass(system)

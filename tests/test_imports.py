@@ -1,8 +1,9 @@
 """Every module-level import in the package is used, every module-level
 function and class and every public method or property of a package class
 is referenced somewhere, only ``core.finalize`` makes a report, no package
-code sets ``LadderCell.index``, every package name the benchmark reads
-exists, and the package needs nothing outside the standard library.
+code sets ``LadderCell.index``, the oracle imports no package module but
+``scalars``, every package name the benchmark reads exists, and the package
+needs nothing outside the standard library.
 
 Names listed in a module's ``__all__`` count as used, which covers the
 package's re-exports.  The unused-import and unreferenced-definition checks
@@ -98,6 +99,49 @@ def test_private_import_detector():
         "    from relfreq.scalars import _hidden\n"
     )
     assert private_imports(source) == [("_fold", 3), ("_hidden", 5)]
+
+
+def package_imports(source: str):
+    """The package modules a source imports, anywhere in it: ``core`` for
+    ``from .core import x``, ``from . import core``, ``import relfreq.core``
+    and ``from relfreq.core import x``, and ``relfreq`` for the package."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            if not node.level and parts[0] == "relfreq":
+                parts = parts[1:]
+            elif not node.level:
+                continue
+            out.update([parts[0]] if parts[0] else [alias.name for alias in node.names])
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "relfreq":
+                    out.add(parts[1] if len(parts) > 1 else "relfreq")
+    return out
+
+
+def test_oracle_imports_no_package_module_but_scalars():
+    # the oracle is the engine's independent reference: it shares only the
+    # parsing of exact inputs with the code it checks
+    assert package_imports((PACKAGE / "oracle.py").read_text()) <= {"scalars"}
+
+
+def test_package_import_detector():
+    source = (
+        "from __future__ import annotations\n"
+        "import math\n"
+        "from fractions import Fraction\n"
+        "from .scalars import as_exact\n"
+        "from . import core\n"
+        "import relfreq.ladder\n"
+        "from relfreq.kofn import KofnSpec\n"
+        "def f():\n"
+        "    import relfreq\n"
+        "    from .genfunc import UniPoly\n"
+    )
+    assert package_imports(source) == {"scalars", "core", "ladder", "kofn", "relfreq", "genfunc"}
 
 
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)

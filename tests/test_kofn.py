@@ -72,6 +72,20 @@ class TestKofnG:
             assert all(pair.layout is layout for pair in system.pairs)
             assert [len(pair.polys) for pair in system.pairs] == [min(k, 2)] * (k + 2)
 
+    def test_one_layout_per_family_and_k(self):
+        # systems of one family and k share the layout object; pairs stay
+        # distinct, so each system's fold compiles its own
+        comps = identical_components(5, F(2, 3), lam=F(3))
+        others = tuple(Component(f"d{i}", F(1, 4), F(1)) for i in range(4))
+        layouts = {}
+        for build in (build_kofn_g, build_lincon_f):
+            for k in (2, 3):
+                first, second = build(KofnSpec(k, comps)), build(KofnSpec(k, others))
+                assert first.pairs[0].layout is second.pairs[0].layout
+                assert first.pairs[0] is not second.pairs[0]
+                layouts[build, k] = first.pairs[0].layout
+        assert len({id(layout) for layout in layouts.values()}) == 4
+
     def test_series_when_k_equals_n(self):
         comps = tuple(
             Component(f"c{i}", F(i, i + 1), F(1, i)) for i in (1, 2, 3, 4)

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import is_monotone, oracle_pivotal
+from helpers import is_monotone, oracle_pivotal, up_states
+from relfreq.core import Component, single_pass
+from relfreq.kofn import KofnSpec, build_lincon_f, kofn_g_identical
 from relfreq.oracle import (
     MAX_COMPONENTS,
     OracleError,
@@ -25,7 +27,7 @@ from relfreq.oracle import (
 class TestStructureFunctions:
     def test_duplicate_ids_rejected(self):
         with pytest.raises(OracleError):
-            StructureFunction(("a", "a"), lambda s: True)
+            StructureFunction(("a", "a"), lambda cols, full: full)
 
     def test_kofn_semantics(self):
         sf = kofn_g_structure(["a", "b", "c"], 2)
@@ -46,6 +48,17 @@ class TestStructureFunctions:
         }
         sf = truth_table_structure(["a", "b"], table)
         assert oracle_availability(sf, {"a": F(1, 2), "b": F(1, 3)}) == F(1, 3)
+
+    def test_truth_table_missing_rows_rejected(self):
+        # a missing row would otherwise read as down
+        table = {(True, True): True, (True, False): False, (False, True): True}
+        with pytest.raises(OracleError, match="4 tuples of 2 booleans; it has 3 rows"):
+            truth_table_structure(["a", "b"], table)
+
+    def test_truth_table_rows_of_wrong_length_rejected(self):
+        table = {(True,): True, (True, True, True): False, (False, True): True, (False, False): False}
+        with pytest.raises(OracleError, match="it has 4 rows, 2 of them malformed"):
+            truth_table_structure(["a", "b"], table)
 
     def test_connectivity_simple_path(self):
         # s -- e1 -- m -- e2 -- t, fallible middle node
@@ -73,8 +86,7 @@ class TestStructureFunctions:
     def test_monotone_detection(self):
         mono = kofn_g_structure(["a", "b", "c"], 2)
         assert is_monotone(mono)
-        # bit 0 is a, bit 1 is b
-        parity = StructureFunction(("a", "b"), lambda x: (x & 1) != (x >> 1 & 1))
+        parity = StructureFunction(("a", "b"), lambda cols, full: cols[0] ^ cols[1])
         assert not is_monotone(parity)
 
 
@@ -139,9 +151,22 @@ GRAPHS = {
 }
 
 
+@st.composite
+def fallible_graphs(draw):
+    """(ids, nodes, edges, source, terminal) of a random graph on 2-5 nodes
+    with up to 6 edges, any of whose nodes and edges may fail."""
+    nodes = [f"v{i}" for i in range(draw(st.integers(2, 5)))]
+    ends = st.sampled_from(nodes)
+    edges = [(f"e{i}", draw(ends), draw(ends)) for i in range(draw(st.integers(0, 6)))]
+    ids = draw(st.lists(st.sampled_from(nodes + [eid for eid, _, _ in edges]),
+                        unique=True, max_size=8))
+    return ids, nodes, edges, draw(ends), draw(ends)
+
+
 class TestMaskStructuresAgainstTheirDefinitions:
-    """The oracle is the engine's reference; its bit tricks are checked on
-    every state against plain scans of a dict state."""
+    """The oracle is the engine's reference; its bitwise structure functions
+    are checked on every state against plain scans of a dict state.  State x
+    is bit x of the table that one call over all states returns."""
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_kofn_and_lincon(self, n):
@@ -150,30 +175,61 @@ class TestMaskStructuresAgainstTheirDefinitions:
             for make, want in ((kofn_g_structure, _kofn_by_definition),
                                (lincon_f_structure, _lincon_by_definition)):
                 sf = make(ids, k)
+                table = up_states(sf)
                 for x, state in _states(ids):
-                    assert bool(sf.fn(x)) == want(state, ids, k) == sf(state), (make.__name__, k, x)
+                    assert bool(table >> x & 1) == want(state, ids, k) == sf(state), (make.__name__, k, x)
 
     @pytest.mark.parametrize("name", GRAPHS)
     def test_connectivity(self, name):
         graph = GRAPHS[name]
         sf = connectivity_structure(*graph)
+        table = up_states(sf)
         for x, state in _states(graph[0]):
-            assert bool(sf.fn(x)) == _connected_by_definition(state, graph) == sf(state), x
+            assert bool(table >> x & 1) == _connected_by_definition(state, graph) == sf(state), x
 
     def test_truth_table(self):
         ids = ["a", "b", "c"]
         table = {bits: sum(bits) % 2 == 1 for bits in itertools.product((True, False), repeat=3)}
         sf = truth_table_structure(ids, table)
+        up = up_states(sf)
         for x, state in _states(ids):
-            assert bool(sf.fn(x)) == table[tuple(state[cid] for cid in ids)] == sf(state)
+            assert bool(up >> x & 1) == table[tuple(state[cid] for cid in ids)] == sf(state)
+
+    @given(fallible_graphs())
+    @settings(max_examples=150, deadline=None)
+    def test_connectivity_random_graphs(self, graph):
+        sf = connectivity_structure(*graph)
+        table = up_states(sf)
+        for x, state in _states(graph[0]):
+            assert bool(table >> x & 1) == _connected_by_definition(state, graph), x
+
+
+class TestTwentyComponents:
+    """2**20 states, which the blocked enumeration makes affordable in a test."""
+
+    def test_kofn_g_identical_closed_form(self):
+        ids = [f"c{i}" for i in range(20)]
+        p, lam = F(3, 5), F(7, 4)
+        for k in (1, 9, 20):
+            sf = kofn_g_structure(ids, k)
+            got = oracle_solve(sf, dict.fromkeys(ids, p), dict.fromkeys(ids, lam))
+            assert got == kofn_g_identical(k, 20, p, lam), k
+
+    def test_lincon_f_matches_single_pass(self):
+        # 20 free components and two fixed ones, one up and one down
+        comps = tuple(Component(f"c{i}", F(i + 1, 22), F(i % 5, 3)) for i in range(20))
+        comps = comps[:7] + (Component("up", F(1), F(0)),) + comps[7:] + (Component("down", F(0), F(2)),)
+        report = single_pass(build_lincon_f(KofnSpec(3, comps)))
+        sf = lincon_f_structure([c.id for c in comps], 3)
+        probs = {c.id: c.p for c in comps}
+        rates = {c.id: c.lam for c in comps}
+        assert oracle_solve(sf, probs, rates) == (report.availability, report.frequency)
 
 
 class TestAvailability:
     def test_series_parallel_by_hand(self):
         # (a AND b) OR c
-        sf = StructureFunction(
-            ("a", "b", "c"), lambda x: x & 0b011 == 0b011 or x & 0b100 != 0
-        )
+        sf = StructureFunction(("a", "b", "c"), lambda cols, full: cols[0] & cols[1] | cols[2])
         pa, pb, pc = F(1, 2), F(2, 3), F(1, 5)
         want = pa * pb + pc - pa * pb * pc
         assert oracle_availability(sf, {"a": pa, "b": pb, "c": pc}) == want
@@ -207,11 +263,11 @@ class TestPivotalAndFrequency:
             assert a == probs[cid] * up + (1 - probs[cid]) * down
 
     def test_frequency_single_component(self):
-        sf = StructureFunction(("a",), lambda x: x == 1)
+        sf = StructureFunction(("a",), lambda cols, full: cols[0])
         assert oracle_frequency(sf, {"a": F(3, 4)}, {"a": F(2)}) == F(3, 2)
 
     def test_frequency_series(self):
-        sf = StructureFunction(("a", "b"), lambda x: x == 0b11)
+        sf = StructureFunction(("a", "b"), lambda cols, full: cols[0] & cols[1])
         probs = {"a": F(1, 2), "b": F(2, 3)}
         rates = {"a": F(3), "b": F(5)}
         assert oracle_frequency(sf, probs, rates) == (3 + 5) * F(1, 2) * F(2, 3)

@@ -23,19 +23,20 @@ pairs, :func:`stream_step` folds one.  With eps^2 = 0, a step of the
 recursion is the dual product (A + eps V) <- (M + eps M')(A + eps V), and
 a term c prod p_i of an entry of M evaluated at p_i (1 + eps lambda_i) is
 its value plus eps times its rate-operator image.  Within a call the fold
-compiles each distinct pair once into a numeric :class:`Step`, rows of
-dual entries ``(col, x, y)``: one walk over the terms of each slot's
-polynomial, by variable index, gives both x and y, and the layout places
-them.
+compiles each distinct pair once into a numeric :class:`Step`: one walk
+over the terms of each slot's polynomial, by variable index, gives the
+slot's dual value (x, y), and the step keeps the layout's own ``(col,
+slot)`` rows, so a k-of-n matrix's 2k - 1 positions read two duals.
 A run of r references to one pair is the dual power (M + eps M')^r, taken
 by squaring: O(log r) steps.  Steps and states store value * scale *
 2**-exponent: exact mode integers over a common denominator, approx mode
 floats over scale 1 with a binary exponent against underflow.
 :func:`initial_state` puts vR over its lcm, the fold multiplies the
 state's scale by each step's, and :func:`finalize` divides vL.A and vL.V
-by it, once each.  Each p, lambda and coefficient the exact compile reads
-is an integer over a common denominator too, so no Fraction is made in
-between.
+by it, once each.  The compile reads each p and lambda as an integer
+ratio: exact mode puts them over common denominators, so no Fraction is
+made in between, and approx mode divides the two integers, which is what
+``float`` of a Fraction does.
 
 A system stores its pairs as :class:`Runs`, (pair, r) runs that are never
 expanded, so building, checking and folding a system cost O(runs + sum of
@@ -51,10 +52,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, chain, repeat
 from math import frexp, gcd, lcm, ldexp, log10
-from operator import index as to_index, mul, truediv
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Tuple
+from operator import index as to_index, mul
+from typing import Iterable, Iterator, List, Mapping, NamedTuple, Optional, Tuple
 
-from .scalars import EXACT, Scalar, as_exact, check_mode, convert, rational_str
+from .scalars import EXACT, Scalar, as_exact, check_mode, rational_str
 
 
 class ReliabilityError(ValueError):
@@ -337,11 +338,12 @@ class Layout:
         if read != set(range(len(read))):
             unread = min(set(range(len(read))) - read)
             raise ReliabilityError(f"variable {unread} of a {len(read)}-variable layout is read by no term")
-        num, scale = _scaler([c for poly in polys for _, c in poly], EXACT)
+        scale = lcm(*[c.denominator for poly in polys for _, c in poly])
         object.__setattr__(self, "variables", len(read))
         object.__setattr__(self, "degree", max((len(vs) for poly in polys for vs, _ in poly), default=0))
         object.__setattr__(self, "coeff_scale", scale)
-        object.__setattr__(self, "int_terms", tuple(tuple((num(c), vs) for vs, c in poly) for poly in polys))
+        object.__setattr__(self, "int_terms", tuple(
+            tuple((c.numerator * (scale // c.denominator), vs) for vs, c in poly) for poly in polys))
         object.__setattr__(self, "float_terms", tuple(tuple((float(c), vs) for vs, c in poly) for poly in polys))
 
 
@@ -561,14 +563,14 @@ class TransferSystem:
 # The single pass
 
 
-def _scaler(values: Sequence, mode: str) -> Tuple[Callable, int]:
-    """(num, scale), where num(x) is the number stored for x, x * scale: in
-    exact mode an integer, with scale the lcm of the denominators of the
-    rationals ``values``; in approx mode a float, with scale 1."""
+def _numbers(ratios: Sequence[Tuple[int, int]], mode: str) -> Tuple[List[Scalar], int]:
+    """(numbers, scale) for integer ratios (n, d), each number being n / d
+    times scale: exact-mode integers over the lcm of the denominators, or
+    approx-mode floats n / d, rounded as ``float`` of a Fraction, over 1."""
     if mode != EXACT:
-        return float, 1
-    scale = lcm(*[x.denominator for x in values])
-    return lambda x: x.numerator * (scale // x.denominator), scale
+        return [n / d for n, d in ratios], 1
+    scale = lcm(*[d for _, d in ratios])
+    return [n * (scale // d) for n, d in ratios], scale
 
 
 @dataclass(frozen=True)
@@ -598,35 +600,42 @@ def initial_state(system: TransferSystem, mode: str = EXACT) -> PassState:
     initialization, since M_1 . 0 = 0.
     """
     check_mode(mode)
-    num, scale = _scaler(system.v_right, mode)
-    a = tuple(map(num, system.v_right))
-    return PassState(a, (num(0),) * len(a), 0, mode, scale=scale)
+    a, scale = _numbers([x.as_integer_ratio() for x in system.v_right], mode)
+    return PassState(tuple(a), (0 if mode == EXACT else 0.0,) * len(a), 0, mode, scale=scale)
 
 
-def _read_value(assignment: Mapping, cid: str, num) -> Tuple[Scalar, Scalar]:
-    """(p, lam) of ``cid`` in an ``id -> (p, lam)`` map, converted by
-    ``num``, after checking that the value is a pair with p in [0, 1]; a
-    value may be any 2-element tuple or list, such as JSON's ``[p, lam]``."""
+def _read_value(assignment: Mapping, cid: str) -> Tuple[Tuple[int, int], Tuple[int, int]]:
+    """(p, lam) of ``cid`` in an ``id -> (p, lam)`` map, each as an integer
+    ratio (n, d) with d > 0, after checking that the value is a pair of
+    finite numbers with p in [0, 1] and lam >= 0; a value may be any
+    2-element tuple or list, such as JSON's ``[p, lam]``.  A nonzero lam at
+    p = 1 is accepted: the pass is pure algebra."""
     try:
         val = assignment[cid]
     except KeyError:
         raise MissingAvailabilityError(cid) from None
     if not isinstance(val, (tuple, list)) or len(val) != 2:
         raise MissingRateError(cid)
-    p = val[0]
-    # a Fraction's denominator is positive: compare integers, not Fractions
-    if not (0 <= p.numerator <= p.denominator if isinstance(p, Fraction) else 0 <= p <= 1):
-        raise ReliabilityError(f"component {cid!r}: p={p} outside [0,1]")
-    return num(p), num(val[1])
+    try:
+        p, lam = [as_exact(x).as_integer_ratio() for x in val]
+    except (ValueError, OverflowError):  # NaN or infinity
+        raise ReliabilityError(f"component {cid!r}: (p, lambda) = {tuple(val)} is not finite") from None
+    if not 0 <= p[0] <= p[1]:
+        raise ReliabilityError(f"component {cid!r}: p={val[0]} outside [0,1]")
+    if lam[0] < 0:
+        raise ReliabilityError(f"component {cid!r}: negative failure rate {val[1]}")
+    return p, lam
 
 
 class Step(NamedTuple):
-    """A matrix pair, or a power of one, compiled to numbers: ``rows`` holds,
-    row by row in column order, ``(col, x, y)`` for each entry x + eps y of
-    the dual matrix M + eps M' with x or y nonzero, stored as
-    value * scale * 2**-exponent, the format of a :class:`PassState`."""
+    """A matrix pair, or a power of one, compiled to numbers: ``duals[slot]``
+    is the entry x + eps y of M + eps M' at each ``(col, slot)`` of ``rows``,
+    row by row in column order, stored as value * scale * 2**-exponent, the
+    format of a :class:`PassState`.  A compiled step has its layout's rows and
+    one dual per slot; a squared step, a slot per nonzero position."""
 
-    rows: Tuple[Tuple[Tuple[int, Scalar, Scalar], ...], ...]
+    rows: Tuple[Tuple[Tuple[int, int], ...], ...]
+    duals: Sequence[Tuple[Scalar, Scalar]]
     scale: int
     exponent: int
 
@@ -656,16 +665,16 @@ def _duals(terms, ps, lams, pad, zero) -> list:
 
 
 def _compile(pair: MatrixPair, assignment: Mapping, mode: str) -> Step:
-    """The dual values of the nonzero entries of M into a :class:`Step`.
+    """The dual value of each slot of the pair's layout, in a :class:`Step`
+    whose rows are the layout's own ``rows`` object.
 
     The assignment is read, checked and converted once per bound id, in
     variable order, and nowhere else, so a streamed fold stays linear.
-    Each slot's polynomial is then walked once by variable index, and each
-    row of the layout gathers ``(col, x, y)`` from its slots: the q_i and
-    p_i of a k-of-n matrix fill all 2k - 1 positions from two walks.  An
-    entry stays when x or y is nonzero: q = 1 - p at p = 1 has x = 0 and
-    y = -lambda.  The coefficients, their lcm and the degree come
-    precomputed from the layout.
+    Each slot's polynomial is then walked once by variable index: the q_i
+    and p_i of a k-of-n matrix fill all 2k - 1 positions from two walks,
+    and no object is built per position.  A slot's dual may be (0, 0), as
+    q = 1 - p is at p = 1 with lambda = 0.  The coefficients, their lcm and
+    the degree come precomputed from the layout.
 
     Exact mode walks integers.  Each p is an integer over the lcm P of the
     p denominators, each lambda over their lcm L, each coefficient over the
@@ -675,14 +684,13 @@ def _compile(pair: MatrixPair, assignment: Mapping, mode: str) -> Step:
     makes the scale the lcm of the values' reduced denominators.
     """
     layout = pair.layout
-    values = [_read_value(assignment, cid, as_exact if mode == EXACT else float) for cid in pair.ids]
-    ps, lams = [p for p, _ in values], [lam for _, lam in values]
+    values = [_read_value(assignment, cid) for cid in pair.ids]
+    ps, p_den = _numbers([p for p, _ in values], mode)
+    lams, lam_den = _numbers([lam for _, lam in values], mode)
     if mode == EXACT:
-        p_num, p_den = _scaler(ps, mode)
-        lam_num, lam_den = _scaler(lams, mode)
         degree = layout.degree
         pad = [p_den ** (degree - s) for s in range(degree + 1)]
-        duals = _duals(layout.int_terms, list(map(p_num, ps)), list(map(lam_num, lams)), pad, 0)
+        duals = _duals(layout.int_terms, ps, lams, pad, 0)
         duals = [(x * lam_den, y) for x, y in duals]
         denom = layout.coeff_scale * p_den**degree * lam_den
         g = gcd(denom, *(v for xy in duals for v in xy))
@@ -691,15 +699,7 @@ def _compile(pair: MatrixPair, assignment: Mapping, mode: str) -> Step:
     else:
         duals = _duals(layout.float_terms, ps, lams, (1,) * (layout.degree + 1), 0.0)
         scale = 1
-    rows = []
-    for row in layout.rows:
-        out = []
-        for c, slot in row:
-            x, y = duals[slot]
-            if x or y:
-                out.append((c, x, y))
-        rows.append(tuple(out))
-    return Step(tuple(rows), scale, 0)
+    return Step(layout.rows, duals, scale, 0)
 
 
 def _normalise(rows):
@@ -712,32 +712,39 @@ def _normalise(rows):
 def _square(step: Step, mode: str) -> Step:
     """``step`` applied twice: (M + eps M')^2 = M M + eps (M M' + M' M), one
     dual matrix product, renormalised in approx mode."""
-    dim = len(step.rows)
+    rows, duals, dim = step.rows, step.duals, len(step.rows)
     xs = [[0] * dim for _ in range(dim)]
     ys = [[0] * dim for _ in range(dim)]
-    for x_out, y_out, row in zip(xs, ys, step.rows):
-        for j, x1, y1 in row:
-            for c, x2, y2 in step.rows[j]:
+    for x_out, y_out, row in zip(xs, ys, rows):
+        for j, s in row:
+            x1, y1 = duals[s]
+            for c, t in rows[j]:
+                x2, y2 = duals[t]
                 x_out[c] += x1 * x2
                 y_out[c] += x1 * y2 + y1 * x2
     shift = 0
     if mode != EXACT:
         normalised, shift = _normalise(xs + ys)
         xs, ys = normalised[:dim], normalised[dim:]
-    rows = tuple(
-        tuple((c, x, y) for c, (x, y) in enumerate(zip(x_row, y_row)) if x or y)
-        for x_row, y_row in zip(xs, ys)
-    )
-    return Step(rows, step.scale**2, 2 * step.exponent + shift)
+    rows, duals = [], []
+    for x_row, y_row in zip(xs, ys):
+        row = []
+        for c, (x, y) in enumerate(zip(x_row, y_row)):
+            if x or y:
+                row.append((c, len(duals)))
+                duals.append((x, y))
+        rows.append(tuple(row))
+    return Step(tuple(rows), duals, step.scale**2, 2 * step.exponent + shift)
 
 
 def _advance(step: Step, a, v):
     """(values of M a, values of M v + M' a) for one compiled step: the dual
     product (M + eps M')(a + eps v)."""
-    new_a, new_v = [], []
+    duals, new_a, new_v = step.duals, [], []
     for row in step.rows:
         x = y = 0
-        for j, m, mp in row:
+        for j, s in row:
+            m, mp = duals[s]
             x += m * a[j]
             y += m * v[j] + mp * a[j]
         new_a.append(x)
@@ -861,33 +868,41 @@ class ReliabilityReport:
 
 def finalize(system: TransferSystem, state: PassState) -> ReliabilityReport:
     """Project a fully-advanced state with vL and apply the affine form.
-    With vL in the state's format, X = vL.A and Y = vL.V are divided by the
-    scales: the pass's two reductions in exact mode, divisions by 1 in
-    approx mode.  With no offset, log10 A and nu/A = Y/X come from the
-    projections, so they stay right when A is below the double range."""
+    X = vL.A and Y = vL.V are over D, the product of the two scales.  With
+    offset on / od, exact mode builds each result as one Fraction of
+    integers: A = (on D + sign X od) / (od D), U = 1 - A, nu = sign Y / D.
+    In approx mode D is 1; with no offset, log10 A and nu/A = Y/X come from
+    the projections, so they stay right when A is below the double range."""
     if state.index != system.size:
         raise ReliabilityError(
             f"state consumed {state.index} matrices, system has {system.size}"
         )
     mode, e, sign = state.mode, state.exponent, system.sign
-    num, scale = _scaler(system.v_left, mode)
-    vL = list(map(num, system.v_left))
-    den, divide = scale * state.scale, (Fraction if mode == EXACT else truediv)
+    vL, scale = _numbers([x.as_integer_ratio() for x in system.v_left], mode)
     x_s, y_s = (sum(map(mul, vL, vec)) for vec in (state.a_vec, state.v_vec))
-    x_m, y_m = divide(x_s, den), divide(y_s, den)
-    x, y = (x_m, y_m) if mode == EXACT else (ldexp(x_m, e), ldexp(y_m, e))
-    offset = convert(system.offset, mode)
-    availability = offset + sign * x
-    # not 1 - availability: for offset 1 and sign -1 (k-of-n:G) this is x
-    # itself, with no cancellation in approx mode
-    unavailability = (1 - offset) - sign * x
-    frequency = sign * y
-    if offset == 0:
-        log10_availability = log10_of(sign * x_m, e)
-        failure_rate = divide(y_s, x_s) if x_s != 0 else None
-    else:
+    if mode == EXACT:
+        on, od = system.offset.as_integer_ratio()
+        den = scale * state.scale
+        a_num, a_den = on * den + sign * x_s * od, od * den
+        availability, frequency = Fraction(a_num, a_den), Fraction(sign * y_s, den)
+        unavailability = Fraction(a_den - a_num, a_den)
+        failure_rate = Fraction(sign * y_s * od, a_num) if a_num else None
         log10_availability = log10_of(availability)
-        failure_rate = frequency / availability if availability != 0 else None
+        log10_frequency = log10_of(frequency)
+    else:
+        offset, x, y = float(system.offset), ldexp(x_s, e), ldexp(y_s, e)
+        availability = offset + sign * x
+        # not 1 - availability: for offset 1 and sign -1 (k-of-n:G) this is x
+        # itself, with no cancellation
+        unavailability = (1 - offset) - sign * x
+        frequency = sign * y + 0.0  # + 0.0 makes a zero nu 0.0, not -0.0
+        if offset == 0:
+            log10_availability = log10_of(sign * x_s, e)
+            failure_rate = y_s / x_s + 0.0 if x_s != 0 else None
+        else:
+            log10_availability = log10_of(availability)
+            failure_rate = frequency / availability if availability != 0 else None
+        log10_frequency = log10_of(sign * y_s, e)
     return ReliabilityReport(
         availability=availability,
         unavailability=unavailability,
@@ -897,7 +912,7 @@ def finalize(system: TransferSystem, state: PassState) -> ReliabilityReport:
         family=system.family,
         size=system.size,
         log10_availability=log10_availability,
-        log10_frequency=log10_of(sign * y_m, e),
+        log10_frequency=log10_frequency,
     )
 
 

@@ -65,6 +65,19 @@ def dense_fraction_fold(system, assignment):
     return system.offset + system.sign * x, system.sign * y
 
 
+def dense_step(step):
+    """A compiled or squared step's ``{(row, col): (x, y)}`` over every
+    position of its matrix, (0, 0) where its rows hold none, with its scale
+    and exponent: equal for two steps that hold the same numbers, whatever
+    slots they share."""
+    dim = len(step.rows)
+    entries = {(r, c): (0, 0) for r in range(dim) for c in range(dim)}
+    for r, row in enumerate(step.rows):
+        for c, slot in row:
+            entries[r, c] = tuple(step.duals[slot])
+    return entries, step.scale, step.exponent
+
+
 def corrupt_system(system):
     """``system`` with 1/97 added to its first pair's slot 0, at every
     position that holds it, so that its results disagree with the oracle."""

@@ -184,6 +184,19 @@ class TestSolveCommand:
         assert payload["meta"]["mode"] == "approx"
         assert "rational" not in payload["availability"]
 
+    def test_approx_zero_frequency_reads_positive_zero(self, tmp_path, capsys):
+        # a and b never fail and c has no failure rate, so nu = 0; k-of-n:G
+        # reports nu as sign -1 times the projection, which is a zero too
+        cfg = {"family": "kofn-g", "k": 2, "rate_convention": "explicit", "components": [
+            {"id": "a", "p": "1"}, {"id": "b", "p": "1"}, {"id": "c", "p": "1/2", "lambda": "0"}]}
+        path = write_config(tmp_path, cfg)
+        assert main(["solve", path, "--mode", "approx"]) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["frequency"]["decimal"] == payload["failure_rate"]["decimal"] == "0.0"
+        assert main(["solve", path]) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["frequency"]["rational"] == payload["failure_rate"]["rational"] == "0"
+
     def test_solve_to_file(self, tmp_path):
         path = write_config(tmp_path, KOFN_CFG)
         out = tmp_path / "report.json"

@@ -45,7 +45,7 @@ from relfreq.oracle import (
     truth_table_structure,
 )
 
-from helpers import dense_fraction_fold, distinct_ladder_spec, run_python
+from helpers import dense_fraction_fold, dense_step, distinct_ladder_spec, run_python
 
 P1 = MultilinearPoly.variable("p1")
 P2 = MultilinearPoly.variable("p2")
@@ -411,12 +411,55 @@ class TestMPrimeOnlyInThePass:
                 single_pass(system, {"x": value})
 
 
+class TestReadValue:
+    KOFN = build_kofn_g(KofnSpec(2, tuple(Component(f"c{i}", F(9, 10), F(1)) for i in range(3))))
+
+    @pytest.mark.parametrize("mode", ["exact", "approx"])
+    @pytest.mark.parametrize("p, lam", [(F(9, 10), -1), (F(9, 10), F(-1, 3)), (F(9, 10), math.nan),
+                                        (F(9, 10), math.inf), (math.nan, F(1)), (math.inf, F(1))],
+                             ids=["negative-int", "negative-fraction", "nan-rate", "infinite-rate",
+                                  "nan-p", "infinite-p"])
+    def test_a_negative_or_non_finite_value_is_rejected_by_name(self, mode, p, lam):
+        assignment = {cid: (F(9, 10), F(1)) for cid in ("c0", "c1", "c2")}
+        assignment["c1"] = (p, lam)
+        with pytest.raises(ReliabilityError, match="component 'c1'"):
+            single_pass(self.KOFN, assignment, mode)
+        with pytest.raises(ReliabilityError, match="component 'c1'"):
+            stream_step(initial_state(self.KOFN, mode), self.KOFN.pairs[1], assignment)
+
+    def test_a_rate_at_p_one_is_accepted(self):
+        # the pass is pure algebra; only Component and the oracle reject it
+        system = one_component_system()
+        assert single_pass(system, {"x": (F(1), F(2))}).availability == 1
+
+    @given(st.builds(F, st.integers(0, 10**400), st.integers(1, 10**400)).filter(lambda x: x < 10**300)
+           | st.builds(lambda n, d, e: F(n, d << e), st.integers(0, 2**60), st.integers(1, 10**20),
+                       st.integers(1000, 1200))
+           | st.integers(0, 10**300)
+           | st.floats(0, 1e300).filter(lambda x: math.copysign(1, x) > 0))
+    @settings(max_examples=300, deadline=None)
+    def test_approx_read_is_float_bit_for_bit(self, x):
+        # -0.0 is left out: it reads as 0.0
+        ratios = relfreq.core._read_value({"x": (F(1, 2), x)}, "x")
+        (_, lam), scale = relfreq.core._numbers(ratios, "approx")
+        assert scale == 1 and lam.hex() == float(x).hex()
+
+
 def test_log10_of_holds_beyond_the_double_range():
     assert log10_of(F(1, 10**400)) == -400
     assert log10_of(F(3, 4 * 2**5000)) == pytest.approx(math.log10(0.75) - 5000 * math.log10(2))
     assert log10_of(0.5, -3000) == pytest.approx(-3001 * math.log10(2))
     assert -1e-12 < log10_of(1 - F(1, 10**12)) < 0  # no cancellation near 1
     assert log10_of(F(0)) is None and log10_of(-1.0) is None
+
+
+def test_approx_zero_frequency_is_positive_zero():
+    # with sign -1 and no offset, a zero nu and nu/A are sign times a zero
+    # projection, and a negated float zero is -0.0
+    pair = MatrixPair.from_entries(1, [(0, 0, F(-1, 2))])
+    report = single_pass(TransferSystem((F(1),), [pair], (F(1),), sign=-1), {}, "approx")
+    assert report.availability == 0.5
+    assert math.copysign(1, report.frequency) == math.copysign(1, report.failure_rate) == 1
 
 
 class TestStreamStep:
@@ -567,9 +610,9 @@ class TestFractionFreeFold:
         # step of the fold carries larger integers than it needs
         system, assignment = case
         for pair in {id(pair): pair for pair in system.pairs}.values():
-            step = relfreq.core._compile(pair, assignment, "exact")
-            values = [F(v, step.scale) for row in step.rows for _, x, y in row for v in (x, y)]
-            assert step.scale == math.lcm(*(v.denominator for v in values))
+            entries, scale, _ = dense_step(relfreq.core._compile(pair, assignment, "exact"))
+            values = [F(v, scale) for xy in entries.values() for v in xy]
+            assert scale == math.lcm(*(v.denominator for v in values))
 
     @pytest.mark.parametrize("mode", ["exact", "approx"])
     @given(case=fold_cases())
@@ -632,11 +675,24 @@ class TestBoundLayouts:
         compile_ = relfreq.core._compile
         for mode, bound in (("exact", pair), ("approx", sorted_pair)):
             twin = MatrixPair.from_entries(layout.dim, [e for row in bound.m for e in row])
-            assert compile_(bound, assignment, mode) == compile_(twin, assignment, mode)
+            assert dense_step(compile_(bound, assignment, mode)) == dense_step(
+                compile_(twin, assignment, mode))
         vector = tuple(F(i + 1, 3) for i in range(layout.dim))
         system = TransferSystem(vector, [pair, sorted_pair, pair, pair], vector[::-1], offset=F(1, 2))
         report = single_pass(system, assignment)
         assert (report.availability, report.frequency) == dense_fraction_fold(system, assignment)
+
+    @pytest.mark.parametrize("mode", ["exact", "approx"])
+    def test_compiled_step_shares_its_layouts_rows(self, mode):
+        # a compile builds no object per position: its rows are the layout's
+        comps = tuple(Component(f"c{i}", F(i, 7), F(i, 3)) for i in range(1, 7))
+        x1 = MultilinearPoly.variable("c1")
+        x2 = MultilinearPoly.variable("c2")
+        custom = MatrixPair.from_entries(2, [(0, 0, 1 - x1), (0, 1, x1), (1, 1, x1 * x2)])
+        ladder = build_ladder(distinct_ladder_spec(F(2, 3), F(4, 5), F(3), F(1, 2), 3))
+        assignment = {c.id: (c.p, c.lam) for c in comps} | ladder.default_assignment()
+        for pair in (build_kofn_g(KofnSpec(3, comps)).pairs[2], ladder.pairs[1], custom):
+            assert relfreq.core._compile(pair, assignment, mode).rows is pair.layout.rows
 
     def test_builders_make_no_polynomial_objects(self, monkeypatch):
         made = []

@@ -74,7 +74,7 @@ def dense_step(step):
     entries = {(r, c): (0, 0) for r in range(dim) for c in range(dim)}
     for r, row in enumerate(step.rows):
         for c, slot in row:
-            entries[r, c] = tuple(step.duals[slot])
+            entries[r, c] = step.duals[slot]
     return entries, step.scale, step.exponent
 
 

@@ -681,6 +681,9 @@ class TestBoundLayouts:
         system = TransferSystem(vector, [pair, sorted_pair, pair, pair], vector[::-1], offset=F(1, 2))
         report = single_pass(system, assignment)
         assert (report.availability, report.frequency) == dense_fraction_fold(system, assignment)
+        # finalize builds U and nu/A from integers, not from A and nu
+        assert report.unavailability == 1 - report.availability
+        assert report.failure_rate == (report.frequency / report.availability if report.availability else None)
 
     @pytest.mark.parametrize("mode", ["exact", "approx"])
     def test_compiled_step_shares_its_layouts_rows(self, mode):

@@ -8,14 +8,16 @@ with offset 1 and sign -1, and a 2x2 custom-matrices system whose scalars
 are JSON numbers, exponent and signed strings, spaced ratios and leading
 zeros, and a two-cell ladder given cell by cell under the steady-state
 convention, whose reports carry the rate unit "mu"; ``sweep`` CSVs over p
-of a ladder, a k-of-n:G and a consecutive-k-of-n:F system; and
+of a ladder, a k-of-n:G and a consecutive-k-of-n:F system, each of which
+the sweep builds as one run of one shared cell or component; and
 ``relfreq verify --trials 200`` at seeds 0-3, clean and with a fault
 injected here (1/97 added to slot 0 of each system's first pair), whose
 mismatch line prints rationals; and the first 31 coefficients, polynomials
 in p, of the generating functions over n of 3-of-n:G, its frequency,
-consecutive-3-of-n:F and the ladder to T_n with perfect nodes.  Every input is built here from fixed
-seeds, so two checkouts give identical lines exactly when their outputs are
-byte-identical:
+consecutive-3-of-n:F and the ladder to T_n with perfect nodes, each read
+by ``transfer_gf`` from the same kind of run.  Every input is built here
+from fixed seeds, so two checkouts give identical lines exactly when their
+outputs are byte-identical:
 
     diff <(python3 scripts/output_digest.py) \\
          <(PYTHONPATH=../other/src python3 ../other/scripts/output_digest.py)
@@ -37,7 +39,7 @@ from relfreq import verify
 from relfreq.cli import main as relfreq
 from relfreq.core import Layout, MatrixPair, single_pass
 from relfreq.genfunc import UniPoly, series_coeffs, series_operator, transfer_gf
-from relfreq.kofn import KofnSpec, build_kofn_g, build_lincon_f, identical_components
+from relfreq.kofn import build_kofn_g, build_lincon_f, identical_kofn_spec
 from relfreq.ladder import LadderIdenticalParams, build_ladder, identical_ladder_spec
 
 
@@ -164,21 +166,22 @@ def corrupt_pass(system):
 def identical_gfs():
     """{name: generating function over n} for identical components, each
     derived from its family's transfer matrix with every edge read as p:
-    a k-of-n system repeats one component's pair, and the ladder its one
-    interior cell after cell 0."""
+    a k-of-n system is one run of one component's pair
+    (``identical_kofn_spec``), and the ladder runs its one interior cell
+    after cell 0."""
     p = UniPoly([0, 1])
 
-    def one_pair(build):
-        system = build(KofnSpec(3, identical_components(3, Fraction(1, 2), 1)))
-        return transfer_gf(replace(system, pairs=system.pairs[:1]), {"c1": p})
+    def one_run(build):
+        system = build(identical_kofn_spec(3, 3, Fraction(1, 2), 1))
+        return transfer_gf(system, {c.id: p for c in system.components})
 
-    kofn = one_pair(build_kofn_g)
+    kofn = one_run(build_kofn_g)
     ladder = build_ladder(identical_ladder_spec(LadderIdenticalParams(Fraction(1, 2), 1, 0, 0, 1)))
     edges = {"b0", "a", "b", "c"}
     return {
         "kofn-3-G": kofn,
         "kofn-3-G frequency": series_operator(kofn, 1),
-        "lincon-3-F": one_pair(build_lincon_f),
+        "lincon-3-F": one_run(build_lincon_f),
         "ladder-Tn": transfer_gf(ladder, {c.id: p if c.id in edges else c.p for c in ladder.components}),
     }
 

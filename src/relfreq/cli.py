@@ -25,7 +25,7 @@ from .core import (
     TransferSystem,
     single_pass,
 )
-from .kofn import KofnSpec, build_kofn_g, build_lincon_f, identical_components
+from .kofn import KofnSpec, build_kofn_g, build_lincon_f, identical_kofn_spec
 from .ladder import (
     LadderCell,
     LadderIdenticalParams,
@@ -282,18 +282,16 @@ def _parse_range(text: str, integral: bool):
 def _sweep_point(args, fixed: dict, param: str, value):
     """One sweep row: (A, log10_A, nu_bar, lambda_bar, d_ln_zeta, d_ln_alpha).
     ``fixed`` holds the parsed --p, --rho, --lam and --xi and the --n, and
-    ``value`` is exact; the CSV gets it as a float."""
+    ``value`` is exact; the CSV gets it as a float.  Every family's system
+    is one run of one shared component or cell, so a row costs O(log n)."""
     fixed = {**fixed, param: value}
     n = int(fixed["n"])
     if args.family == "ladder":
-        params = LadderIdenticalParams(
-            float(fixed["p"]), float(fixed["rho"]), float(fixed["lam"]),
-            float(fixed["xi"]), n,
-        )
+        params = LadderIdenticalParams(fixed["p"], fixed["rho"], fixed["lam"], fixed["xi"], n)
         system = build_ladder(identical_ladder_spec(params, args.terminal))
     else:
         build = build_kofn_g if args.family == "kofn-g" else build_lincon_f
-        system = build(KofnSpec(args.k, identical_components(n, fixed["p"], lam=fixed["lam"])))
+        system = build(identical_kofn_spec(args.k, n, fixed["p"], fixed["lam"]))
     report = single_pass(system, mode=APPROX)
     row = {
         param: value if param == "n" else float(value),

@@ -51,7 +51,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, chain, repeat
-from math import frexp, gcd, lcm, ldexp, log10
+from math import frexp, gcd, inf, lcm, ldexp, log10
 from operator import index as to_index, mul
 from typing import Iterable, Iterator, List, Mapping, NamedTuple, Optional, Tuple
 
@@ -95,7 +95,12 @@ class Component:
     lam: Fraction = Fraction(0)
 
     def __post_init__(self):
-        p, lam = as_exact(self.p), as_exact(self.lam)
+        try:
+            p, lam = as_exact(self.p), as_exact(self.lam)
+        except (ValueError, OverflowError):  # NaN or infinity
+            raise ReliabilityError(
+                f"component {self.id!r}: (p, lambda) = {(self.p, self.lam)} is not finite"
+            ) from None
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "lam", lam)
         # a Fraction's denominator is positive: compare integers, not Fractions
@@ -111,8 +116,10 @@ class Component:
     @classmethod
     def steady_state(cls, id: str, p, mu=1) -> "Component":
         """Component whose failure rate satisfies lam * p = mu * (1 - p)."""
-        p = as_exact(p)
-        mu = as_exact(mu)
+        try:
+            p, mu = as_exact(p), as_exact(mu)
+        except (ValueError, OverflowError):  # NaN or infinity
+            raise ReliabilityError(f"component {id!r}: (p, mu) = {(p, mu)} is not finite") from None
         if mu < 0:
             raise ReliabilityError(f"component {id!r}: negative repair rate")
         if p == 0:
@@ -686,7 +693,14 @@ def _compile(pair: MatrixPair, assignment: Mapping, mode: str) -> Step:
     layout = pair.layout
     values = [_read_value(assignment, cid) for cid in pair.ids]
     ps, p_den = _numbers([p for p, _ in values], mode)
-    lams, lam_den = _numbers([lam for _, lam in values], mode)
+    try:
+        lams, lam_den = _numbers([lam for _, lam in values], mode)
+    except OverflowError:  # approx mode: some rate, and so the largest, is beyond the double range
+        rates = {cid: Fraction(*lam) for cid, (_, lam) in zip(pair.ids, values)}
+        cid = max(rates, key=rates.get)
+        raise ReliabilityError(
+            f"component {cid!r}: failure rate beyond the double range; exact mode accepts it"
+        ) from None
     if mode == EXACT:
         degree = layout.degree
         pad = [p_den ** (degree - s) for s in range(degree + 1)]
@@ -842,7 +856,11 @@ class ReliabilityReport:
         multiples of a reference repair rate; A and U are dimensionless, so
         theirs read ``"absolute"``."""
         def block(value, per=rate_unit):
-            entry = {"decimal": repr(float(value))}
+            try:
+                decimal = float(value)
+            except OverflowError:  # beyond the double range, which IEEE rounding makes infinite
+                decimal = inf if value > 0 else -inf
+            entry = {"decimal": repr(decimal)}
             if self.mode == EXACT:
                 entry["rational"] = rational_str(value)
             entry["per"] = per

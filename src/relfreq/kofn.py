@@ -5,7 +5,9 @@ a family's matrices share one layout, written over one variable, and each
 binds it to its component's id.
 Component 1 sits adjacent to the right boundary vector; for the consecutive
 family the list order is the physical line order, so adjacency is encoded by
-position.  Closed forms for identical components are provided alongside.
+position.  Identical components are one component object repeated, as the
+ladder's identical cells are one cell object: :func:`identical_kofn_spec`
+builds n of them as one run, so a pass costs O(log n) steps.
 """
 
 from __future__ import annotations
@@ -13,32 +15,45 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
-from typing import Tuple
 
-from .core import Component, Layout, MatrixPair, ReliabilityError, TransferSystem
+from .core import Component, Layout, MatrixPair, ReliabilityError, Runs, TransferSystem
 from .scalars import as_exact
 
 
 @dataclass(frozen=True)
 class KofnSpec:
+    """k and the components in line order.  ``components`` is stored as
+    :class:`Runs`, as a ladder's cells are: any sequence of components is
+    accepted, and one given as a ``Runs`` is kept unexpanded.  Each position
+    is one independent component, so a run of one component object is that
+    many identical components; two different objects may not share an id."""
+
     k: int
-    components: Tuple[Component, ...]
+    components: Runs
 
     def __post_init__(self):
-        object.__setattr__(self, "components", tuple(self.components))
+        object.__setattr__(self, "components", Runs(self.components))
         n = len(self.components)
         if n < 1:
             raise ReliabilityError("need at least one component")
         if not (1 <= self.k <= n):
             raise ReliabilityError(f"k={self.k} out of range for n={n}")
-        ids = [c.id for c in self.components]
-        if len(set(ids)) != len(ids):
-            raise ReliabilityError("component ids must be distinct")
+        first = {}  # id -> the one component object that it names
+        for c, _ in self.components.runs:
+            if first.setdefault(c.id, c) is not c:
+                raise ReliabilityError("component ids must be distinct")
 
     @property
     def n(self) -> int:
         return len(self.components)
+
+
+def identical_kofn_spec(k: int, n: int, p, lam) -> KofnSpec:
+    """k of n identical components: one component "c" run n times, as
+    :func:`~relfreq.ladder.identical_ladder_spec` runs one interior cell.
+    A perfect component (p = 1) gets rate 0, as it never fails."""
+    p = as_exact(p)
+    return KofnSpec(k, Runs.from_runs([(Component("c", p, 0 if p == 1 else lam), n)]))
 
 
 # q_i = 1 - p_i and p_i over a pair's one variable, bound to component i
@@ -64,23 +79,26 @@ def _layout(family: str, k: int) -> Layout:
 
 
 def _build(spec: KofnSpec, family: str, offset=0, sign=1) -> TransferSystem:
-    """The system of one k x k pair per component, each binding its id to
-    the family's layout."""
+    """The system of one k x k pair per component object, binding its id to
+    the family's layout: each run of components becomes a run of its pair,
+    and the system keeps the distinct components."""
     k = spec.k
     layout = _layout(family, k)
+    components = {c.id: c for c, _ in spec.components.runs}
+    pairs = {cid: MatrixPair(layout, (cid,)) for cid in components}
     return TransferSystem(
         v_left=(Fraction(1),) + (Fraction(0),) * (k - 1),
-        pairs=tuple(MatrixPair(layout, (c.id,)) for c in spec.components),
+        pairs=Runs.from_runs((pairs[c.id], r) for c, r in spec.components.runs),
         v_right=(Fraction(1),) * k,
         offset=offset,
         sign=sign,
-        components=spec.components,
+        components=tuple(components.values()),
         family=f"{family}:{k}/{spec.n}",
     )
 
 
 def build_kofn_g(spec: KofnSpec) -> TransferSystem:
-    """Transfer system for a k-out-of-n:G system with distinct components.
+    """Transfer system for a k-out-of-n:G system.
 
     The availability is reported through the affine form (1, -1): the matrix
     product accumulates the probability that fewer than k components work.
@@ -97,45 +115,3 @@ def build_lincon_f(spec: KofnSpec) -> TransferSystem:
     component list order is the line order, with component 1 applied first.
     """
     return _build(spec, "lincon-f")
-
-
-def kofn_availability(k: int, n: int, p) -> Fraction:
-    """A_{k,n} for identical components, with the A_{0,n} = 1 convention."""
-    if k < 0 or n < 0:
-        raise ReliabilityError("k and n must be nonnegative")
-    p = as_exact(p)
-    if k == 0:
-        return Fraction(1)
-    q = 1 - p
-    return sum((comb(n, l) * p**l * q ** (n - l) for l in range(k, n + 1)), Fraction(0))
-
-
-def kofn_g_identical(k: int, n: int, p, lam) -> Tuple[Fraction, Fraction]:
-    """Exact closed-form (A, nu) for identical components, in absolute units.
-
-    The frequency is lam * k * C(n,k) * p^k * (1-p)^(n-k); the binomial index
-    is k (verified against the generating-function expansion and the
-    transfer-matrix pass, see the genfunc tests).  At p = 1 the components
-    never fail, so lam is taken as 0, as :func:`identical_components` does;
-    a negative lam is rejected.
-    """
-    if not (1 <= k <= n):
-        raise ReliabilityError(f"k={k} out of range for n={n}")
-    p = as_exact(p)
-    if not (0 <= p <= 1):
-        raise ReliabilityError(f"p={p} outside [0,1]")
-    lam = as_exact(lam)
-    if lam < 0:
-        raise ReliabilityError(f"negative failure rate {lam}")
-    if p == 1:
-        lam = Fraction(0)  # a perfect component never fails, as in identical_components
-    a = kofn_availability(k, n, p)
-    nu = lam * k * comb(n, k) * p**k * (1 - p) ** (n - k)
-    return a, nu
-
-
-def identical_components(n: int, p, lam) -> Tuple[Component, ...]:
-    """n components c1..cn sharing one availability p and failure rate lam;
-    a perfect component (p = 1) gets rate 0, as it never fails."""
-    lam = 0 if p == 1 else lam
-    return tuple(Component(f"c{i}", p, lam) for i in range(1, n + 1))

@@ -5,11 +5,12 @@ import subprocess
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
-from relfreq.core import Component, Layout, MatrixPair, apply_rate_operator
+from relfreq.core import Component, Layout, MatrixPair, ReliabilityError, apply_rate_operator
 from relfreq.genfunc import RationalGF, UniPoly, transfer_gf
-from relfreq.kofn import KofnSpec, identical_components
+from relfreq.kofn import identical_kofn_spec
 from relfreq.ladder import (
     LadderIdenticalParams,
     LadderSpec,
@@ -34,6 +35,47 @@ def lincon_4_11_components():
     return tuple(
         Component.steady_state(f"c{i+1}", Fraction(70 + 2 * i, 100)) for i in range(11)
     )
+
+
+def distinct_identical_components(n, p, lam):
+    """n components c1..cn with distinct ids and one availability p and rate
+    lam (0 at p = 1): the distinct-id system that a run of one component,
+    :func:`relfreq.kofn.identical_kofn_spec`, must equal."""
+    lam = 0 if p == 1 else lam
+    return tuple(Component(f"c{i}", p, lam) for i in range(1, n + 1))
+
+
+def kofn_availability(k, n, p):
+    """A_{k,n} of k-out-of-n:G for identical components by the binomial
+    sum, with the A_{0,n} = 1 convention."""
+    if k < 0 or n < 0:
+        raise ReliabilityError("k and n must be nonnegative")
+    p = Fraction(p)
+    if k == 0:
+        return Fraction(1)
+    q = 1 - p
+    return sum((comb(n, l) * p**l * q ** (n - l) for l in range(k, n + 1)), Fraction(0))
+
+
+def kofn_g_identical(k, n, p, lam):
+    """Exact closed-form (A, nu) of k-out-of-n:G for identical components.
+
+    The frequency is lam * k * C(n,k) * p^k * (1-p)^(n-k); the binomial index
+    is k.  At p = 1 the components never fail, so lam is taken as 0, as
+    ``identical_kofn_spec`` does; a negative lam is rejected.
+    """
+    if not (1 <= k <= n):
+        raise ReliabilityError(f"k={k} out of range for n={n}")
+    p = Fraction(p)
+    if not (0 <= p <= 1):
+        raise ReliabilityError(f"p={p} outside [0,1]")
+    lam = Fraction(lam)
+    if lam < 0:
+        raise ReliabilityError(f"negative failure rate {lam}")
+    if p == 1:
+        lam = Fraction(0)
+    nu = lam * k * comb(n, k) * p**k * (1 - p) ** (n - k)
+    return kofn_availability(k, n, p), nu
 
 
 def distinct_ladder_spec(p, rho, lam, xi, n, terminal=TERMINAL_T):
@@ -148,9 +190,9 @@ def gf_lincon_f(k):
 
 def family_gf(build, k):
     """transfer_gf of the family of ``build`` (a k-of-n builder) over n: the
-    pair of one component, read as p, repeated n times."""
-    system = build(KofnSpec(k, identical_components(k, Fraction(1, 2), 1)))
-    return transfer_gf(replace(system, pairs=system.pairs[:1]), {"c1": P})
+    run of one component's pair, its component read as p."""
+    system = build(identical_kofn_spec(k, k, Fraction(1, 2), 1))
+    return transfer_gf(system, {c.id: P for c in system.components})
 
 
 LADDER_EDGES = ("b0", "a", "b", "c")

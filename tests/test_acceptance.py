@@ -22,13 +22,7 @@ from relfreq.genfunc import (
     series_coeffs,
     series_operator,
 )
-from relfreq.kofn import (
-    KofnSpec,
-    build_kofn_g,
-    build_lincon_f,
-    identical_components,
-    kofn_availability,
-)
+from relfreq.kofn import KofnSpec, build_kofn_g, build_lincon_f, identical_kofn_spec
 from relfreq.ladder import (
     LadderIdenticalParams,
     TERMINAL_S,
@@ -39,11 +33,13 @@ from relfreq.oracle import lincon_f_structure, oracle_frequency
 from relfreq.verify import run_equivalence_trials
 
 from helpers import (
+    distinct_identical_components,
     example_7_2_components,
     family_gf,
     gf_kofn_g,
     gf_kofn_g_freq,
     gf_lincon_f,
+    kofn_availability,
     lincon_4_11_components,
 )
 
@@ -120,9 +116,9 @@ def test_criterion_4_generating_function_consistency(capsys):
             break
         for p in p_points:
             # incremental transfer-matrix fold: one shared matrix, n steps
-            system = build_kofn_g(KofnSpec(k, identical_components(k, p, lam=lam)))
+            system = build_kofn_g(identical_kofn_spec(k, k, p, lam))
             pair = system.pairs[0]
-            assignment = {"c1": (p, lam)}
+            assignment = system.default_assignment()
             state = initial_state(system)
             for n in range(1, 31):
                 state = stream_step(state, pair, assignment)
@@ -210,7 +206,7 @@ def test_criterion_8_performance(capsys):
 
     t0 = time.perf_counter()
     big = single_pass(
-        build_kofn_g(KofnSpec(50, identical_components(200, F(9, 10), lam=F(1))))
+        build_kofn_g(KofnSpec(50, distinct_identical_components(200, F(9, 10), lam=F(1))))
     )
     t_kofn = time.perf_counter() - t0
     kofn_ok = t_kofn < 30.0 and 0 < big.availability < 1

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 import runpy
 from fractions import Fraction as F
 
@@ -17,6 +18,7 @@ from relfreq.cli import (
     build_from_config,
     main,
 )
+import relfreq.cli
 import relfreq.verify
 from relfreq.asymptotics import asymptotic_rate
 from relfreq.core import MultilinearPoly, single_pass
@@ -451,6 +453,40 @@ def test_empty_kofn_component_list_exit_code(tmp_path, capsys):
     assert "at least one component" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("family", ["kofn-g", "lincon-f"])
+def test_config_repeating_an_id_exits_3(tmp_path, capsys, family):
+    cfg = {**KOFN_CFG, "family": family, "components": KOFN_CFG["components"][:1] * 2}
+    assert main(["solve", write_config(tmp_path, cfg)]) == EXIT_VALIDATION
+    assert "component ids must be distinct" in capsys.readouterr().err
+
+
+class TestRateBeyondTheDoubleRange:
+    CFG = {"family": "kofn-g", "k": 1,
+           "components": [{"id": "big", "p": "1/2", "lambda": "1e400"}]}
+
+    def test_approx_solve_exits_3_naming_the_component(self, tmp_path, capsys):
+        assert main(["solve", write_config(tmp_path, self.CFG), "--mode", "approx"]) == EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: component 'big': failure rate beyond the double range; exact mode accepts it\n"
+
+    def test_exact_solve_reads_an_infinite_decimal(self, tmp_path, capsys):
+        # nu = lam p = 5 * 10**399 and nu/A = lam
+        assert main(["solve", write_config(tmp_path, self.CFG)]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert report["frequency"] == {"decimal": "inf", "rational": "5" + "0" * 399, "per": "absolute"}
+        assert report["failure_rate"] == {"decimal": "inf", "rational": "1" + "0" * 400, "per": "absolute"}
+        assert report["log10_frequency"] == pytest.approx(399 + math.log10(5))
+        assert report["availability"]["decimal"] == "0.5"
+
+    @pytest.mark.parametrize("family", ["kofn-g", "lincon-f", "ladder"])
+    def test_sweep_exits_3_naming_the_component(self, capsys, family):
+        code = main(["sweep", "--family", family, "--param", "p", "--range", "0.5:0.9:0.4",
+                     "--lam", "1e400"])
+        assert code == EXIT_VALIDATION
+        assert "failure rate beyond the double range" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "name, code, availability",
     [("custom_scalar_forms", EXIT_VALIDATION, "24663/6400"),
@@ -502,6 +538,20 @@ class TestSweepCommand:
         rows = self.read_rows(capsys)
         assert [r["p"] for r in rows] == ["0.5", "0.75", "1.0"]
         assert float(rows[-1]["A"]) == 1.0 and float(rows[-1]["nu_bar"]) == 0.0
+
+    @pytest.mark.parametrize("family", ["kofn-g", "lincon-f"])
+    def test_each_row_is_one_run_of_one_pair(self, capsys, monkeypatch, family):
+        systems = []
+
+        def spy(system, **kwargs):
+            systems.append(system)
+            return single_pass(system, **kwargs)
+
+        monkeypatch.setattr(relfreq.cli, "single_pass", spy)
+        code = main(["sweep", "--family", family, "--param", "n", "--range", "3:9:3", "--k", "3"])
+        assert code == EXIT_OK and len(self.read_rows(capsys)) == 3
+        assert [len(system.pairs) for system in systems] == [3, 6, 9]
+        assert [len(system.pairs.runs) for system in systems] == [1, 1, 1]
 
     def test_sweep_n_ladder_with_derivative_columns(self, capsys):
         code = main(

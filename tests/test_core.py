@@ -44,6 +44,7 @@ from relfreq.oracle import (
     oracle_frequency,
     truth_table_structure,
 )
+from relfreq.scalars import rational_str
 
 from helpers import dense_fraction_fold, dense_step, distinct_ladder_spec, run_python
 
@@ -445,6 +446,33 @@ class TestReadValue:
         assert scale == 1 and lam.hex() == float(x).hex()
 
 
+class TestRateBeyondTheDoubleRange:
+    SYSTEM = build_kofn_g(KofnSpec(1, (Component("small", F(1, 2), F(1)),
+                                       Component("big", F(1, 3), 10**400))))
+
+    def test_approx_pass_names_the_component(self):
+        with pytest.raises(ReliabilityError, match="component 'big': failure rate beyond the double range"):
+            single_pass(self.SYSTEM, mode="approx")
+        with pytest.raises(ReliabilityError, match="component 'big'"):
+            stream_step(initial_state(self.SYSTEM, "approx"), self.SYSTEM.pairs[1],
+                        self.SYSTEM.default_assignment())
+
+    def test_exact_report_reads_an_infinite_decimal(self):
+        report = single_pass(self.SYSTEM)
+        assert report.frequency > 10**399
+        blocks = report.as_dict()
+        assert blocks["frequency"]["decimal"] == blocks["failure_rate"]["decimal"] == "inf"
+        assert blocks["frequency"]["rational"] == rational_str(report.frequency)
+        nu = report.frequency
+        assert blocks["log10_frequency"] == pytest.approx(math.log10(nu.numerator) - math.log10(nu.denominator))
+        assert blocks["availability"]["decimal"] == repr(float(report.availability))
+
+    def test_a_negative_value_beyond_the_range_reads_minus_infinity(self):
+        pair = MatrixPair.from_entries(1, [(0, 0, {("x",): 1})])
+        report = single_pass(TransferSystem((F(-(10**400)),), [pair], (F(1),)), {"x": (F(1, 2), F(1))})
+        assert report.as_dict()["availability"]["decimal"] == "-inf"
+
+
 def test_log10_of_holds_beyond_the_double_range():
     assert log10_of(F(1, 10**400)) == -400
     assert log10_of(F(3, 4 * 2**5000)) == pytest.approx(math.log10(0.75) - 5000 * math.log10(2))
@@ -814,6 +842,16 @@ class TestComponent:
         with pytest.raises(ReliabilityError) as info:
             Component(*args)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("make", [
+        lambda: Component("x", math.nan), lambda: Component("x", math.inf),
+        lambda: Component("x", F(1, 2), math.nan), lambda: Component("x", F(1, 2), math.inf),
+        lambda: Component.steady_state("x", math.nan), lambda: Component.steady_state("x", math.inf),
+        lambda: Component.steady_state("x", F(1, 2), math.nan),
+    ], ids=["nan-p", "inf-p", "nan-rate", "inf-rate", "steady-nan-p", "steady-inf-p", "steady-nan-mu"])
+    def test_a_non_finite_value_is_rejected_by_name(self, make):
+        with pytest.raises(ReliabilityError, match=r"component 'x': \(p, (lambda|mu)\) = .* is not finite"):
+            make()
 
     def test_steady_state_rejects_a_negative_repair_rate(self):
         with pytest.raises(ReliabilityError) as info:

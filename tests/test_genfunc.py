@@ -15,13 +15,7 @@ from relfreq.genfunc import (
     series_operator,
     transfer_gf,
 )
-from relfreq.kofn import (
-    KofnSpec,
-    build_kofn_g,
-    build_lincon_f,
-    identical_components,
-    kofn_availability,
-)
+from relfreq.kofn import build_kofn_g, build_lincon_f, identical_kofn_spec
 from relfreq.core import MatrixPair, ReliabilityError, TransferSystem, single_pass
 from relfreq.ladder import (
     TERMINAL_S,
@@ -32,7 +26,15 @@ from relfreq.ladder import (
     identical_ladder_spec,
 )
 
-from helpers import P, family_gf, gf_kofn_g, gf_kofn_g_freq, gf_lincon_f, ladder_gf
+from helpers import (
+    P,
+    family_gf,
+    gf_kofn_g,
+    gf_kofn_g_freq,
+    gf_lincon_f,
+    kofn_availability,
+    ladder_gf,
+)
 
 P_POINTS = [F(1, 10), F(1, 4), F(1, 3), F(1, 2), F(3, 5), F(7, 10), F(9, 10)]
 
@@ -78,9 +80,7 @@ class TestSeriesExtraction:
             coeffs = series_coeffs(gf_kofn_g(k), 8)
             fcoeffs = series_coeffs(gf_kofn_g_freq(k, lam), 8)
             for n in range(k, 9):
-                report = single_pass(
-                    build_kofn_g(KofnSpec(k, identical_components(n, p, lam=lam)))
-                )
+                report = single_pass(build_kofn_g(identical_kofn_spec(k, n, p, lam)))
                 assert coeffs[n](p) == report.availability
                 assert fcoeffs[n](p) == report.frequency
 
@@ -89,14 +89,7 @@ class TestSeriesExtraction:
         for k in (1, 2, 3):
             coeffs = series_coeffs(gf_lincon_f(k), 9)
             for n in range(1, 10):
-                report = single_pass(
-                    build_lincon_f(
-                        KofnSpec(
-                            min(k, n),
-                            identical_components(n, p, lam=F(1)),
-                        )
-                    )
-                )
+                report = single_pass(build_lincon_f(identical_kofn_spec(min(k, n), n, p, F(1))))
                 if n >= k:
                     assert coeffs[n](p) == report.availability
 
@@ -129,14 +122,7 @@ class TestOperatorIdentity:
         k = 2
         fcoeffs = series_operator(series_coeffs(gf_lincon_f(k), 7), lam)
         for n in range(k, 8):
-            report = single_pass(
-                build_lincon_f(
-                    KofnSpec(
-                        k,
-                        identical_components(n, p, lam=lam),
-                    )
-                )
-            )
+            report = single_pass(build_lincon_f(identical_kofn_spec(k, n, p, lam)))
             assert fcoeffs[n](p) == report.frequency
 
     def test_operator_linearity_on_gf(self):

@@ -9,13 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relfreq.core import Component, ReliabilityError, apply_rate_operator, single_pass
-from relfreq.kofn import (
-    KofnSpec,
-    build_kofn_g,
-    build_lincon_f,
-    identical_components,
-    kofn_g_identical,
-)
+from relfreq.kofn import KofnSpec, build_kofn_g, build_lincon_f, identical_kofn_spec
 from relfreq.oracle import (
     kofn_g_structure,
     lincon_f_structure,
@@ -23,7 +17,12 @@ from relfreq.oracle import (
     oracle_frequency,
 )
 
-from helpers import example_7_2_components, lincon_4_11_components
+from helpers import (
+    distinct_identical_components,
+    example_7_2_components,
+    kofn_g_identical,
+    lincon_4_11_components,
+)
 
 
 class TestKofnG:
@@ -35,7 +34,7 @@ class TestKofnG:
         assert float(report.failure_rate) == pytest.approx(0.0520382, abs=1e-7)
 
     def test_matrix_shapes_and_prime_entries(self):
-        comps = identical_components(3, F(1, 2), lam=F(2))
+        comps = distinct_identical_components(3, F(1, 2), lam=F(2))
         system = build_kofn_g(KofnSpec(2, comps))
         pair = system.pairs[0]
         assert pair.dim == 2
@@ -50,7 +49,7 @@ class TestKofnG:
 
     @pytest.mark.parametrize("k", [1, 2, 3, 7])
     def test_pairs_store_only_the_2k_minus_1_nonzeros(self, k):
-        comps = identical_components(k + 2, F(2, 3), lam=F(3))
+        comps = distinct_identical_components(k + 2, F(2, 3), lam=F(3))
         for system in (
             build_kofn_g(KofnSpec(k, comps)),
             build_lincon_f(KofnSpec(k, comps)),
@@ -63,7 +62,7 @@ class TestKofnG:
 
     @pytest.mark.parametrize("k", [1, 2, 3, 7])
     def test_pairs_share_one_layout_and_hold_two_polys(self, k):
-        comps = identical_components(k + 2, F(2, 3), lam=F(3))
+        comps = distinct_identical_components(k + 2, F(2, 3), lam=F(3))
         for system in (
             build_kofn_g(KofnSpec(k, comps)),
             build_lincon_f(KofnSpec(k, comps)),
@@ -75,7 +74,7 @@ class TestKofnG:
     def test_one_layout_per_family_and_k(self):
         # systems of one family and k share the layout object; pairs stay
         # distinct, so each system's fold compiles its own
-        comps = identical_components(5, F(2, 3), lam=F(3))
+        comps = distinct_identical_components(5, F(2, 3), lam=F(3))
         others = tuple(Component(f"d{i}", F(1, 4), F(1)) for i in range(4))
         layouts = {}
         for build in (build_kofn_g, build_lincon_f):
@@ -112,7 +111,7 @@ class TestKofnG:
         )
 
     def test_k_out_of_range(self):
-        comps = identical_components(3, F(1, 2), lam=0)
+        comps = distinct_identical_components(3, F(1, 2), lam=0)
         with pytest.raises(ReliabilityError):
             KofnSpec(4, comps)
         with pytest.raises(ReliabilityError):
@@ -235,7 +234,7 @@ class TestIdenticalClosedForm:
     def test_matches_transfer_matrix(self):
         p, lam = F(9, 10), F(1, 9)
         a, nu = kofn_g_identical(5, 8, p, lam)
-        comps = identical_components(8, p, lam=lam)
+        comps = distinct_identical_components(8, p, lam=lam)
         report = single_pass(build_kofn_g(KofnSpec(5, comps)))
         assert a == report.availability
         assert nu == report.frequency
@@ -255,23 +254,60 @@ class TestIdenticalClosedForm:
 
     @pytest.mark.parametrize("p", [F(0), F(1, 2), F(1)])
     def test_equals_the_pass_for_every_p(self, p):
-        # at p = 1 a component never fails, so the pass gives it rate 0
+        # at p = 1 a component never fails, so both specs give it rate 0
         for n in range(1, 5):
-            comps = identical_components(n, p, lam=F(3))
+            comps = distinct_identical_components(n, p, lam=F(3))
             for k in range(1, n + 1):
                 closed = kofn_g_identical(k, n, p, F(3))
-                report = single_pass(build_kofn_g(KofnSpec(k, comps)))
-                assert closed == (report.availability, report.frequency)
+                for spec in (KofnSpec(k, comps), identical_kofn_spec(k, n, p, F(3))):
+                    report = single_pass(build_kofn_g(spec))
+                    assert closed == (report.availability, report.frequency)
 
     def test_negative_rate_rejected(self):
         with pytest.raises(ReliabilityError):
             kofn_g_identical(2, 3, F(1, 2), F(-1))
 
 
+class TestIdenticalRun:
+    """n identical components as one run of one component object, against
+    n distinct ids with equal values."""
+
+    @pytest.mark.parametrize("build", [build_kofn_g, build_lincon_f], ids=["kofn-g", "lincon-f"])
+    @pytest.mark.parametrize("k, n", [(1, 1), (3, 10), (5, 40), (10, 30)])
+    @pytest.mark.parametrize("p", [F(0), F(1, 3), F(9, 10), F(1)])
+    def test_run_equals_distinct_ids(self, build, k, n, p):
+        run = build(identical_kofn_spec(k, n, p, F(3, 2)))
+        distinct = build(KofnSpec(k, distinct_identical_components(n, p, F(3, 2))))
+        assert len(run.pairs.runs) == 1 and len(run.pairs) == n
+        assert single_pass(run) == single_pass(distinct)
+
+    def test_each_position_is_an_independent_component(self):
+        # one object at positions 1 and 3 of a line is two identical
+        # components, not one component seen twice
+        c, d = Component("c", F(1, 3), F(2)), Component("d", F(3, 4), F(1))
+        shared = KofnSpec(2, (c, d, c))
+        distinct = KofnSpec(2, (Component("c1", c.p, c.lam), d, Component("c3", c.p, c.lam)))
+        for build in (build_kofn_g, build_lincon_f):
+            assert len(build(shared).components) == 2
+            assert single_pass(build(shared)) == single_pass(build(distinct))
+
+    def test_spec_rejects_two_objects_sharing_an_id(self):
+        c = Component("c", F(1, 2), F(1))
+        assert KofnSpec(2, (c, c, c)).components.runs == ((c, 3),)
+        with pytest.raises(ReliabilityError, match="ids must be distinct"):
+            KofnSpec(1, (c, Component("c", F(1, 2), F(1))))
+        with pytest.raises(ReliabilityError, match="ids must be distinct"):
+            KofnSpec(1, (c, Component("d", F(1, 2)), Component("c", F(1, 3))))
+
+    def test_spec_of_no_components_is_rejected(self):
+        with pytest.raises(ReliabilityError, match="at least one component"):
+            identical_kofn_spec(1, 0, F(1, 2), F(1))
+
+
 class TestHighlyReliable:
     def test_approx_unavailability_is_the_chain_product(self):
         # 1 - A cancels to 0.0 in floats; U read off the chain does not
-        comps = identical_components(3, 1 - F(1, 10**9), lam=F(1))
+        comps = distinct_identical_components(3, 1 - F(1, 10**9), lam=F(1))
         system = build_kofn_g(KofnSpec(2, comps))
         exact = single_pass(system).unavailability
         approx = single_pass(system, mode="approx").unavailability

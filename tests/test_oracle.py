@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import is_monotone, oracle_pivotal, up_states
+from helpers import is_monotone, kofn_g_identical, oracle_pivotal, up_states
 from relfreq.core import Component, single_pass
-from relfreq.kofn import KofnSpec, build_lincon_f, kofn_g_identical
+from relfreq.kofn import KofnSpec, build_lincon_f
 from relfreq.oracle import (
     MAX_COMPONENTS,
     OracleError,

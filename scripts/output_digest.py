@@ -15,9 +15,15 @@ injected here (1/97 added to slot 0 of each system's first pair), whose
 mismatch line prints rationals; and the first 31 coefficients, polynomials
 in p, of the generating functions over n of 3-of-n:G, its frequency,
 consecutive-3-of-n:F and the ladder to T_n with perfect nodes, each read
-by ``transfer_gf`` from the same kind of run.  Every input is built here
-from fixed seeds, so two checkouts give identical lines exactly when their
-outputs are byte-identical:
+by ``transfer_gf`` from the same kind of run.  After those 31 lines come
+exact and approx ``solve`` runs of three 1x1 custom-matrices systems that
+hold the value 1e400, above the double range, as a matrix coefficient, a
+``v_right`` entry or the offset, each read by its exit code and stderr;
+and of a 30-cell ladder whose 306 p and lambda scalars are 20 distinct
+texts of five values, written as JSON numbers, decimals, ratios, exponents
+and padded strings.  Every input is built here from fixed seeds, so two
+checkouts give identical lines exactly when their outputs are
+byte-identical:
 
     diff <(python3 scripts/output_digest.py) \\
          <(PYTHONPATH=../other/src python3 ../other/scripts/output_digest.py)
@@ -153,6 +159,48 @@ def ladder_cells_mu():
     }
 
 
+# each value in the forms a config may write it in: JSON numbers, decimals,
+# ratios, exponents and padded text
+FORMS = {
+    Fraction(9, 10): [0.9, "0.9", "9/10", "0.90", "90e-2", " 9/10 "],
+    Fraction(19, 20): [0.95, "0.95", "19/20", "95/100"],
+    Fraction(1): [1, "1", "1.0", "1/1", 1.0],
+    Fraction(1, 2): [0.5, "0.5", "1/2", "5e-1"],
+    Fraction(2): [2, "2", "2.0", 2.0, "4/2"],
+    Fraction(0): [0, "0", "0.0", 0.0, "0/1"],
+}
+
+
+def ladder_mixed_forms(rng, cells):
+    """A heterogeneous ladder whose p and lambda values repeat across its
+    components, each occurrence written in a randomly drawn form."""
+    def comp(cid):
+        p = rng.choice([Fraction(9, 10), Fraction(19, 20), Fraction(1)])
+        lam = Fraction(0) if p == 1 else rng.choice([Fraction(1, 2), Fraction(2)])
+        return {"id": cid, "p": rng.choice(FORMS[p]), "lambda": rng.choice(FORMS[lam])}
+
+    rows = [{key: comp(f"{key}0") for key in "bST"}]
+    rows += [{key: comp(f"{key}{i}") for key in "abcST"} for i in range(1, cells + 1)]
+    return {"family": "ladder", "rate_convention": "explicit", "terminal": "Tn", "cells": rows}
+
+
+def custom_beyond_double_range(field):
+    """A 1x1 custom-matrices system with one value of 1e400, above the
+    double range, as a matrix coefficient, a v_right entry or the offset."""
+    cfg = {
+        "family": "custom-matrices",
+        "components": [{"id": "x", "p": "3/4", "lambda": "2"}],
+        "v_left": ["1"],
+        "v_right": ["1"],
+        "matrices": [[[[["1", ["x"]]]]]],
+    }
+    if field == "coefficient":
+        cfg["matrices"] = [[[[["1e400", ["x"]]]]]]
+    else:
+        cfg[field] = ["1e400"] if field == "v_right" else "1e400"
+    return cfg
+
+
 def corrupt_pass(system):
     """``single_pass`` of ``system`` with 1/97 added to its first pair's
     slot 0, at every position that holds it, so no oracle agrees."""
@@ -193,11 +241,11 @@ def series_text(gf) -> bytes:
 
 
 def run(argv):
-    """(exit code, stdout) of an in-process ``relfreq`` call."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    """(exit code, stdout, stderr) of an in-process ``relfreq`` call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = relfreq(argv)
-    return code, out.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 def read(path: Path) -> bytes:
@@ -205,10 +253,23 @@ def read(path: Path) -> bytes:
     return path.read_bytes() if path.exists() else b""
 
 
+def solves(workdir: Path, configs: dict, with_stderr: bool):
+    """(name, bytes) of an exact and an approx ``solve`` of each config:
+    the exit code, then stderr if ``with_stderr``, then the report."""
+    for name, cfg in configs.items():
+        cfg_path = workdir / f"{name}.json"
+        cfg_path.write_text(json.dumps(cfg))
+        for mode in ("exact", "approx"):
+            out_path = workdir / f"{name}.{mode}.out"
+            code, _, err = run(["solve", str(cfg_path), "--mode", mode, "--out", str(out_path)])
+            head = f"exit {code}\n" + (err if with_stderr else "")
+            yield f"solve {name} {mode}", head.encode() + read(out_path)
+
+
 def digests(workdir: Path):
     """(name, bytes) for each output of the set, in a fixed order; a
     command's exit code is part of its output."""
-    configs = {
+    yield from solves(workdir, {
         "worked-5-of-8-G": worked_5_of_8(),
         "worked-lincon-4-of-11-F": worked_lincon_4_of_11(),
         "ladder-600": heterogeneous_ladder(random.Random(600), 600),
@@ -217,14 +278,7 @@ def digests(workdir: Path):
         "custom-offset-sign": custom_offset_sign(),
         "custom-scalar-forms": custom_scalar_forms(),
         "ladder-cells-mu": ladder_cells_mu(),
-    }
-    for name, cfg in configs.items():
-        cfg_path = workdir / f"{name}.json"
-        cfg_path.write_text(json.dumps(cfg))
-        for mode in ("exact", "approx"):
-            out_path = workdir / f"{name}.{mode}.out"
-            code, _ = run(["solve", str(cfg_path), "--mode", mode, "--out", str(out_path)])
-            yield f"solve {name} {mode}", f"exit {code}\n".encode() + read(out_path)
+    }, with_stderr=False)
     sweeps = {
         "ladder": ["--n", "3000", "--rho", "0.99", "--lam", "1", "--xi", "0.5"],
         "kofn-g": ["--k", "10", "--n", "30", "--lam", "3/2"],
@@ -232,16 +286,23 @@ def digests(workdir: Path):
     }
     for family, flags in sweeps.items():
         csv_path = workdir / f"sweep-{family}.csv"
-        code, _ = run(["sweep", "--family", family, "--param", "p", "--range", "0.05:0.95:0.1",
+        code, _, _ = run(["sweep", "--family", family, "--param", "p", "--range", "0.05:0.95:0.1",
                        *flags, "--out", str(csv_path)])
         yield f"sweep {family} p", f"exit {code}\n".encode() + read(csv_path)
     for seed in range(4):
         for suffix, solve in (("", single_pass), (" corrupt", corrupt_pass)):
             with mock.patch.object(verify, "single_pass", solve):
-                code, text = run(["verify", "--trials", "200", "--seed", str(seed)])
+                code, text, _ = run(["verify", "--trials", "200", "--seed", str(seed)])
             yield f"verify seed {seed}{suffix}", f"exit {code}\n{text}".encode()
     for name, gf in identical_gfs().items():
         yield f"gf {name}", series_text(gf)
+    # later additions, after the earlier lines so that those keep their order;
+    # a run that fails is read by its exit code and stderr
+    yield from solves(workdir, {
+        **{f"custom-1e400-{field}": custom_beyond_double_range(field)
+           for field in ("coefficient", "v_right", "offset")},
+        "ladder-mixed-forms": ladder_mixed_forms(random.Random(30), 30),
+    }, with_stderr=True)
 
 
 def main():

@@ -65,16 +65,22 @@ def _integer(cfg: dict, key: str, default=None) -> int:
     raise ConfigError(f"config: {key} must be an integer, got {value!r}")
 
 
-def _scalar(value, where: str, key, cid=None):
-    """``value`` read by ``parse_scalar`` through its ``str``; a value it
-    cannot parse is a config error that names field ``key`` of ``where``
-    (and the component ``cid``).  The message is formatted only on error,
-    as a config may hold thousands of scalars."""
-    try:
-        return parse_scalar(str(value))
-    except ValueError as exc:
-        about = "" if cid is None else f" for {cid!r}"
-        raise ConfigError(f"{where}: bad {key}{about}: {exc}") from exc
+def _scalar(memo: dict, value, where: str, key, cid=None):
+    """``value`` read by ``parse_scalar`` through its ``str`` once per text:
+    ``memo`` maps the texts a config has read to their (immutable)
+    Fractions.  A value it cannot parse is never stored, and is a config
+    error that names field ``key`` of ``where`` (and the component ``cid``);
+    the message is formatted only on error, as a config may hold thousands
+    of scalars."""
+    text = str(value)
+    x = memo.get(text)
+    if x is None:
+        try:
+            x = memo[text] = parse_scalar(text)
+        except ValueError as exc:
+            about = "" if cid is None else f" for {cid!r}"
+            raise ConfigError(f"{where}: bad {key}{about}: {exc}") from exc
+    return x
 
 
 def _id(value, where: str, term=None) -> str:
@@ -90,23 +96,28 @@ def _id(value, where: str, term=None) -> str:
     raise ConfigError(f"{where}: {about} must be a string or an integer, got {value!r}")
 
 
-def _parse_component(entry: dict, convention: str, where: str) -> Component:
+def _parse_component(entry: dict, convention: str, where: str, memo: dict) -> Component:
     if not isinstance(entry, dict):
         raise ConfigError(f"{where}: component entry must be an object")
-    cid = _id(_require(entry, "id", where), where)
-    p = _scalar(_require(entry, "p", where), where, "p", cid)
+    # the helpers, in the same order, read only a missing or bad id and a new p
+    cid = entry.get("id")
+    if type(cid) is not str:
+        cid = _id(_require(entry, "id", where), where)
+    p = memo.get(str(entry.get("p")))
+    if p is None:
+        p = _scalar(memo, _require(entry, "p", where), where, "p", cid)
     if convention == "steady-state-mu":
         if "lambda" in entry:
             raise ConfigError(f"{where}: rate_convention 'steady-state-mu' derives lambda of {cid!r}")
-        mu = _scalar(entry["mu"], where, "mu", cid) if "mu" in entry else 1
+        mu = _scalar(memo, entry["mu"], where, "mu", cid) if "mu" in entry else 1
         return Component.steady_state(cid, p, mu)
     if "mu" in entry:
         raise ConfigError(f"{where}: mu of {cid!r} needs rate_convention 'steady-state-mu'")
-    lam = _scalar(entry.get("lambda", "0"), where, "lambda", cid)
+    lam = _scalar(memo, entry.get("lambda", "0"), where, "lambda", cid)
     return Component(cid, p, lam)
 
 
-def _parse_poly(entry, where: str) -> MultilinearPoly:
+def _parse_poly(entry, where: str, memo: dict) -> MultilinearPoly:
     """Entry format: list of terms, each [coeff_string] or [coeff_string,
     [id, ...]].  Terms over the same set of ids are summed, and
     p_i p_i = p_i."""
@@ -118,19 +129,19 @@ def _parse_poly(entry, where: str) -> MultilinearPoly:
             len(term) == 1 or len(term) == 2 and isinstance(term[1], list)
         ):
             raise ConfigError(f"{where}: term {term!r} is not [coeff] or [coeff, [id, ...]]")
-        coeff = _scalar(term[0], where, "coefficient")
+        coeff = _scalar(memo, term[0], where, "coefficient")
         terms.append(([_id(cid, where, term) for cid in term[1]] if len(term) == 2 else (), coeff))
     return MultilinearPoly(terms)
 
 
-def _parse_matrix(rows, where: str) -> MatrixPair:
+def _parse_matrix(rows, where: str, memo: dict) -> MatrixPair:
     """Square list of rows of entries; only the nonzero entries are kept."""
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise ConfigError(f"{where}: matrix must be a list of rows")
     if any(len(row) != len(rows) for row in rows):
         raise DimensionMismatchError(f"{where}: matrix must be square")
     entries = [
-        (r, c, _parse_poly(e, where)) for r, row in enumerate(rows) for c, e in enumerate(row)
+        (r, c, _parse_poly(e, where, memo)) for r, row in enumerate(rows) for c, e in enumerate(row)
     ]
     return MatrixPair.from_entries(len(rows), entries)
 
@@ -143,27 +154,30 @@ def _list(cfg: dict, key: str) -> list:
     return value
 
 
-def _components(cfg: dict, convention: str) -> tuple:
+def _components(cfg: dict, convention: str, memo: dict) -> tuple:
     """The components of the JSON list ``cfg["components"]``."""
     return tuple(
-        _parse_component(e, convention, f"components[{i}]")
+        _parse_component(e, convention, f"components[{i}]", memo)
         for i, e in enumerate(_list(cfg, "components"))
     )
 
 
-def _vector(cfg: dict, key: str) -> tuple:
+def _vector(cfg: dict, key: str, memo: dict) -> tuple:
     """The scalars of the JSON list ``cfg[key]``."""
-    return tuple(_scalar(x, "config", f"{key}[{i}]") for i, x in enumerate(_list(cfg, key)))
+    return tuple(_scalar(memo, x, "config", f"{key}[{i}]") for i, x in enumerate(_list(cfg, key)))
 
 
 def build_from_config(cfg: dict) -> TransferSystem:
+    """The system of a parsed JSON config.  Its scalars share one memo that
+    lives for this call only: each distinct text is parsed once per config."""
+    memo = {}
     family = _require(cfg, "family")
     convention = cfg.get("rate_convention", "explicit")
     if convention not in ("explicit", "steady-state-mu"):
         raise ConfigError(f"unknown rate_convention {convention!r}")
 
     if family in ("kofn-g", "lincon-f"):
-        comps = _components(cfg, convention)
+        comps = _components(cfg, convention, memo)
         build = build_kofn_g if family == "kofn-g" else build_lincon_f
         return build(KofnSpec(_integer(cfg, "k"), comps))
 
@@ -176,7 +190,7 @@ def build_from_config(cfg: dict) -> TransferSystem:
                 if not isinstance(cell_cfg, dict):
                     raise ConfigError(f"{where}: cell must be an object")
                 parts = {
-                    key: _parse_component(_require(cell_cfg, key, where), convention, where)
+                    key: _parse_component(_require(cell_cfg, key, where), convention, where, memo)
                     for key in (("b", "S", "T") if i == 0 else ("a", "b", "c", "S", "T"))
                 }
                 if i == 0:
@@ -190,25 +204,25 @@ def build_from_config(cfg: dict) -> TransferSystem:
                 f"must be 'explicit', got {convention!r}"
             )
         params = LadderIdenticalParams(
-            p=_scalar(_require(cfg, "p"), "config", "p"),
-            rho=_scalar(cfg.get("rho", "1"), "config", "rho"),
-            lam=_scalar(cfg.get("lambda", "0"), "config", "lambda"),
-            xi=_scalar(cfg.get("xi", "0"), "config", "xi"),
+            p=_scalar(memo, _require(cfg, "p"), "config", "p"),
+            rho=_scalar(memo, cfg.get("rho", "1"), "config", "rho"),
+            lam=_scalar(memo, cfg.get("lambda", "0"), "config", "lambda"),
+            xi=_scalar(memo, cfg.get("xi", "0"), "config", "xi"),
             n=_integer(cfg, "n"),
         )
         return build_ladder(identical_ladder_spec(params, terminal))
 
     if family == "custom-matrices":
-        comps = _components(cfg, convention)
+        comps = _components(cfg, convention, memo)
         pairs = tuple(
-            _parse_matrix(m, f"matrices[{i}]")
+            _parse_matrix(m, f"matrices[{i}]", memo)
             for i, m in enumerate(_list(cfg, "matrices"))
         )
         return TransferSystem(
-            v_left=_vector(cfg, "v_left"),
+            v_left=_vector(cfg, "v_left", memo),
             pairs=pairs,
-            v_right=_vector(cfg, "v_right"),
-            offset=_scalar(cfg.get("offset", "0"), "config", "offset"),
+            v_right=_vector(cfg, "v_right", memo),
+            offset=_scalar(memo, cfg.get("offset", "0"), "config", "offset"),
             sign=_integer(cfg, "sign", 1),
             components=comps,
             family="custom-matrices",

@@ -49,6 +49,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from itertools import accumulate, chain, repeat
 from math import frexp, gcd, inf, lcm, ldexp, log10
@@ -88,6 +89,8 @@ class Component:
 
     ``lam`` is the failure rate per unit time; when rates are expressed as
     multiples of a single reference repair rate, it is the multiplier.
+    Both are stored as Fractions, kept as given when they are.  The checks
+    (finite, 0 <= p <= 1, lam >= 0, lam = 0 at p = 1) read integer ratios.
     """
 
     id: str
@@ -95,37 +98,41 @@ class Component:
     lam: Fraction = Fraction(0)
 
     def __post_init__(self):
-        try:
-            p, lam = as_exact(self.p), as_exact(self.lam)
-        except (ValueError, OverflowError):  # NaN or infinity
-            raise ReliabilityError(
-                f"component {self.id!r}: (p, lambda) = {(self.p, self.lam)} is not finite"
-            ) from None
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "lam", lam)
+        p, lam = self.p, self.lam
+        if not (isinstance(p, Fraction) and isinstance(lam, Fraction)):
+            try:
+                p, lam = as_exact(p), as_exact(lam)
+            except (ValueError, OverflowError):  # NaN or infinity
+                raise ReliabilityError(
+                    f"component {self.id!r}: (p, lambda) = {(self.p, self.lam)} is not finite"
+                ) from None
+            object.__setattr__(self, "p", p)
+            object.__setattr__(self, "lam", lam)
         # a Fraction's denominator is positive: compare integers, not Fractions
-        if not 0 <= p.numerator <= p.denominator:
+        (p_num, p_den), (lam_num, _) = p.as_integer_ratio(), lam.as_integer_ratio()
+        if not 0 <= p_num <= p_den:
             raise ReliabilityError(f"component {self.id!r}: p={p} outside [0,1]")
-        if lam.numerator < 0:
+        if lam_num < 0:
             raise ReliabilityError(f"component {self.id!r}: negative failure rate")
-        if p.numerator == p.denominator and lam.numerator:
+        if p_num == p_den and lam_num:
             raise ReliabilityError(
                 f"component {self.id!r}: a perfect component must have zero failure rate"
             )
 
     @classmethod
     def steady_state(cls, id: str, p, mu=1) -> "Component":
-        """Component whose failure rate satisfies lam * p = mu * (1 - p)."""
+        """Component whose failure rate satisfies lam * p = mu * (1 - p),
+        made from integer ratios as one Fraction mu_n (p_d - p_n) / (mu_d p_n)."""
         try:
             p, mu = as_exact(p), as_exact(mu)
         except (ValueError, OverflowError):  # NaN or infinity
             raise ReliabilityError(f"component {id!r}: (p, mu) = {(p, mu)} is not finite") from None
-        if mu < 0:
+        (p_num, p_den), (mu_num, mu_den) = p.as_integer_ratio(), mu.as_integer_ratio()
+        if mu_num < 0:
             raise ReliabilityError(f"component {id!r}: negative repair rate")
-        if p == 0:
+        if p_num == 0:
             raise ReliabilityError(f"component {id!r}: p=0 has no steady-state rate")
-        lam = mu * (1 - p) / p
-        return cls(id=id, p=p, lam=lam)
+        return cls(id, p, Fraction(mu_num * (p_den - p_num), mu_den * p_num))
 
 
 # ---------------------------------------------------------------------------
@@ -305,10 +312,11 @@ class Layout:
     The constructor is the one check of a layout: it rejects the wrong
     number of rows, a column out of range, out of order or repeated, a slot
     out of range or unused, a zero polynomial and a variable that no term
-    reads.  It also derives, once for every pair, what a compile reads:
-    each slot's terms as (coefficient, variable indices), with the
-    coefficients as integers over their lcm ``coeff_scale`` and as floats,
-    and ``degree``, the most variables in a term.
+    reads.  It also derives, once for every pair, what an exact compile
+    reads: each slot's terms as (coefficient, variable indices), with the
+    coefficients as integers over their lcm ``coeff_scale``, and
+    ``degree``, the most variables in a term.  The float coefficients an
+    approx compile reads are made at its first read of ``float_terms``.
     """
 
     dim: int
@@ -318,7 +326,6 @@ class Layout:
     degree: int = field(init=False, repr=False, compare=False)
     coeff_scale: int = field(init=False, repr=False, compare=False)
     int_terms: tuple = field(init=False, repr=False, compare=False)
-    float_terms: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rows = tuple(tuple((col, slot) for col, slot in row) for row in self.rows)
@@ -351,7 +358,22 @@ class Layout:
         object.__setattr__(self, "coeff_scale", scale)
         object.__setattr__(self, "int_terms", tuple(
             tuple((c.numerator * (scale // c.denominator), vs) for vs, c in poly) for poly in polys))
-        object.__setattr__(self, "float_terms", tuple(tuple((float(c), vs) for vs, c in poly) for poly in polys))
+
+    @cached_property
+    def float_terms(self) -> tuple:
+        """Each slot's terms as (float coefficient, variable indices), made
+        once per layout when approx mode first compiles it, so exact mode
+        converts no coefficient.  A coefficient beyond the double range is
+        a :class:`ReliabilityError` naming an entry that holds the largest."""
+        try:
+            return tuple(tuple((float(c), vs) for vs, c in poly) for poly in self.polys)
+        except OverflowError:
+            biggest = [max(abs(c) for _, c in poly) for poly in self.polys]
+            slot = biggest.index(max(biggest))
+            r, col = next((r, col) for r, row in enumerate(self.rows) for col, s in row if s == slot)
+            raise ReliabilityError(
+                f"matrix entry ({r}, {col}): coefficient beyond the double range; exact mode accepts it"
+            ) from None
 
 
 def _bound_poly(terms, ids) -> MultilinearPoly:
@@ -580,6 +602,17 @@ def _numbers(ratios: Sequence[Tuple[int, int]], mode: str) -> Tuple[List[Scalar]
     return [n * (scale // d) for n, d in ratios], scale
 
 
+def _vector_numbers(vec: Tuple[Fraction, ...], name: str, mode: str) -> Tuple[List[Scalar], int]:
+    """:func:`_numbers` of the system vector ``vec`` called ``name``; in
+    approx mode an entry beyond the double range is a
+    :class:`ReliabilityError` naming the largest entry as ``name[i]``."""
+    try:
+        return _numbers([x.as_integer_ratio() for x in vec], mode)
+    except OverflowError:
+        i = max(range(len(vec)), key=lambda i: abs(vec[i]))
+        raise ReliabilityError(f"{name}[{i}] beyond the double range; exact mode accepts it") from None
+
+
 @dataclass(frozen=True)
 class PassState:
     """The (A_k, V_k) vector pair threaded through the recursion, in the
@@ -607,7 +640,7 @@ def initial_state(system: TransferSystem, mode: str = EXACT) -> PassState:
     initialization, since M_1 . 0 = 0.
     """
     check_mode(mode)
-    a, scale = _numbers([x.as_integer_ratio() for x in system.v_right], mode)
+    a, scale = _vector_numbers(system.v_right, "v_right", mode)
     return PassState(tuple(a), (0 if mode == EXACT else 0.0,) * len(a), 0, mode, scale=scale)
 
 
@@ -896,7 +929,7 @@ def finalize(system: TransferSystem, state: PassState) -> ReliabilityReport:
             f"state consumed {state.index} matrices, system has {system.size}"
         )
     mode, e, sign = state.mode, state.exponent, system.sign
-    vL, scale = _numbers([x.as_integer_ratio() for x in system.v_left], mode)
+    vL, scale = _vector_numbers(system.v_left, "v_left", mode)
     x_s, y_s = (sum(map(mul, vL, vec)) for vec in (state.a_vec, state.v_vec))
     if mode == EXACT:
         on, od = system.offset.as_integer_ratio()
@@ -908,7 +941,11 @@ def finalize(system: TransferSystem, state: PassState) -> ReliabilityReport:
         log10_availability = log10_of(availability)
         log10_frequency = log10_of(frequency)
     else:
-        offset, x, y = float(system.offset), ldexp(x_s, e), ldexp(y_s, e)
+        try:
+            offset = float(system.offset)
+        except OverflowError:
+            raise ReliabilityError("offset beyond the double range; exact mode accepts it") from None
+        x, y = ldexp(x_s, e), ldexp(y_s, e)
         availability = offset + sign * x
         # not 1 - availability: for offset 1 and sign -1 (k-of-n:G) this is x
         # itself, with no cancellation

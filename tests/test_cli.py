@@ -23,6 +23,7 @@ import relfreq.verify
 from relfreq.asymptotics import asymptotic_rate
 from relfreq.core import MultilinearPoly, single_pass
 from relfreq.oracle import StructureFunction
+from relfreq.scalars import parse_scalar
 from relfreq.verify import run_equivalence_trials
 
 from helpers import ROOT, corrupt_system
@@ -160,6 +161,48 @@ class TestBuildFromConfig:
     def test_unknown_family(self):
         with pytest.raises(ConfigError):
             build_from_config({"family": "bridge"})
+
+    PARSE_ONCE_CFGS = {
+        "ladder": ({"family": "ladder", "terminal": "Sn", "cells": [
+            {key: {"id": f"{key}{i}", "p": "9/10", "lambda": 0.5} for key in "abcST" if i or key in "bST"}
+            for i in range(3)]}, {"9/10", "0.5"}),
+        "identical-ladder": ({"family": "ladder", "p": "1", "lambda": "0", "n": 3}, {"1", "0"}),
+        "custom": ({"family": "custom-matrices", "components": [{"id": "x", "p": "1", "lambda": "0"}],
+                    "v_left": ["1"], "v_right": [1], "offset": "0",
+                    "matrices": [[[[["1", ["x"]], [0]]]]] * 2}, {"1", "0"}),
+    }
+
+    @pytest.mark.parametrize("cfg, texts", PARSE_ONCE_CFGS.values(), ids=PARSE_ONCE_CFGS.keys())
+    def test_each_distinct_text_is_parsed_once_per_call(self, monkeypatch, cfg, texts):
+        parsed = []
+
+        def parse(text):
+            parsed.append(text)
+            return parse_scalar(text)
+
+        monkeypatch.setattr(relfreq.cli, "parse_scalar", parse)
+        systems = []
+        for _ in range(2):  # a second call shares nothing with the first
+            parsed.clear()
+            systems.append(build_from_config(cfg))
+            assert sorted(parsed) == sorted(texts)
+        assert systems[0] == systems[1]
+
+    def test_a_json_number_and_its_texts_read_equal(self):
+        cfg = {**KOFN_CFG, "components": [
+            {"id": "c1", "p": 0.1, "lambda": "1/10"}, {"id": "c2", "p": "0.1", "lambda": 0.1},
+            {"id": "c3", "p": "1/10", "lambda": "0.1"}]}
+        comps = build_from_config(cfg).components
+        assert len(comps) == 3 and {(c.p, c.lam) for c in comps} == {(F(1, 10), F(1, 10))}
+
+    def test_a_repeated_bad_text_names_its_first_field_and_component(self):
+        comps = [{"id": "c1", "p": "9/10", "lambda": "1/0"}, {"id": "c2", "p": "1/0", "lambda": "1/0"},
+                 {"id": "c3", "p": "1/0"}]
+        for first in ("components[0]: bad lambda for 'c1'", "components[1]: bad p for 'c2'"):
+            with pytest.raises(ConfigError) as info:
+                build_from_config({**KOFN_CFG, "components": comps})
+            assert str(info.value) == f"{first}: cannot parse scalar '1/0': Fraction(1, 0)"
+            comps[0]["lambda"] = "1/9"
 
     def test_missing_field(self):
         with pytest.raises(ConfigError):
@@ -485,6 +528,28 @@ class TestRateBeyondTheDoubleRange:
                      "--lam", "1e400"])
         assert code == EXIT_VALIDATION
         assert "failure rate beyond the double range" in capsys.readouterr().err
+
+
+class TestCustomScalarBeyondTheDoubleRange:
+    """A custom-matrices value above the double range: exact mode reads it,
+    and rejects the A it gives; approx mode names it.  Both exit 3."""
+
+    CASES = {  # A = 3/4 times, or plus, 10**400
+        "coefficient": ({"matrices": [[[[["1e400", ["x"]]]]]]},
+                        "matrix entry (0, 0): coefficient", str(F(3, 4) * 10**400)),
+        "v_right": ({"v_right": ["1e400"]}, "v_right[0]", str(F(3, 4) * 10**400)),
+        "v_left": ({"v_left": ["1e400"]}, "v_left[0]", str(F(3, 4) * 10**400)),
+        "offset": ({"offset": "1e400"}, "offset", str(F(3, 4) + 10**400)),
+    }
+
+    @pytest.mark.parametrize("change, name, availability", CASES.values(), ids=CASES.keys())
+    def test_solve_exits_3_in_both_modes(self, tmp_path, capsys, change, name, availability):
+        path = write_config(tmp_path, {**CUSTOM_1X1, **change})
+        assert main(["solve", path]) == EXIT_VALIDATION
+        assert capsys.readouterr() == ("", f"error: availability A = {availability} outside [0, 1]\n")
+        assert main(["solve", path, "--mode", "approx"]) == EXIT_VALIDATION
+        assert capsys.readouterr() == (
+            "", f"error: {name} beyond the double range; exact mode accepts it\n")
 
 
 @pytest.mark.parametrize(

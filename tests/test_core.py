@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -467,6 +468,30 @@ class TestRateBeyondTheDoubleRange:
         assert blocks["log10_frequency"] == pytest.approx(math.log10(nu.numerator) - math.log10(nu.denominator))
         assert blocks["availability"]["decimal"] == repr(float(report.availability))
 
+    @pytest.mark.parametrize("where, message", [
+        ("coefficient", "matrix entry (0, 1): coefficient beyond the double range"),
+        ("v_left", "v_left[1] beyond the double range"),
+        ("v_right", "v_right[1] beyond the double range"),
+        ("offset", "offset beyond the double range"),
+    ])
+    def test_approx_pass_names_a_system_value_beyond_the_range(self, where, message):
+        big = F(-(10**400))
+        pair = MatrixPair.from_entries(2, [(0, 0, {("x",): 1}), (1, 1, {(): 1}),
+                                           (0, 1, {("x",): big if where == "coefficient" else 1})])
+        system = TransferSystem((F(1), big if where == "v_left" else F(0)), [pair],
+                                (F(1), big if where == "v_right" else F(1)),
+                                offset=big if where == "offset" else F(0))
+        assignment = {"x": (F(1, 2), F(1))}
+        with pytest.raises(ReliabilityError, match=rf"^{re.escape(message)}; exact mode accepts it$"):
+            single_pass(system, assignment, "approx")
+        assert single_pass(system, assignment).availability < -(10**399)
+
+    def test_exact_pass_converts_no_coefficient_to_float(self):
+        pair = MatrixPair.from_entries(1, [(0, 0, {("x",): 10**400})])
+        report = single_pass(TransferSystem((F(1),), [pair], (F(1),)), {"x": (F(1, 2), F(1))})
+        assert report.availability == F(10**400, 2)
+        assert "float_terms" not in vars(pair.layout)
+
     def test_a_negative_value_beyond_the_range_reads_minus_infinity(self):
         pair = MatrixPair.from_entries(1, [(0, 0, {("x",): 1})])
         report = single_pass(TransferSystem((F(-(10**400)),), [pair], (F(1),)), {"x": (F(1, 2), F(1))})
@@ -835,8 +860,19 @@ class TestComponent:
         [(("x", F(11, 10)), "component 'x': p=11/10 outside [0,1]"),
          (("x", F(-1, 10)), "component 'x': p=-1/10 outside [0,1]"),
          (("x", F(1, 2), F(-1, 3)), "component 'x': negative failure rate"),
-         (("x", 1, F(1, 3)), "component 'x': a perfect component must have zero failure rate")],
-        ids=["above-one", "below-zero", "negative-rate", "perfect-with-rate"],
+         (("x", 1, F(1, 3)), "component 'x': a perfect component must have zero failure rate"),
+         (("x", 2), "component 'x': p=2 outside [0,1]"),
+         (("x", -1, 0), "component 'x': p=-1 outside [0,1]"),
+         (("x", 1, -1), "component 'x': negative failure rate"),
+         (("x", 1.5), "component 'x': p=3/2 outside [0,1]"),
+         (("x", -0.25, 0.0), "component 'x': p=-1/4 outside [0,1]"),
+         (("x", 0.5, -0.5), "component 'x': negative failure rate"),
+         (("x", 1.0, 0.5), "component 'x': a perfect component must have zero failure rate"),
+         (("x", F(1), F(1, 3)), "component 'x': a perfect component must have zero failure rate")],
+        ids=["above-one", "below-zero", "negative-rate", "perfect-with-rate",
+             "int-above-one", "int-below-zero", "int-negative-rate",
+             "float-above-one", "float-below-zero", "float-negative-rate", "float-perfect-with-rate",
+             "fraction-perfect-with-rate"],
     )
     def test_rejections_name_the_component_and_the_fault(self, args, message):
         with pytest.raises(ReliabilityError) as info:
@@ -852,6 +888,54 @@ class TestComponent:
     def test_a_non_finite_value_is_rejected_by_name(self, make):
         with pytest.raises(ReliabilityError, match=r"component 'x': \(p, (lambda|mu)\) = .* is not finite"):
             make()
+
+    def test_fraction_inputs_are_kept_and_others_converted(self):
+        p, lam = F(9, 10), F(1, 3)
+        c = Component("x", p, lam)
+        assert c.p is p and c.lam is lam
+        c = Component("x", 0.5, 2)
+        assert (c.p, c.lam) == (F(1, 2), F(2)) and type(c.p) is type(c.lam) is F
+
+    @staticmethod
+    def forms(value: F):
+        """``value`` as a Fraction, an int where it is whole, a float where
+        the float is exact, and a string."""
+        forms = [st.just(value), st.just(str(value))]
+        if value.denominator == 1:
+            forms.append(st.just(int(value)))
+        if F(float(value)) == value:
+            forms.append(st.just(float(value)))
+        return st.one_of(forms)
+
+    RATIONALS = st.fractions(min_value=0, max_value=1, max_denominator=10**6)
+
+    @given(p=RATIONALS.filter(bool).flatmap(forms),
+           mu=st.fractions(min_value=0, max_value=10**6, max_denominator=10**6).flatmap(forms)
+           | st.floats(0, 1e300))
+    @settings(max_examples=300, deadline=None)
+    @example(p=1, mu=3)
+    @example(p=1.0, mu=0.1)
+    @example(p="3/4", mu="1.5")
+    @example(p=F(1, 10**30), mu=10**30)
+    def test_steady_state_rate_is_mu_q_over_p(self, p, mu):
+        c = Component.steady_state("x", p, mu)
+        assert c.lam == F(mu) * (1 - F(p)) / F(p)
+        assert c.p == F(p) and type(c.p) is type(c.lam) is F
+
+    @pytest.mark.parametrize("form", [F, int, float, str])
+    def test_steady_state_rejections_hold_for_every_input_form(self, form):
+        def raises(message, p, mu):
+            with pytest.raises(ReliabilityError) as info:
+                Component.steady_state("x", p, mu)
+            assert str(info.value) == message
+
+        raises("component 'x': p=0 has no steady-state rate", form(0), form(1))
+        raises("component 'x': negative repair rate", form(1), form(-2))
+        raises("component 'x': negative repair rate", form(0), form(-2))
+        if form in (float, str):
+            for bad in ("nan", "inf"):
+                raises(f"component 'x': (p, mu) = {(form(bad), form(1))} is not finite", form(bad), form(1))
+                raises(f"component 'x': (p, mu) = {(form(1), form(bad))} is not finite", form(1), form(bad))
 
     def test_steady_state_rejects_a_negative_repair_rate(self):
         with pytest.raises(ReliabilityError) as info:

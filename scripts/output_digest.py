@@ -21,9 +21,12 @@ hold the value 1e400, above the double range, as a matrix coefficient, a
 ``v_right`` entry or the offset, each read by its exit code and stderr;
 and of a 30-cell ladder whose 306 p and lambda scalars are 20 distinct
 texts of five values, written as JSON numbers, decimals, ratios, exponents
-and padded strings.  Every input is built here from fixed seeds, so two
-checkouts give identical lines exactly when their outputs are
-byte-identical:
+and padded strings.  Last come exact and approx ``solve`` runs, with
+stderr, of a 2400-cell heterogeneous ladder, long enough that the exact
+fold applies its steps in growing blocks, and of two 1x1 custom matrices
+of 1e200 x whose product A leaves the double range.  Every input is
+built here from fixed seeds, so two checkouts give identical lines
+exactly when their outputs are byte-identical:
 
     diff <(python3 scripts/output_digest.py) \\
          <(PYTHONPATH=../other/src python3 ../other/scripts/output_digest.py)
@@ -201,6 +204,19 @@ def custom_beyond_double_range(field):
     return cfg
 
 
+def custom_product_beyond_double_range():
+    """Two 1x1 matrices of 1e200 x at p = 1/2: each value is in the double
+    range, their product A = 2.5e399 is not."""
+    matrix = [[[["1e200", ["x"]]]]]
+    return {
+        "family": "custom-matrices",
+        "components": [{"id": "x", "p": "1/2", "lambda": "1"}],
+        "v_left": ["1"],
+        "v_right": ["1"],
+        "matrices": [matrix, matrix],
+    }
+
+
 def corrupt_pass(system):
     """``single_pass`` of ``system`` with 1/97 added to its first pair's
     slot 0, at every position that holds it, so no oracle agrees."""
@@ -302,6 +318,10 @@ def digests(workdir: Path):
         **{f"custom-1e400-{field}": custom_beyond_double_range(field)
            for field in ("coefficient", "v_right", "offset")},
         "ladder-mixed-forms": ladder_mixed_forms(random.Random(30), 30),
+    }, with_stderr=True)
+    yield from solves(workdir, {
+        "ladder-2400": heterogeneous_ladder(random.Random(2400), 2400),
+        "custom-1e200-squared": custom_product_beyond_double_range(),
     }, with_stderr=True)
 
 

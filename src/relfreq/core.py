@@ -28,9 +28,13 @@ over the terms of each slot's polynomial, by variable index, gives the
 slot's dual value (x, y), and the step keeps the layout's own ``(col,
 slot)`` rows, so a k-of-n matrix's 2k - 1 positions read two duals.
 A run of r references to one pair is the dual power (M + eps M')^r, taken
-by squaring: O(log r) steps.  Steps and states store value * scale *
-2**-exponent: exact mode integers over a common denominator, approx mode
-floats over scale 1 with a binary exponent against underflow.
+by squaring: O(log r) steps.  An exact state grows with the chain, so once
+it is large the fold applies a block of dense single steps as their
+product, multiplied up a balanced tree by the same dual product: a long
+exact chain costs less than quadratic time.  Steps and states store
+value * scale * 2**-exponent: exact mode integers over a common
+denominator, approx mode floats over scale 1 with a binary exponent
+against underflow.
 :func:`initial_state` puts vR over its lcm, the fold multiplies the
 state's scale by each step's, and :func:`finalize` divides vL.A and vL.V
 by it, once each.  The compile reads each p and lambda as an integer
@@ -52,7 +56,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from itertools import accumulate, chain, repeat
-from math import frexp, gcd, inf, lcm, ldexp, log10
+from math import copysign, frexp, gcd, inf, isinf, lcm, ldexp, log10
 from operator import index as to_index, mul
 from typing import Iterable, Iterator, List, Mapping, NamedTuple, Optional, Tuple
 
@@ -315,7 +319,9 @@ class Layout:
     reads.  It also derives, once for every pair, what an exact compile
     reads: each slot's terms as (coefficient, variable indices), with the
     coefficients as integers over their lcm ``coeff_scale``, and
-    ``degree``, the most variables in a term.  The float coefficients an
+    ``degree``, the most variables in a term; and ``dense``, whether every
+    row holds all ``dim`` columns, which the exact fold reads when it
+    chooses to apply steps in blocks.  The float coefficients an
     approx compile reads are made at its first read of ``float_terms``.
     """
 
@@ -326,6 +332,7 @@ class Layout:
     degree: int = field(init=False, repr=False, compare=False)
     coeff_scale: int = field(init=False, repr=False, compare=False)
     int_terms: tuple = field(init=False, repr=False, compare=False)
+    dense: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rows = tuple(tuple((col, slot) for col, slot in row) for row in self.rows)
@@ -358,6 +365,7 @@ class Layout:
         object.__setattr__(self, "coeff_scale", scale)
         object.__setattr__(self, "int_terms", tuple(
             tuple((c.numerator * (scale // c.denominator), vs) for vs, c in poly) for poly in polys))
+        object.__setattr__(self, "dense", min(map(len, rows)) == self.dim)
 
     @cached_property
     def float_terms(self) -> tuple:
@@ -668,11 +676,12 @@ def _read_value(assignment: Mapping, cid: str) -> Tuple[Tuple[int, int], Tuple[i
 
 
 class Step(NamedTuple):
-    """A matrix pair, or a power of one, compiled to numbers: ``duals[slot]``
-    is the entry x + eps y of M + eps M' at each ``(col, slot)`` of ``rows``,
-    row by row in column order, stored as value * scale * 2**-exponent, the
-    format of a :class:`PassState`.  A compiled step has its layout's rows and
-    one dual per slot; a squared step, a slot per nonzero position."""
+    """A matrix pair, or a power or product of pairs, compiled to numbers:
+    ``duals[slot]`` is the entry x + eps y of M + eps M' at each ``(col,
+    slot)`` of ``rows``, row by row in column order, stored as value * scale
+    * 2**-exponent, the format of a :class:`PassState`.  A compiled step has
+    its layout's rows and one dual per slot; a product of steps, a slot per
+    nonzero position."""
 
     rows: Tuple[Tuple[Tuple[int, int], ...], ...]
     duals: Sequence[Tuple[Scalar, Scalar]]
@@ -756,17 +765,19 @@ def _normalise(rows):
     return [[ldexp(x, -k) for x in row] for row in rows], k
 
 
-def _square(step: Step, mode: str) -> Step:
-    """``step`` applied twice: (M + eps M')^2 = M M + eps (M M' + M' M), one
-    dual matrix product, renormalised in approx mode."""
-    rows, duals, dim = step.rows, step.duals, len(step.rows)
+def _mul(s2: Step, s1: Step, mode: str) -> Step:
+    """``s1`` then ``s2`` as one step: (M2 + eps M2')(M1 + eps M1') = M2 M1 +
+    eps (M2 M1' + M2' M1), the one dual matrix product, renormalised in
+    approx mode.  ``_mul(s, s)`` squares a step."""
+    rows2, duals2, rows1, duals1 = s2.rows, s2.duals, s1.rows, s1.duals
+    dim = len(rows2)
     xs = [[0] * dim for _ in range(dim)]
     ys = [[0] * dim for _ in range(dim)]
-    for x_out, y_out, row in zip(xs, ys, rows):
+    for x_out, y_out, row in zip(xs, ys, rows2):
         for j, s in row:
-            x1, y1 = duals[s]
-            for c, t in rows[j]:
-                x2, y2 = duals[t]
+            x1, y1 = duals2[s]
+            for c, t in rows1[j]:
+                x2, y2 = duals1[t]
                 x_out[c] += x1 * x2
                 y_out[c] += x1 * y2 + y1 * x2
     shift = 0
@@ -781,7 +792,17 @@ def _square(step: Step, mode: str) -> Step:
                 row.append((c, len(duals)))
                 duals.append((x, y))
         rows.append(tuple(row))
-    return Step(tuple(rows), duals, step.scale**2, 2 * step.exponent + shift)
+    return Step(tuple(rows), duals, s2.scale * s1.scale, s2.exponent + s1.exponent + shift)
+
+
+def _product(steps: List[Step], mode: str) -> Step:
+    """``steps`` applied in order, ``steps[0]`` first, as one step: adjacent
+    steps are multiplied pairwise up a balanced tree, so each product joins
+    factors of about equal size."""
+    while len(steps) > 1:
+        steps = [_mul(steps[i + 1], steps[i], mode) if i + 1 < len(steps) else steps[i]
+                 for i in range(0, len(steps), 2)]
+    return steps[0]
 
 
 def _advance(step: Step, a, v):
@@ -799,6 +820,14 @@ def _advance(step: Step, a, v):
     return new_a, new_v
 
 
+# Exact mode folds dense single steps in blocks once the state's scale has
+# more bits than BLOCK_FROM_BITS.  A block holds at least BLOCK_MIN_STEPS
+# steps and grows until its scale bits reach 1/BLOCK_RATIO of the state's.
+BLOCK_FROM_BITS = 8000
+BLOCK_MIN_STEPS = 16
+BLOCK_RATIO = 4
+
+
 def _fold(
     state: PassState, runs: Iterable[Tuple[MatrixPair, int]], assignment: Mapping
 ) -> PassState:
@@ -807,14 +836,33 @@ def _fold(
     :func:`single_pass`.  It takes the runs as given and scans no chain.
 
     Each distinct pair object is checked against the state's dimension and
-    compiled once per call; a run of r references to it advances through the
-    powers step^(2^i) of the set bits of r.  A step multiplies the state's
-    scale by its own and adds its exponent, so nothing is divided.
+    compiled once per call, in run order; a run of r references to it
+    advances through the powers step^(2^i) of the set bits of r.  A step
+    multiplies the state's scale by its own and adds its exponent, so
+    nothing is divided.
+
+    Advancing an exact state of b bits by a step of a few bits costs O(b),
+    so a left fold over n distinct steps costs O(n^2).  Once the state's
+    scale has more than ``BLOCK_FROM_BITS`` bits, a single reference to a
+    pair whose layout is dense (every row holds all ``dim`` columns, as a
+    ladder cell's does) joins a pending block instead.  The block holds at
+    least ``BLOCK_MIN_STEPS`` steps and grows until its scale bits reach
+    1/``BLOCK_RATIO`` of the state's; it is then multiplied up a balanced
+    tree by :func:`_product` and applied in one advance, so the state takes
+    O(log n) advances and the fold is sub-quadratic.  Only dense steps
+    block: a product of sparse steps, such as k-of-n's bidiagonal ones,
+    fills in, so it costs more than the steps it replaces.  Approx mode,
+    runs of r > 1 and states below the threshold keep the left fold.  A
+    pending block is applied before any other step and at the end of the
+    call, so a one-pair call, :func:`stream_step`, applies its step as the
+    left fold does.  Integer products are associative, so the exact state
+    is the left fold's.
     """
     mode, dim = state.mode, len(state.a_vec)
     a, v, index, exponent = state.a_vec, state.v_vec, state.index, state.exponent
     scale = state.scale
     powers = {}  # id(pair) -> [step, step^2, step^4, ...]
+    block, block_bits = [], 0  # dense single steps not yet applied, and their scale bits
     for pair, r in runs:
         steps = powers.get(id(pair))
         if steps is None:
@@ -824,9 +872,23 @@ def _fold(
                 )
             steps = powers[id(pair)] = [_compile(pair, assignment, mode)]
         index += r
+        if block or scale.bit_length() > BLOCK_FROM_BITS:
+            blocked = r == 1 and mode == EXACT and pair.layout.dense
+            if blocked:
+                block.append(steps[0])
+                block_bits += steps[0].scale.bit_length()
+            if block and (not blocked or len(block) >= BLOCK_MIN_STEPS
+                          and block_bits * BLOCK_RATIO >= scale.bit_length()):
+                # exact mode: the product's exponent is 0 and nothing is normalised
+                step = _product(block, mode)
+                a, v = _advance(step, a, v)
+                scale *= step.scale
+                block, block_bits = [], 0
+            if blocked:
+                continue
         for bit in range(r.bit_length()):
             if bit == len(steps):
-                steps.append(_square(steps[-1], mode))
+                steps.append(_mul(steps[-1], steps[-1], mode))
             if r >> bit & 1:
                 step = steps[bit]
                 a, v = _advance(step, a, v)
@@ -835,6 +897,10 @@ def _fold(
                 if mode != EXACT:
                     (a, v), k = _normalise((a, v))
                     exponent += k
+    if block:
+        step = _product(block, mode)
+        a, v = _advance(step, a, v)
+        scale *= step.scale
     return PassState(tuple(a), tuple(v), index, mode, exponent, scale)
 
 
@@ -917,13 +983,23 @@ class ReliabilityReport:
         return out
 
 
+def _ldexp(x: float, e: int) -> float:
+    """x * 2**e, or an infinity of x's sign beyond the double range."""
+    try:
+        return ldexp(x, e)
+    except OverflowError:
+        return copysign(inf, x)
+
+
 def finalize(system: TransferSystem, state: PassState) -> ReliabilityReport:
     """Project a fully-advanced state with vL and apply the affine form.
     X = vL.A and Y = vL.V are over D, the product of the two scales.  With
     offset on / od, exact mode builds each result as one Fraction of
     integers: A = (on D + sign X od) / (od D), U = 1 - A, nu = sign Y / D.
     In approx mode D is 1; with no offset, log10 A and nu/A = Y/X come from
-    the projections, so they stay right when A is below the double range."""
+    the projections, so they stay right when A is below the double range.
+    An approx A or U, or nu, beyond the double range is a
+    :class:`ReliabilityError` naming A or nu."""
     if state.index != system.size:
         raise ReliabilityError(
             f"state consumed {state.index} matrices, system has {system.size}"
@@ -936,7 +1012,7 @@ def finalize(system: TransferSystem, state: PassState) -> ReliabilityReport:
         den = scale * state.scale
         a_num, a_den = on * den + sign * x_s * od, od * den
         availability, frequency = Fraction(a_num, a_den), Fraction(sign * y_s, den)
-        unavailability = Fraction(a_den - a_num, a_den)
+        unavailability = 1 - availability  # its denominator is A's: no second gcd
         failure_rate = Fraction(sign * y_s * od, a_num) if a_num else None
         log10_availability = log10_of(availability)
         log10_frequency = log10_of(frequency)
@@ -945,11 +1021,15 @@ def finalize(system: TransferSystem, state: PassState) -> ReliabilityReport:
             offset = float(system.offset)
         except OverflowError:
             raise ReliabilityError("offset beyond the double range; exact mode accepts it") from None
-        x, y = ldexp(x_s, e), ldexp(y_s, e)
+        x, y = _ldexp(x_s, e), _ldexp(y_s, e)
         availability = offset + sign * x
         # not 1 - availability: for offset 1 and sign -1 (k-of-n:G) this is x
         # itself, with no cancellation
         unavailability = (1 - offset) - sign * x
+        if isinf(availability) or isinf(unavailability):
+            raise ReliabilityError("availability A beyond the double range")
+        if isinf(y):
+            raise ReliabilityError("failure frequency nu beyond the double range; exact mode accepts it")
         frequency = sign * y + 0.0  # + 0.0 makes a zero nu 0.0, not -0.0
         if offset == 0:
             log10_availability = log10_of(sign * x_s, e)

@@ -552,6 +552,40 @@ class TestCustomScalarBeyondTheDoubleRange:
             "", f"error: {name} beyond the double range; exact mode accepts it\n")
 
 
+class TestProductBeyondTheDoubleRange:
+    """In-range custom-matrices values whose product leaves the double
+    range: approx mode names the quantity that overflows and exits 3."""
+
+    @pytest.mark.parametrize("coefficients, offset, availability", [
+        (("1e200", "1e200"), "0", 25 * 10**398),  # A = (1e200 / 2)^2
+        (("1e308", "5"), "1e308", 225 * 10**306),  # A = 1e308 + 1e308 * 5/4: only the sum overflows
+    ], ids=["product", "offset-plus-product"])
+    def test_availability(self, tmp_path, capsys, coefficients, offset, availability):
+        path = write_config(tmp_path, {
+            **CUSTOM_1X1, "offset": offset,
+            "matrices": [[[[[c, ["x"]]]]] for c in coefficients],
+            "components": [{"id": "x", "p": "1/2", "lambda": "1/4"}]})
+        assert main(["solve", path]) == EXIT_VALIDATION
+        assert capsys.readouterr() == (
+            "", f"error: availability A = {availability} outside [0, 1]\n")
+        assert main(["solve", path, "--mode", "approx"]) == EXIT_VALIDATION
+        assert capsys.readouterr() == ("", "error: availability A beyond the double range\n")
+
+    def test_frequency_alone(self, tmp_path, capsys):
+        # A = (2 * 1/2)^2 = 1 fits, nu = 2e308 does not
+        matrix = [[[["2", ["x"]]]]]
+        path = write_config(tmp_path, {**CUSTOM_1X1, "matrices": [matrix, matrix],
+                                       "components": [{"id": "x", "p": "1/2", "lambda": "1e308"}]})
+        assert main(["solve", path]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert report["availability"]["rational"] == "1"
+        assert report["frequency"]["rational"] == str(2 * 10**308)
+        assert report["frequency"]["decimal"] == "inf"
+        assert main(["solve", path, "--mode", "approx"]) == EXIT_VALIDATION
+        assert capsys.readouterr() == (
+            "", "error: failure frequency nu beyond the double range; exact mode accepts it\n")
+
+
 @pytest.mark.parametrize(
     "name, code, availability",
     [("custom_scalar_forms", EXIT_VALIDATION, "24663/6400"),

@@ -3,8 +3,10 @@
 import dataclasses
 import json
 import math
+import random
 import re
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -37,6 +39,7 @@ from relfreq.ladder import (
     LadderIdenticalParams,
     LadderSpec,
     build_ladder,
+    distinct_ladder_cells,
     identical_ladder_spec,
 )
 from relfreq.oracle import (
@@ -685,6 +688,113 @@ class TestFractionFreeFold:
             )
         direct = single_pass(system, assignment, mode)
         assert (folded.availability, folded.frequency) == (direct.availability, direct.frequency)
+
+
+def streamed(system, assignment, mode="exact"):
+    """The state after a chain of ``stream_step`` calls, one per reference:
+    the left fold, which never applies steps in blocks."""
+    state = initial_state(system, mode)
+    for pair in system.pairs:
+        state = stream_step(state, pair, assignment)
+    return state
+
+
+def block_lengths(system, assignment, mode="exact"):
+    """(report, the length of each block the exact fold applied) of
+    ``single_pass``."""
+    product, lengths = relfreq.core._product, []
+
+    def counted(steps, mode):
+        lengths.append(len(steps))
+        return product(steps, mode)
+
+    with mock.patch.object(relfreq.core, "_product", counted):
+        report = single_pass(system, assignment, mode)
+    return report, lengths
+
+
+def seeded_ladder(seed, cells):
+    """A ladder of distinct components with p in 0.80-0.99 and lambda in
+    0.1-2.0 drawn from ``Random(seed)``."""
+    rng = random.Random(seed)
+
+    def comp(cid):
+        return Component(cid, F(rng.randint(80, 99), 100), F(rng.randint(1, 20), 10))
+
+    return build_ladder(LadderSpec(distinct_ladder_cells(cells, comp, comp)))
+
+
+# p has the prime denominator Q_P, so an entry, a monomial in p plus an
+# optional constant, is never zero and has Q_P in its denominator: each
+# step adds at least 521 bits to the exact state's scale
+Q_P, Q_C = 2**521 - 1, 2**61 - 1
+BIG_IDS = ("y1", "y2", "y3")
+
+
+@st.composite
+def dense_chains(draw):
+    """(system, assignment): a chain of three dense pairs and a diagonal
+    pair, which is sparse for dim > 1, drawn in any order for 16-24 steps,
+    then the dense pairs in turn for 24 steps, then any order for up to 16.
+    The state crosses ``BLOCK_FROM_BITS`` within the first 16 steps, so the
+    middle steps are blocked; elsewhere blocks are cut by sparse steps, by
+    runs of r > 1 references to one pair and by the end of the chain."""
+    dim = draw(st.integers(1, 3))
+    coeff = st.builds(F, st.integers(1, Q_C - 1) | st.integers(1 - Q_C, -1), st.just(Q_C))
+    monomial = st.tuples(st.frozensets(st.sampled_from(BIG_IDS), min_size=1, max_size=2), coeff)
+    constant = st.lists(st.tuples(st.just(()), coeff), max_size=1)
+    poly = st.builds(lambda term, const: MultilinearPoly([term, *const]), monomial, constant)
+
+    def pair(positions):
+        return MatrixPair.from_entries(dim, [(r, c, draw(poly)) for r, c in positions])
+
+    pool = [pair((r, c) for r in range(dim) for c in range(dim)) for _ in range(3)]
+    pool.append(pair((r, r) for r in range(dim)))
+    anywhere = st.integers(0, len(pool) - 1)
+    chain = draw(st.lists(anywhere, min_size=16, max_size=24)) + [0, 1, 2] * 8
+    chain += draw(st.lists(anywhere, max_size=16))
+    vector = st.lists(mixed_rationals(), min_size=dim, max_size=dim)
+    system = TransferSystem(v_left=draw(vector), pairs=[pool[i] for i in chain], v_right=draw(vector))
+    p = st.builds(F, st.integers(1, Q_P - 1), st.just(Q_P))
+    lam = st.builds(F, st.integers(0, 2**64), st.integers(1, 2**64))
+    return system, {cid: (draw(p), draw(lam)) for cid in BIG_IDS}
+
+
+class TestBlockedFold:
+    """Past ``BLOCK_FROM_BITS`` the exact fold applies runs of dense single
+    steps as one product; every exact integer stays the left fold's."""
+
+    def test_long_ladder_equals_the_streamed_fold(self):
+        system = seeded_ladder(25, 500)
+        assignment = system.default_assignment()
+        report, lengths = block_lengths(system, assignment)
+        assert report == finalize(system, streamed(system, assignment))
+        # the state passes the threshold, then blocks grow with it
+        assert len(lengths) >= 2 and min(lengths) >= relfreq.core.BLOCK_MIN_STEPS
+        assert lengths[-2] > lengths[0]
+
+    @given(dense_chains())
+    @settings(max_examples=30, deadline=None)
+    def test_dense_chain_equals_the_streamed_fold(self, case):
+        system, assignment = case
+        report, lengths = block_lengths(system, assignment)
+        assert report == finalize(system, streamed(system, assignment))
+        assert max(lengths) >= 8
+
+    def test_short_chains_sparse_steps_and_approx_mode_fold_left(self):
+        # a k-of-n pair is bidiagonal: its products fill in, so it never
+        # joins a block, however large the state
+        comps = [Component(f"c{i}", F(i, Q_P), F(1, Q_C)) for i in range(1, 121)]
+        kofn = build_kofn_g(KofnSpec(3, comps))
+        ladder = seeded_ladder(25, 500)
+        for system, mode in ((kofn, "exact"), (ladder, "approx"), (seeded_ladder(25, 100), "exact")):
+            assignment = system.default_assignment()
+            report, lengths = block_lengths(system, assignment, mode)
+            state = streamed(system, assignment, mode)
+            assert lengths == []
+            assert report == finalize(system, state)
+        assert state.scale.bit_length() < relfreq.core.BLOCK_FROM_BITS  # the 100-cell ladder
+        assert streamed(kofn, kofn.default_assignment()).scale.bit_length() > relfreq.core.BLOCK_FROM_BITS
 
 
 BINDING_IDS = ("x1", "x2", "x3", "x4")

@@ -31,10 +31,13 @@ A run of r references to one pair is the dual power (M + eps M')^r, taken
 by squaring: O(log r) steps.  An exact state grows with the chain, so once
 it is large the fold applies a block of dense single steps as their
 product, multiplied up a balanced tree by the same dual product: a long
-exact chain costs less than quadratic time.  Steps and states store
+exact chain costs less than quadratic time.  The dual product makes one
+pass into flat lists of values and eps parts; a dense product shares one
+rows tuple per dimension.  Steps and states store
 value * scale * 2**-exponent: exact mode integers over a common
 denominator, approx mode floats over scale 1 with a binary exponent
-against underflow.
+against underflow, rescaled after each product or advance by one
+multiply by a power of two.
 :func:`initial_state` puts vR over its lcm, the fold multiplies the
 state's scale by each step's, and :func:`finalize` divides vL.A and vL.V
 by it, once each.  The compile reads each p and lambda as an integer
@@ -53,7 +56,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from fractions import Fraction
 from itertools import accumulate, chain, repeat
 from math import copysign, frexp, gcd, inf, isinf, lcm, ldexp, log10
@@ -681,7 +684,8 @@ class Step(NamedTuple):
     slot)`` of ``rows``, row by row in column order, stored as value * scale
     * 2**-exponent, the format of a :class:`PassState`.  A compiled step has
     its layout's rows and one dual per slot; a product of steps, a slot per
-    nonzero position."""
+    position whose x or y is nonzero, and a dense product the one rows
+    tuple of its dimension."""
 
     rows: Tuple[Tuple[Tuple[int, int], ...], ...]
     duals: Sequence[Tuple[Scalar, Scalar]]
@@ -758,41 +762,67 @@ def _compile(pair: MatrixPair, assignment: Mapping, mode: str) -> Step:
     return Step(layout.rows, duals, scale, 0)
 
 
-def _normalise(rows):
-    """(rows / 2**k, k) with the largest magnitude in [0.5, 1), or k = 0 when
-    all are zero; dividing by a power of two is exact unless subnormal."""
-    k = frexp(max(abs(x) for row in rows for x in row))[1]
-    return [[ldexp(x, -k) for x in row] for row in rows], k
+def _normalise(xs, ys):
+    """(xs / 2**k, ys / 2**k, k) as lists, with the largest magnitude of both
+    in [0.5, 1), or k = 0 when all are zero.  Dividing by a power of two is
+    exact unless the result is subnormal, so one multiply by 2**-k, itself
+    a normal double for -1022 <= k <= 1022, gives what ``ldexp(x, -k)``
+    gives; outside that range each value goes through ``ldexp``."""
+    k = frexp(max(map(abs, chain(xs, ys))))[1]
+    if -1022 <= k <= 1022:
+        f = ldexp(1.0, -k)
+        return [x * f for x in xs], [y * f for y in ys], k
+    return [ldexp(x, -k) for x in xs], [ldexp(y, -k) for y in ys], k
+
+
+@lru_cache(maxsize=None)
+def _dense_rows(dim: int) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
+    """The rows of a dense dim x dim product: slot r * dim + c at (r, c)."""
+    return tuple(tuple((c, r * dim + c) for c in range(dim)) for r in range(dim))
 
 
 def _mul(s2: Step, s1: Step, mode: str) -> Step:
     """``s1`` then ``s2`` as one step: (M2 + eps M2')(M1 + eps M1') = M2 M1 +
     eps (M2 M1' + M2' M1), the one dual matrix product, renormalised in
-    approx mode.  ``_mul(s, s)`` squares a step."""
+    approx mode.  ``_mul(s, s)`` squares a step.
+
+    One pass accumulates the values x into ``xs`` and the eps parts y into
+    ``ys``, flat lists of dim^2 entries in row-major order, each position
+    adding its products in the order of s2's row and s1's rows; approx
+    mode rescales both by :func:`_normalise`.  When every x is nonzero the
+    product is dense: its rows are the one cached tuple for ``dim`` and
+    its duals ``zip(xs, ys)``.  Otherwise it keeps, row by row, each
+    position whose x or y is nonzero, one slot per position."""
     rows2, duals2, rows1, duals1 = s2.rows, s2.duals, s1.rows, s1.duals
     dim = len(rows2)
-    xs = [[0] * dim for _ in range(dim)]
-    ys = [[0] * dim for _ in range(dim)]
-    for x_out, y_out, row in zip(xs, ys, rows2):
+    xs, ys = [], []
+    for row in rows2:
+        x_out, y_out = [0] * dim, [0] * dim
         for j, s in row:
             x1, y1 = duals2[s]
             for c, t in rows1[j]:
                 x2, y2 = duals1[t]
                 x_out[c] += x1 * x2
                 y_out[c] += x1 * y2 + y1 * x2
+        xs += x_out
+        ys += y_out
     shift = 0
     if mode != EXACT:
-        normalised, shift = _normalise(xs + ys)
-        xs, ys = normalised[:dim], normalised[dim:]
-    rows, duals = [], []
-    for x_row, y_row in zip(xs, ys):
-        row = []
-        for c, (x, y) in enumerate(zip(x_row, y_row)):
-            if x or y:
-                row.append((c, len(duals)))
-                duals.append((x, y))
-        rows.append(tuple(row))
-    return Step(tuple(rows), duals, s2.scale * s1.scale, s2.exponent + s1.exponent + shift)
+        xs, ys, shift = _normalise(xs, ys)
+    if all(xs):
+        rows, duals = _dense_rows(dim), list(zip(xs, ys))
+    else:
+        rows, duals = [], []
+        for base in range(0, dim * dim, dim):
+            row = []
+            for c in range(dim):
+                x, y = xs[base + c], ys[base + c]
+                if x or y:
+                    row.append((c, len(duals)))
+                    duals.append((x, y))
+            rows.append(tuple(row))
+        rows = tuple(rows)
+    return Step(rows, duals, s2.scale * s1.scale, s2.exponent + s1.exponent + shift)
 
 
 def _product(steps: List[Step], mode: str) -> Step:
@@ -895,7 +925,7 @@ def _fold(
                 scale *= step.scale
                 exponent += step.exponent
                 if mode != EXACT:
-                    (a, v), k = _normalise((a, v))
+                    a, v, k = _normalise(a, v)
                     exponent += k
     if block:
         step = _product(block, mode)

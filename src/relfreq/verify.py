@@ -57,7 +57,7 @@ def _random_component(rng: random.Random, cid: str) -> Component:
 def _random_kofn(rng: random.Random, max_components: int, build, structure, name: str):
     """A random k-of-n system from ``build``, with its ``structure``
     function; ``name`` heads the description."""
-    n = rng.randint(1, min(12, max_components))
+    n = rng.randint(1, max_components)
     k = rng.randint(1, n)
     comps = tuple(_random_component(rng, f"c{i}") for i in range(1, n + 1))
     system = build(KofnSpec(k, comps))

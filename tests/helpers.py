@@ -5,10 +5,11 @@ import subprocess
 import sys
 from dataclasses import replace
 from fractions import Fraction
-from math import comb
+from itertools import product
+from math import comb, frexp, ldexp
 from pathlib import Path
 
-from relfreq.core import Component, Layout, MatrixPair, ReliabilityError, apply_rate_operator
+from relfreq.core import Component, Layout, MatrixPair, ReliabilityError, Step, apply_rate_operator
 from relfreq.genfunc import RationalGF, UniPoly, transfer_gf
 from relfreq.kofn import identical_kofn_spec
 from relfreq.ladder import (
@@ -20,6 +21,7 @@ from relfreq.ladder import (
     identical_ladder_spec,
 )
 from relfreq.oracle import oracle_availability
+from relfreq.scalars import EXACT, as_exact
 
 
 def example_7_2_components():
@@ -118,6 +120,135 @@ def dense_step(step):
         for c, slot in row:
             entries[r, c] = step.duals[slot]
     return entries, step.scale, step.exponent
+
+
+def reference_normalise(rows):
+    """(rows / 2**k, k) with the largest magnitude in [0.5, 1), or k = 0 when
+    all are zero: each entry divided by its own ``ldexp`` call, the
+    rescaling that the one power-of-two multiply of the fold must equal."""
+    k = frexp(max(abs(x) for row in rows for x in row))[1]
+    return [[ldexp(x, -k) for x in row] for row in rows], k
+
+
+def reference_mul(s2, s1, mode):
+    """``s1`` then ``s2`` as one step, by nested rows: dim x dim lists of
+    values and eps parts, rescaled entry by entry in approx mode, then
+    rebuilt row by row with a slot for each position whose x or y is
+    nonzero.  The fold's one-pass dual product must equal it bit for bit."""
+    rows2, duals2, rows1, duals1 = s2.rows, s2.duals, s1.rows, s1.duals
+    dim = len(rows2)
+    xs = [[0] * dim for _ in range(dim)]
+    ys = [[0] * dim for _ in range(dim)]
+    for x_out, y_out, row in zip(xs, ys, rows2):
+        for j, s in row:
+            x1, y1 = duals2[s]
+            for c, t in rows1[j]:
+                x2, y2 = duals1[t]
+                x_out[c] += x1 * x2
+                y_out[c] += x1 * y2 + y1 * x2
+    shift = 0
+    if mode != EXACT:
+        normalised, shift = reference_normalise(xs + ys)
+        xs, ys = normalised[:dim], normalised[dim:]
+    rows, duals = [], []
+    for x_row, y_row in zip(xs, ys):
+        row = []
+        for c, (x, y) in enumerate(zip(x_row, y_row)):
+            if x or y:
+                row.append((c, len(duals)))
+                duals.append((x, y))
+        rows.append(tuple(row))
+    return Step(tuple(rows), duals, s2.scale * s1.scale, s2.exponent + s1.exponent + shift)
+
+
+def number_bits(x):
+    """A number with its type, and a float by its bits: -0.0 differs from
+    0.0 and from the integer 0."""
+    return (type(x).__name__, x.hex() if isinstance(x, float) else x)
+
+
+def step_bits(step):
+    """rows, duals by :func:`number_bits`, scale and exponent of a step:
+    equal for two steps exactly when they are bit-identical."""
+    duals = [tuple(map(number_bits, xy)) for xy in step.duals]
+    return tuple(step.rows), duals, step.scale, step.exponent
+
+
+# ---------------------------------------------------------------------------
+# Long exact chains by dynamic programmes over dual numbers mod a prime
+
+PRIME = 2**61 - 1
+
+
+def mod_prime(x):
+    """A rational reduced mod :data:`PRIME`: numerator times the inverse of
+    the denominator."""
+    x = as_exact(x)
+    return x.numerator * pow(x.denominator, -1, PRIME) % PRIME
+
+
+def _dual_up_down(p, lam):
+    """(up, down) of one component as duals (value, d/dt) mod the prime,
+    with dp/dt = lam p: their tangents sum to the failure frequency."""
+    rate = mod_prime(as_exact(lam) * as_exact(p))
+    return (mod_prime(p), rate), (mod_prime(1 - as_exact(p)), -rate % PRIME)
+
+
+def _dual_mul(u, w):
+    return u[0] * w[0] % PRIME, (u[0] * w[1] + u[1] * w[0]) % PRIME
+
+
+def _dual_add(u, w):
+    return (u[0] + w[0]) % PRIME, (u[1] + w[1]) % PRIME
+
+
+def ladder_frontier_mod(cells, terminal_s=False):
+    """(A, nu) mod :data:`PRIME` of a ladder to T_n, or S_n, by a frontier
+    programme.  ``cells`` holds each cell's (p, lam) for a, b, c, S, T in
+    that order; cell 0 is entered with its a perfect and its c absent.
+
+    After cell i the frontier is the set of S_i, T_i that a path of up
+    components joins to S_0: S only, T only or both; when neither is,
+    nothing to its right is reached.  S_i is reached along a_i from a
+    reached S_(i-1), T_i along c_i from a reached T_(i-1), and an up rung
+    b_i between two up nodes passes one's reach to the other."""
+    frontier = {(True, False): (1, 0)}
+    for i, cell in enumerate(cells):
+        duals = [_dual_up_down(p, lam) for p, lam in cell]
+        if i == 0:
+            duals[0], duals[2] = _dual_up_down(1, 0), _dual_up_down(0, 0)
+        new = {}
+        for ups in product((True, False), repeat=5):
+            weight = (1, 0)
+            for (up, down), is_up in zip(duals, ups):
+                weight = _dual_mul(weight, up if is_up else down)
+            a, b, c, s_up, t_up = ups
+            for (s_prev, t_prev), w_prev in frontier.items():
+                s, t = s_up and a and s_prev, t_up and c and t_prev
+                if b and s_up and t_up and (s or t):
+                    s = t = True
+                if s or t:
+                    new[s, t] = _dual_add(new.get((s, t), (0, 0)), _dual_mul(w_prev, weight))
+        frontier = new
+    total = (0, 0)
+    for (s, t), w in frontier.items():
+        if s if terminal_s else t:
+            total = _dual_add(total, w)
+    return total
+
+
+def kofn_g_count_mod(k, values):
+    """(A, nu) mod :data:`PRIME` of k-out-of-n:G over components with
+    ``values`` (p, lam), by a programme over the number of working
+    components so far, capped at k: A is the weight of reaching k."""
+    counts = [(1, 0)] + [(0, 0)] * k
+    for p, lam in values:
+        up, down = _dual_up_down(p, lam)
+        new = [_dual_mul(counts[j], down) for j in range(k)] + [counts[k]]
+        for j in range(k):
+            new[j + 1] = _dual_add(new[j + 1], _dual_mul(counts[j], up))
+        counts = new
+    return counts[k]
 
 
 def corrupt_system(system):

@@ -779,6 +779,17 @@ class TestVerifyCommand:
         for system in systems:
             assert sum(0 < c.p < 1 for c in system.components) <= 3, system.family
 
+    def test_max_components_above_twelve_draws_larger_systems(self, monkeypatch):
+        sizes = []
+
+        def recording_pass(system):
+            sizes.append(sum(0 < c.p < 1 for c in system.components))
+            return single_pass(system)
+
+        monkeypatch.setattr(relfreq.verify, "single_pass", recording_pass)
+        assert run_equivalence_trials(trials=24, max_components=16, seed=5).ok
+        assert len(sizes) == 24 and 12 < max(sizes) <= 16
+
     def test_one_enumeration_per_trial(self, monkeypatch):
         drawn, systems, calls = [], [], []
 

@@ -36,21 +36,38 @@ from relfreq.core import (
 )
 from relfreq.kofn import KofnSpec, build_kofn_g, build_lincon_f
 from relfreq.ladder import (
+    LadderCell,
     LadderIdenticalParams,
     LadderSpec,
     build_ladder,
     distinct_ladder_cells,
+    entry_cell,
     identical_ladder_spec,
+    ladder_structure,
 )
 from relfreq.oracle import (
     StructureFunction,
+    kofn_g_structure,
     oracle_availability,
     oracle_frequency,
     truth_table_structure,
 )
 from relfreq.scalars import rational_str
 
-from helpers import dense_fraction_fold, dense_step, distinct_ladder_spec, run_python
+from helpers import (
+    dense_fraction_fold,
+    dense_step,
+    distinct_ladder_spec,
+    kofn_g_count_mod,
+    kofn_g_identical,
+    ladder_frontier_mod,
+    mod_prime,
+    number_bits,
+    reference_mul,
+    reference_normalise,
+    run_python,
+    step_bits,
+)
 
 P1 = MultilinearPoly.variable("p1")
 P2 = MultilinearPoly.variable("p2")
@@ -795,6 +812,213 @@ class TestBlockedFold:
             assert report == finalize(system, state)
         assert state.scale.bit_length() < relfreq.core.BLOCK_FROM_BITS  # the 100-cell ladder
         assert streamed(kofn, kofn.default_assignment()).scale.bit_length() > relfreq.core.BLOCK_FROM_BITS
+
+
+def compiled_steps(system, mode):
+    """The compiled step of each distinct pair of ``system``, in run order."""
+    assignment = system.default_assignment()
+    pairs = {id(pair): pair for pair, _ in system.pairs.runs}.values()
+    return [relfreq.core._compile(pair, assignment, mode) for pair in pairs]
+
+
+def squarings_match(step, mode, count):
+    """Square ``step`` ``count`` times, each time checking ``_mul`` against
+    the nested-row reference bit for bit; the last square."""
+    for _ in range(count):
+        square = relfreq.core._mul(step, step, mode)
+        assert step_bits(square) == step_bits(reference_mul(step, step, mode))
+        step = square
+    return step
+
+
+def normalised_bits(xs, ys, normalise=relfreq.core._normalise):
+    """(xs, ys, k) of ``_normalise``, by number bits, beside the same of the
+    per-entry ``ldexp`` reference."""
+    new_xs, new_ys, k = normalise(xs, ys)
+    (ref_xs, ref_ys), ref_k = reference_normalise([list(xs), list(ys)])
+    return ([list(map(number_bits, v)) for v in (new_xs, new_ys)] + [k],
+            [list(map(number_bits, v)) for v in (ref_xs, ref_ys)] + [ref_k])
+
+
+def hand_step(rows, duals, mode):
+    """A step of the given rows and (x, y) duals, floats in approx mode."""
+    convert = float if mode == "approx" else int
+    return relfreq.core.Step(rows, [(convert(x), convert(y)) for x, y in duals], 1, 0)
+
+
+DENSE_2 = (((0, 0), (1, 1)), ((0, 2), (1, 3)))
+DIAGONAL_2 = (((0, 0),), ((1, 1),))
+
+
+class TestOnePassDualProduct:
+    """``_mul`` accumulates flat lists, rescales approx products by one
+    power-of-two multiply and shares one rows tuple per dimension between
+    dense products: every number and slot is that of the nested-row
+    product rescaled entry by entry."""
+
+    @pytest.mark.parametrize("mode", ["exact", "approx"])
+    def test_dense_ladder_steps_and_their_squarings(self, mode):
+        steps = compiled_steps(seeded_ladder(26, 6), mode)
+        for s2, s1 in zip(steps[1:], steps):
+            assert step_bits(relfreq.core._mul(s2, s1, mode)) == step_bits(reference_mul(s2, s1, mode))
+        square = squarings_match(steps[-1], mode, 17 if mode == "approx" else 6)
+        assert square.rows is relfreq.core._mul(steps[1], steps[2], mode).rows
+
+    @pytest.mark.parametrize("p", [F(1, 20), F(1, 2), F(9, 10), F(99, 100)])
+    def test_sweep_cell_squared_as_a_long_run(self, p):
+        # the interior cell of the identical ladder, squared as a run of
+        # 10**5 cells squares it, over the sweep's range of p
+        system = build_ladder(identical_ladder_spec(LadderIdenticalParams(p, F(99, 100), F(3, 2), F(1, 2), 1)))
+        squarings_match(compiled_steps(system, "approx")[-1], "approx", 17)
+
+    @pytest.mark.parametrize("mode", ["exact", "approx"])
+    @pytest.mark.parametrize("build", [build_kofn_g, build_lincon_f])
+    def test_sparse_kofn_steps_and_their_squarings_fill_in(self, mode, build):
+        comps = [Component(f"c{i}", F(70 + 3 * i, 100), F(1 + i, 7)) for i in range(8)]
+        steps = compiled_steps(build(KofnSpec(4, comps)), mode)
+        products = [steps[0]]
+        for step in steps[1:]:
+            product = relfreq.core._mul(step, products[-1], mode)
+            assert step_bits(product) == step_bits(reference_mul(step, products[-1], mode))
+            products.append(product)
+        square = squarings_match(steps[0], mode, 5)
+        # bidiagonal (k-of-n:G) or not, the products fill in past the
+        # steps' own positions
+        filled = [sum(map(len, step.rows)) for step in (square, products[-1])]
+        assert min(filled) > sum(map(len, steps[0].rows))
+
+    @pytest.mark.parametrize("mode", ["exact", "approx"])
+    def test_position_with_zero_value_and_nonzero_eps_keeps_its_slot(self, mode):
+        # M2 times the identity: position (0, 1) reads x = 0 and y = 1
+        s2 = hand_step(DENSE_2, [(1, 0), (0, 1), (2, 1), (3, 0)], mode)
+        s1 = hand_step(DIAGONAL_2, [(1, 0), (1, 0)], mode)
+        product = relfreq.core._mul(s2, s1, mode)
+        assert step_bits(product) == step_bits(reference_mul(s2, s1, mode))
+        assert [col for col, _ in product.rows[0]] == [0, 1]
+        assert product.rows is not relfreq.core._mul(s1, s1, mode).rows
+        # and a position whose x and y are both 0 has no slot
+        s2 = hand_step(DENSE_2, [(1, 0), (0, 0), (2, 1), (3, 0)], mode)
+        product = relfreq.core._mul(s2, s1, mode)
+        assert step_bits(product) == step_bits(reference_mul(s2, s1, mode))
+        assert [col for col, _ in product.rows[0]] == [0]
+
+    @pytest.mark.parametrize("mode", ["exact", "approx"])
+    def test_all_zero_product(self, mode):
+        s2 = hand_step(DENSE_2, [(0, 0)] * 4, mode)
+        product = relfreq.core._mul(s2, s2, mode)
+        assert step_bits(product) == step_bits(reference_mul(s2, s2, mode))
+        assert product.rows == ((), ()) and product.exponent == 0
+
+    def test_negative_zeros(self):
+        tiny = 2.0**-1074
+        # -0.0 inputs, and a value that rescales to -0.0 beside one near 1
+        for xs, ys in (([-0.0, 0.0], [0.0, -0.0]), ([-0.0, 0.75], [-0.0, 0.0]),
+                       ([1.0, -tiny], [-tiny, 0.0]), ([0, -0.0], [0, 0])):
+            new, ref = normalised_bits(xs, ys)
+            assert new == ref
+        assert new[2] == 0  # all zero: k = 0
+        s2 = hand_step(DENSE_2, [(1, 0), (-tiny, 0), (1, -tiny), (1, 1)], "approx")
+        s1 = hand_step(DIAGONAL_2, [(1.5, 0), (1, 0)], "approx")
+        assert step_bits(relfreq.core._mul(s2, s1, "approx")) == step_bits(reference_mul(s2, s1, "approx"))
+
+    @pytest.mark.parametrize("largest", [
+        2.0**-1074, 3 * 2.0**-1074, 0.75 * 2.0**-1022,  # subnormal: k <= -1022
+        2.0**-1022, 1.5 * 2.0**1021,  # normal, k = -1021 and 1022
+        2.0**1022, 1.5 * 2.0**1022, 1.7976931348623157e308,  # k >= 1023
+    ])
+    def test_largest_magnitude_at_and_beyond_the_power_of_two_range(self, largest):
+        for xs, ys in (([largest, largest / 3], [-largest / 7, 0.0]),
+                       ([0.0, 2.0**-1074], [-largest, largest * 2.0**-60])):
+            new, ref = normalised_bits(xs, ys)
+            assert new == ref
+
+    @pytest.mark.parametrize("x1, x2", [(1e-200, 1e-120), (3e-160, -5e-163), (1e200, 1e108), (-3e154, 4e154)])
+    def test_products_outside_the_power_of_two_range(self, x1, x2):
+        # largest magnitudes 1e-320 and 1.5e-322 (subnormal) and 1e308 and
+        # 1.2e309 (inf in y) and 1.2e308 (above 2**1022)
+        s2 = hand_step(DENSE_2, [(x1, x2), (x2, x1), (x1, 0.0), (1.0, x1)], "approx")
+        s1 = hand_step(DENSE_2, [(x2, 0.0), (x1, x2), (x2, x2), (x1, 1.0)], "approx")
+        for a, b in ((s2, s1), (s1, s2), (s2, s2)):
+            assert step_bits(relfreq.core._mul(a, b, "approx")) == step_bits(reference_mul(a, b, "approx"))
+
+    def test_every_rescale_of_an_approx_pass_equals_ldexp(self):
+        # the fold rescales the state after each advance by the same rule
+        calls, normalise = [], relfreq.core._normalise
+
+        def checked(xs, ys):
+            new, ref = normalised_bits(xs, ys)
+            assert new == ref
+            calls.append(len(xs))
+            return normalise(xs, ys)
+
+        comps = [Component(f"c{i}", F(50 + i, 100), F(1 + i % 5, 3)) for i in range(40)]
+        params = LadderIdenticalParams(F(1, 20), F(99, 100), F(3, 2), F(1, 2), 100_000)
+        systems = (build_ladder(identical_ladder_spec(params)), seeded_ladder(27, 200),
+                   build_kofn_g(KofnSpec(5, comps)))
+        with mock.patch.object(relfreq.core, "_normalise", checked):
+            for system in systems:
+                single_pass(system, mode="approx")
+        # 16 squarings of the 3x3 cell; an advance per set bit of 10**5 and
+        # per ladder cell of dimension 3, and per k-of-n component of 5
+        assert calls.count(9) == 16 and calls.count(3) == 1 + 6 + 201 and calls.count(5) == 40
+
+
+def ladder_values(seed, cells):
+    """(p, lam) of a, b, c, S and T of cells 0..cells, p in 0.80-0.99 and
+    lam in 0.1-2.0, drawn from ``Random(seed)``."""
+    rng = random.Random(seed)
+    return [[(F(rng.randint(80, 99), 100), F(rng.randint(1, 20), 10)) for _ in "abcST"]
+            for _ in range(cells + 1)]
+
+
+def ladder_spec(values, terminal="Tn"):
+    """The ladder of distinct components with the (p, lam) ``values`` of
+    :func:`ladder_values`; cell 0 reads only its b, S and T."""
+    (_, b, _, s, t), *rest = values
+    cells = [entry_cell(Component("b0", *b), Component("S0", *s), Component("T0", *t))]
+    cells += [LadderCell(*(Component(f"{x}{n}", *v) for x, v in zip("abcST", row)))
+              for n, row in enumerate(rest, start=1)]
+    return LadderSpec(tuple(cells), terminal)
+
+
+class TestLongExactChains:
+    """Exact reports of long chains reduced mod the prime 2**61 - 1 equal
+    dynamic programmes over dual numbers that share no code with the
+    transfer-matrix pass."""
+
+    def test_ladder_against_the_frontier_programme(self):
+        values = ladder_values(1200, 1200)
+        report, lengths = block_lengths(build_ladder(ladder_spec(values)), None)
+        # the blocked fold, and so the exact dual product, runs for most of the chain
+        assert sum(lengths) > 600
+        assert (mod_prime(report.availability), mod_prime(report.frequency)) == ladder_frontier_mod(values)
+
+    def test_kofn_g_against_the_count_programme(self):
+        rng = random.Random(600)
+        values = [(F(rng.randint(50, 99), 100), F(rng.randint(1, 30), rng.randint(1, 9))) for _ in range(600)]
+        system = build_kofn_g(KofnSpec(30, [Component(f"c{i}", p, lam) for i, (p, lam) in enumerate(values)]))
+        report = single_pass(system)
+        assert (mod_prime(report.availability), mod_prime(report.frequency)) == kofn_g_count_mod(30, values)
+
+    def test_the_programmes_on_small_systems_equal_exact_reports(self):
+        # the programmes themselves, where the oracle and the closed form reach
+        values = ladder_values(7, 3)
+        for terminal_s, terminal in ((False, "Tn"), (True, "Sn")):
+            spec = ladder_spec(values, terminal)
+            sf = ladder_structure(spec)
+            system = build_ladder(spec)
+            probs = {c.id: c.p for c in system.components}
+            a = oracle_availability(sf, probs)
+            nu = oracle_frequency(sf, probs, {c.id: c.lam for c in system.components})
+            assert ladder_frontier_mod(values, terminal_s) == (mod_prime(a), mod_prime(nu))
+        kofn = [(F(3 + i, 10), F(i + 1, 2)) for i in range(6)]
+        a, nu = kofn_g_identical(3, 6, F(1, 2), F(2))
+        assert kofn_g_count_mod(3, [(F(1, 2), F(2))] * 6) == (mod_prime(a), mod_prime(nu))
+        ids = [f"c{i}" for i in range(6)]
+        probs, rates = dict(zip(ids, (p for p, _ in kofn))), dict(zip(ids, (lam for _, lam in kofn)))
+        sf = kofn_g_structure(ids, 3)
+        a, nu = oracle_availability(sf, probs), oracle_frequency(sf, probs, rates)
+        assert kofn_g_count_mod(3, kofn) == (mod_prime(a), mod_prime(nu))
 
 
 BINDING_IDS = ("x1", "x2", "x3", "x4")

@@ -1,5 +1,7 @@
 """The scripts under ``scripts/`` run to completion."""
 
+import json
+
 from helpers import ROOT, run_python
 
 
@@ -28,3 +30,15 @@ def test_output_digest():
     assert "gf kofn-3-G frequency" in names and "gf ladder-Tn" in names
     assert "solve custom-1e400-offset approx" in names and "solve ladder-mixed-forms exact" in names
     assert "solve ladder-2400 exact" in names and "solve custom-1e200-squared approx" in names
+
+
+def test_layer_times():
+    proc = run_python(str(ROOT / "scripts" / "layer_times.py"), "--tiny", "--repeats", "2")
+    assert proc.returncode == 0, proc.stderr
+    times = json.loads(proc.stdout)
+    assert list(times) == ["ladder-6", "ladder-24", "kofn-5-of-20-G", "identical-ladder-1000",
+                           "approx_squaring"]
+    layers = ["parse", "build", "compile", "fold", "finalize", "as_dict"]
+    assert all(list(times[name]) == layers for name in list(times)[:-1])
+    assert all(t > 0 for name in list(times)[:-1] for t in times[name].values())
+    assert times["approx_squaring"] > 0

@@ -3,7 +3,7 @@
 
 For each of four fixed, seeded systems, built as ``output_digest.py``
 builds its inputs, the layers are timed one at a time, each over
-``--repeats`` calls, and the median of each is printed in seconds:
+``REPEATS`` calls, and the median of each is printed in seconds:
 
 * ``parse`` -- ``json.loads`` of the config text;
 * ``build`` -- ``build_from_config``, the system from the parsed config;
@@ -16,10 +16,10 @@ builds its inputs, the layers are timed one at a time, each over
 The systems are exact 600- and 2400-cell heterogeneous ladders, an exact
 50-of-200:G system and the approx 100000-cell identical ladder that
 ``relfreq sweep`` solves.  ``approx_squaring`` is the median of 100 times
-``--repeats`` squarings of that ladder's compiled 3x3 cell step.  ``--tiny`` shrinks every system, for a
-smoke test:
+``REPEATS`` squarings of that ladder's compiled 3x3 cell step.  ``--tiny``
+shrinks every system, for a smoke test:
 
-    PYTHONPATH=src python3 scripts/layer_times.py --repeats 7
+    PYTHONPATH=src python3 scripts/layer_times.py
 """
 
 import argparse
@@ -34,6 +34,8 @@ from output_digest import heterogeneous_ladder, kofn_50_of_200
 
 from relfreq import core
 from relfreq.cli import build_from_config
+
+REPEATS = 7
 
 
 def identical_ladder(cells):
@@ -67,43 +69,40 @@ def median_time(call, repeats):
     return statistics.median(times), out
 
 
-def layer_times(cfg, mode, repeats):
+def layer_times(cfg, mode):
     """{layer: median seconds} of one config solved in ``mode``."""
     text = json.dumps(cfg)
     out = {}
-    out["parse"], parsed = median_time(lambda: json.loads(text), repeats)
-    out["build"], system = median_time(lambda: build_from_config(parsed), repeats)
+    out["parse"], parsed = median_time(lambda: json.loads(text), REPEATS)
+    out["build"], system = median_time(lambda: build_from_config(parsed), REPEATS)
     assignment = system.default_assignment()
     pairs = list({id(pair): pair for pair, _ in system.pairs.runs}.values())
     out["compile"], steps = median_time(
-        lambda: {id(pair): core._compile(pair, assignment, mode) for pair in pairs}, repeats)
+        lambda: {id(pair): core._compile(pair, assignment, mode) for pair in pairs}, REPEATS)
     start = core.initial_state(system, mode)
     with mock.patch.object(core, "_compile", lambda pair, _assignment, _mode: steps[id(pair)]):
-        out["fold"], state = median_time(lambda: core._fold(start, system.pairs.runs, assignment), repeats)
-    out["finalize"], report = median_time(lambda: core.finalize(system, state), repeats)
-    out["as_dict"], _ = median_time(report.as_dict, repeats)
+        out["fold"], state = median_time(lambda: core._fold(start, system.pairs.runs, assignment), REPEATS)
+    out["finalize"], report = median_time(lambda: core.finalize(system, state), REPEATS)
+    out["as_dict"], _ = median_time(report.as_dict, REPEATS)
     return out
 
 
-def squaring_time(cfg, repeats):
+def squaring_time(cfg):
     """Median seconds of one approx squaring of the last pair's step."""
     system = build_from_config(cfg)
     cell = core._compile(system.pairs.runs[-1][0], system.default_assignment(), "approx")
-    return median_time(lambda: core._mul(cell, cell, "approx"), repeats)[0]
+    return median_time(lambda: core._mul(cell, cell, "approx"), REPEATS * 100)[0]
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--repeats", type=int, default=7, help="calls timed per layer (default 7)")
     parser.add_argument("--tiny", action="store_true", help="tiny systems, for a smoke test")
     args = parser.parse_args(argv)
-    if args.repeats < 1:
-        parser.error("--repeats must be at least 1")
     timed = systems(args.tiny)
-    result = {name: layer_times(cfg, mode, args.repeats) for name, (cfg, mode) in timed.items()}
+    result = {name: layer_times(cfg, mode) for name, (cfg, mode) in timed.items()}
     # the identical ladder's last pair is its interior cell
     identical, _ = list(timed.values())[-1]
-    result["approx_squaring"] = squaring_time(identical, args.repeats * 100)
+    result["approx_squaring"] = squaring_time(identical)
     print(json.dumps(result, indent=2))
     return 0
 

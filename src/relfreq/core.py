@@ -764,18 +764,19 @@ def _compile(pair: MatrixPair, assignment: Mapping, mode: str) -> Step:
 
 def _normalise(xs, ys):
     """(xs / 2**k, ys / 2**k, k) as lists, with the largest magnitude of both
-    in [0.5, 1), or k = 0 when all are zero.  Dividing by a power of two is
-    exact unless the result is subnormal, so one multiply by 2**-k, itself
-    a normal double for -1022 <= k <= 1022, gives what ``ldexp(x, -k)``
-    gives; outside that range each value goes through ``ldexp``."""
+    in [0.5, 1), or k = 0 when all are zero.  2**-k is an exact double for
+    every k a finite value gives above -1024, so one multiply by it rounds
+    the exact quotient once, as ``ldexp(x, -k)`` does.  Only a largest
+    magnitude below 2**-1024, whose 2**-k would overflow, sends each value
+    through ``ldexp``."""
     k = frexp(max(map(abs, chain(xs, ys))))[1]
-    if -1022 <= k <= 1022:
+    if k > -1024:
         f = ldexp(1.0, -k)
         return [x * f for x in xs], [y * f for y in ys], k
     return [ldexp(x, -k) for x in xs], [ldexp(y, -k) for y in ys], k
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _dense_rows(dim: int) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
     """The rows of a dense dim x dim product: slot r * dim + c at (r, c)."""
     return tuple(tuple((c, r * dim + c) for c in range(dim)) for r in range(dim))

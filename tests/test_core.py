@@ -922,13 +922,19 @@ class TestOnePassDualProduct:
         assert step_bits(relfreq.core._mul(s2, s1, "approx")) == step_bits(reference_mul(s2, s1, "approx"))
 
     @pytest.mark.parametrize("largest", [
-        2.0**-1074, 3 * 2.0**-1074, 0.75 * 2.0**-1022,  # subnormal: k <= -1022
+        2.0**-1074, 3 * 2.0**-1074, 2.0**-1025,  # k <= -1024: 2**-k overflows
+        1.5 * 2.0**-1024, 0.75 * 2.0**-1022,  # subnormal, k = -1023 and -1022
         2.0**-1022, 1.5 * 2.0**1021,  # normal, k = -1021 and 1022
-        2.0**1022, 1.5 * 2.0**1022, 1.7976931348623157e308,  # k >= 1023
+        2.0**1022, 1.5 * 2.0**1022, 1.7976931348623157e308,  # k >= 1023: 2**-k subnormal
     ])
     def test_largest_magnitude_at_and_beyond_the_power_of_two_range(self, largest):
+        k = math.frexp(largest)[1]
+        # values that rescale to 1.5, 2.5 and 1 + 2**-52 units of 2**-1074,
+        # ties and a rounding into the subnormal range
+        ties = [math.ldexp(1.5, k - 1074), -math.ldexp(2.5, k - 1074)]
         for xs, ys in (([largest, largest / 3], [-largest / 7, 0.0]),
-                       ([0.0, 2.0**-1074], [-largest, largest * 2.0**-60])):
+                       ([0.0, 2.0**-1074], [-largest, largest * 2.0**-60]),
+                       ([largest] + ties, [math.ldexp(1 + 2.0**-52, k - 1074), 0.0, 0.0])):
             new, ref = normalised_bits(xs, ys)
             assert new == ref
 

@@ -33,7 +33,7 @@ def test_output_digest():
 
 
 def test_layer_times():
-    proc = run_python(str(ROOT / "scripts" / "layer_times.py"), "--tiny", "--repeats", "2")
+    proc = run_python(str(ROOT / "scripts" / "layer_times.py"), "--tiny")
     assert proc.returncode == 0, proc.stderr
     times = json.loads(proc.stdout)
     assert list(times) == ["ladder-6", "ladder-24", "kofn-5-of-20-G", "identical-ladder-1000",

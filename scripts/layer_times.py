@@ -16,8 +16,12 @@ builds its inputs, the layers are timed one at a time, each over
 The systems are exact 600- and 2400-cell heterogeneous ladders, an exact
 50-of-200:G system and the approx 100000-cell identical ladder that
 ``relfreq sweep`` solves.  ``approx_squaring`` is the median of 100 times
-``REPEATS`` squarings of that ladder's compiled 3x3 cell step.  ``--tiny``
-shrinks every system, for a smoke test:
+``REPEATS`` squarings of that ladder's compiled 3x3 cell step.
+``approx_stream_step`` is the median over ``REPEATS`` streamed approx
+folds of a seeded 1000-cell heterogeneous ladder of a fold's time per
+``stream_step`` call, each call given its cell's own ``{id: (p, lam)}``
+map, as the benchmark's stream workload builds them: the compile and the
+advance of one cell.  ``--tiny`` shrinks every system, for a smoke test:
 
     PYTHONPATH=src python3 scripts/layer_times.py
 """
@@ -94,6 +98,21 @@ def squaring_time(cfg):
     return median_time(lambda: core._mul(cell, cell, "approx"), REPEATS * 100)[0]
 
 
+def stream_step_time(cells):
+    """Median seconds of one approx ``stream_step`` of a streamed fold."""
+    system = build_from_config(heterogeneous_ladder(random.Random(cells), cells))
+    values = system.default_assignment()
+    steps = [(pair, {cid: values[cid] for cid in pair.ids}) for pair in system.pairs]
+
+    def fold():
+        state = core.initial_state(system, "approx")
+        for pair, assignment in steps:
+            state = core.stream_step(state, pair, assignment)
+        return state
+
+    return median_time(fold, REPEATS)[0] / len(steps)
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--tiny", action="store_true", help="tiny systems, for a smoke test")
@@ -103,6 +122,7 @@ def main(argv=None):
     # the identical ladder's last pair is its interior cell
     identical, _ = list(timed.values())[-1]
     result["approx_squaring"] = squaring_time(identical)
+    result["approx_stream_step"] = stream_step_time(8 if args.tiny else 1000)
     print(json.dumps(result, indent=2))
     return 0
 

@@ -40,9 +40,10 @@ against underflow, rescaled after each product or advance by one
 multiply by a power of two.
 :func:`initial_state` puts vR over its lcm, the fold multiplies the
 state's scale by each step's, and :func:`finalize` divides vL.A and vL.V
-by it, once each.  The compile reads each p and lambda as an integer
-ratio: exact mode puts them over common denominators, so no Fraction is
-made in between, and approx mode divides the two integers, which is what
+by it, once each.  The compile reads each p and lambda once, a Fraction
+by one type test and its integer ratio, with no re-coercion: exact mode
+puts the ratios over common denominators, so no Fraction is made in
+between, and approx mode divides the two integers, which is what
 ``float`` of a Fraction does.
 
 A system stores its pairs as :class:`Runs`, (pair, r) runs that are never
@@ -320,12 +321,14 @@ class Layout:
     number of rows, a column out of range, out of order or repeated, a slot
     out of range or unused, a zero polynomial and a variable that no term
     reads.  It also derives, once for every pair, what an exact compile
-    reads: each slot's terms as (coefficient, variable indices), with the
-    coefficients as integers over their lcm ``coeff_scale``, and
-    ``degree``, the most variables in a term; and ``dense``, whether every
-    row holds all ``dim`` columns, which the exact fold reads when it
-    chooses to apply steps in blocks.  The float coefficients an
-    approx compile reads are made at its first read of ``float_terms``.
+    reads: ``degree``, the most variables in a term, and each slot's terms
+    as (coefficient, variable indices), with the coefficients as integers
+    over their lcm ``coeff_scale`` and the indices of a term of s
+    variables followed by v, the pad variable, degree - s times; and
+    ``dense``, whether every row holds all ``dim`` columns, which the exact
+    fold reads when it chooses to apply steps in blocks.  The float
+    coefficients an approx compile reads are made at its first read of
+    ``float_terms``.
     """
 
     dim: int
@@ -363,11 +366,13 @@ class Layout:
             unread = min(set(range(len(read))) - read)
             raise ReliabilityError(f"variable {unread} of a {len(read)}-variable layout is read by no term")
         scale = lcm(*[c.denominator for poly in polys for _, c in poly])
-        object.__setattr__(self, "variables", len(read))
-        object.__setattr__(self, "degree", max((len(vs) for poly in polys for vs, _ in poly), default=0))
+        variables, degree = len(read), max((len(vs) for poly in polys for vs, _ in poly), default=0)
+        object.__setattr__(self, "variables", variables)
+        object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "coeff_scale", scale)
         object.__setattr__(self, "int_terms", tuple(
-            tuple((c.numerator * (scale // c.denominator), vs) for vs, c in poly) for poly in polys))
+            tuple((c.numerator * (scale // c.denominator), vs + (variables,) * (degree - len(vs)))
+                  for vs, c in poly) for poly in polys))
         object.__setattr__(self, "dense", min(map(len, rows)) == self.dim)
 
     @cached_property
@@ -603,22 +608,19 @@ class TransferSystem:
 # The single pass
 
 
-def _numbers(ratios: Sequence[Tuple[int, int]], mode: str) -> Tuple[List[Scalar], int]:
-    """(numbers, scale) for integer ratios (n, d), each number being n / d
-    times scale: exact-mode integers over the lcm of the denominators, or
-    approx-mode floats n / d, rounded as ``float`` of a Fraction, over 1."""
-    if mode != EXACT:
-        return [n / d for n, d in ratios], 1
-    scale = lcm(*[d for _, d in ratios])
-    return [n * (scale // d) for n, d in ratios], scale
-
-
 def _vector_numbers(vec: Tuple[Fraction, ...], name: str, mode: str) -> Tuple[List[Scalar], int]:
-    """:func:`_numbers` of the system vector ``vec`` called ``name``; in
-    approx mode an entry beyond the double range is a
-    :class:`ReliabilityError` naming the largest entry as ``name[i]``."""
+    """(numbers, scale) for the system vector ``vec`` called ``name``, each
+    number being an entry times scale: exact-mode integers over the lcm of
+    the denominators, or approx-mode floats n / d over 1, rounded as
+    ``float`` of a Fraction.  In approx mode an entry beyond the double
+    range is a :class:`ReliabilityError` naming the largest entry as
+    ``name[i]``."""
+    ratios = [x.as_integer_ratio() for x in vec]
+    if mode == EXACT:
+        scale = lcm(*[d for _, d in ratios])
+        return [n * (scale // d) for n, d in ratios], scale
     try:
-        return _numbers([x.as_integer_ratio() for x in vec], mode)
+        return [n / d for n, d in ratios], 1
     except OverflowError:
         i = max(range(len(vec)), key=lambda i: abs(vec[i]))
         raise ReliabilityError(f"{name}[{i}] beyond the double range; exact mode accepts it") from None
@@ -659,16 +661,20 @@ def _read_value(assignment: Mapping, cid: str) -> Tuple[Tuple[int, int], Tuple[i
     """(p, lam) of ``cid`` in an ``id -> (p, lam)`` map, each as an integer
     ratio (n, d) with d > 0, after checking that the value is a pair of
     finite numbers with p in [0, 1] and lam >= 0; a value may be any
-    2-element tuple or list, such as JSON's ``[p, lam]``.  A nonzero lam at
-    p = 1 is accepted: the pass is pure algebra."""
+    2-element tuple or list, such as JSON's ``[p, lam]``.  A Fraction is
+    read by its ``as_integer_ratio()``, any other number through
+    :func:`as_exact` first.  A nonzero lam at p = 1 is accepted: the pass
+    is pure algebra."""
     try:
         val = assignment[cid]
     except KeyError:
         raise MissingAvailabilityError(cid) from None
     if not isinstance(val, (tuple, list)) or len(val) != 2:
         raise MissingRateError(cid)
+    p, lam = val
     try:
-        p, lam = [as_exact(x).as_integer_ratio() for x in val]
+        p = (p if type(p) is Fraction else as_exact(p)).as_integer_ratio()
+        lam = (lam if type(lam) is Fraction else as_exact(lam)).as_integer_ratio()
     except (ValueError, OverflowError):  # NaN or infinity
         raise ReliabilityError(f"component {cid!r}: (p, lambda) = {tuple(val)} is not finite") from None
     if not 0 <= p[0] <= p[1]:
@@ -693,21 +699,19 @@ class Step(NamedTuple):
     exponent: int
 
 
-def _duals(terms, ps, lams, pad, zero) -> list:
+def _duals(terms, ps, lams, zero) -> list:
     """(x, y) for each slot of a layout's ``terms`` in order: the slot's
     polynomial and its rate-operator image, from one walk over its terms.
     A term c prod p_j adds c prod p_j to x and c prod p_j sum lambda_j to
     y, the eps-part of the term at p_j (1 + eps lambda_j) with eps^2 = 0.
-    ``ps`` and ``lams`` hold the numbers of each variable, and a term of s
-    variables starts from its coefficient times ``pad[s]``.  In approx mode
-    every pad is 1, and x is computed in the operation order of
-    :meth:`MultilinearPoly.evaluate` over ids that sort in variable order,
-    so it equals that value."""
+    ``ps`` and ``lams`` hold the numbers of each variable.  In approx mode
+    x is computed in the operation order of :meth:`MultilinearPoly.evaluate`
+    over ids that sort in variable order, so it equals that value."""
     duals = []
     for slot in terms:
         x = y = zero
         for c, vs in slot:
-            term, lam_total = c * pad[len(vs)], zero
+            term, lam_total = c, zero
             for j in vs:
                 term = term * ps[j]
                 lam_total += lams[j]
@@ -721,45 +725,57 @@ def _compile(pair: MatrixPair, assignment: Mapping, mode: str) -> Step:
     """The dual value of each slot of the pair's layout, in a :class:`Step`
     whose rows are the layout's own ``rows`` object.
 
-    The assignment is read, checked and converted once per bound id, in
-    variable order, and nowhere else, so a streamed fold stays linear.
-    Each slot's polynomial is then walked once by variable index: the q_i
-    and p_i of a k-of-n matrix fill all 2k - 1 positions from two walks,
-    and no object is built per position.  A slot's dual may be (0, 0), as
-    q = 1 - p is at p = 1 with lambda = 0.  The coefficients, their lcm and
-    the degree come precomputed from the layout.
+    The assignment is read and checked once per bound id, in variable
+    order, by :func:`_read_value`, and nowhere else, so a streamed fold
+    stays linear; each p and lambda becomes a number once, straight from
+    its integer ratio.  Each slot's polynomial is then walked once by
+    variable index: the q_i and p_i of a k-of-n matrix fill all 2k - 1
+    positions from two walks, and no object is built per position.  A
+    slot's dual may be (0, 0), as q = 1 - p is at p = 1 with lambda = 0.
+    The coefficients, their lcm and the degree come precomputed from the
+    layout.
+
+    Approx mode divides each ratio's two integers, which rounds as
+    ``float`` of a Fraction does, and walks the layout's float terms.  A
+    rate beyond the double range is a :class:`ReliabilityError` naming the
+    pair's largest rate, raised once every id has been read and checked.
 
     Exact mode walks integers.  Each p is an integer over the lcm P of the
     p denominators, each lambda over their lcm L, each coefficient over the
-    layout's ``coeff_scale`` C, and a term of s variables is padded by
-    P^(d - s), where d is the layout's degree.  Then x = X L / D and
-    y = Y / D with D = C P^d L, and dividing D and every value by their gcd
-    makes the scale the lcm of the values' reduced denominators.
+    layout's ``coeff_scale`` C, and a term of s variables reads the pad
+    variable, bound to P with rate 0, d - s times, where d is the layout's
+    degree.  Then x = X L / D and y = Y / D with D = C P^d L, and dividing
+    D and every value by their gcd makes the scale the lcm of the values'
+    reduced denominators.
     """
     layout = pair.layout
-    values = [_read_value(assignment, cid) for cid in pair.ids]
-    ps, p_den = _numbers([p for p, _ in values], mode)
-    try:
-        lams, lam_den = _numbers([lam for _, lam in values], mode)
-    except OverflowError:  # approx mode: some rate, and so the largest, is beyond the double range
-        rates = {cid: Fraction(*lam) for cid, (_, lam) in zip(pair.ids, values)}
-        cid = max(rates, key=rates.get)
-        raise ReliabilityError(
-            f"component {cid!r}: failure rate beyond the double range; exact mode accepts it"
-        ) from None
     if mode == EXACT:
-        degree = layout.degree
-        pad = [p_den ** (degree - s) for s in range(degree + 1)]
-        duals = _duals(layout.int_terms, ps, lams, pad, 0)
-        duals = [(x * lam_den, y) for x, y in duals]
-        denom = layout.coeff_scale * p_den**degree * lam_den
-        g = gcd(denom, *(v for xy in duals for v in xy))
-        scale = denom // g
-        duals = [(x // g, y // g) for x, y in duals]
-    else:
-        duals = _duals(layout.float_terms, ps, lams, (1,) * (layout.degree + 1), 0.0)
-        scale = 1
-    return Step(layout.rows, duals, scale, 0)
+        values, p_den, lam_den = [], 1, 1
+        for cid in pair.ids:
+            p, lam = _read_value(assignment, cid)
+            values.append((p, lam))
+            p_den, lam_den = lcm(p_den, p[1]), lcm(lam_den, lam[1])
+        ps = [n * (p_den // d) for (n, d), _ in values]
+        lams = [n * (lam_den // d) for _, (n, d) in values]
+        ps.append(p_den)  # the pad variable
+        lams.append(0)
+        duals = [(x * lam_den, y) for x, y in _duals(layout.int_terms, ps, lams, 0)]
+        denom = layout.coeff_scale * p_den**layout.degree * lam_den
+        g = gcd(denom, *chain.from_iterable(duals))
+        return Step(layout.rows, [(x // g, y // g) for x, y in duals], denom // g, 0)
+    ps, lams = [], []
+    for cid in pair.ids:
+        (p_num, p_den), (lam_num, lam_den) = _read_value(assignment, cid)
+        ps.append(p_num / p_den)
+        try:
+            lams.append(lam_num / lam_den)
+        except OverflowError:
+            # every id is read again, so a bad value after this one raises its own error first
+            cid = max(pair.ids, key=lambda cid: Fraction(*_read_value(assignment, cid)[1]))
+            raise ReliabilityError(
+                f"component {cid!r}: failure rate beyond the double range; exact mode accepts it"
+            ) from None
+    return Step(layout.rows, _duals(layout.float_terms, ps, lams, 0.0), 1, 0)
 
 
 def _normalise(xs, ys):

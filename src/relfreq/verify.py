@@ -69,7 +69,7 @@ def _random_ladder(rng: random.Random, max_components: int):
     if max_components >= 8 and rng.random() < 0.5:
         n, perfect_nodes = 1, False
     else:
-        n = rng.randint(1, min(3, (max_components - 1) // 3))
+        n = rng.randint(1, (max_components - 1) // 3)
         perfect_nodes = True
 
     def node(cid):

@@ -6,10 +6,19 @@ import sys
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
-from math import comb, frexp, ldexp
+from math import comb, frexp, gcd, lcm, ldexp
 from pathlib import Path
 
-from relfreq.core import Component, Layout, MatrixPair, ReliabilityError, Step, apply_rate_operator
+from relfreq.core import (
+    Component,
+    Layout,
+    MatrixPair,
+    MissingAvailabilityError,
+    MissingRateError,
+    ReliabilityError,
+    Step,
+    apply_rate_operator,
+)
 from relfreq.genfunc import RationalGF, UniPoly, transfer_gf
 from relfreq.kofn import identical_kofn_spec
 from relfreq.ladder import (
@@ -161,6 +170,83 @@ def reference_mul(s2, s1, mode):
     return Step(tuple(rows), duals, s2.scale * s1.scale, s2.exponent + s1.exponent + shift)
 
 
+def reference_read_value(assignment, cid):
+    """(p, lam) of ``cid`` as integer ratios, each value coerced by
+    ``as_exact`` in a list comprehension: the compile's read of checked
+    values that the one-read ``_read_value`` must equal, errors included."""
+    try:
+        val = assignment[cid]
+    except KeyError:
+        raise MissingAvailabilityError(cid) from None
+    if not isinstance(val, (tuple, list)) or len(val) != 2:
+        raise MissingRateError(cid)
+    try:
+        p, lam = [as_exact(x).as_integer_ratio() for x in val]
+    except (ValueError, OverflowError):  # NaN or infinity
+        raise ReliabilityError(f"component {cid!r}: (p, lambda) = {tuple(val)} is not finite") from None
+    if not 0 <= p[0] <= p[1]:
+        raise ReliabilityError(f"component {cid!r}: p={val[0]} outside [0,1]")
+    if lam[0] < 0:
+        raise ReliabilityError(f"component {cid!r}: negative failure rate {val[1]}")
+    return p, lam
+
+
+def reference_numbers(ratios, mode):
+    """(numbers, scale) for integer ratios: exact integers over the lcm of
+    the denominators, or approx floats n / d over 1."""
+    if mode != EXACT:
+        return [n / d for n, d in ratios], 1
+    scale = lcm(*[d for _, d in ratios])
+    return [n * (scale // d) for n, d in ratios], scale
+
+
+def reference_duals(terms, ps, lams, pad, zero):
+    """(x, y) for each slot of ``terms``, a term of s variables starting
+    from its coefficient times ``pad[s]`` (all ones in approx mode)."""
+    duals = []
+    for slot in terms:
+        x = y = zero
+        for c, vs in slot:
+            term, lam_total = c * pad[len(vs)], zero
+            for j in vs:
+                term = term * ps[j]
+                lam_total += lams[j]
+            x += term
+            y += term * lam_total
+        duals.append((x, y))
+    return duals
+
+
+def reference_compile(pair, assignment, mode):
+    """A pair's compiled step as ``core._compile`` made it with a read per
+    value through :func:`reference_read_value`, lists of ratios per id and
+    a pad of P^(d - s) per term of s variables in exact mode, 1 in approx
+    mode.  The lean compile must equal it bit for bit, and raise the same
+    error for the same bad value."""
+    layout = pair.layout
+    values = [reference_read_value(assignment, cid) for cid in pair.ids]
+    ps, p_den = reference_numbers([p for p, _ in values], mode)
+    try:
+        lams, lam_den = reference_numbers([lam for _, lam in values], mode)
+    except OverflowError:  # approx mode: some rate, and so the largest, is beyond the double range
+        rates = {cid: Fraction(*lam) for cid, (_, lam) in zip(pair.ids, values)}
+        cid = max(rates, key=rates.get)
+        raise ReliabilityError(
+            f"component {cid!r}: failure rate beyond the double range; exact mode accepts it"
+        ) from None
+    degree = layout.degree
+    if mode == EXACT:
+        scale = layout.coeff_scale
+        int_terms = [[(c.numerator * (scale // c.denominator), vs) for vs, c in poly] for poly in layout.polys]
+        pad = [p_den ** (degree - s) for s in range(degree + 1)]
+        duals = reference_duals(int_terms, ps, lams, pad, 0)
+        duals = [(x * lam_den, y) for x, y in duals]
+        denom = scale * p_den**degree * lam_den
+        g = gcd(denom, *(v for xy in duals for v in xy))
+        return Step(layout.rows, [(x // g, y // g) for x, y in duals], denom // g, 0)
+    return Step(layout.rows, reference_duals(layout.float_terms, ps, lams, (1,) * (degree + 1), 0.0), 1, 0)
+
+
 def number_bits(x):
     """A number with its type, and a float by its bits: -0.0 differs from
     0.0 and from the integer 0."""
@@ -249,6 +335,25 @@ def kofn_g_count_mod(k, values):
             new[j + 1] = _dual_add(new[j + 1], _dual_mul(counts[j], up))
         counts = new
     return counts[k]
+
+
+def lincon_f_run_mod(k, values):
+    """(A, nu) mod :data:`PRIME` of consecutive-k-out-of-n:F over
+    components with ``values`` (p, lam), by a programme over the trailing
+    run of failed components, 0..k-1; a run that reaches k absorbs, as the
+    system has failed, so its weight leaves the sum that is A (Chiang &
+    Niu, IEEE Trans. Reliability R-30(1), 1981)."""
+    runs = [(1, 0)] + [(0, 0)] * (k - 1)
+    for p, lam in values:
+        up, down = _dual_up_down(p, lam)
+        live = (0, 0)
+        for weight in runs:
+            live = _dual_add(live, weight)
+        runs = [_dual_mul(live, up)] + [_dual_mul(weight, down) for weight in runs[:-1]]
+    total = (0, 0)
+    for weight in runs:
+        total = _dual_add(total, weight)
+    return total
 
 
 def corrupt_system(system):

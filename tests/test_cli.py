@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import random
 import runpy
 from fractions import Fraction as F
 
@@ -789,6 +790,13 @@ class TestVerifyCommand:
         monkeypatch.setattr(relfreq.verify, "single_pass", recording_pass)
         assert run_equivalence_trials(trials=24, max_components=16, seed=5).ok
         assert len(sizes) == 24 and 12 < max(sizes) <= 16
+
+    def test_max_components_above_twelve_draws_longer_ladders(self):
+        # n cells with perfect nodes hold 3n + 1 free components, so 24 admits 7 cells
+        rng = random.Random(5)
+        sizes = [sum(0 < c.p < 1 for c in relfreq.verify._random_ladder(rng, 24)[0].components)
+                 for _ in range(40)]
+        assert 10 < max(sizes) <= 24
 
     def test_one_enumeration_per_trial(self, monkeypatch):
         drawn, systems, calls = [], [], []

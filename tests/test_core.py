@@ -48,6 +48,7 @@ from relfreq.ladder import (
 from relfreq.oracle import (
     StructureFunction,
     kofn_g_structure,
+    lincon_f_structure,
     oracle_availability,
     oracle_frequency,
     truth_table_structure,
@@ -61,8 +62,10 @@ from helpers import (
     kofn_g_count_mod,
     kofn_g_identical,
     ladder_frontier_mod,
+    lincon_f_run_mod,
     mod_prime,
     number_bits,
+    reference_compile,
     reference_mul,
     reference_normalise,
     run_python,
@@ -458,13 +461,19 @@ class TestReadValue:
            | st.builds(lambda n, d, e: F(n, d << e), st.integers(0, 2**60), st.integers(1, 10**20),
                        st.integers(1000, 1200))
            | st.integers(0, 10**300)
-           | st.floats(0, 1e300).filter(lambda x: math.copysign(1, x) > 0))
+           | st.floats(0, 1e300).filter(lambda x: math.copysign(1, x) > 0),
+           st.builds(lambda n, d: F(n, n + d), st.integers(0, 10**400), st.integers(1, 10**400))
+           | st.just(F(1))
+           | st.builds(lambda n, e: F(n, (n + 1) << e), st.integers(1, 2**60), st.integers(1000, 1200))
+           | st.floats(0, 1).filter(lambda x: math.copysign(1, x) > 0))
     @settings(max_examples=300, deadline=None)
-    def test_approx_read_is_float_bit_for_bit(self, x):
-        # -0.0 is left out: it reads as 0.0
-        ratios = relfreq.core._read_value({"x": (F(1, 2), x)}, "x")
-        (_, lam), scale = relfreq.core._numbers(ratios, "approx")
-        assert scale == 1 and lam.hex() == float(x).hex()
+    def test_approx_read_is_float_bit_for_bit(self, x, p):
+        # -0.0 is left out: it reads as 0.0.  The slot p_x holds the dual
+        # (p, p * lambda), from the p and the rate as the compile read them.
+        pair = MatrixPair.from_entries(1, [(0, 0, {("x",): 1})])
+        step = relfreq.core._compile(pair, {"x": (p, x)}, "approx")
+        assert step.scale == 1 and step.duals[0][0].hex() == float(p).hex()
+        assert step.duals[0][1].hex() == (float(p) * float(x)).hex()
 
 
 class TestRateBeyondTheDoubleRange:
@@ -1006,6 +1015,14 @@ class TestLongExactChains:
         report = single_pass(system)
         assert (mod_prime(report.availability), mod_prime(report.frequency)) == kofn_g_count_mod(30, values)
 
+    def test_lincon_f_against_the_run_programme(self):
+        rng = random.Random(2000)
+        values = [(F(rng.randint(50, 99), 100), F(rng.randint(1, 30), rng.randint(1, 9))) for _ in range(2000)]
+        system = build_lincon_f(KofnSpec(4, [Component(f"c{i}", p, lam) for i, (p, lam) in enumerate(values)]))
+        report = single_pass(system)
+        assert len(system.pairs.runs) == 2000
+        assert (mod_prime(report.availability), mod_prime(report.frequency)) == lincon_f_run_mod(4, values)
+
     def test_the_programmes_on_small_systems_equal_exact_reports(self):
         # the programmes themselves, where the oracle and the closed form reach
         values = ladder_values(7, 3)
@@ -1025,6 +1042,10 @@ class TestLongExactChains:
         sf = kofn_g_structure(ids, 3)
         a, nu = oracle_availability(sf, probs), oracle_frequency(sf, probs, rates)
         assert kofn_g_count_mod(3, kofn) == (mod_prime(a), mod_prime(nu))
+        for k in (1, 2, 3, 6):
+            sf = lincon_f_structure(ids, k)
+            a, nu = oracle_availability(sf, probs), oracle_frequency(sf, probs, rates)
+            assert lincon_f_run_mod(k, kofn) == (mod_prime(a), mod_prime(nu))
 
 
 BINDING_IDS = ("x1", "x2", "x3", "x4")
@@ -1105,6 +1126,102 @@ class TestBoundLayouts:
         lincon = build_lincon_f(KofnSpec(20, comps))
         assert made == []
         assert (len(ladder.pairs), len(kofn.pairs), len(lincon.pairs)) == (51, 60, 60)
+
+
+def compile_pairs():
+    """Distinct pairs of each kind the pass compiles: k-of-n:G and lincon-F
+    (one id), a distinct-id ladder (entry cell and interior cells, five
+    ids), a ladder cell rewritten over its distinct ids, and
+    ``from_entries`` pairs of mixed degree and of no id at all."""
+    comps = tuple(Component(f"c{i}", F(i, 7), F(i, 3)) for i in range(1, 6))
+    systems = [build_kofn_g(KofnSpec(3, comps)), build_lincon_f(KofnSpec(2, comps)),
+               build_ladder(distinct_ladder_spec(F(2, 3), F(4, 5), F(3), F(1, 2), 3))]
+    pairs = [pair for system in systems for pair, _ in system.pairs.runs]
+    cell = systems[2].pairs[1]
+    pairs.append(MatrixPair(cell.layout, ("a1", "b1", "a1", "S1", "T1")))
+    x, y = MultilinearPoly.variable("c1"), MultilinearPoly.variable("c2")
+    pairs += [MatrixPair.from_entries(2, [(0, 0, 1 - x), (0, 1, x * y * F(3, 4)), (1, 1, F(5, 2) - y)]),
+              MatrixPair.from_entries(1, [(0, 0, F(2, 3))])]
+    return pairs
+
+
+COMPILE_PAIRS = compile_pairs()
+MISSING = object()  # a bad value: the id is left out of the assignment
+BAD_VALUES = [MISSING, F(1, 2), (F(1, 2), 1, 2), (math.nan, 1), (F(1, 2), math.inf), ("nan", 1),
+              (F(3, 2), 1), (-0.5, F(1)), (F(1, 2), -1), (F(1, 2), F(-1, 3)), (F(3, 2), -1),
+              (F(1, 2), 10**400)]
+
+
+def compile_numbers(hi):
+    """A number in [0, hi] as a Fraction, an int, a float or a decimal or
+    ``n/d`` string, the forms an assignment may hold."""
+    fractions = st.builds(lambda n, d: hi * F(n, n + d), st.integers(0, 10**30), st.integers(1, 10**30))
+    return (fractions | st.integers(0, hi) | st.floats(0, hi)
+            | fractions.map(lambda f: f"{f.numerator}/{f.denominator}")
+            | st.integers(0, hi * 10**4).map(lambda n: f"{n // 10**4}.{n % 10**4:04d}"))
+
+
+@st.composite
+def compile_cases(draw):
+    """(pair, assignment, mode): one of :data:`COMPILE_PAIRS` or a drawn
+    bound layout, with each id's (p, lam) given as a tuple or a list of
+    mixed number forms, and about one id in eight given a bad value."""
+    if draw(st.booleans()):
+        pair = draw(st.sampled_from(COMPILE_PAIRS))
+    else:
+        layout, ids, _ = draw(bound_layouts())
+        pair = MatrixPair(layout, ids)
+    assignment = {}
+    for cid in pair.ids:
+        if draw(st.integers(0, 7)) == 0:
+            value = draw(st.sampled_from(BAD_VALUES))
+        else:
+            value = draw(st.sampled_from([tuple, list]))(
+                [draw(compile_numbers(1)), draw(compile_numbers(10**6) | st.just(F(10**400, 3)))])
+        if value is not MISSING:
+            assignment[cid] = value
+    return pair, assignment, draw(st.sampled_from(["exact", "approx"]))
+
+
+def compile_outcome(compile_, pair, assignment, mode):
+    """The step's bits, or the type and message of the error raised."""
+    try:
+        return step_bits(compile_(pair, assignment, mode))
+    except ReliabilityError as exc:
+        return type(exc), str(exc)
+
+
+class TestLeanCompile:
+    """``_compile`` reads each value once and makes approx floats straight
+    from the ratios; it must equal the compile it replaced, kept in
+    ``tests/helpers.py``, bit for bit and error for error."""
+
+    @given(compile_cases())
+    @settings(max_examples=400, deadline=None)
+    def test_equals_the_reference_compile(self, case):
+        pair, assignment, mode = case
+        assert (compile_outcome(relfreq.core._compile, pair, assignment, mode)
+                == compile_outcome(reference_compile, pair, assignment, mode))
+
+    @pytest.mark.parametrize("mode", ["exact", "approx"])
+    @pytest.mark.parametrize("bad", BAD_VALUES, ids=[
+        "missing", "bare-p", "3-tuple", "nan-p", "infinite-rate", "nan-string", "p-above-1",
+        "negative-p", "negative-int-rate", "negative-fraction-rate", "bad-p-and-rate", "rate-beyond-double"])
+    def test_a_bad_value_raises_the_reference_error(self, mode, bad):
+        # the interior ladder cell reads five ids; the first holds a rate
+        # beyond the double range, which approx mode names only once every
+        # id has been read and checked, so the bad third value comes first
+        pair = next(pair for pair in COMPILE_PAIRS if len(pair.ids) == 5)
+        assignment = {cid: (F(1, 3), F(2)) for cid in pair.ids}
+        assignment[pair.ids[0]] = (F(1, 2), F(10**400, 7))
+        if bad is MISSING:
+            del assignment[pair.ids[2]]
+        else:
+            assignment[pair.ids[2]] = bad
+        outcome = compile_outcome(relfreq.core._compile, pair, assignment, mode)
+        assert outcome == compile_outcome(reference_compile, pair, assignment, mode)
+        # exact mode accepts a rate beyond the double range
+        assert isinstance(outcome[0], type) == (mode == "approx" or bad is not BAD_VALUES[-1])
 
 
 def slices():

@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
-"""Print, as JSON, the in-process median time of each layer of a solve.
+"""Print, as JSON, the in-process best time of each layer of a solve.
 
 For each of four fixed, seeded systems, built as ``output_digest.py``
 builds its inputs, the layers are timed one at a time, each over
-``REPEATS`` calls, and the median of each is printed in seconds:
+``REPEATS`` calls, and the best (least) time of each is printed in
+seconds.  As ``timeit`` advises, the least time is the one to read: on a
+shared host, a slower call measures the host's other load, not the code.
 
 * ``parse`` -- ``json.loads`` of the config text;
 * ``build`` -- ``build_from_config``, the system from the parsed config;
@@ -15,13 +17,14 @@ builds its inputs, the layers are timed one at a time, each over
 
 The systems are exact 600- and 2400-cell heterogeneous ladders, an exact
 50-of-200:G system and the approx 100000-cell identical ladder that
-``relfreq sweep`` solves.  ``approx_squaring`` is the median of 100 times
+``relfreq sweep`` solves.  ``approx_squaring`` is the best of 100 times
 ``REPEATS`` squarings of that ladder's compiled 3x3 cell step.
-``approx_stream_step`` is the median over ``REPEATS`` streamed approx
-folds of a seeded 1000-cell heterogeneous ladder of a fold's time per
-``stream_step`` call, each call given its cell's own ``{id: (p, lam)}``
-map, as the benchmark's stream workload builds them: the compile and the
-advance of one cell.  ``--tiny`` shrinks every system, for a smoke test:
+``approx_stream_step`` is the time per ``stream_step`` call of a
+streamed approx fold of a seeded 1000-cell heterogeneous ladder, each
+call given its cell's own ``{id: (p, lam)}`` map, as the benchmark's
+stream workload builds them: the compile and the advance of one cell.
+It sums the least time of each batch of ``BATCH`` calls over
+``REPEATS`` folds.  ``--tiny`` shrinks every system, for a smoke test:
 
     PYTHONPATH=src python3 scripts/layer_times.py
 """
@@ -29,7 +32,6 @@ advance of one cell.  ``--tiny`` shrinks every system, for a smoke test:
 import argparse
 import json
 import random
-import statistics
 import sys
 import time
 from unittest import mock
@@ -39,7 +41,8 @@ from output_digest import heterogeneous_ladder, kofn_50_of_200
 from relfreq import core
 from relfreq.cli import build_from_config
 
-REPEATS = 7
+REPEATS = 40
+BATCH = 50  # stream_step calls timed together
 
 
 def identical_ladder(cells):
@@ -63,54 +66,59 @@ def systems(tiny):
     }
 
 
-def median_time(call, repeats):
-    """(median seconds of ``repeats`` calls, the last call's result)."""
-    times = []
+def best_time(call, repeats):
+    """(least seconds of ``repeats`` calls, the last call's result)."""
+    best = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()
         out = call()
-        times.append(time.perf_counter() - start)
-    return statistics.median(times), out
+        best = min(best, time.perf_counter() - start)
+    return best, out
 
 
 def layer_times(cfg, mode):
-    """{layer: median seconds} of one config solved in ``mode``."""
+    """{layer: best seconds} of one config solved in ``mode``."""
     text = json.dumps(cfg)
     out = {}
-    out["parse"], parsed = median_time(lambda: json.loads(text), REPEATS)
-    out["build"], system = median_time(lambda: build_from_config(parsed), REPEATS)
+    out["parse"], parsed = best_time(lambda: json.loads(text), REPEATS)
+    out["build"], system = best_time(lambda: build_from_config(parsed), REPEATS)
     assignment = system.default_assignment()
     pairs = list({id(pair): pair for pair, _ in system.pairs.runs}.values())
-    out["compile"], steps = median_time(
+    out["compile"], steps = best_time(
         lambda: {id(pair): core._compile(pair, assignment, mode) for pair in pairs}, REPEATS)
     start = core.initial_state(system, mode)
     with mock.patch.object(core, "_compile", lambda pair, _assignment, _mode: steps[id(pair)]):
-        out["fold"], state = median_time(lambda: core._fold(start, system.pairs.runs, assignment), REPEATS)
-    out["finalize"], report = median_time(lambda: core.finalize(system, state), REPEATS)
-    out["as_dict"], _ = median_time(report.as_dict, REPEATS)
+        out["fold"], state = best_time(lambda: core._fold(start, system.pairs.runs, assignment), REPEATS)
+    out["finalize"], report = best_time(lambda: core.finalize(system, state), REPEATS)
+    out["as_dict"], _ = best_time(report.as_dict, REPEATS)
     return out
 
 
 def squaring_time(cfg):
-    """Median seconds of one approx squaring of the last pair's step."""
+    """Best seconds of one approx squaring of the last pair's step."""
     system = build_from_config(cfg)
     cell = core._compile(system.pairs.runs[-1][0], system.default_assignment(), "approx")
-    return median_time(lambda: core._mul(cell, cell, "approx"), REPEATS * 100)[0]
+    return best_time(lambda: core._mul(cell, cell, "approx"), REPEATS * 100)[0]
 
 
 def stream_step_time(cells):
-    """Median seconds of one approx ``stream_step`` of a streamed fold."""
+    """Best seconds per approx ``stream_step`` of a streamed fold: each of
+    ``REPEATS`` folds is timed in batches of ``BATCH`` calls, and the least
+    time of each batch is summed over the fold, so that a burst of load on
+    the host spoils one batch of a fold, not the whole fold."""
     system = build_from_config(heterogeneous_ladder(random.Random(cells), cells))
     values = system.default_assignment()
     steps = [(pair, {cid: values[cid] for cid in pair.ids}) for pair in system.pairs]
-
-    def fold():
+    batches = [steps[i:i + BATCH] for i in range(0, len(steps), BATCH)]
+    best = [float("inf")] * len(batches)
+    for _ in range(REPEATS):
         state = core.initial_state(system, "approx")
-        for pair, assignment in steps:
-            state = core.stream_step(state, pair, assignment)
-        return state
-
-    return median_time(fold, REPEATS)[0] / len(steps)
+        for b, batch in enumerate(batches):
+            start = time.perf_counter()
+            for pair, assignment in batch:
+                state = core.stream_step(state, pair, assignment)
+            best[b] = min(best[b], time.perf_counter() - start)
+    return sum(best) / len(steps)
 
 
 def main(argv=None):

@@ -36,8 +36,12 @@ pass into flat lists of values and eps parts; a dense product shares one
 rows tuple per dimension.  Steps and states store
 value * scale * 2**-exponent: exact mode integers over a common
 denominator, approx mode floats over scale 1 with a binary exponent
-against underflow, rescaled after each product or advance by one
-multiply by a power of two.
+against underflow, rescaled by one multiply by a power of two when a
+product or advance moves the exponent, that is when its largest
+magnitude leaves [0.5, 1).  A step pays only for its arithmetic: an
+approx state already in [0.5, 1) is not rescaled, an exact row sum
+starts from its first product rather than copying it into 0 + x, and a
+state is set by one write.
 :func:`initial_state` puts vR over its lcm, the fold multiplies the
 state's scale by each step's, and :func:`finalize` divides vL.A and vL.V
 by it, once each.  The compile reads each p and lambda once, a Fraction
@@ -60,7 +64,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from fractions import Fraction
 from itertools import accumulate, chain, repeat
-from math import copysign, frexp, gcd, inf, isinf, lcm, ldexp, log10
+from math import copysign, frexp, gcd, inf, isfinite, isinf, lcm, ldexp, log10
 from operator import index as to_index, mul
 from typing import Iterable, Iterator, List, Mapping, NamedTuple, Optional, Tuple
 
@@ -91,6 +95,26 @@ class MissingAvailabilityError(ReliabilityError):
 # Components
 
 
+def _unread_error(cid, names: str, values: tuple) -> ReliabilityError:
+    """The error for the ``values`` of component ``cid``, called ``names``,
+    of which one failed to read as an exact number.  The first such value
+    "is not finite" when it reads as a float NaN or infinity, as a float, a
+    Decimal or a string such as ``"nan"`` or ``"-inf"`` does, and "is not a
+    number" otherwise: an unparsable string, ``"1/0"`` or ``None``."""
+    finite = True
+    for x in values:
+        try:
+            as_exact(x)
+        except (ValueError, OverflowError, TypeError, ZeroDivisionError):
+            try:
+                finite = isfinite(float(x))
+            except (ValueError, TypeError):
+                pass
+            break
+    return ReliabilityError(
+        f"component {cid!r}: ({names}) = {values} is {'not a number' if finite else 'not finite'}")
+
+
 @dataclass(frozen=True)
 class Component:
     """One repairable element.
@@ -110,10 +134,8 @@ class Component:
         if not (isinstance(p, Fraction) and isinstance(lam, Fraction)):
             try:
                 p, lam = as_exact(p), as_exact(lam)
-            except (ValueError, OverflowError):  # NaN or infinity
-                raise ReliabilityError(
-                    f"component {self.id!r}: (p, lambda) = {(self.p, self.lam)} is not finite"
-                ) from None
+            except (ValueError, OverflowError, TypeError, ZeroDivisionError):
+                raise _unread_error(self.id, "p, lambda", (self.p, self.lam)) from None
             object.__setattr__(self, "p", p)
             object.__setattr__(self, "lam", lam)
         # a Fraction's denominator is positive: compare integers, not Fractions
@@ -133,8 +155,8 @@ class Component:
         made from integer ratios as one Fraction mu_n (p_d - p_n) / (mu_d p_n)."""
         try:
             p, mu = as_exact(p), as_exact(mu)
-        except (ValueError, OverflowError):  # NaN or infinity
-            raise ReliabilityError(f"component {id!r}: (p, mu) = {(p, mu)} is not finite") from None
+        except (ValueError, OverflowError, TypeError, ZeroDivisionError):
+            raise _unread_error(id, "p, mu", (p, mu)) from None
         (p_num, p_den), (mu_num, mu_den) = p.as_integer_ratio(), mu.as_integer_ratio()
         if mu_num < 0:
             raise ReliabilityError(f"component {id!r}: negative repair rate")
@@ -626,11 +648,18 @@ def _vector_numbers(vec: Tuple[Fraction, ...], name: str, mode: str) -> Tuple[Li
         raise ReliabilityError(f"{name}[{i}] beyond the double range; exact mode accepts it") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PassState:
     """The (A_k, V_k) vector pair threaded through the recursion, in the
     format of a :class:`Step`: integers over ``scale`` in exact mode, floats
-    times ``2**-exponent`` in approx mode, renormalised after every step."""
+    times ``2**-exponent`` in approx mode, whose largest magnitude lies in
+    [0.5, 1) after every step unless all are zero.
+
+    The constructor checks that the vectors have one dimension and that the
+    scale is at least 1, then sets the six fields with one write to the
+    instance ``__dict__``: a streamed fold makes one state per step, and a
+    generated frozen ``__init__`` would make one ``object.__setattr__``
+    call per field.  ``dataclasses.replace`` calls it, so it re-checks."""
 
     a_vec: Tuple[Scalar, ...]
     v_vec: Tuple[Scalar, ...]
@@ -639,11 +668,13 @@ class PassState:
     exponent: int = 0
     scale: int = 1
 
-    def __post_init__(self):
-        if len(self.a_vec) != len(self.v_vec):
+    def __init__(self, a_vec, v_vec, index, mode=EXACT, exponent=0, scale=1):
+        if len(a_vec) != len(v_vec):
             raise DimensionMismatchError("a_vec and v_vec dimensions differ")
-        if self.scale < 1:
-            raise ReliabilityError(f"state scale {self.scale} is below 1")
+        if scale < 1:
+            raise ReliabilityError(f"state scale {scale} is below 1")
+        self.__dict__.update(a_vec=a_vec, v_vec=v_vec, index=index, mode=mode,
+                             exponent=exponent, scale=scale)
 
 
 def initial_state(system: TransferSystem, mode: str = EXACT) -> PassState:
@@ -675,8 +706,8 @@ def _read_value(assignment: Mapping, cid: str) -> Tuple[Tuple[int, int], Tuple[i
     try:
         p = (p if type(p) is Fraction else as_exact(p)).as_integer_ratio()
         lam = (lam if type(lam) is Fraction else as_exact(lam)).as_integer_ratio()
-    except (ValueError, OverflowError):  # NaN or infinity
-        raise ReliabilityError(f"component {cid!r}: (p, lambda) = {tuple(val)} is not finite") from None
+    except (ValueError, OverflowError, TypeError, ZeroDivisionError):
+        raise _unread_error(cid, "p, lambda", tuple(val)) from None
     if not 0 <= p[0] <= p[1]:
         raise ReliabilityError(f"component {cid!r}: p={val[0]} outside [0,1]")
     if lam[0] < 0:
@@ -779,13 +810,20 @@ def _compile(pair: MatrixPair, assignment: Mapping, mode: str) -> Step:
 
 
 def _normalise(xs, ys):
-    """(xs / 2**k, ys / 2**k, k) as lists, with the largest magnitude of both
-    in [0.5, 1), or k = 0 when all are zero.  2**-k is an exact double for
-    every k a finite value gives above -1024, so one multiply by it rounds
-    the exact quotient once, as ``ldexp(x, -k)`` does.  Only a largest
-    magnitude below 2**-1024, whose 2**-k would overflow, sends each value
-    through ``ldexp``."""
-    k = frexp(max(map(abs, chain(xs, ys))))[1]
+    """(xs / 2**k, ys / 2**k, k) as lists of floats, with the largest
+    magnitude of both in [0.5, 1), or k = 0 when all are zero.  When the
+    largest magnitude already lies in [0.5, 1), k is 0 and the lists are
+    returned as they are: the callers pass lists of floats only, whose
+    division by 2**0 is the identity.  Otherwise 2**-k is an exact double
+    for every k a finite value gives above -1024, so one multiply by it
+    rounds the exact quotient once, as ``ldexp(x, -k)`` does; an all-zero
+    input is multiplied by 1.0, which makes an int zero 0.0.  Only a
+    largest magnitude below 2**-1024, whose 2**-k would overflow, sends
+    each value through ``ldexp``."""
+    largest = max(map(abs, chain(xs, ys)))
+    if 0.5 <= largest < 1.0:
+        return xs, ys, 0
+    k = frexp(largest)[1]
     if k > -1024:
         f = ldexp(1.0, -k)
         return [x * f for x in xs], [y * f for y in ys], k
@@ -805,16 +843,18 @@ def _mul(s2: Step, s1: Step, mode: str) -> Step:
 
     One pass accumulates the values x into ``xs`` and the eps parts y into
     ``ys``, flat lists of dim^2 entries in row-major order, each position
-    adding its products in the order of s2's row and s1's rows; approx
-    mode rescales both by :func:`_normalise`.  When every x is nonzero the
+    adding its products in the order of s2's row and s1's rows to a zero
+    of the mode: 0.0 in approx mode, so every number is a float and
+    :func:`_normalise` may return the lists as they are.  Approx mode
+    rescales both by :func:`_normalise`.  When every x is nonzero the
     product is dense: its rows are the one cached tuple for ``dim`` and
     its duals ``zip(xs, ys)``.  Otherwise it keeps, row by row, each
     position whose x or y is nonzero, one slot per position."""
     rows2, duals2, rows1, duals1 = s2.rows, s2.duals, s1.rows, s1.duals
-    dim = len(rows2)
+    dim, zero = len(rows2), 0 if mode == EXACT else 0.0
     xs, ys = [], []
     for row in rows2:
-        x_out, y_out = [0] * dim, [0] * dim
+        x_out, y_out = [zero] * dim, [zero] * dim
         for j, s in row:
             x1, y1 = duals2[s]
             for c, t in rows1[j]:
@@ -852,16 +892,38 @@ def _product(steps: List[Step], mode: str) -> Step:
     return steps[0]
 
 
-def _advance(step: Step, a, v):
+def _advance(step: Step, a, v, mode: str):
     """(values of M a, values of M v + M' a) for one compiled step: the dual
-    product (M + eps M')(a + eps v)."""
+    product (M + eps M')(a + eps v), each a[j] read once per position.
+
+    An approx row sum starts from 0.0, so an empty row gives 0.0 and a row
+    of -0.0 products 0.0, and every value is a float.  An exact row sum
+    starts from its first product, since 0 + x would copy a big integer
+    x; an empty row gives the int 0."""
     duals, new_a, new_v = step.duals, [], []
+    if mode != EXACT:
+        for row in step.rows:
+            x = y = 0.0
+            for j, s in row:
+                m, mp = duals[s]
+                aj = a[j]
+                x += m * aj
+                y += m * v[j] + mp * aj
+            new_a.append(x)
+            new_v.append(y)
+        return new_a, new_v
     for row in step.rows:
-        x = y = 0
+        x = y = None
         for j, s in row:
             m, mp = duals[s]
-            x += m * a[j]
-            y += m * v[j] + mp * a[j]
+            aj = a[j]
+            if x is None:
+                x, y = m * aj, m * v[j] + mp * aj
+            else:
+                x += m * aj
+                y += m * v[j] + mp * aj
+        if x is None:
+            x = y = 0
         new_a.append(x)
         new_v.append(y)
     return new_a, new_v
@@ -928,7 +990,7 @@ def _fold(
                           and block_bits * BLOCK_RATIO >= scale.bit_length()):
                 # exact mode: the product's exponent is 0 and nothing is normalised
                 step = _product(block, mode)
-                a, v = _advance(step, a, v)
+                a, v = _advance(step, a, v, mode)
                 scale *= step.scale
                 block, block_bits = [], 0
             if blocked:
@@ -938,7 +1000,7 @@ def _fold(
                 steps.append(_mul(steps[-1], steps[-1], mode))
             if r >> bit & 1:
                 step = steps[bit]
-                a, v = _advance(step, a, v)
+                a, v = _advance(step, a, v, mode)
                 scale *= step.scale
                 exponent += step.exponent
                 if mode != EXACT:
@@ -946,7 +1008,7 @@ def _fold(
                     exponent += k
     if block:
         step = _product(block, mode)
-        a, v = _advance(step, a, v)
+        a, v = _advance(step, a, v, mode)
         scale *= step.scale
     return PassState(tuple(a), tuple(v), index, mode, exponent, scale)
 

@@ -170,6 +170,50 @@ def reference_mul(s2, s1, mode):
     return Step(tuple(rows), duals, s2.scale * s1.scale, s2.exponent + s1.exponent + shift)
 
 
+def reference_advance(step, a, v):
+    """(values of M a, values of M v + M' a) with every row sum started from
+    the int 0, in either mode: the advance that the fold's must equal,
+    bit for bit in exact mode and, in approx mode, with each int zero of an
+    empty row read as the 0.0 that the rescale made of it."""
+    duals, new_a, new_v = step.duals, [], []
+    for row in step.rows:
+        x = y = 0
+        for j, s in row:
+            m, mp = duals[s]
+            x += m * a[j]
+            y += m * v[j] + mp * a[j]
+        new_a.append(x)
+        new_v.append(y)
+    return new_a, new_v
+
+
+def custom_config(system):
+    """``system`` written as a custom-matrices config: its components with
+    explicit rates, one dense matrix per reference to a pair, each entry
+    the terms of its polynomial, its vectors, offset and sign, every
+    scalar as a rational string."""
+    def poly_terms(poly):
+        return [[str(c), list(ids)] for ids, c in poly.terms.items()]
+
+    matrices = []
+    for pair in system.pairs:
+        rows = [[[] for _ in range(pair.dim)] for _ in range(pair.dim)]
+        for r, row in enumerate(pair.m):
+            for entry in row:
+                rows[r][entry.col] = poly_terms(entry.poly)
+        matrices.append(rows)
+    return {
+        "family": "custom-matrices",
+        "rate_convention": "explicit",
+        "components": [{"id": c.id, "p": str(c.p), "lambda": str(c.lam)} for c in system.components],
+        "v_left": [str(x) for x in system.v_left],
+        "v_right": [str(x) for x in system.v_right],
+        "offset": str(system.offset),
+        "sign": system.sign,
+        "matrices": matrices,
+    }
+
+
 def reference_read_value(assignment, cid):
     """(p, lam) of ``cid`` as integer ratios, each value coerced by
     ``as_exact`` in a list comprehension: the compile's read of checked

@@ -23,11 +23,12 @@ import relfreq.cli
 import relfreq.verify
 from relfreq.asymptotics import asymptotic_rate
 from relfreq.core import MultilinearPoly, single_pass
-from relfreq.oracle import StructureFunction
+from relfreq.kofn import build_kofn_g, build_lincon_f
+from relfreq.oracle import StructureFunction, kofn_g_structure, lincon_f_structure, oracle_solve
 from relfreq.scalars import parse_scalar
 from relfreq.verify import run_equivalence_trials
 
-from helpers import ROOT, corrupt_system
+from helpers import ROOT, corrupt_system, custom_config
 
 
 def write_config(tmp_path, cfg, name="system.json"):
@@ -829,3 +830,44 @@ class TestVerifyCommand:
         for sf, system, full in zip(drawn, systems, calls):
             probs = {c.id: c.p for c in system.components}
             assert full == (1 << 2 ** sum(0 < probs[cid] < 1 for cid in sf.ids)) - 1
+
+
+def verify_drawn_systems(seed, count):
+    """``count`` systems of each family, drawn as ``verify`` draws them from
+    ``Random(seed)``: (system, structure function, description)."""
+    rng = random.Random(seed)
+    makers = [
+        lambda: relfreq.verify._random_kofn(rng, 12, build_kofn_g, kofn_g_structure, "G"),
+        lambda: relfreq.verify._random_kofn(rng, 12, build_lincon_f, lincon_f_structure, "LinConF"),
+        lambda: relfreq.verify._random_ladder(rng, 12),
+    ]
+    return [make() for _ in range(count) for make in makers]
+
+
+class TestCustomMatricesAgainstTheOracle:
+    """A custom-matrices config that writes out a built system, slot
+    polynomials, vectors, offset and sign, reads back through
+    ``build_from_config`` to the same exact report, which the oracle
+    confirms: the config's parsing checked end to end."""
+
+    DRAWN = verify_drawn_systems(28, 20)
+
+    def test_draws_cover_every_family_and_both_ladder_terminals(self):
+        descriptions = [desc for _, _, desc in self.DRAWN]
+        assert {desc.split()[0] for desc in descriptions} == {"G", "LinConF", "ladder"}
+        assert all(any(f"terminal={t}" in desc for desc in descriptions) for t in ("Sn", "Tn"))
+        # the k-of-n:G systems are offset 1, sign -1; the others 0 and +1
+        assert {(system.offset, system.sign) for system, _, _ in self.DRAWN} == {(1, -1), (0, 1)}
+
+    @pytest.mark.parametrize("index", range(len(DRAWN)))
+    def test_custom_config_equals_the_built_system_and_the_oracle(self, index):
+        system, sf, desc = self.DRAWN[index]
+        custom = build_from_config(json.loads(json.dumps(custom_config(system))))
+        assert custom.family == "custom-matrices" and custom.size == system.size
+        report, built = single_pass(custom), single_pass(system)
+        fields = ("availability", "unavailability", "frequency", "failure_rate",
+                  "log10_availability", "log10_frequency")
+        assert [getattr(report, f) for f in fields] == [getattr(built, f) for f in fields], desc
+        probs = {c.id: c.p for c in system.components}
+        rates = {c.id: c.lam for c in system.components}
+        assert (report.availability, report.frequency) == oracle_solve(sf, probs, rates), desc

@@ -6,6 +6,7 @@ import math
 import random
 import re
 from fractions import Fraction as F
+from itertools import chain
 from unittest import mock
 
 import pytest
@@ -65,6 +66,7 @@ from helpers import (
     lincon_f_run_mod,
     mod_prime,
     number_bits,
+    reference_advance,
     reference_compile,
     reference_mul,
     reference_normalise,
@@ -451,6 +453,25 @@ class TestReadValue:
             single_pass(self.KOFN, assignment, mode)
         with pytest.raises(ReliabilityError, match="component 'c1'"):
             stream_step(initial_state(self.KOFN, mode), self.KOFN.pairs[1], assignment)
+
+    @pytest.mark.parametrize("mode", ["exact", "approx"])
+    @pytest.mark.parametrize("p, lam, fault", [
+        ("1/0", F(1), "not a number"), (F(1, 2), "1/0", "not a number"), (None, F(1), "not a number"),
+        (F(1, 2), None, "not a number"), ("abc", F(1), "not a number"), ("abc", math.nan, "not a number"),
+        ("nan", F(1), "not finite"), (F(1, 2), "-inf", "not finite"), (math.inf, "abc", "not finite"),
+    ], ids=["zero-denominator-p", "zero-denominator-rate", "none-p", "none-rate", "unparsable-p",
+            "unparsable-p-nan-rate", "nan-string-p", "infinite-string-rate", "infinite-p-unparsable-rate"])
+    def test_a_value_that_is_not_a_number_is_rejected_by_name(self, mode, p, lam, fault):
+        # the first value that does not read decides the message
+        assignment = {cid: (F(9, 10), F(1)) for cid in ("c0", "c1", "c2")}
+        assignment["c1"] = (p, lam)
+        message = f"component 'c1': (p, lambda) = {(p, lam)} is {fault}"
+        with pytest.raises(ReliabilityError) as info:
+            single_pass(self.KOFN, assignment, mode)
+        assert str(info.value) == message
+        with pytest.raises(ReliabilityError) as info:
+            stream_step(initial_state(self.KOFN, mode), self.KOFN.pairs[1], assignment)
+        assert str(info.value) == message
 
     def test_a_rate_at_p_one_is_accepted(self):
         # the pass is pure algebra; only Component and the oracle reject it
@@ -1224,6 +1245,110 @@ class TestLeanCompile:
         assert isinstance(outcome[0], type) == (mode == "approx" or bad is not BAD_VALUES[-1])
 
 
+# row 0 is c1 a_0 - c2 a_1 and row 1 is empty: -0.0 products come from a
+# zero a_1 or a -0.0 a_0, and the empty row is a zero row sum
+EMPTY_ROW_PAIR = MatrixPair.from_entries(2, [(0, 0, {("c1",): 1}), (0, 1, {("c2",): -1})])
+ADVANCE_PAIRS = COMPILE_PAIRS + [EMPTY_ROW_PAIR]
+
+
+@st.composite
+def advance_cases(draw):
+    """(step, a, v, mode): the step of one of :data:`ADVANCE_PAIRS`, k-of-n:G,
+    lincon-F, ladder cells and custom matrices, compiled at drawn values,
+    with state vectors of ints up to 2**300 in exact mode or of floats,
+    zeros of both signs among them, in approx mode."""
+    mode = draw(st.sampled_from(["exact", "approx"]))
+    pair = draw(st.sampled_from(ADVANCE_PAIRS))
+    p = st.sampled_from([F(0), F(1), F(1, 2)]) | st.builds(F, st.integers(0, 99), st.just(99))
+    lam = st.sampled_from([F(0), F(1, 3), F(7)])
+    step = relfreq.core._compile(pair, {cid: (draw(p), draw(lam)) for cid in pair.ids}, mode)
+    if mode == "exact":
+        number = st.integers(-2**300, 2**300) | st.sampled_from([0, 1, -1])
+    else:
+        number = st.floats(allow_nan=False) | st.sampled_from([0.0, -0.0, 2.0**-1074, -0.5])
+    vector = st.lists(number, min_size=pair.dim, max_size=pair.dim)
+    return step, draw(vector), draw(vector), mode
+
+
+def empty_row_case(mode, a, v):
+    step = relfreq.core._compile(EMPTY_ROW_PAIR, {"c1": (F(1, 2), F(3)), "c2": (F(0), F(1))}, mode)
+    return step, a, v, mode
+
+
+def checked_normalise(skips):
+    """``_normalise`` that requires lists of floats in and, by bits, the
+    per-entry ``ldexp`` reference's floats out, and appends to ``skips``
+    whether the largest magnitude already lay in [0.5, 1)."""
+    normalise = relfreq.core._normalise
+
+    def checked(xs, ys):
+        assert all(type(x) is float for x in chain(xs, ys))
+        new, ref = normalised_bits(xs, ys)
+        assert new == ref
+        skips.append(0.5 <= max(map(abs, chain(xs, ys))) < 1)
+        return normalise(xs, ys)
+
+    return checked
+
+
+class TestArithmeticOnly:
+    """A step does only the work that can change a value: an approx state
+    whose largest magnitude is already in [0.5, 1) is not rescaled, an
+    exact row sum starts from its first product, and a pass state is set
+    by one write.  Every number, and its type, is what it was."""
+
+    @given(advance_cases())
+    @example(empty_row_case("exact", [5, 2**200], [0, -3]))
+    @example(empty_row_case("approx", [-0.0, 0.0], [0.0, -0.0]))
+    @example(empty_row_case("approx", [0.75, 0.0], [-0.0, 0.5]))
+    @settings(max_examples=300, deadline=None)
+    def test_advance_equals_the_reference_advance(self, case):
+        step, a, v, mode = case
+        new = relfreq.core._advance(step, a, v, mode)
+        ref = reference_advance(step, a, v)
+        if mode == "approx":
+            # the reference's one int, the 0 of an empty row, was rescaled to 0.0
+            assert all(type(x) is float for x in chain(*new))
+            ref = [[float(x) for x in vec] for vec in ref]
+        assert [list(map(number_bits, vec)) for vec in new] == [list(map(number_bits, vec)) for vec in ref]
+
+    def test_every_rescale_of_a_fold_reads_and_gives_floats(self):
+        # a run of the empty-row pair is squared by _mul in single_pass and
+        # advanced one step at a time when streamed
+        comps = (Component("c1", F(9, 10), F(1, 10)), Component("c2", F(1, 5), F(1, 10)))
+        custom = TransferSystem((F(1), F(1)), Runs.from_runs([(EMPTY_ROW_PAIR, 5)]), (F(3, 4), F(1, 4)),
+                                components=comps)
+        kofn = build_kofn_g(KofnSpec(3, tuple(Component(f"c{i}", F(90 + i, 100), F(i, 5)) for i in range(8))))
+        ladder = seeded_ladder(28, 40)
+        skips = []
+        with mock.patch.object(relfreq.core, "_normalise", checked_normalise(skips)):
+            for system in (custom, kofn, ladder):
+                single_pass(system, mode="approx")
+                streamed(system, system.default_assignment(), "approx")
+        # custom: 2 squarings and 2 advances, then 5 streamed advances; some
+        # rescales find the largest magnitude already in [0.5, 1)
+        assert len(skips) == (2 + 2 + 5) + (8 + 8) + (41 + 41) and 0 < sum(skips) < len(skips)
+
+    def test_pass_state_is_the_frozen_dataclass_it_was(self):
+        fields = dataclasses.fields(PassState)
+        assert [f.name for f in fields] == ["a_vec", "v_vec", "index", "mode", "exponent", "scale"]
+        assert [f.default for f in fields[3:]] == ["exact", 0, 1]
+        state = PassState((1, 2), (0, 3), 4, scale=5)
+        assert state == PassState(a_vec=(1, 2), v_vec=(0, 3), index=4, mode="exact", exponent=0, scale=5)
+        assert hash(state) == hash(((1, 2), (0, 3), 4, "exact", 0, 5))
+        assert repr(state) == "PassState(a_vec=(1, 2), v_vec=(0, 3), index=4, mode='exact', exponent=0, scale=5)"
+        assert state != dataclasses.replace(state, exponent=1) == PassState((1, 2), (0, 3), 4, "exact", 1, 5)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            state.index = 5
+        with pytest.raises(DimensionMismatchError, match="dimensions differ"):
+            PassState((1,), (0, 0), 0)
+        # replace calls the constructor, so it checks again
+        with pytest.raises(ReliabilityError, match="state scale 0 is below 1"):
+            dataclasses.replace(state, scale=0)
+        with pytest.raises(DimensionMismatchError, match="dimensions differ"):
+            dataclasses.replace(state, v_vec=(0,))
+
+
 def slices():
     bound = st.none() | st.integers(-12, 12)
     return st.builds(slice, bound, bound, st.none() | st.integers(-3, 3).filter(bool))
@@ -1345,6 +1470,19 @@ class TestComponent:
     def test_a_non_finite_value_is_rejected_by_name(self, make):
         with pytest.raises(ReliabilityError, match=r"component 'x': \(p, (lambda|mu)\) = .* is not finite"):
             make()
+
+    @pytest.mark.parametrize("bad, fault", [("1/0", "not a number"), (None, "not a number"),
+                                            ("abc", "not a number"), ("nan", "not finite"),
+                                            ("-inf", "not finite")],
+                             ids=["zero-denominator", "none", "unparsable", "nan-string", "infinite-string"])
+    def test_a_value_that_is_not_a_number_is_rejected_by_name(self, bad, fault):
+        half = F(1, 2)
+        for make, names, values in ((Component, "p, lambda", (bad, half)), (Component, "p, lambda", (half, bad)),
+                                    (Component.steady_state, "p, mu", (bad, half)),
+                                    (Component.steady_state, "p, mu", (half, bad))):
+            with pytest.raises(ReliabilityError) as info:
+                make("x", *values)
+            assert str(info.value) == f"component 'x': ({names}) = {values} is {fault}"
 
     def test_fraction_inputs_are_kept_and_others_converted(self):
         p, lam = F(9, 10), F(1, 3)

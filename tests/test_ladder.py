@@ -301,9 +301,9 @@ class TestPoweredRuns:
         advance = relfreq.core._advance
         calls = []
 
-        def counted(step, a, v):
+        def counted(step, a, v, mode):
             calls.append(step)
-            return advance(step, a, v)
+            return advance(step, a, v, mode)
 
         monkeypatch.setattr(relfreq.core, "_advance", counted)
         params = LadderIdenticalParams(0.9, 1.0, 1.0, 0.0, n)

@@ -20,7 +20,6 @@ from .core import (
     Component,
     DimensionMismatchError,
     MatrixPair,
-    MultilinearPoly,
     ReliabilityError,
     TransferSystem,
     single_pass,
@@ -117,10 +116,11 @@ def _parse_component(entry: dict, convention: str, where: str, memo: dict) -> Co
     return Component(cid, p, lam)
 
 
-def _parse_poly(entry, where: str, memo: dict) -> MultilinearPoly:
-    """Entry format: list of terms, each [coeff_string] or [coeff_string,
-    [id, ...]].  Terms over the same set of ids are summed, and
-    p_i p_i = p_i."""
+def _parse_poly(entry, where: str, memo: dict) -> list:
+    """The (ids, coeff) term items of one matrix entry, a list of terms,
+    each [coeff_string] or [coeff_string, [id, ...]], as
+    :meth:`MatrixPair.from_entries` takes them: it sums terms over the same
+    set of ids and reads p_i p_i as p_i."""
     if not isinstance(entry, list):
         raise ConfigError(f"{where}: matrix entry must be a list of terms")
     terms = []
@@ -131,7 +131,7 @@ def _parse_poly(entry, where: str, memo: dict) -> MultilinearPoly:
             raise ConfigError(f"{where}: term {term!r} is not [coeff] or [coeff, [id, ...]]")
         coeff = _scalar(memo, term[0], where, "coefficient")
         terms.append(([_id(cid, where, term) for cid in term[1]] if len(term) == 2 else (), coeff))
-    return MultilinearPoly(terms)
+    return terms
 
 
 def _parse_matrix(rows, where: str, memo: dict) -> MatrixPair:

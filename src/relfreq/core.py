@@ -1,5 +1,5 @@
-"""Transfer-matrix engine: multilinear polynomials, the rate operator, and
-the single-pass availability/frequency recursion.
+"""Transfer-matrix engine: matrix pairs built from term tuples, and the
+single-pass availability/frequency recursion with the rate operator.
 
 A system is described by ``A = offset + sign * (vL . M_n ... M_1 . vR)``
 where each matrix entry is a multilinear polynomial in component
@@ -15,7 +15,9 @@ A family applies one matrix function to every component's values, so a
 row by row and one polynomial per slot over local variables 0..v-1.  A
 :class:`MatrixPair` binds a layout to the component ids of its variables,
 so a pair stores no polynomial; a binding that names one component twice
-is rewritten over its distinct ids, so that p_i p_i = p_i.  M' is not
+is rewritten over its distinct ids, so that p_i p_i = p_i.  Pairs are
+built and parsed from term tuples; :class:`MultilinearPoly` is only the
+read-only view of an entry that :attr:`MatrixPair.m` shows.  M' is not
 stored, since it follows from M and the rates.
 
 One fold runs every pass: :func:`single_pass` folds all of a system's
@@ -64,7 +66,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from fractions import Fraction
 from itertools import accumulate, chain, repeat
-from math import copysign, frexp, gcd, inf, isfinite, isinf, lcm, ldexp, log10
+from math import copysign, frexp, gcd, inf, isfinite, lcm, ldexp, log10
 from operator import index as to_index, mul
 from typing import Iterable, Iterator, List, Mapping, NamedTuple, Optional, Tuple
 
@@ -166,7 +168,7 @@ class Component:
 
 
 # ---------------------------------------------------------------------------
-# Multilinear polynomials
+# Terms, and the read-only polynomial view
 
 
 def _norm_terms(terms) -> Tuple[Tuple[Tuple, Fraction], ...]:
@@ -182,15 +184,16 @@ def _norm_terms(terms) -> Tuple[Tuple[Tuple, Fraction], ...]:
 
 
 class MultilinearPoly:
-    """Multilinear polynomial over component availabilities.
+    """Read-only view of a multilinear polynomial over component
+    availabilities, as :attr:`MatrixPair.m` shows an entry; it has no
+    arithmetic.
 
     Terms map a sorted tuple of component ids to a rational coefficient;
-    the empty tuple is the constant term.  The constructor accepts any
-    iterable of ids as a key.  No id ever appears squared: products of terms
-    sharing an id are idempotent (p_i * p_i = p_i), which is the right
-    semantics for expectations of Boolean indicators.  Because the ids are
-    sorted, :meth:`evaluate` multiplies a term's factors in one fixed order,
-    so float results do not depend on the interpreter's hash seed.
+    the empty tuple is the constant term.  The constructor normalises a
+    ``{ids: coeff}`` map or its items by :func:`_norm_terms`, so that p_i
+    p_i = p_i.  Because the ids are sorted, :meth:`evaluate` multiplies a
+    term's factors in one fixed order, so float results do not depend on
+    the interpreter's hash seed.
     """
 
     __slots__ = ("_terms",)
@@ -202,47 +205,8 @@ class MultilinearPoly:
     def terms(self) -> dict:
         return dict(self._terms)
 
-    @classmethod
-    def constant(cls, c) -> "MultilinearPoly":
-        return cls({(): as_exact(c)})
-
-    @classmethod
-    def variable(cls, component_id: str) -> "MultilinearPoly":
-        return cls({(component_id,): Fraction(1)})
-
     def is_zero(self) -> bool:
         return not self._terms
-
-    def __add__(self, other):
-        other = _as_poly(other)
-        acc = dict(self._terms)
-        for ids, c in other._terms:
-            acc[ids] = acc.get(ids, Fraction(0)) + c
-        return MultilinearPoly(acc)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return MultilinearPoly({ids: -c for ids, c in self._terms})
-
-    def __sub__(self, other):
-        return self + (-_as_poly(other))
-
-    def __rsub__(self, other):
-        return _as_poly(other) + (-self)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return MultilinearPoly({ids: c * other for ids, c in self._terms})
-        other = _as_poly(other)
-        acc = {}
-        for ids1, c1 in self._terms:
-            for ids2, c2 in other._terms:
-                key = ids1 + ids2  # the constructor sorts it into the union
-                acc[key] = acc.get(key, Fraction(0)) + c1 * c2
-        return MultilinearPoly(acc)
-
-    __rmul__ = __mul__
 
     def __eq__(self, other):
         if not isinstance(other, MultilinearPoly):
@@ -277,16 +241,6 @@ class MultilinearPoly:
         return total
 
 
-def _as_poly(x) -> MultilinearPoly:
-    if isinstance(x, MultilinearPoly):
-        return x
-    if isinstance(x, Mapping):
-        return MultilinearPoly(x)
-    if isinstance(x, (int, Fraction)):
-        return MultilinearPoly.constant(x)
-    raise TypeError(f"cannot interpret {x!r} as a multilinear polynomial")
-
-
 def apply_rate_operator(
     poly: MultilinearPoly, rates: Mapping[str, Scalar]
 ) -> MultilinearPoly:
@@ -294,7 +248,7 @@ def apply_rate_operator(
 
     A term c * prod_{i in S} p_i maps to (sum_{i in S} lambda_i) * c *
     prod_{i in S} p_i, so the image lives on the same monomials.  Constants
-    are annihilated.  The pass gets the image's value from :func:`_dual`
+    are annihilated.  The pass gets the image's value from :func:`_duals`
     without building it; this operator is the reference it is tested against.
     """
     acc = {}
@@ -334,9 +288,9 @@ class Layout:
     ``rows`` holds, row by row, ``(col, slot)`` for each nonzero position in
     strictly increasing column order; positions that hold one polynomial
     share a slot.  ``polys`` holds each slot's polynomial over the variables
-    0..v-1, as a ``{(j, ...): coeff}`` map or its items, with the semantics
-    of :class:`MultilinearPoly` terms; it is stored normalised, and
-    ``variables`` is v.  A :class:`MatrixPair` binds each variable to a
+    0..v-1, as a ``{(j, ...): coeff}`` map or its items; it is stored
+    normalised by :func:`_norm_terms`, so p_j p_j = p_j, and ``variables``
+    is v.  A :class:`MatrixPair` binds each variable to a
     component id.
 
     The constructor is the one check of a layout: it rejects the wrong
@@ -414,11 +368,6 @@ class Layout:
             ) from None
 
 
-def _bound_poly(terms, ids) -> MultilinearPoly:
-    """A layout polynomial's ``terms`` with variable j read as ``ids[j]``."""
-    return MultilinearPoly([(tuple(ids[j] for j in vs), c) for vs, c in terms])
-
-
 @dataclass(frozen=True)
 class MatrixPair:
     """A square transfer matrix M: a :class:`Layout` bound to components,
@@ -430,10 +379,10 @@ class MatrixPair:
     their ids: a k-out-of-n pair binds one id, a ladder cell's five.  The
     layout checked its positions and polynomials once; the constructor
     checks in O(v) that the binding has one id per variable.  Ids that name
-    one component twice need p_i p_i = p_i: the constructor then rewrites
-    the pair over the distinct ids through :meth:`from_entries`, so
-    ``layout`` and ``ids`` become that pair's.  ``polys`` and ``m`` are
-    read-only views derived from the layout and the ids.
+    one component twice need p_i p_i = p_i: the constructor then binds the
+    layout's terms to the ids and rebuilds the pair from those terms
+    through :meth:`from_entries`, so ``layout`` and ``ids`` become that
+    pair's.  ``m`` is a read-only view derived from the layout and the ids.
     """
 
     layout: Layout
@@ -444,9 +393,9 @@ class MatrixPair:
         if len(ids) != layout.variables:
             raise ReliabilityError(f"{len(ids)} ids for a layout of {layout.variables} variables")
         if len(set(ids)) != len(ids):
-            polys = [_bound_poly(terms, ids) for terms in layout.polys]
+            terms = [[(tuple(ids[j] for j in vs), c) for vs, c in poly] for poly in layout.polys]
             merged = MatrixPair.from_entries(layout.dim, [
-                (r, col, polys[slot]) for r, row in enumerate(layout.rows) for col, slot in row
+                (r, col, terms[slot]) for r, row in enumerate(layout.rows) for col, slot in row
             ])
             layout, ids = merged.layout, merged.ids
             object.__setattr__(self, "layout", layout)
@@ -457,15 +406,13 @@ class MatrixPair:
         return self.layout.dim
 
     @property
-    def polys(self) -> Tuple[MultilinearPoly, ...]:
-        """Each slot's polynomial over the bound ids."""
-        return tuple(_bound_poly(terms, self.ids) for terms in self.layout.polys)
-
-    @property
     def m(self) -> Tuple[Tuple[Entry, ...], ...]:
         """The nonzero entries of M, as :class:`Entry` triples grouped into
-        ``dim`` rows in column order."""
-        polys = self.polys
+        ``dim`` rows in column order, each slot's polynomial read over the
+        bound ids."""
+        ids = self.ids
+        polys = [MultilinearPoly([(tuple(ids[j] for j in vs), c) for vs, c in poly])
+                 for poly in self.layout.polys]
         return tuple(
             tuple(Entry(r, col, polys[slot]) for col, slot in row)
             for r, row in enumerate(self.layout.rows)
@@ -473,25 +420,25 @@ class MatrixPair:
 
     @classmethod
     def from_entries(cls, dim: int, entries: Iterable) -> "MatrixPair":
-        """Pair from ``(row, col, poly)`` triples in any order, a poly being
-        a :class:`MultilinearPoly`, a constant or a ``{ids: coeff}`` term
-        map.  Zero entries are dropped, equal polynomials share one slot,
-        each row is sorted by column, and the variables are the sorted ids
-        that the polynomials read; the layout's constructor then rejects a
-        bad column or a position given twice.  With no entries it is the
-        zero pair."""
+        """Pair from ``(row, col, terms)`` triples in any order, ``terms``
+        being a ``{ids: coeff}`` map or its items, normalised by
+        :func:`_norm_terms`.  Zero entries are dropped, equal normalised
+        terms share one slot, each row is sorted by column, and the
+        variables are the sorted ids that the terms read; the layout's
+        constructor then rejects a bad column or a position given twice.
+        With no entries it is the zero pair."""
         rows = [[] for _ in range(dim)]
-        slots = {}  # polynomial -> slot, in slot order
-        for r, c, poly in entries:
+        slots = {}  # normalised terms -> slot, in slot order
+        for r, c, terms in entries:
             if not 0 <= r < dim:
                 raise DimensionMismatchError(f"entry ({r}, {c}) outside a {dim}x{dim} matrix")
-            poly = _as_poly(poly)
-            if not poly.is_zero():
-                rows[r].append((c, slots.setdefault(poly, len(slots))))
-        ids = sorted({cid for poly in slots for key, _ in poly._terms for cid in key})
+            terms = _norm_terms(terms)
+            if terms:
+                rows[r].append((c, slots.setdefault(terms, len(slots))))
+        ids = sorted({cid for terms in slots for key, _ in terms for cid in key})
         var = {cid: j for j, cid in enumerate(ids)}
-        terms = [[(tuple(map(var.__getitem__, key)), c) for key, c in poly._terms] for poly in slots]
-        return cls(Layout(dim, map(sorted, rows), terms), ids)
+        polys = [[(tuple(map(var.__getitem__, key)), c) for key, c in terms] for terms in slots]
+        return cls(Layout(dim, map(sorted, rows), polys), ids)
 
 
 class Runs(Sequence):
@@ -1107,8 +1054,10 @@ def finalize(system: TransferSystem, state: PassState) -> ReliabilityReport:
     integers: A = (on D + sign X od) / (od D), U = 1 - A, nu = sign Y / D.
     In approx mode D is 1; with no offset, log10 A and nu/A = Y/X come from
     the projections, so they stay right when A is below the double range.
-    An approx A or U, or nu, beyond the double range is a
-    :class:`ReliabilityError` naming A or nu."""
+    An approx A, U or nu that is not finite is a :class:`ReliabilityError`
+    naming A or nu: an infinity is beyond the double range, and a NaN is
+    an inf - inf or 0 * inf from a value that overflowed in a compile or
+    an advance."""
     if state.index != system.size:
         raise ReliabilityError(
             f"state consumed {state.index} matrices, system has {system.size}"
@@ -1135,9 +1084,9 @@ def finalize(system: TransferSystem, state: PassState) -> ReliabilityReport:
         # not 1 - availability: for offset 1 and sign -1 (k-of-n:G) this is x
         # itself, with no cancellation
         unavailability = (1 - offset) - sign * x
-        if isinf(availability) or isinf(unavailability):
+        if not (isfinite(availability) and isfinite(unavailability)):
             raise ReliabilityError("availability A beyond the double range")
-        if isinf(y):
+        if not isfinite(y):
             raise ReliabilityError("failure frequency nu beyond the double range; exact mode accepts it")
         frequency = sign * y + 0.0  # + 0.0 makes a zero nu 0.0, not -0.0
         if offset == 0:

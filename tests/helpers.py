@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from collections.abc import Mapping
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
@@ -11,10 +12,12 @@ from pathlib import Path
 
 from relfreq.core import (
     Component,
+    DimensionMismatchError,
     Layout,
     MatrixPair,
     MissingAvailabilityError,
     MissingRateError,
+    MultilinearPoly,
     ReliabilityError,
     Step,
     apply_rate_operator,
@@ -95,6 +98,56 @@ def distinct_ladder_spec(p, rho, lam, xi, n, terminal=TERMINAL_T):
         n, lambda cid: Component(cid, p, lam), lambda cid: Component(cid, rho, xi)
     )
     return LadderSpec(cells, terminal)
+
+
+def _term_map(x):
+    """A ``{ids: coeff}`` term map, or a number read as the constant term."""
+    return x if isinstance(x, Mapping) else {(): x}
+
+
+def terms_add(*polys):
+    """The sum of term maps or numbers, as a term map keyed by sorted id
+    tuples with no zero term: the polynomial ring's sum, written out as
+    the expected side of a test."""
+    acc = {}
+    for poly in map(_term_map, polys):
+        for ids, c in poly.items():
+            key = tuple(sorted(set(ids)))
+            acc[key] = acc.get(key, 0) + c
+    return {key: c for key, c in acc.items() if c}
+
+
+def terms_mul(*polys):
+    """The product of term maps or numbers, as :func:`terms_add` gives a
+    sum: a term of the product reads the union of its factors' ids, so
+    p_i p_i = p_i."""
+    acc = {(): 1}
+    for poly in map(_term_map, polys):
+        acc = terms_add(*({tuple(ids1) + tuple(ids2): c1 * c2}
+                          for ids1, c1 in acc.items() for ids2, c2 in poly.items()))
+    return acc
+
+
+def reference_from_entries(dim, entries):
+    """A pair from ``(row, col, poly)`` triples as ``MatrixPair.from_entries``
+    built it from polynomial objects: each poly, a :class:`MultilinearPoly`,
+    a ``{ids: coeff}`` map or a constant, read as a polynomial object,
+    zeros dropped, equal polynomials sharing one slot, and the variables
+    the sorted ids the polynomials read.  The pair built from term tuples
+    must equal it, and raise the same error for the same bad entry."""
+    rows = [[] for _ in range(dim)]
+    slots = {}  # polynomial -> slot, in slot order
+    for r, c, poly in entries:
+        if not 0 <= r < dim:
+            raise DimensionMismatchError(f"entry ({r}, {c}) outside a {dim}x{dim} matrix")
+        if not isinstance(poly, MultilinearPoly):
+            poly = MultilinearPoly(_term_map(poly))
+        if not poly.is_zero():
+            rows[r].append((c, slots.setdefault(poly, len(slots))))
+    ids = sorted({cid for poly in slots for key in poly.terms for cid in key})
+    var = {cid: j for j, cid in enumerate(ids)}
+    terms = [[(tuple(map(var.__getitem__, key)), c) for key, c in poly.terms.items()] for poly in slots]
+    return MatrixPair(Layout(dim, map(sorted, rows), terms), ids)
 
 
 def dense_fraction_fold(system, assignment):

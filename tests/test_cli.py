@@ -141,25 +141,6 @@ class TestBuildFromConfig:
         (entry,), = build_from_config(cfg).pairs[0].m
         assert entry.poly == MultilinearPoly({("a",): 3, ("b",): 1})
 
-    def test_builders_do_no_polynomial_arithmetic(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("polynomial arithmetic while building")
-
-        for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__",
-                     "__mul__", "__rmul__"):
-            monkeypatch.setattr(MultilinearPoly, name, refuse)
-        custom = {
-            "family": "custom-matrices",
-            "components": [{"id": "x", "p": "3/4"}, {"id": "y", "p": "1/2"}],
-            "v_left": ["1", "0"],
-            "v_right": ["1", "1"],
-            "matrices": [[[[["1", ["x"]], ["-1", ["x", "y"]]], []],
-                          [[["1", []], ["2", ["y"]]], [["1/2", ["x"]]]]]],
-        }
-        ladder = {"family": "ladder", "p": "1/2", "rho": "9/10", "n": 3}
-        for cfg in (KOFN_CFG, dict(KOFN_CFG, family="lincon-f"), ladder, custom):
-            assert build_from_config(cfg).pairs
-
     def test_unknown_family(self):
         with pytest.raises(ConfigError):
             build_from_config({"family": "bridge"})
@@ -586,6 +567,25 @@ class TestProductBeyondTheDoubleRange:
         assert main(["solve", path, "--mode", "approx"]) == EXIT_VALIDATION
         assert capsys.readouterr() == (
             "", "error: failure frequency nu beyond the double range; exact mode accepts it\n")
+
+    @pytest.mark.parametrize("change, frequency, message", [
+        ({"components": [{"id": cid, "p": "1/2", "lambda": "1e308"} for cid in "wxyz"],
+          "matrices": [[[[["1", ["x", "y"]], ["-1/2", ["z", "w"]]]]]]},
+         "2.5e+307", "failure frequency nu beyond the double range; exact mode accepts it"),
+        ({"components": [{"id": cid, "p": "9/10", "lambda": "1"} for cid in "xy"],
+          "v_left": ["1", "1"], "v_right": ["1", "0"],
+          "matrices": [[[[["1e308", ["x"]], ["1e308", ["y"]]], []],
+                        [[["-1e308", ["x"]], ["-1e308", ["y"]]], []]]]},
+         "0.0", "availability A beyond the double range"),
+    ], ids=["frequency", "availability"])
+    def test_inf_minus_inf_exits_3(self, tmp_path, capsys, change, frequency, message):
+        # values that overflow twice to an inf - inf in approx mode, whose
+        # exact nu = 2.5e307 and A = 0 fit
+        path = write_config(tmp_path, {**CUSTOM_1X1, **change})
+        assert main(["solve", path]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["frequency"]["decimal"] == frequency
+        assert main(["solve", path, "--mode", "approx"]) == EXIT_VALIDATION
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 @pytest.mark.parametrize(

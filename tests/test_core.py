@@ -1,4 +1,4 @@
-"""Core engine: polynomial arithmetic, the rate operator, and the pass."""
+"""Core engine: term tuples, the rate operator, and the pass."""
 
 import dataclasses
 import json
@@ -68,15 +68,16 @@ from helpers import (
     number_bits,
     reference_advance,
     reference_compile,
+    reference_from_entries,
     reference_mul,
     reference_normalise,
     run_python,
     step_bits,
+    terms_add,
+    terms_mul,
 )
 
-P1 = MultilinearPoly.variable("p1")
-P2 = MultilinearPoly.variable("p2")
-P3 = MultilinearPoly.variable("p3")
+P1, P2, P3 = ({(f"p{i}",): 1} for i in (1, 2, 3))  # term maps of single variables
 X0 = {(0,): 1}  # p_0, the polynomial of a layout's variable 0
 
 
@@ -89,77 +90,90 @@ def rationals(max_num=30, max_den=9):
 def small_polys():
     ids = st.frozensets(st.sampled_from(["p1", "p2", "p3", "p4"]), max_size=3)
     term = st.tuples(ids, rationals())
-    return st.builds(
-        lambda terms: MultilinearPoly(dict(terms)), st.lists(term, max_size=5)
-    )
+    return st.builds(dict, st.lists(term, max_size=5))
+
+
+def rate_image(poly, rates):
+    """The rate operator's image of a term map, as a term map."""
+    return apply_rate_operator(MultilinearPoly(poly), rates).terms
+
+
+@st.composite
+def term_entries(draw):
+    """(dim, entries): term maps at distinct positions of a dim x dim
+    matrix, over keys that may repeat an id or be the constant key, with
+    zero coefficients, so that zero maps, one map at two positions and
+    constant-only maps are all drawn."""
+    dim = draw(st.integers(1, 3))
+    key = st.lists(st.sampled_from(["a", "b", "c"]), max_size=3).map(tuple)
+    polys = draw(st.lists(st.dictionaries(key, rationals(3, 3), max_size=3), min_size=1, max_size=3))
+    position = st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1))
+    positions = draw(st.lists(position, unique=True, max_size=dim * dim))
+    return dim, [(r, c, draw(st.sampled_from(polys))) for r, c in positions]
 
 
 class TestRateOperator:
     def test_worked_matrix_element(self):
         # p1 + p2 p3 - p1 p2 p3
-        poly = P1 + P2 * P3 - P1 * P2 * P3
+        poly = MultilinearPoly({("p1",): 1, ("p2", "p3"): 1, ("p1", "p2", "p3"): -1})
         rates = {"p1": F(2), "p2": F(3), "p3": F(5)}
         image = apply_rate_operator(poly, rates)
-        expected = (
-            2 * P1 + (3 + 5) * (P2 * P3) - (2 + 3 + 5) * (P1 * P2 * P3)
-        )
-        assert image == expected
+        expected = {("p1",): 2, ("p2", "p3"): 3 + 5, ("p1", "p2", "p3"): -(2 + 3 + 5)}
+        assert image == MultilinearPoly(expected)
 
     def test_constant_annihilated(self):
-        assert apply_rate_operator(MultilinearPoly.constant(1), {}).is_zero()
+        assert apply_rate_operator(MultilinearPoly({(): 1}), {}).is_zero()
 
     def test_perfect_component_zero_rate(self):
-        assert apply_rate_operator(P1, {"p1": F(0)}).is_zero()
+        assert apply_rate_operator(MultilinearPoly(P1), {"p1": F(0)}).is_zero()
 
     def test_missing_rate_names_component(self):
         with pytest.raises(MissingRateError, match="p2"):
-            apply_rate_operator(P1 * P2, {"p1": F(1)})
+            apply_rate_operator(MultilinearPoly({("p1", "p2"): 1}), {"p1": F(1)})
 
     @given(small_polys(), small_polys(), rationals(), rationals())
     def test_linearity(self, f, g, a, b):
         rates = {f"p{i}": F(i, 2) for i in range(1, 5)}
-        lhs = apply_rate_operator(a * f + b * g, rates)
-        rhs = a * apply_rate_operator(f, rates) + b * apply_rate_operator(g, rates)
+        lhs = rate_image(terms_add(terms_mul(a, f), terms_mul(b, g)), rates)
+        rhs = terms_add(terms_mul(a, rate_image(f, rates)), terms_mul(b, rate_image(g, rates)))
         assert lhs == rhs
 
     @given(small_polys(), small_polys())
     def test_product_rule(self, f, g):
         # the rule concerns adjacent matrices in a chain, which never share
         # components; disjointness is established by renaming g's variables
-        g = MultilinearPoly(
-            {frozenset(i + "'" for i in ids): c for ids, c in g.terms.items()}
-        )
+        g = {frozenset(i + "'" for i in ids): c for ids, c in g.items()}
         rates = {f"p{i}": F(i, 3) for i in range(1, 5)}
         rates.update({f"p{i}'": F(i, 7) for i in range(1, 5)})
-        lhs = apply_rate_operator(f * g, rates)
-        rhs = apply_rate_operator(f, rates) * g + f * apply_rate_operator(g, rates)
+        lhs = rate_image(terms_mul(f, g), rates)
+        rhs = terms_add(terms_mul(rate_image(f, rates), g), terms_mul(f, rate_image(g, rates)))
         assert lhs == rhs
 
     def test_matrix_level_product_rule(self):
-        P4, P5, P6 = (MultilinearPoly.variable(f"p{i}") for i in (4, 5, 6))
+        P4, P5 = {("p4",): 1}, {("p5",): 1}
         rates = {f"p{i}": F(i, 2) for i in range(1, 7)}
-        m = ((0, 0, P1), (0, 1, P2), (1, 0, P3), (1, 1, MultilinearPoly.constant(1) - P1))
-        n = ((0, 0, P5 * P6), (0, 1, MultilinearPoly.constant(1)), (1, 0, P4), (1, 1, P5))
+        m = ((0, 0, P1), (0, 1, P2), (1, 0, P3), (1, 1, {(): 1, ("p1",): -1}))
+        n = ((0, 0, {("p5", "p6"): 1}), (0, 1, {(): 1}), (1, 0, P4), (1, 1, P5))
 
         def rows(entries):
             return MatrixPair.from_entries(2, entries).m
 
         def prime(x):
-            return rows((r, c, apply_rate_operator(e, rates)) for row in x for r, c, e in row)
+            return rows((r, c, rate_image(e.terms, rates)) for row in x for r, c, e in row)
 
         def matmul(x, y):
             acc = {}
             for r, i, e in (e for row in x for e in row):
                 for j, c, f in (f for row in y for f in row):
                     if i == j:
-                        acc[r, c] = acc.get((r, c), MultilinearPoly()) + e * f
+                        acc[r, c] = terms_add(acc.get((r, c), {}), terms_mul(e.terms, f.terms))
             return rows((r, c, e) for (r, c), e in acc.items())
 
         def as_dict(*matrices):
             acc = {}
             for r, c, e in (e for x in matrices for row in x for e in row):
-                acc[r, c] = acc.get((r, c), MultilinearPoly()) + e
-            return {pos: e for pos, e in acc.items() if not e.is_zero()}
+                acc[r, c] = terms_add(acc.get((r, c), {}), e.terms)
+            return {pos: e for pos, e in acc.items() if e}
 
         m, n = rows(m), rows(n)
         mp, np_ = prime(m), prime(n)
@@ -170,7 +184,8 @@ class TestRateOperator:
 
 class TestPolynomials:
     def test_boolean_lattice_values(self):
-        poly = P1 + P2 * P3 - P1 * P2 * P3  # 1-of-{1} OR (2 AND 3)
+        # 1-of-{1} OR (2 AND 3)
+        poly = MultilinearPoly({("p1",): 1, ("p2", "p3"): 1, ("p1", "p2", "p3"): -1})
         for b1 in (0, 1):
             for b2 in (0, 1):
                 for b3 in (0, 1):
@@ -178,7 +193,10 @@ class TestPolynomials:
                     assert val == (b1 or (b2 and b3))
 
     def test_idempotent_multiplication(self):
-        assert P1 * P1 == P1
+        # p1 p1 = p1, in a term's key and through a pair that binds p1 twice
+        assert MultilinearPoly({("p1", "p1"): 1}) == MultilinearPoly(P1)
+        layout = Layout(1, (((0, 0),),), ({(0, 1): 1},))
+        assert MatrixPair(layout, ("p1", "p1")).m[0][0].poly == MultilinearPoly(P1)
 
     @pytest.mark.parametrize(
         "items, terms",
@@ -199,10 +217,12 @@ class TestPolynomials:
         assert layout(items) == layout(terms.items())
 
     def test_no_zero_terms_stored(self):
-        assert not (P1 - P1).terms
+        assert not MultilinearPoly([(("p1",), 1), (("p1",), -1)]).terms
+        assert MultilinearPoly({("p1",): 1, ("p1", "p1"): -1, (): 0}).is_zero()
 
     @given(small_polys())
     def test_exact_vs_float_evaluation(self, poly):
+        poly = MultilinearPoly(poly)
         assign = {f"p{i}": F(i, 5) for i in range(1, 5)}
         exact = poly.evaluate(assign, "exact")
         approx = poly.evaluate({k: float(v) for k, v in assign.items()}, "approx")
@@ -211,16 +231,33 @@ class TestPolynomials:
 
 class TestMatrixPair:
     def test_from_entries_drops_zeros_and_sorts_rows(self):
-        pair = MatrixPair.from_entries(2, [(1, 1, P2), (0, 1, MultilinearPoly()), (1, 0, P1)])
-        assert pair.m == ((), (Entry(1, 0, P1), Entry(1, 1, P2)))
+        pair = MatrixPair.from_entries(2, [(1, 1, P2), (0, 1, {}), (1, 0, P1)])
+        assert pair.m == ((), (Entry(1, 0, MultilinearPoly(P1)), Entry(1, 1, MultilinearPoly(P2))))
 
     @pytest.mark.parametrize(
-        "entries", [[(0, 2, P1)], [(-1, 0, P1)], [(0, 0, P1), (0, 0, P2)]],
-        ids=["column", "row", "twice"],
+        "entries", [[(0, 2, P1)], [(-1, 0, P1)], [(0, 0, P1), (0, 0, P2)], [(2, 0, P1)]],
+        ids=["column", "row", "twice", "row-past-the-end"],
     )
     def test_from_entries_rejects_bad_positions(self, entries):
-        with pytest.raises(ReliabilityError):
-            MatrixPair.from_entries(2, entries)
+        # with the exception type of the pair built from polynomial objects
+        errors = []
+        for build in (MatrixPair.from_entries, reference_from_entries):
+            with pytest.raises(ReliabilityError) as info:
+                build(2, entries)
+            errors.append(type(info.value))
+        assert errors[0] is errors[1]
+
+    @given(term_entries())
+    @example((2, [(0, 0, {}), (0, 1, {("a", "a"): 1, ("b",): 2}), (1, 0, {(): F(1, 3)}),
+                  (1, 1, {("b",): 2, ("a",): 1})]))
+    @example((2, [(0, 0, {("a", "b"): 1, ("b", "a"): -1}), (0, 1, P1), (1, 1, P1), (1, 0, {(): 0})]))
+    @settings(max_examples=200, deadline=None)
+    def test_from_entries_equals_the_reference(self, case):
+        # the pair built from term tuples is the one built from polynomial objects
+        dim, entries = case
+        pair, reference = MatrixPair.from_entries(dim, entries), reference_from_entries(dim, entries)
+        assert (pair.layout.rows, pair.layout.polys, pair.ids) == (
+            reference.layout.rows, reference.layout.polys, reference.ids)
 
     @pytest.mark.parametrize(
         "dim, rows, polys",
@@ -251,12 +288,11 @@ class TestMatrixPair:
             TransferSystem((1, 0), (MatrixPair(layout, ids),), (1, 0))
 
     @pytest.mark.parametrize(
-        "second", [P1, MultilinearPoly({("p1",): 1}), {("p1",): 1}],
-        ids=["same-object", "equal-object", "term-map"],
+        "second", [P1, {("p1",): 1}, [(("p1",), 1)], {("p1", "p1"): F(1, 2), ("p1",): F(1, 2)}],
+        ids=["same-object", "term-map", "items", "repeated-id"],
     )
     def test_from_entries_gives_each_polynomial_value_one_slot(self, second):
         pair = MatrixPair.from_entries(2, [(0, 0, P1), (1, 1, second), (0, 1, P2)])
-        assert pair.polys == (P1, P2)
         assert pair.ids == ("p1", "p2")
         assert pair.layout == Layout(2, (((0, 0), (1, 1)), ((1, 0),)), ({(0,): 1}, {(1,): 1}))
 
@@ -265,7 +301,7 @@ class TestMatrixPair:
         # the constructor rewrites it over the distinct ids in sorted order
         layout = Layout(1, (((0, 0),),), ({(0, 1): 1, (): 1},))
         pair = MatrixPair(layout, ("x", "x"))
-        assert pair.ids == ("x",) and pair.polys == (MultilinearPoly({("x",): 1, (): 1}),)
+        assert pair.ids == ("x",) and pair.m == ((Entry(0, 0, MultilinearPoly({("x",): 1, (): 1})),),)
         assert pair.layout == Layout(1, (((0, 0),),), ({(0,): 1, (): 1},))
         assert MatrixPair(layout, ("y", "x")).ids == ("y", "x")
         with pytest.raises(ReliabilityError):
@@ -280,7 +316,7 @@ class TestMatrixPair:
 
 def one_component_system(p=F(3, 4), lam=F(2)):
     comp = Component("x", p, lam)
-    pair = MatrixPair.from_entries(1, [(0, 0, MultilinearPoly.variable("x"))])
+    pair = MatrixPair.from_entries(1, [(0, 0, {("x",): 1})])
     return TransferSystem(
         v_left=(F(1),), pairs=(pair,), v_right=(F(1),), components=(comp,)
     )
@@ -292,7 +328,7 @@ def random_three_component_system(rng_seed=7):
     # series system of three components, written as 1x1 matrices
     comps = tuple(Component(f"x{i}", F(i, i + 1), F(1, i)) for i in (1, 2, 3))
     pairs = tuple(
-        MatrixPair.from_entries(1, [(0, 0, MultilinearPoly.variable(c.id))])
+        MatrixPair.from_entries(1, [(0, 0, {(c.id,): 1})])
         for c in comps
     )
     return TransferSystem(
@@ -548,6 +584,29 @@ class TestRateBeyondTheDoubleRange:
         assert report.as_dict()["availability"]["decimal"] == "-inf"
 
 
+NAN_CASES = {
+    # x y - z w / 2 at p = 1/2: each term's rate image 2e308 p p overflows,
+    # and their difference, nu = 2.5e307, reads inf - inf
+    "frequency": (TransferSystem((1,), [MatrixPair.from_entries(
+        1, [(0, 0, {("x", "y"): 1, ("z", "w"): F(-1, 2)})])], (1,)),
+        {cid: (F(1, 2), 10**308) for cid in "wxyz"}, "failure frequency nu", F(1, 8), F(5, 2) * 10**307),
+    # column 0 of M is +-1e308 (x + y), which overflows at p = 9/10, and vL
+    # sums the two: A = 0 reads inf - inf
+    "availability": (TransferSystem((1, 1), [MatrixPair.from_entries(2, [
+        (0, 0, {("x",): 10**308, ("y",): 10**308}), (1, 0, {("x",): -(10**308), ("y",): -(10**308)})])],
+        (1, 0)), {cid: (F(9, 10), 1) for cid in "xy"}, "availability A", 0, 0),
+}
+
+
+@pytest.mark.parametrize("system, assignment, name, availability, frequency",
+                         NAN_CASES.values(), ids=NAN_CASES.keys())
+def test_approx_pass_never_reports_a_nan(system, assignment, name, availability, frequency):
+    with pytest.raises(ReliabilityError, match=f"^{name} beyond the double range"):
+        single_pass(system, assignment, "approx")
+    report = single_pass(system, assignment)
+    assert (report.availability, report.frequency) == (availability, frequency)
+
+
 def test_log10_of_holds_beyond_the_double_range():
     assert log10_of(F(1, 10**400)) == -400
     assert log10_of(F(3, 4 * 2**5000)) == pytest.approx(math.log10(0.75) - 5000 * math.log10(2))
@@ -559,7 +618,7 @@ def test_log10_of_holds_beyond_the_double_range():
 def test_approx_zero_frequency_is_positive_zero():
     # with sign -1 and no offset, a zero nu and nu/A are sign times a zero
     # projection, and a negated float zero is -0.0
-    pair = MatrixPair.from_entries(1, [(0, 0, F(-1, 2))])
+    pair = MatrixPair.from_entries(1, [(0, 0, {(): F(-1, 2)})])
     report = single_pass(TransferSystem((F(1),), [pair], (F(1),), sign=-1), {}, "approx")
     assert report.availability == 0.5
     assert math.copysign(1, report.frequency) == math.copysign(1, report.failure_rate) == 1
@@ -658,7 +717,7 @@ def fold_cases(draw):
     dim = draw(st.integers(1, 3))
     rates = st.sampled_from([F(0), F(1, 3), F(2), F(5, 7), F(4, 11)])
     poly = st.builds(
-        lambda terms: MultilinearPoly(dict(terms)),
+        dict,
         st.lists(
             st.tuples(st.frozensets(st.sampled_from(FOLD_IDS), max_size=3), mixed_rationals()),
             max_size=2,
@@ -687,10 +746,10 @@ def fold_cases(draw):
 
 def _vanishing_entry_case():
     """1 - x1 at x1 = (1, 2) is 0, with rate-operator image -2 at (0, 0)."""
-    x1 = MultilinearPoly.variable("x1")
+    x1 = {("x1",): 1}
     pairs = [
-        MatrixPair.from_entries(2, [(0, 0, 1 - x1), (0, 1, x1), (1, 1, x1)]),
-        MatrixPair.from_entries(2, [(0, 0, MultilinearPoly.variable("x2")), (1, 0, x1)]),
+        MatrixPair.from_entries(2, [(0, 0, {(): 1, ("x1",): -1}), (0, 1, x1), (1, 1, x1)]),
+        MatrixPair.from_entries(2, [(0, 0, {("x2",): 1}), (1, 0, x1)]),
     ]
     system = TransferSystem(v_left=(F(1), F(1)), pairs=pairs, v_right=(F(1), F(2)))
     return system, {"x1": (F(1), F(2)), "x2": (F(1, 3), F(5, 7)), "x3": (F(0), F(0))}
@@ -790,7 +849,7 @@ def dense_chains(draw):
     coeff = st.builds(F, st.integers(1, Q_C - 1) | st.integers(1 - Q_C, -1), st.just(Q_C))
     monomial = st.tuples(st.frozensets(st.sampled_from(BIG_IDS), min_size=1, max_size=2), coeff)
     constant = st.lists(st.tuples(st.just(()), coeff), max_size=1)
-    poly = st.builds(lambda term, const: MultilinearPoly([term, *const]), monomial, constant)
+    poly = st.builds(lambda term, const: [term, *const], monomial, constant)
 
     def pair(positions):
         return MatrixPair.from_entries(dim, [(r, c, draw(poly)) for r, c in positions])
@@ -1109,7 +1168,7 @@ class TestBoundLayouts:
         # binding is sorted; exact mode takes any binding
         compile_ = relfreq.core._compile
         for mode, bound in (("exact", pair), ("approx", sorted_pair)):
-            twin = MatrixPair.from_entries(layout.dim, [e for row in bound.m for e in row])
+            twin = MatrixPair.from_entries(layout.dim, [(r, c, e.terms) for row in bound.m for r, c, e in row])
             assert dense_step(compile_(bound, assignment, mode)) == dense_step(
                 compile_(twin, assignment, mode))
         vector = tuple(F(i + 1, 3) for i in range(layout.dim))
@@ -1124,9 +1183,8 @@ class TestBoundLayouts:
     def test_compiled_step_shares_its_layouts_rows(self, mode):
         # a compile builds no object per position: its rows are the layout's
         comps = tuple(Component(f"c{i}", F(i, 7), F(i, 3)) for i in range(1, 7))
-        x1 = MultilinearPoly.variable("c1")
-        x2 = MultilinearPoly.variable("c2")
-        custom = MatrixPair.from_entries(2, [(0, 0, 1 - x1), (0, 1, x1), (1, 1, x1 * x2)])
+        custom = MatrixPair.from_entries(2, [(0, 0, {(): 1, ("c1",): -1}), (0, 1, {("c1",): 1}),
+                                             (1, 1, {("c1", "c2"): 1})])
         ladder = build_ladder(distinct_ladder_spec(F(2, 3), F(4, 5), F(3), F(1, 2), 3))
         assignment = {c.id: (c.p, c.lam) for c in comps} | ladder.default_assignment()
         for pair in (build_kofn_g(KofnSpec(3, comps)).pairs[2], ladder.pairs[1], custom):
@@ -1145,8 +1203,29 @@ class TestBoundLayouts:
         comps = tuple(Component(f"c{i}", F(i, 61), F(i, 7)) for i in range(1, 61))
         kofn = build_kofn_g(KofnSpec(20, comps))
         lincon = build_lincon_f(KofnSpec(20, comps))
+        # every config family, and a pair binding one id twice: parsing and
+        # rewriting both work on term tuples
+        three = [{"id": f"c{i}", "p": f"{i}/5", "lambda": str(i)} for i in (1, 2, 3)]
+        configs = [
+            {"family": "kofn-g", "k": 2, "components": three},
+            {"family": "lincon-f", "k": 2, "components": three},
+            {"family": "ladder", "p": "1/2", "rho": "9/10", "n": 3},
+            {"family": "custom-matrices",
+             "components": [{"id": "x", "p": "3/4"}, {"id": "y", "p": "1/2"}],
+             "v_left": ["1", "0"], "v_right": ["1", "1"],
+             # x x = x, and terms over {x, y} and over {y} are each given twice
+             "matrices": [[[[["1", ["x", "x"]], ["-1", ["x", "y"]], ["1/2", ["y", "x"]]], []],
+                           [[["1", []], ["2", ["y"]], ["1", ["y", "y"]]], [["1/2", ["x"]]]]]]},
+        ]
+        systems = [build_from_config(cfg) for cfg in configs]
+        rebound = MatrixPair(ladder.pairs[1].layout, ("a1", "b1", "a1", "S1", "T1"))
         assert made == []
         assert (len(ladder.pairs), len(kofn.pairs), len(lincon.pairs)) == (51, 60, 60)
+        assert [len(system.pairs) for system in systems] == [3, 3, 4, 1]
+        assert systems[3].pairs[0] == MatrixPair(Layout(
+            2, (((0, 0),), ((0, 1), (1, 2))),
+            ({(0,): 1, (0, 1): F(-1, 2)}, {(): 1, (1,): 3}, {(0,): F(1, 2)})), ("x", "y"))
+        assert rebound.ids == ("S1", "T1", "a1", "b1")
 
 
 def compile_pairs():
@@ -1160,9 +1239,9 @@ def compile_pairs():
     pairs = [pair for system in systems for pair, _ in system.pairs.runs]
     cell = systems[2].pairs[1]
     pairs.append(MatrixPair(cell.layout, ("a1", "b1", "a1", "S1", "T1")))
-    x, y = MultilinearPoly.variable("c1"), MultilinearPoly.variable("c2")
-    pairs += [MatrixPair.from_entries(2, [(0, 0, 1 - x), (0, 1, x * y * F(3, 4)), (1, 1, F(5, 2) - y)]),
-              MatrixPair.from_entries(1, [(0, 0, F(2, 3))])]
+    pairs += [MatrixPair.from_entries(2, [(0, 0, {(): 1, ("c1",): -1}), (0, 1, {("c1", "c2"): F(3, 4)}),
+                                          (1, 1, {(): F(5, 2), ("c2",): -1})]),
+              MatrixPair.from_entries(1, [(0, 0, {(): F(2, 3)})])]
     return pairs
 
 

@@ -69,7 +69,7 @@ class TestKofnG:
         ):
             layout = system.pairs[0].layout
             assert all(pair.layout is layout for pair in system.pairs)
-            assert [len(pair.polys) for pair in system.pairs] == [min(k, 2)] * (k + 2)
+            assert [len(pair.layout.polys) for pair in system.pairs] == [min(k, 2)] * (k + 2)
 
     def test_one_layout_per_family_and_k(self):
         # systems of one family and k share the layout object; pairs stay

@@ -25,7 +25,7 @@ from relfreq.ladder import (
 )
 from relfreq.oracle import oracle_availability, oracle_frequency
 
-from helpers import distinct_ladder_spec
+from helpers import distinct_ladder_spec, terms_add, terms_mul
 
 
 def small_probs():
@@ -67,16 +67,16 @@ class TestCellMatrix:
         ids=["distinct", "entry"],
     )
     def test_entries_equal_their_product_form(self, cell):
-        a, b, c, S, T = (MultilinearPoly.variable(x.id) for x in cell.components())
-        one = MultilinearPoly.constant(1)
+        a, b, c, S, T = ({(x.id,): 1} for x in cell.components())
         expected = [
-            [a * S, b * c * S * T, a * b * c * S * T],
-            [a * b * S * T, c * T, a * b * c * S * T],
-            [-(a * b * S * T), -(b * c * S * T), a * (one - 2 * b) * c * S * T],
+            [terms_mul(a, S), terms_mul(b, c, S, T), terms_mul(a, b, c, S, T)],
+            [terms_mul(a, b, S, T), terms_mul(c, T), terms_mul(a, b, c, S, T)],
+            [terms_mul(-1, a, b, S, T), terms_mul(-1, b, c, S, T),
+             terms_mul(a, terms_add(1, terms_mul(-2, b)), c, S, T)],
         ]
         entries = {(r, col): e for row in cell_matrix_pair(cell).m for r, col, e in row}
         assert entries == {
-            (r, col): e for r, row in enumerate(expected) for col, e in enumerate(row)
+            (r, col): MultilinearPoly(e) for r, row in enumerate(expected) for col, e in enumerate(row)
         }
 
     @pytest.mark.parametrize("terminal", [TERMINAL_S, TERMINAL_T])
@@ -92,7 +92,7 @@ class TestCellMatrix:
         pairs = list(system.pairs)
         assert len({id(pair) for pair in pairs}) == 4
         assert all(pair.layout is pairs[0].layout for pair in pairs)
-        assert [len(pair.polys) for pair in pairs] == [8] * 4
+        assert [len(pair.layout.polys) for pair in pairs] == [8] * 4
 
     @pytest.mark.parametrize(
         "terminal, availability, frequency",

@@ -24,7 +24,11 @@ streamed approx fold of a seeded 1000-cell heterogeneous ladder, each
 call given its cell's own ``{id: (p, lam)}`` map, as the benchmark's
 stream workload builds them: the compile and the advance of one cell.
 It sums the least time of each batch of ``BATCH`` calls over
-``REPEATS`` folds.  ``--tiny`` shrinks every system, for a smoke test:
+``REPEATS`` folds.  ``first_compile`` is, for the ladder cell's layout
+and the k-of-n:G layout in each mode, the best time of a pair's first
+compile from an empty kernel cache: what generating the layout's kernel
+adds, once per process, to its first compile.  ``--tiny`` shrinks every
+system, for a smoke test:
 
     PYTHONPATH=src python3 scripts/layer_times.py
 """
@@ -40,6 +44,7 @@ from output_digest import heterogeneous_ladder, kofn_50_of_200
 
 from relfreq import core
 from relfreq.cli import build_from_config
+from relfreq.core import Layout, MatrixPair
 
 REPEATS = 40
 BATCH = 50  # stream_step calls timed together
@@ -121,6 +126,22 @@ def stream_step_time(cells):
     return sum(best) / len(steps)
 
 
+def first_compile_time(system, mode):
+    """Best seconds of the first compile of the system's last pair, each
+    time bound to a new layout equal to its own with the kernel cache
+    emptied, so that the compile generates the kernel."""
+    pair = system.pairs.runs[-1][0]
+    layout, assignment = pair.layout, system.default_assignment()
+    best = float("inf")
+    for _ in range(REPEATS):
+        core._kernel.cache_clear()
+        fresh = MatrixPair(Layout(layout.dim, layout.rows, layout.polys), pair.ids)
+        start = time.perf_counter()
+        core._compile(fresh, assignment, mode)
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--tiny", action="store_true", help="tiny systems, for a smoke test")
@@ -131,6 +152,10 @@ def main(argv=None):
     identical, _ = list(timed.values())[-1]
     result["approx_squaring"] = squaring_time(identical)
     result["approx_stream_step"] = stream_step_time(8 if args.tiny else 1000)
+    configs = [cfg for cfg, _ in timed.values()]
+    ladder, kofn_g = build_from_config(configs[0]), build_from_config(configs[2])
+    result["first_compile"] = {name: {mode: first_compile_time(system, mode) for mode in ("exact", "approx")}
+                               for name, system in (("ladder-cell", ladder), ("kofn-G", kofn_g))}
     print(json.dumps(result, indent=2))
     return 0
 

@@ -25,10 +25,12 @@ pairs, :func:`stream_step` folds one.  With eps^2 = 0, a step of the
 recursion is the dual product (A + eps V) <- (M + eps M')(A + eps V), and
 a term c prod p_i of an entry of M evaluated at p_i (1 + eps lambda_i) is
 its value plus eps times its rate-operator image.  Within a call the fold
-compiles each distinct pair once into a numeric :class:`Step`: one walk
-over the terms of each slot's polynomial, by variable index, gives the
-slot's dual value (x, y), and the step keeps the layout's own ``(col,
-slot)`` rows, so a k-of-n matrix's 2k - 1 positions read two duals.
+compiles each distinct pair once into a numeric :class:`Step` by its
+layout's kernel: a function generated from the layout's polynomials the
+first time a layout of them is compiled in a mode, whose straight-line
+code reads each bound id and builds each slot's dual value (x, y), by
+variable index.  The step keeps the layout's own ``(col, slot)`` rows, so
+a k-of-n matrix's 2k - 1 positions read two duals.
 A run of r references to one pair is the dual power (M + eps M')^r, taken
 by squaring: O(log r) steps.  An exact state grows with the chain, so once
 it is large the fold applies a block of dense single steps as their
@@ -66,11 +68,11 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from fractions import Fraction
 from itertools import accumulate, chain, repeat
-from math import copysign, frexp, gcd, inf, isfinite, lcm, ldexp, log10
+from math import copysign, frexp, gcd, inf, isfinite, isnan, lcm, ldexp, log10
 from operator import index as to_index, mul
 from typing import Iterable, Iterator, List, Mapping, NamedTuple, Optional, Tuple
 
-from .scalars import EXACT, Scalar, as_exact, check_mode, rational_str
+from .scalars import APPROX, EXACT, Scalar, as_exact, check_mode, rational_str
 
 
 class ReliabilityError(ValueError):
@@ -248,7 +250,7 @@ def apply_rate_operator(
 
     A term c * prod_{i in S} p_i maps to (sum_{i in S} lambda_i) * c *
     prod_{i in S} p_i, so the image lives on the same monomials.  Constants
-    are annihilated.  The pass gets the image's value from :func:`_duals`
+    are annihilated.  The pass gets the image's value from a layout's kernel
     without building it; this operator is the reference it is tested against.
     """
     acc = {}
@@ -296,24 +298,23 @@ class Layout:
     The constructor is the one check of a layout: it rejects the wrong
     number of rows, a column out of range, out of order or repeated, a slot
     out of range or unused, a zero polynomial and a variable that no term
-    reads.  It also derives, once for every pair, what an exact compile
-    reads: ``degree``, the most variables in a term, and each slot's terms
-    as (coefficient, variable indices), with the coefficients as integers
-    over their lcm ``coeff_scale`` and the indices of a term of s
-    variables followed by v, the pad variable, degree - s times; and
-    ``dense``, whether every row holds all ``dim`` columns, which the exact
-    fold reads when it chooses to apply steps in blocks.  The float
-    coefficients an approx compile reads are made at its first read of
-    ``float_terms``.
+    reads.  It also derives ``dense``, whether every row holds all ``dim``
+    columns, which the exact fold reads when it chooses to apply steps in
+    blocks.
+
+    A compile calls the layout's kernel for its mode, a function
+    generated from ``polys`` (see :func:`_kernel_source`) at the layout's
+    first compile in that mode and kept on the layout, as
+    ``float_terms`` is.  Kernels are cached by ``polys`` and mode, not by
+    layout or rows, so layouts with equal polynomials, such as every
+    k-of-n:G layout of k >= 2, share one; the caller passes the rows.
+    Nothing is generated at import or for a mode that is never compiled.
     """
 
     dim: int
     rows: Tuple[Tuple[Tuple[int, int], ...], ...]
     polys: Tuple[Tuple[Tuple[Tuple[int, ...], Fraction], ...], ...]
     variables: int = field(init=False, compare=False)
-    degree: int = field(init=False, repr=False, compare=False)
-    coeff_scale: int = field(init=False, repr=False, compare=False)
-    int_terms: tuple = field(init=False, repr=False, compare=False)
     dense: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -341,15 +342,23 @@ class Layout:
         if read != set(range(len(read))):
             unread = min(set(range(len(read))) - read)
             raise ReliabilityError(f"variable {unread} of a {len(read)}-variable layout is read by no term")
-        scale = lcm(*[c.denominator for poly in polys for _, c in poly])
-        variables, degree = len(read), max((len(vs) for poly in polys for vs, _ in poly), default=0)
-        object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "coeff_scale", scale)
-        object.__setattr__(self, "int_terms", tuple(
-            tuple((c.numerator * (scale // c.denominator), vs + (variables,) * (degree - len(vs)))
-                  for vs, c in poly) for poly in polys))
+        object.__setattr__(self, "variables", len(read))
         object.__setattr__(self, "dense", min(map(len, rows)) == self.dim)
+
+    @cached_property
+    def exact_kernel(self):
+        """The exact kernel of ``polys`` (see :func:`_compile`), found at
+        this layout's first exact compile and kept here, so no later
+        compile hashes ``polys``."""
+        return _kernel(self.polys, EXACT)
+
+    @cached_property
+    def approx_kernel(self):
+        """The approx kernel of ``polys``, found as :attr:`exact_kernel` is,
+        once :attr:`float_terms` has checked that every coefficient is
+        within the double range."""
+        self.float_terms
+        return _kernel(self.polys, APPROX)
 
     @cached_property
     def float_terms(self) -> tuple:
@@ -677,83 +686,177 @@ class Step(NamedTuple):
     exponent: int
 
 
-def _duals(terms, ps, lams, zero) -> list:
-    """(x, y) for each slot of a layout's ``terms`` in order: the slot's
-    polynomial and its rate-operator image, from one walk over its terms.
-    A term c prod p_j adds c prod p_j to x and c prod p_j sum lambda_j to
-    y, the eps-part of the term at p_j (1 + eps lambda_j) with eps^2 = 0.
-    ``ps`` and ``lams`` hold the numbers of each variable.  In approx mode
-    x is computed in the operation order of :meth:`MultilinearPoly.evaluate`
-    over ids that sort in variable order, so it equals that value."""
+def _rate_error(ids, assignment) -> ReliabilityError:
+    """The error of an approx compile whose pair reads a rate beyond the
+    double range, once every id has been read and checked: it names the
+    first id of the largest rate."""
+    cid = max(ids, key=lambda cid: Fraction(*_read_value(assignment, cid)[1]))
+    return ReliabilityError(f"component {cid!r}: failure rate beyond the double range; exact mode accepts it")
+
+
+def _kernel_source(polys, mode: str) -> str:
+    """Source of the kernel of a layout's ``polys`` in ``mode``: a function
+    ``kernel(ids, assignment, rows)`` that returns the :class:`Step` of the
+    pair binding variable j to ``ids[j]``, in straight-line code over the
+    variable indices.
+
+    It reads each id by ``read`` (:func:`_read_value`) in variable order,
+    makes each p and lambda a number, and then builds each slot's dual
+    (x, y): a term c prod p_j adds c prod p_j to x and c prod p_j sum
+    lambda_j to y, the eps-part of the term at p_j (1 + eps lambda_j) with
+    eps^2 = 0.  Every sum and product is one statement, so no expression
+    grows with the layout, and a product or rate sum that several terms
+    start with is made once.
+
+    Exact mode puts each p over the lcm P of the p denominators, each
+    lambda over their lcm L and each coefficient over the lcm C of the
+    coefficient denominators, and pads a term of s variables by P^(d - s),
+    d being the degree.  Then x = X L / D and y = Y / D with D = C P^d L,
+    and dividing D and every value by their gcd makes the scale the lcm of
+    the values' reduced denominators.  Integer sums do not depend on their
+    order.
+
+    Approx mode divides each ratio's two integers, which rounds as
+    ``float`` of a Fraction does, and keeps the float operations of the
+    term walk it replaced: a term is ((c p_a) p_b) ... and its rate sum
+    ((0.0 + lambda_a) + lambda_b) ... over the variables in index order,
+    and each slot's x and y add the terms in order to 0.0.  What it leaves
+    out changes no bit: a factor c = 1 and the 0.0 a rate sum starts from;
+    the 0.0 a sum starts from when the first term is not negative, so it
+    cannot be -0.0; the y of a constant term, c * 0.0, which leaves a sum
+    started from 0.0 as it was.  A term of c < 0 subtracts the product
+    of |c|, which negation gives bit for bit, since rounding is symmetric
+    in sign."""
+    exact = mode == EXACT
+    v = 1 + max((j for poly in polys for vs, _ in poly for j in vs), default=-1)
+    degree = max((len(vs) for poly in polys for vs, _ in poly), default=0)
+    scale = lcm(*[c.denominator for poly in polys for _, c in poly])
+    body = []
+    emit = body.append
+    if v:
+        emit(f"{''.join(f'i{j}, ' for j in range(v))}= ids")
+    if exact and v == 1:
+        emit("(p0, P), (l0, L) = read(assignment, i0)")
+    elif exact:
+        body.extend(f"(n{j}, d{j}), (m{j}, e{j}) = read(assignment, i{j})" for j in range(v))
+        if v:
+            emit(f"P = lcm({', '.join(f'd{j}' for j in range(v))})")
+            emit(f"L = lcm({', '.join(f'e{j}' for j in range(v))})")
+        body.extend(f"p{j} = n{j} * (P // d{j})" for j in range(v))
+        body.extend(f"l{j} = m{j} * (L // e{j})" for j in range(v))
+    else:
+        body.extend(f"(n{j}, d{j}), (m{j}, e{j}) = read(assignment, i{j})" for j in range(v))
+        body.extend(f"p{j} = n{j} / d{j}" for j in range(v))
+        if v:
+            emit("try:")
+            body.extend(f"    l{j} = m{j} / e{j}" for j in range(v))
+            emit("except OverflowError:")
+            emit("    raise rate_error(ids, assignment) from None")
+    names = {}  # what a statement made -> its variable
+
+    def made(key, expr):
+        if key not in names:
+            names[key] = f"t{len(names)}"
+            emit(f"{names[key]} = {expr}")
+        return names[key]
+
+    def product(first, vs, key):
+        """The product first * p_vs[0] * p_vs[1] ..., one statement per factor."""
+        name = first
+        for i, j in enumerate(vs):
+            name = f"p{j}" if name is None else made(key + vs[:i + 1], f"{name} * p{j}")
+        return name
+
+    powers = ["1", "P"]
+
+    def power(e):
+        """P^e, one statement per factor."""
+        while len(powers) <= e:
+            powers.append(made(("power", len(powers)), f"{powers[-1]} * P"))
+        return powers[e]
+
+    def rate_sum(vs):
+        name = None
+        for i, j in enumerate(vs):
+            name = f"l{j}" if name is None else made(("rate",) + vs[:i + 1], f"{name} + l{j}")
+        return name
+
     duals = []
-    for slot in terms:
-        x = y = zero
-        for c, vs in slot:
-            term, lam_total = c, zero
-            for j in vs:
-                term = term * ps[j]
-                lam_total += lams[j]
-            x += term
-            y += term * lam_total
+    for s, poly in enumerate(polys):
+        x, y = f"x{s}", f"y{s}"
+        xs, ys = [], []  # (sign, value) added to x and y
+        for vs, c in poly:
+            if exact:
+                c = c.numerator * (scale // c.denominator)
+                pad = degree - len(vs)
+                value = product(None, vs, ("prod",)) if vs else power(pad)
+                if vs and pad:
+                    value = made(("pad", vs), f"{value} * {power(pad)}")
+                if abs(c) != 1:
+                    value = made(("coeff", abs(c), vs), f"{hex(abs(c))} * {value}")
+            else:
+                c = float(c)
+                if not vs:
+                    value = repr(abs(c))
+                elif abs(c) == 1:
+                    value = product(None, vs, ("prod",))
+                else:
+                    value = product(repr(abs(c)), vs, ("coeff", abs(c)))
+            sign = "+" if c > 0 else "-"
+            xs.append((sign, value))
+            if vs:
+                ys.append((sign, made(("rate term", value), f"{value} * {rate_sum(vs)}")))
+        for total, terms in ((x, xs), (y, ys)):
+            for i, (sign, value) in enumerate(terms):
+                if i:
+                    emit(f"{total} {sign}= {value}")
+                elif sign == "+":
+                    emit(f"{total} = {value}")
+                else:
+                    emit(f"{total} = {'-' if exact else '0.0 - '}{value}")
+            if not terms:
+                emit(f"{total} = {'0' if exact else '0.0'}")
+            elif exact and v and total == x:
+                emit(f"{x} *= L")
         duals.append((x, y))
-    return duals
+    if exact:
+        emit(f"D = {power(degree)} * L" if v else "D = 1")
+        if scale != 1:
+            emit(f"D *= {scale}")
+        emit(f"g = gcd(D, {', '.join(chain.from_iterable(duals))})")
+        emit(f"return step((rows, [{', '.join(f'({x} // g, {y} // g)' for x, y in duals)}], D // g, 0))")
+    else:
+        emit(f"return step((rows, [{', '.join(f'({x}, {y})' for x, y in duals)}], 1, 0))")
+    return "def kernel(ids, assignment, rows):\n" + "".join(f"    {line}\n" for line in body)
+
+
+@lru_cache(maxsize=256)
+def _kernel(polys, mode: str):
+    """The kernel of :func:`_kernel_source`, compiled once per distinct
+    ``polys`` and mode: layouts with equal polynomials, whatever their
+    rows, share it."""
+    namespace = {"read": _read_value, "lcm": lcm, "gcd": gcd, "step": Step._make, "rate_error": _rate_error}
+    exec(compile(_kernel_source(polys, mode), f"<relfreq {mode} kernel>", "exec"), namespace)
+    return namespace["kernel"]
 
 
 def _compile(pair: MatrixPair, assignment: Mapping, mode: str) -> Step:
     """The dual value of each slot of the pair's layout, in a :class:`Step`
-    whose rows are the layout's own ``rows`` object.
+    whose rows are the layout's own ``rows`` object: the layout's kernel
+    for ``mode`` (see :func:`_kernel_source`) called on the pair's ids.
 
     The assignment is read and checked once per bound id, in variable
     order, by :func:`_read_value`, and nowhere else, so a streamed fold
     stays linear; each p and lambda becomes a number once, straight from
-    its integer ratio.  Each slot's polynomial is then walked once by
-    variable index: the q_i and p_i of a k-of-n matrix fill all 2k - 1
-    positions from two walks, and no object is built per position.  A
-    slot's dual may be (0, 0), as q = 1 - p is at p = 1 with lambda = 0.
-    The coefficients, their lcm and the degree come precomputed from the
-    layout.
-
-    Approx mode divides each ratio's two integers, which rounds as
-    ``float`` of a Fraction does, and walks the layout's float terms.  A
+    its integer ratio, and each slot's dual is built once, so the q_i and
+    p_i of a k-of-n matrix fill all 2k - 1 positions.  A slot's dual may
+    be (0, 0), as q = 1 - p is at p = 1 with lambda = 0.  In approx mode a
     rate beyond the double range is a :class:`ReliabilityError` naming the
     pair's largest rate, raised once every id has been read and checked.
-
-    Exact mode walks integers.  Each p is an integer over the lcm P of the
-    p denominators, each lambda over their lcm L, each coefficient over the
-    layout's ``coeff_scale`` C, and a term of s variables reads the pad
-    variable, bound to P with rate 0, d - s times, where d is the layout's
-    degree.  Then x = X L / D and y = Y / D with D = C P^d L, and dividing
-    D and every value by their gcd makes the scale the lcm of the values'
-    reduced denominators.
     """
     layout = pair.layout
-    if mode == EXACT:
-        values, p_den, lam_den = [], 1, 1
-        for cid in pair.ids:
-            p, lam = _read_value(assignment, cid)
-            values.append((p, lam))
-            p_den, lam_den = lcm(p_den, p[1]), lcm(lam_den, lam[1])
-        ps = [n * (p_den // d) for (n, d), _ in values]
-        lams = [n * (lam_den // d) for _, (n, d) in values]
-        ps.append(p_den)  # the pad variable
-        lams.append(0)
-        duals = [(x * lam_den, y) for x, y in _duals(layout.int_terms, ps, lams, 0)]
-        denom = layout.coeff_scale * p_den**layout.degree * lam_den
-        g = gcd(denom, *chain.from_iterable(duals))
-        return Step(layout.rows, [(x // g, y // g) for x, y in duals], denom // g, 0)
-    ps, lams = [], []
-    for cid in pair.ids:
-        (p_num, p_den), (lam_num, lam_den) = _read_value(assignment, cid)
-        ps.append(p_num / p_den)
-        try:
-            lams.append(lam_num / lam_den)
-        except OverflowError:
-            # every id is read again, so a bad value after this one raises its own error first
-            cid = max(pair.ids, key=lambda cid: Fraction(*_read_value(assignment, cid)[1]))
-            raise ReliabilityError(
-                f"component {cid!r}: failure rate beyond the double range; exact mode accepts it"
-            ) from None
-    return Step(layout.rows, _duals(layout.float_terms, ps, lams, 0.0), 1, 0)
+    kernel = layout.exact_kernel if mode == EXACT else layout.approx_kernel
+    return kernel(pair.ids, assignment, layout.rows)
 
 
 def _normalise(xs, ys):
@@ -1057,7 +1160,8 @@ def finalize(system: TransferSystem, state: PassState) -> ReliabilityReport:
     An approx A, U or nu that is not finite is a :class:`ReliabilityError`
     naming A or nu: an infinity is beyond the double range, and a NaN is
     an inf - inf or 0 * inf from a value that overflowed in a compile or
-    an advance."""
+    an advance.  So a NaN A or U has its own message: only an
+    intermediate value overflowed, and the exact A may well fit."""
     if state.index != system.size:
         raise ReliabilityError(
             f"state consumed {state.index} matrices, system has {system.size}"
@@ -1084,6 +1188,9 @@ def finalize(system: TransferSystem, state: PassState) -> ReliabilityReport:
         # not 1 - availability: for offset 1 and sign -1 (k-of-n:G) this is x
         # itself, with no cancellation
         unavailability = (1 - offset) - sign * x
+        if isnan(availability) or isnan(unavailability):
+            raise ReliabilityError(
+                "availability A is not a number: an intermediate value overflowed; exact mode accepts it")
         if not (isfinite(availability) and isfinite(unavailability)):
             raise ReliabilityError("availability A beyond the double range")
         if not isfinite(y):

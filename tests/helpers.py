@@ -331,9 +331,9 @@ def reference_compile(pair, assignment, mode):
         raise ReliabilityError(
             f"component {cid!r}: failure rate beyond the double range; exact mode accepts it"
         ) from None
-    degree = layout.degree
+    degree = max((len(vs) for poly in layout.polys for vs, _ in poly), default=0)
     if mode == EXACT:
-        scale = layout.coeff_scale
+        scale = lcm(*[c.denominator for poly in layout.polys for _, c in poly])
         int_terms = [[(c.numerator * (scale // c.denominator), vs) for vs, c in poly] for poly in layout.polys]
         pad = [p_den ** (degree - s) for s in range(degree + 1)]
         duals = reference_duals(int_terms, ps, lams, pad, 0)

@@ -6,7 +6,8 @@ import math
 import random
 import re
 from fractions import Fraction as F
-from itertools import chain
+from functools import lru_cache
+from itertools import chain, combinations
 from unittest import mock
 
 import pytest
@@ -14,6 +15,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import relfreq.core
+import relfreq.kofn
+import relfreq.ladder
 from relfreq.cli import build_from_config
 from relfreq.core import (
     Component,
@@ -55,6 +58,7 @@ from relfreq.oracle import (
     truth_table_structure,
 )
 from relfreq.scalars import rational_str
+from relfreq.verify import run_equivalence_trials
 
 from helpers import (
     dense_fraction_fold,
@@ -589,19 +593,21 @@ NAN_CASES = {
     # and their difference, nu = 2.5e307, reads inf - inf
     "frequency": (TransferSystem((1,), [MatrixPair.from_entries(
         1, [(0, 0, {("x", "y"): 1, ("z", "w"): F(-1, 2)})])], (1,)),
-        {cid: (F(1, 2), 10**308) for cid in "wxyz"}, "failure frequency nu", F(1, 8), F(5, 2) * 10**307),
+        {cid: (F(1, 2), 10**308) for cid in "wxyz"}, "failure frequency nu beyond the double range",
+        F(1, 8), F(5, 2) * 10**307),
     # column 0 of M is +-1e308 (x + y), which overflows at p = 9/10, and vL
-    # sums the two: A = 0 reads inf - inf
+    # sums the two: A = 0 reads inf - inf, which no double range bounds
     "availability": (TransferSystem((1, 1), [MatrixPair.from_entries(2, [
         (0, 0, {("x",): 10**308, ("y",): 10**308}), (1, 0, {("x",): -(10**308), ("y",): -(10**308)})])],
-        (1, 0)), {cid: (F(9, 10), 1) for cid in "xy"}, "availability A", 0, 0),
+        (1, 0)), {cid: (F(9, 10), 1) for cid in "xy"},
+        "availability A is not a number: an intermediate value overflowed", 0, 0),
 }
 
 
-@pytest.mark.parametrize("system, assignment, name, availability, frequency",
+@pytest.mark.parametrize("system, assignment, message, availability, frequency",
                          NAN_CASES.values(), ids=NAN_CASES.keys())
-def test_approx_pass_never_reports_a_nan(system, assignment, name, availability, frequency):
-    with pytest.raises(ReliabilityError, match=f"^{name} beyond the double range"):
+def test_approx_pass_never_reports_a_nan(system, assignment, message, availability, frequency):
+    with pytest.raises(ReliabilityError, match=f"^{re.escape(message)}; exact mode accepts it$"):
         single_pass(system, assignment, "approx")
     report = single_pass(system, assignment)
     assert (report.availability, report.frequency) == (availability, frequency)
@@ -1322,6 +1328,99 @@ class TestLeanCompile:
         assert outcome == compile_outcome(reference_compile, pair, assignment, mode)
         # exact mode accepts a rate beyond the double range
         assert isinstance(outcome[0], type) == (mode == "approx" or bad is not BAD_VALUES[-1])
+
+
+@pytest.mark.parametrize("mode", ["exact", "approx"])
+def test_a_large_custom_pair_compiles_as_the_reference(mode):
+    # one slot of 4005 two-id terms, and a term over all 320 ids: a kernel
+    # makes one statement per operation, so neither reaches the compiler's
+    # nesting limit, which one sum of about 3000 terms does
+    rng = random.Random(30)
+    ids = [f"c{i:03d}" for i in range(320)]
+    many = [[f"{rng.choice([-1, 1]) * rng.randint(1, 9)}/{rng.randint(1, 9)}", [ids[a], ids[b]]]
+            for a, b in combinations(range(90), 2)]
+    wide = [["-3/7", ids], ["1", []]]
+    system = build_from_config({
+        "family": "custom-matrices",
+        "components": [{"id": cid, "p": f"{rng.randint(900, 999)}/1000", "lambda": f"{rng.randint(0, 9)}/7"}
+                       for cid in ids],
+        "v_left": ["1", "0"], "v_right": ["1", "1"],
+        "matrices": [[[many, wide], [[], [["1/2", []], ["1", [ids[5]]]]]]]})
+    pair = system.pairs[0]
+    assert len(pair.layout.polys[0]) == 4005 and max(len(vs) for vs, _ in pair.layout.polys[1]) == 320
+    assignment = system.default_assignment()
+    assert step_bits(relfreq.core._compile(pair, assignment, mode)) == step_bits(
+        reference_compile(pair, assignment, mode))
+
+
+class TestKernels:
+    """A layout's kernel is generated once per mode and shared by every
+    layout of equal polynomials."""
+
+    @pytest.fixture
+    def generated(self, monkeypatch):
+        """The (polys, mode) of each kernel generated, in order, from an
+        empty kernel cache and with the builders' layouts made afresh, so
+        that none holds a kernel yet."""
+        calls = []
+        source = relfreq.core._kernel_source
+
+        def counting(polys, mode):
+            calls.append((polys, mode))
+            return source(polys, mode)
+
+        monkeypatch.setattr(relfreq.core, "_kernel_source", counting)
+        monkeypatch.setattr(relfreq.core, "_kernel", lru_cache(maxsize=256)(relfreq.core._kernel.__wrapped__))
+        monkeypatch.setattr(relfreq.kofn, "_layout", lru_cache(maxsize=256)(relfreq.kofn._layout.__wrapped__))
+        cell = relfreq.ladder._CELL_LAYOUT
+        monkeypatch.setattr(relfreq.ladder, "_CELL_LAYOUT", Layout(cell.dim, cell.rows, cell.polys))
+        return calls
+
+    def test_a_layout_generates_one_kernel_per_mode(self, generated):
+        system = build_ladder(distinct_ladder_spec(F(9, 10), F(99, 100), F(1, 3), F(1, 7), 999))
+        assignment = system.default_assignment()
+        state = initial_state(system, "approx")
+        for pair in system.pairs:
+            state = stream_step(state, pair, assignment)
+        assert state.index == 1000 and finalize(system, state).availability > 0
+        assert generated == [(relfreq.ladder._CELL_LAYOUT.polys, "approx")]
+        assert run_equivalence_trials(200).ok
+        # k-of-n:G, lincon-F and ladders in exact mode, each polys once
+        assert len(generated) == len(set(generated)) > 3
+        assert all(mode == "exact" for _, mode in generated[1:])
+
+    def test_layouts_of_equal_polys_share_one_kernel(self, generated):
+        layouts = [relfreq.kofn._layout("kofn-g", k) for k in range(2, 13)]
+        assignment = {"x": (F(1, 3), F(2))}
+        for mode in ("exact", "approx"):
+            for layout in layouts:
+                pair = MatrixPair(layout, ("x",))
+                assert step_bits(relfreq.core._compile(pair, assignment, mode)) == step_bits(
+                    reference_compile(pair, assignment, mode))
+        assert generated == [(layouts[0].polys, "exact"), (layouts[0].polys, "approx")]
+        assert all(layout.exact_kernel is layouts[0].exact_kernel for layout in layouts)
+        assert all(layout.approx_kernel is layouts[0].approx_kernel for layout in layouts)
+        # custom pairs with equal term maps share too, whatever their rows
+        twins = [MatrixPair.from_entries(2, [(0, c, {("y",): F(1, 3)}), (1, 1 - c, {(): 2})]) for c in (0, 1)]
+        for pair in twins:
+            relfreq.core._compile(pair, {"y": (F(1, 2), F(1))}, "exact")
+        assert twins[0].layout.rows != twins[1].layout.rows
+        assert twins[0].layout.exact_kernel is twins[1].layout.exact_kernel
+        assert len(generated) == 3
+
+    def test_a_coefficient_beyond_the_range_names_its_own_layouts_entry(self, generated):
+        # equal polys, the big coefficient's slot at (0, 0) in one layout
+        # and at (1, 0) in the other
+        polys = ({(0,): -(10**400)}, {(): 1})
+        layouts = [Layout(2, (((0, 0),), ((1, 1),)), polys), Layout(2, (((1, 1),), ((0, 0),)), polys)]
+        assignment = {"x": (F(1, 2), F(1))}
+        for layout, entry in zip(layouts, ["(0, 0)", "(1, 0)"]):
+            pair = MatrixPair(layout, ("x",))
+            assert step_bits(relfreq.core._compile(pair, assignment, "exact")) == step_bits(
+                reference_compile(pair, assignment, "exact"))
+            with pytest.raises(ReliabilityError, match=rf"^matrix entry {re.escape(entry)}: coefficient"):
+                relfreq.core._compile(pair, assignment, "approx")
+        assert generated == [(layouts[0].polys, "exact")]
 
 
 # row 0 is c1 a_0 - c2 a_1 and row 1 is empty: -0.0 products come from a

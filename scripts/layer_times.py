@@ -27,8 +27,12 @@ It sums the least time of each batch of ``BATCH`` calls over
 ``REPEATS`` folds.  ``first_compile`` is, for the ladder cell's layout
 and the k-of-n:G layout in each mode, the best time of a pair's first
 compile from an empty kernel cache: what generating the layout's kernel
-adds, once per process, to its first compile.  ``--tiny`` shrinks every
-system, for a smoke test:
+adds, once per process, to its first compile.  ``distinct_coefficient_pairs``
+gives, for each mode, the kernels generated and the best seconds taken
+to compile the 200 pairs of a custom-matrices config from an empty
+kernel cache, each time built afresh: 3x3 pairs over x_i and x_{i+1} of
+one term structure, each coefficient its own seeded k/d.  ``--tiny``
+shrinks every system, for a smoke test:
 
     PYTHONPATH=src python3 scripts/layer_times.py
 """
@@ -142,6 +146,45 @@ def first_compile_time(system, mode):
     return best
 
 
+def distinct_coefficient_config(rng, count):
+    """A custom-matrices config of ``count`` 3x3 pairs over x_i and x_{i+1}
+    with one term structure, each coefficient a random k/d of at most 1/4,
+    so that every row sums to at most 1 and A lies in [0, 1]."""
+    ids = [f"x{i:03d}" for i in range(count + 1)]
+
+    def c():
+        d = rng.randint(4, 40)
+        return f"{rng.randint(1, d // 4)}/{d}"
+
+    matrices = [[[[[c(), [a]]], [[c(), [a, b]]], []],
+                 [[[c(), []], [c(), [a]]], [[c(), [b]]], [[c(), []]]],
+                 [[], [], [[c(), [b]], [c(), [a, b]]]]] for a, b in zip(ids, ids[1:])]
+    return {"family": "custom-matrices",
+            "components": [{"id": cid, "p": f"{rng.randint(900, 999)}/1000", "lambda": f"{rng.randint(1, 9)}/7"}
+                           for cid in ids],
+            "v_left": ["1", "0", "0"], "v_right": ["1", "1", "1"], "matrices": matrices}
+
+
+def distinct_coefficient_times(count, repeats):
+    """{mode: {"kernels": generated, "compile": best seconds}} of compiling
+    every pair of :func:`distinct_coefficient_config` from an empty kernel
+    cache, the system built afresh before each of ``repeats`` timings."""
+    cfg = distinct_coefficient_config(random.Random(200), count)
+    out = {}
+    for mode in ("exact", "approx"):
+        best = float("inf")
+        for _ in range(repeats):
+            system = build_from_config(cfg)
+            assignment = system.default_assignment()
+            core._kernel.cache_clear()
+            start = time.perf_counter()
+            for pair, _ in system.pairs.runs:
+                core._compile(pair, assignment, mode)
+            best = min(best, time.perf_counter() - start)
+        out[mode] = {"kernels": core._kernel.cache_info().misses, "compile": best}
+    return out
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--tiny", action="store_true", help="tiny systems, for a smoke test")
@@ -156,6 +199,8 @@ def main(argv=None):
     ladder, kofn_g = build_from_config(configs[0]), build_from_config(configs[2])
     result["first_compile"] = {name: {mode: first_compile_time(system, mode) for mode in ("exact", "approx")}
                                for name, system in (("ladder-cell", ladder), ("kofn-G", kofn_g))}
+    result["distinct_coefficient_pairs"] = distinct_coefficient_times(20 if args.tiny else 200,
+                                                                      2 if args.tiny else 5)
     print(json.dumps(result, indent=2))
     return 0
 

@@ -170,6 +170,8 @@ def _vector(cfg: dict, key: str, memo: dict) -> tuple:
 def build_from_config(cfg: dict) -> TransferSystem:
     """The system of a parsed JSON config.  Its scalars share one memo that
     lives for this call only: each distinct text is parsed once per config."""
+    if not isinstance(cfg, dict):
+        raise ConfigError("config must be a JSON object")
     memo = {}
     family = _require(cfg, "family")
     convention = cfg.get("rate_convention", "explicit")

@@ -26,9 +26,10 @@ recursion is the dual product (A + eps V) <- (M + eps M')(A + eps V), and
 a term c prod p_i of an entry of M evaluated at p_i (1 + eps lambda_i) is
 its value plus eps times its rate-operator image.  Within a call the fold
 compiles each distinct pair once into a numeric :class:`Step` by its
-layout's kernel: a function generated from the layout's polynomials the
-first time a layout of them is compiled in a mode, whose straight-line
-code reads each bound id and builds each slot's dual value (x, y), by
+layout's kernel: a function generated from the shape of the layout's
+terms the first time a layout of that shape is compiled in a mode and
+bound to each layout's coefficients as data, whose straight-line code
+reads each bound id and builds each slot's dual value (x, y), by
 variable index.  The step keeps the layout's own ``(col, slot)`` rows, so
 a k-of-n matrix's 2k - 1 positions read two duals.
 A run of r references to one pair is the dual power (M + eps M')^r, taken
@@ -302,13 +303,13 @@ class Layout:
     columns, which the exact fold reads when it chooses to apply steps in
     blocks.
 
-    A compile calls the layout's kernel for its mode, a function
-    generated from ``polys`` (see :func:`_kernel_source`) at the layout's
-    first compile in that mode and kept on the layout, as
-    ``float_terms`` is.  Kernels are cached by ``polys`` and mode, not by
-    layout or rows, so layouts with equal polynomials, such as every
-    k-of-n:G layout of k >= 2, share one; the caller passes the rows.
-    Nothing is generated at import or for a mode that is never compiled.
+    A compile calls the layout's kernel for its mode, made at the layout's
+    first compile in that mode by the factory of its term shape (see
+    :func:`_kernel_source`) from its own coefficients, and kept on the
+    layout.  Factories are cached by shape and mode, so layouts whose terms
+    differ only in coefficients or rows, such as every k-of-n:G layout of
+    k >= 2, share one generated function.  Nothing is generated at import
+    or for a mode that is never compiled.
     """
 
     dim: int
@@ -347,27 +348,21 @@ class Layout:
 
     @cached_property
     def exact_kernel(self):
-        """The exact kernel of ``polys`` (see :func:`_compile`), found at
-        this layout's first exact compile and kept here, so no later
-        compile hashes ``polys``."""
-        return _kernel(self.polys, EXACT)
+        """The exact kernel (see :func:`_compile`), bound to each
+        coefficient as an integer over the lcm C of their denominators, and
+        to C, at this layout's first exact compile."""
+        scale = lcm(*[c.denominator for poly in self.polys for _, c in poly])
+        return _bind([[(vs, c.numerator * (scale // c.denominator)) for vs, c in poly] for poly in self.polys],
+                     EXACT, scale)
 
     @cached_property
     def approx_kernel(self):
-        """The approx kernel of ``polys``, found as :attr:`exact_kernel` is,
-        once :attr:`float_terms` has checked that every coefficient is
-        within the double range."""
-        self.float_terms
-        return _kernel(self.polys, APPROX)
-
-    @cached_property
-    def float_terms(self) -> tuple:
-        """Each slot's terms as (float coefficient, variable indices), made
-        once per layout when approx mode first compiles it, so exact mode
-        converts no coefficient.  A coefficient beyond the double range is
-        a :class:`ReliabilityError` naming an entry that holds the largest."""
+        """The approx kernel, bound to each coefficient converted to a float
+        once, at this layout's first approx compile, so exact mode converts
+        none.  A coefficient beyond the double range is a
+        :class:`ReliabilityError` naming an entry that holds the largest."""
         try:
-            return tuple(tuple((float(c), vs) for vs, c in poly) for poly in self.polys)
+            terms = [[(vs, float(c)) for vs, c in poly] for poly in self.polys]
         except OverflowError:
             biggest = [max(abs(c) for _, c in poly) for poly in self.polys]
             slot = biggest.index(max(biggest))
@@ -375,6 +370,7 @@ class Layout:
             raise ReliabilityError(
                 f"matrix entry ({r}, {col}): coefficient beyond the double range; exact mode accepts it"
             ) from None
+        return _bind(terms, APPROX)
 
 
 @dataclass(frozen=True)
@@ -535,8 +531,9 @@ class TransferSystem:
     affine form is (0, +1), and the k-out-of-n:G construction uses (1, -1).
     ``pairs`` is stored as :class:`Runs`: any sequence of pairs is accepted,
     and one given as a ``Runs`` is kept unexpanded, so building and checking
-    a system costs O(runs), not O(len(pairs)).  Each run's pair is checked
-    against the vectors' dimension once.  Components that share an id are
+    a system costs O(runs), not O(len(pairs)).  The vectors must hold at
+    least one state, and each run's pair is checked against their dimension
+    once.  Components that share an id are
     kept once, the first in order, and must agree in p and lambda.
     """
 
@@ -564,6 +561,8 @@ class TransferSystem:
         dim = len(self.v_right)
         if len(self.v_left) != dim:
             raise DimensionMismatchError("v_left and v_right dimensions differ")
+        if not dim:
+            raise DimensionMismatchError("a system needs at least one state: v_left and v_right are empty")
         for pair, _ in self.pairs.runs:
             if pair.dim != dim:
                 raise DimensionMismatchError(
@@ -694,27 +693,29 @@ def _rate_error(ids, assignment) -> ReliabilityError:
     return ReliabilityError(f"component {cid!r}: failure rate beyond the double range; exact mode accepts it")
 
 
-def _kernel_source(polys, mode: str) -> str:
-    """Source of the kernel of a layout's ``polys`` in ``mode``: a function
-    ``kernel(ids, assignment, rows)`` that returns the :class:`Step` of the
-    pair binding variable j to ``ids[j]``, in straight-line code over the
-    variable indices.
+def _kernel_source(shape, mode: str) -> str:
+    """Source of the kernel factory of a term ``shape`` in ``mode``: for
+    each slot, ``(vs, positive, unit)`` per term, unit meaning c = +-1.
+    ``factory(C, c1, ...)`` (exact) or ``factory(c0, ...)`` (approx) takes
+    the coefficient lcm C and each non-unit |c| in term order, and returns
+    ``kernel(ids, assignment, rows)``: the :class:`Step` of the pair
+    binding variable j to ``ids[j]``, in straight-line code over the
+    variable indices.  No coefficient value is in the source.
 
-    It reads each id by ``read`` (:func:`_read_value`) in variable order,
-    makes each p and lambda a number, and then builds each slot's dual
-    (x, y): a term c prod p_j adds c prod p_j to x and c prod p_j sum
+    The kernel reads each id by ``read`` (:func:`_read_value`) in variable
+    order, makes each p and lambda a number, and then builds each slot's
+    dual (x, y): a term c prod p_j adds c prod p_j to x and c prod p_j sum
     lambda_j to y, the eps-part of the term at p_j (1 + eps lambda_j) with
     eps^2 = 0.  Every sum and product is one statement, so no expression
     grows with the layout, and a product or rate sum that several terms
     start with is made once.
 
     Exact mode puts each p over the lcm P of the p denominators, each
-    lambda over their lcm L and each coefficient over the lcm C of the
-    coefficient denominators, and pads a term of s variables by P^(d - s),
-    d being the degree.  Then x = X L / D and y = Y / D with D = C P^d L,
-    and dividing D and every value by their gcd makes the scale the lcm of
-    the values' reduced denominators.  Integer sums do not depend on their
-    order.
+    lambda over their lcm L and each coefficient over C, and pads a term
+    of s variables by P^(d - s), d being the degree.  Then x = X L / D and
+    y = Y / D with D = C P^d L, and dividing D and every value by their
+    gcd makes the scale the lcm of the values' reduced denominators.
+    Integer sums do not depend on their order.
 
     Approx mode divides each ratio's two integers, which rounds as
     ``float`` of a Fraction does, and keeps the float operations of the
@@ -728,9 +729,8 @@ def _kernel_source(polys, mode: str) -> str:
     of |c|, which negation gives bit for bit, since rounding is symmetric
     in sign."""
     exact = mode == EXACT
-    v = 1 + max((j for poly in polys for vs, _ in poly for j in vs), default=-1)
-    degree = max((len(vs) for poly in polys for vs, _ in poly), default=0)
-    scale = lcm(*[c.denominator for poly in polys for _, c in poly])
+    v = 1 + max((j for poly in shape for vs, _, _ in poly for j in vs), default=-1)
+    degree = max((len(vs) for poly in shape for vs, _, _ in poly), default=0)
     body = []
     emit = body.append
     if v:
@@ -781,28 +781,27 @@ def _kernel_source(polys, mode: str) -> str:
             name = f"l{j}" if name is None else made(("rate",) + vs[:i + 1], f"{name} + l{j}")
         return name
 
+    params = ["C"] if exact else []
     duals = []
-    for s, poly in enumerate(polys):
+    for s, poly in enumerate(shape):
         x, y = f"x{s}", f"y{s}"
         xs, ys = [], []  # (sign, value) added to x and y
-        for vs, c in poly:
+        for vs, positive, unit in poly:
+            c = f"c{len(params)}"
+            if not unit:
+                params.append(c)
             if exact:
-                c = c.numerator * (scale // c.denominator)
                 pad = degree - len(vs)
                 value = product(None, vs, ("prod",)) if vs else power(pad)
                 if vs and pad:
                     value = made(("pad", vs), f"{value} * {power(pad)}")
-                if abs(c) != 1:
-                    value = made(("coeff", abs(c), vs), f"{hex(abs(c))} * {value}")
+                if not unit:
+                    value = made(("coeff", c), f"{c} * {value}")
+            elif not vs:
+                value = "1.0" if unit else c
             else:
-                c = float(c)
-                if not vs:
-                    value = repr(abs(c))
-                elif abs(c) == 1:
-                    value = product(None, vs, ("prod",))
-                else:
-                    value = product(repr(abs(c)), vs, ("coeff", abs(c)))
-            sign = "+" if c > 0 else "-"
+                value = product(None if unit else c, vs, ("prod",) if unit else ("coeff", c))
+            sign = "+" if positive else "-"
             xs.append((sign, value))
             if vs:
                 ys.append((sign, made(("rate term", value), f"{value} * {rate_sum(vs)}")))
@@ -820,24 +819,31 @@ def _kernel_source(polys, mode: str) -> str:
                 emit(f"{x} *= L")
         duals.append((x, y))
     if exact:
-        emit(f"D = {power(degree)} * L" if v else "D = 1")
-        if scale != 1:
-            emit(f"D *= {scale}")
+        emit(f"D = {power(degree)} * L * C" if v else "D = C")
         emit(f"g = gcd(D, {', '.join(chain.from_iterable(duals))})")
         emit(f"return step((rows, [{', '.join(f'({x} // g, {y} // g)' for x, y in duals)}], D // g, 0))")
     else:
         emit(f"return step((rows, [{', '.join(f'({x}, {y})' for x, y in duals)}], 1, 0))")
-    return "def kernel(ids, assignment, rows):\n" + "".join(f"    {line}\n" for line in body)
+    return (f"def factory({', '.join(params)}):\n    def kernel(ids, assignment, rows):\n"
+            + "".join(f"        {line}\n" for line in body) + "    return kernel\n")
 
 
 @lru_cache(maxsize=256)
-def _kernel(polys, mode: str):
-    """The kernel of :func:`_kernel_source`, compiled once per distinct
-    ``polys`` and mode: layouts with equal polynomials, whatever their
-    rows, share it."""
+def _kernel(shape, mode: str):
+    """The kernel factory of :func:`_kernel_source`, compiled once per
+    distinct shape and mode: layouts whose terms differ only in their
+    coefficients, whatever their rows, share it."""
     namespace = {"read": _read_value, "lcm": lcm, "gcd": gcd, "step": Step._make, "rate_error": _rate_error}
-    exec(compile(_kernel_source(polys, mode), f"<relfreq {mode} kernel>", "exec"), namespace)
-    return namespace["kernel"]
+    exec(compile(_kernel_source(shape, mode), f"<relfreq {mode} kernel>", "exec"), namespace)
+    return namespace["factory"]
+
+
+def _bind(terms, mode: str, *lead):
+    """The kernel of ``terms``, each slot's (vs, coefficient) as an exact
+    integer or a float, from the factory of their shape called with
+    ``lead`` and the magnitude of each coefficient that is not +-1."""
+    shape = tuple(tuple((vs, c > 0, abs(c) == 1) for vs, c in poly) for poly in terms)
+    return _kernel(shape, mode)(*lead, *[abs(c) for poly in terms for _, c in poly if abs(c) != 1])
 
 
 def _compile(pair: MatrixPair, assignment: Mapping, mode: str) -> Step:

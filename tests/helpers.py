@@ -319,8 +319,21 @@ def reference_compile(pair, assignment, mode):
     value through :func:`reference_read_value`, lists of ratios per id and
     a pad of P^(d - s) per term of s variables in exact mode, 1 in approx
     mode.  The lean compile must equal it bit for bit, and raise the same
-    error for the same bad value."""
+    error for the same bad value.  Approx mode first converts each
+    coefficient to a float, so a coefficient beyond the double range is
+    named, by the first entry of the first slot that holds the largest,
+    before any value is read."""
     layout = pair.layout
+    if mode != EXACT:
+        try:
+            float_terms = [[(float(c), vs) for vs, c in poly] for poly in layout.polys]
+        except OverflowError:
+            biggest = [max(abs(c) for _, c in poly) for poly in layout.polys]
+            first = biggest.index(max(biggest))
+            r, col = next((r, col) for r, row in enumerate(layout.rows) for col, slot in row if slot == first)
+            raise ReliabilityError(
+                f"matrix entry ({r}, {col}): coefficient beyond the double range; exact mode accepts it"
+            ) from None
     values = [reference_read_value(assignment, cid) for cid in pair.ids]
     ps, p_den = reference_numbers([p for p, _ in values], mode)
     try:
@@ -341,7 +354,7 @@ def reference_compile(pair, assignment, mode):
         denom = scale * p_den**degree * lam_den
         g = gcd(denom, *(v for xy in duals for v in xy))
         return Step(layout.rows, [(x // g, y // g) for x, y in duals], denom // g, 0)
-    return Step(layout.rows, reference_duals(layout.float_terms, ps, lams, (1,) * (degree + 1), 0.0), 1, 0)
+    return Step(layout.rows, reference_duals(float_terms, ps, lams, (1,) * (degree + 1), 0.0), 1, 0)
 
 
 def number_bits(x):

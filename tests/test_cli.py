@@ -874,3 +874,20 @@ class TestCustomMatricesAgainstTheOracle:
         probs = {c.id: c.p for c in system.components}
         rates = {c.id: c.lam for c in system.components}
         assert (report.availability, report.frequency) == oracle_solve(sf, probs, rates), desc
+
+
+@pytest.mark.parametrize("text", ["5", "[1, 2]", '"kofn-g"', "null"])
+def test_a_config_that_is_not_an_object_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "system.json"
+    path.write_text(text)
+    assert main(["solve", str(path)]) == EXIT_PARSE
+    assert capsys.readouterr() == ("", "error: config must be a JSON object\n")
+
+
+@pytest.mark.parametrize("mode", ["exact", "approx"])
+def test_a_custom_system_with_no_states_exits_3(tmp_path, capsys, mode):
+    cfg = {"family": "custom-matrices", "components": [], "v_left": [], "v_right": [],
+           "matrices": [], "offset": "1", "sign": -1}
+    assert main(["solve", write_config(tmp_path, cfg), "--mode", mode]) == EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    assert out == "" and "at least one state" in err

@@ -382,6 +382,11 @@ class TestSinglePass:
         with pytest.raises(DimensionMismatchError):
             TransferSystem(v_left=(F(1),), pairs=(pair,), v_right=(F(1),))
 
+    def test_a_system_with_no_states_rejected(self):
+        # with empty vectors vL . vR = 0, so A would read offset = 1 in either mode
+        with pytest.raises(DimensionMismatchError, match="at least one state"):
+            TransferSystem((), [], (), offset=1, sign=-1)
+
     def test_rate_scaling_scales_frequency_only(self):
         system = one_component_system()
         base = single_pass(system)
@@ -580,7 +585,7 @@ class TestRateBeyondTheDoubleRange:
         pair = MatrixPair.from_entries(1, [(0, 0, {("x",): 10**400})])
         report = single_pass(TransferSystem((F(1),), [pair], (F(1),)), {"x": (F(1, 2), F(1))})
         assert report.availability == F(10**400, 2)
-        assert "float_terms" not in vars(pair.layout)
+        assert "exact_kernel" in vars(pair.layout) and "approx_kernel" not in vars(pair.layout)
 
     def test_a_negative_value_beyond_the_range_reads_minus_infinity(self):
         pair = MatrixPair.from_entries(1, [(0, 0, {("x",): 1})])
@@ -1138,14 +1143,16 @@ BINDING_IDS = ("x1", "x2", "x3", "x4")
 
 
 @st.composite
-def bound_layouts(draw):
+def bound_layouts(draw, coefficients=None):
     """(layout, ids, assignment): a layout of dimension 1-3 whose slots hold
     polynomials of up to three terms over up to four variables, each term
     reading up to three, with every variable read; ``ids`` binds them to
-    distinct ids in any order."""
+    distinct ids in any order.  The nonzero coefficients are drawn from
+    ``coefficients``, by default :func:`mixed_rationals`."""
     dim = draw(st.integers(1, 3))
     read = st.frozensets(st.integers(0, 3), max_size=3)
-    poly = st.dictionaries(read, mixed_rationals().filter(bool), min_size=1, max_size=3)
+    coefficients = mixed_rationals() if coefficients is None else coefficients
+    poly = st.dictionaries(read, coefficients.filter(bool), min_size=1, max_size=3)
     cells = draw(st.lists(st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1)),
                           unique=True, min_size=1, max_size=dim * dim))
     polys = draw(st.lists(poly, min_size=1, max_size=len(cells)))
@@ -1267,15 +1274,25 @@ def compile_numbers(hi):
             | st.integers(0, hi * 10**4).map(lambda n: f"{n // 10**4}.{n % 10**4:04d}"))
 
 
+# units, +-2, 1/2, 1/3 and 1/6 (1/C is a unit only after exact scaling),
+# and coefficients near and beyond the double range
+KERNEL_COEFFICIENTS = st.sampled_from([F(1), F(-1), F(2), F(-2), F(1, 2), F(-1, 3), F(1, 6), F(-5, 6),
+                                       F(10**300), F(-(10**300)), F(10**400)])
+UNIT_AFTER_SCALING = Layout(1, [[(0, 0)]], [{(0,): F(1, 6), (0, 1): F(-1, 2), (): F(1, 3)}])
+BEYOND_DOUBLES = Layout(2, [[(1, 1)], [(0, 0)]], [{(0,): F(2), (): F(-5, 6)}, {(1,): F(10**400)}])
+
+
 @st.composite
 def compile_cases(draw):
     """(pair, assignment, mode): one of :data:`COMPILE_PAIRS` or a drawn
-    bound layout, with each id's (p, lam) given as a tuple or a list of
-    mixed number forms, and about one id in eight given a bad value."""
+    bound layout, some of whose coefficients are drawn from
+    :data:`KERNEL_COEFFICIENTS`, with each id's (p, lam) given as a tuple
+    or a list of mixed number forms, and about one id in eight given a bad
+    value."""
     if draw(st.booleans()):
         pair = draw(st.sampled_from(COMPILE_PAIRS))
     else:
-        layout, ids, _ = draw(bound_layouts())
+        layout, ids, _ = draw(bound_layouts(KERNEL_COEFFICIENTS | mixed_rationals()))
         pair = MatrixPair(layout, ids)
     assignment = {}
     for cid in pair.ids:
@@ -1303,6 +1320,9 @@ class TestLeanCompile:
     ``tests/helpers.py``, bit for bit and error for error."""
 
     @given(compile_cases())
+    @example((MatrixPair(UNIT_AFTER_SCALING, ("x2", "x1")), {"x1": (F(1, 3), 2), "x2": [0.5, "5/7"]}, "exact"))
+    @example((MatrixPair(UNIT_AFTER_SCALING, ("x2", "x1")), {"x1": (F(1, 3), 2), "x2": [0.5, "5/7"]}, "approx"))
+    @example((MatrixPair(BEYOND_DOUBLES, ("x1", "x2")), {"x1": (F(1, 3), 2), "x2": [0.5, "5/7"]}, "approx"))
     @settings(max_examples=400, deadline=None)
     def test_equals_the_reference_compile(self, case):
         pair, assignment, mode = case
@@ -1353,21 +1373,28 @@ def test_a_large_custom_pair_compiles_as_the_reference(mode):
         reference_compile(pair, assignment, mode))
 
 
+def kernel_code(layout, mode):
+    """The code of a layout's kernel in ``mode``: one object for every
+    layout bound by one generated factory, another for each factory."""
+    return getattr(layout, f"{mode}_kernel").__code__
+
+
 class TestKernels:
-    """A layout's kernel is generated once per mode and shared by every
-    layout of equal polynomials."""
+    """A kernel is generated once per term shape and mode and bound to each
+    layout's own coefficients, so every layout of one shape shares one
+    generated function."""
 
     @pytest.fixture
     def generated(self, monkeypatch):
-        """The (polys, mode) of each kernel generated, in order, from an
+        """The (shape, mode) of each kernel generated, in order, from an
         empty kernel cache and with the builders' layouts made afresh, so
         that none holds a kernel yet."""
         calls = []
         source = relfreq.core._kernel_source
 
-        def counting(polys, mode):
-            calls.append((polys, mode))
-            return source(polys, mode)
+        def counting(shape, mode):
+            calls.append((shape, mode))
+            return source(shape, mode)
 
         monkeypatch.setattr(relfreq.core, "_kernel_source", counting)
         monkeypatch.setattr(relfreq.core, "_kernel", lru_cache(maxsize=256)(relfreq.core._kernel.__wrapped__))
@@ -1383,13 +1410,13 @@ class TestKernels:
         for pair in system.pairs:
             state = stream_step(state, pair, assignment)
         assert state.index == 1000 and finalize(system, state).availability > 0
-        assert generated == [(relfreq.ladder._CELL_LAYOUT.polys, "approx")]
+        assert [mode for _, mode in generated] == ["approx"]
         assert run_equivalence_trials(200).ok
-        # k-of-n:G, lincon-F and ladders in exact mode, each polys once
+        # k-of-n:G, lincon-F and ladders in exact mode, each shape once
         assert len(generated) == len(set(generated)) > 3
         assert all(mode == "exact" for _, mode in generated[1:])
 
-    def test_layouts_of_equal_polys_share_one_kernel(self, generated):
+    def test_layouts_of_one_shape_share_one_kernel(self, generated):
         layouts = [relfreq.kofn._layout("kofn-g", k) for k in range(2, 13)]
         assignment = {"x": (F(1, 3), F(2))}
         for mode in ("exact", "approx"):
@@ -1397,30 +1424,61 @@ class TestKernels:
                 pair = MatrixPair(layout, ("x",))
                 assert step_bits(relfreq.core._compile(pair, assignment, mode)) == step_bits(
                     reference_compile(pair, assignment, mode))
-        assert generated == [(layouts[0].polys, "exact"), (layouts[0].polys, "approx")]
-        assert all(layout.exact_kernel is layouts[0].exact_kernel for layout in layouts)
-        assert all(layout.approx_kernel is layouts[0].approx_kernel for layout in layouts)
+            assert {kernel_code(layout, mode) for layout in layouts} == {kernel_code(layouts[0], mode)}
+        assert [mode for _, mode in generated] == ["exact", "approx"]
         # custom pairs with equal term maps share too, whatever their rows
         twins = [MatrixPair.from_entries(2, [(0, c, {("y",): F(1, 3)}), (1, 1 - c, {(): 2})]) for c in (0, 1)]
         for pair in twins:
             relfreq.core._compile(pair, {"y": (F(1, 2), F(1))}, "exact")
         assert twins[0].layout.rows != twins[1].layout.rows
-        assert twins[0].layout.exact_kernel is twins[1].layout.exact_kernel
+        assert kernel_code(twins[0].layout, "exact") is kernel_code(twins[1].layout, "exact")
         assert len(generated) == 3
 
+    @pytest.mark.parametrize("mode", ["exact", "approx"])
+    def test_pairs_of_one_shape_with_their_own_coefficients_share_one_kernel(self, generated, mode):
+        # 200 pairs over x_i and x_{i+1} of one term structure and one sign
+        # pattern, each coefficient its own k/d with |k| > 1, so that none
+        # is +-1, before or after exact scaling
+        rng = random.Random(31)
+
+        def coeff(sign):
+            return next(c for c in iter(lambda: F(sign * rng.randint(2, 99), rng.randint(1, 99)), None)
+                        if abs(c.numerator) > 1)
+
+        ids = [f"x{i:03d}" for i in range(201)]
+        pairs = [MatrixPair.from_entries(3, [
+            (0, 0, {(a,): coeff(1), (a, b): coeff(-1)}),
+            (0, 2, {(): coeff(1)}),
+            (1, 1, {(b,): coeff(-1), (): coeff(1)}),
+            (2, 0, {(a, b): coeff(1)}),
+            (2, 2, {(a,): coeff(-1), (b,): coeff(1)}),
+        ]) for a, b in zip(ids, ids[1:])]
+        assignment = {cid: (F(rng.randint(0, 100), 100), F(rng.randint(0, 9), 7)) for cid in ids}
+        for pair in pairs:
+            assert step_bits(relfreq.core._compile(pair, assignment, mode)) == step_bits(
+                reference_compile(pair, assignment, mode))
+        assert len({pair.layout.polys for pair in pairs}) == 200
+        assert len({kernel_code(pair.layout, mode) for pair in pairs}) == 1
+        assert [m for _, m in generated] == [mode]
+
     def test_a_coefficient_beyond_the_range_names_its_own_layouts_entry(self, generated):
-        # equal polys, the big coefficient's slot at (0, 0) in one layout
-        # and at (1, 0) in the other
-        polys = ({(0,): -(10**400)}, {(): 1})
-        layouts = [Layout(2, (((0, 0),), ((1, 1),)), polys), Layout(2, (((1, 1),), ((0, 0),)), polys)]
+        # one shape: the big coefficient's slot is at (0, 0) in the first
+        # layout and at (1, 0) in the second, of equal polys, and the third
+        # layout's big coefficient is in its other slot, at (1, 1)
+        polys = ({(0,): -(10**400)}, {(): 2})
+        rows = (((0, 0),), ((1, 1),))
+        layouts = [Layout(2, rows, polys), Layout(2, rows[::-1], polys),
+                   Layout(2, rows, ({(0,): -3}, {(): 10**401}))]
         assignment = {"x": (F(1, 2), F(1))}
-        for layout, entry in zip(layouts, ["(0, 0)", "(1, 0)"]):
+        for layout, entry in zip(layouts, ["(0, 0)", "(1, 0)", "(1, 1)"]):
             pair = MatrixPair(layout, ("x",))
             assert step_bits(relfreq.core._compile(pair, assignment, "exact")) == step_bits(
                 reference_compile(pair, assignment, "exact"))
             with pytest.raises(ReliabilityError, match=rf"^matrix entry {re.escape(entry)}: coefficient"):
                 relfreq.core._compile(pair, assignment, "approx")
-        assert generated == [(layouts[0].polys, "exact")]
+            assert compile_outcome(reference_compile, pair, assignment, "approx")[1].startswith(
+                f"matrix entry {entry}: coefficient")
+        assert [mode for _, mode in generated] == ["exact"]
 
 
 # row 0 is c1 a_0 - c2 a_1 and row 1 is empty: -0.0 products come from a

@@ -37,12 +37,19 @@ def test_layer_times():
     assert proc.returncode == 0, proc.stderr
     times = json.loads(proc.stdout)
     assert list(times) == ["ladder-6", "ladder-24", "kofn-5-of-20-G", "identical-ladder-1000",
-                           "approx_squaring", "approx_stream_step", "first_compile"]
+                           "approx_squaring", "approx_stream_step", "first_compile",
+                           "distinct_coefficient_pairs"]
     layers = ["parse", "build", "compile", "fold", "finalize", "as_dict"]
-    assert all(list(times[name]) == layers for name in list(times)[:-3])
-    assert all(t > 0 for name in list(times)[:-3] for t in times[name].values())
+    assert all(list(times[name]) == layers for name in list(times)[:-4])
+    assert all(t > 0 for name in list(times)[:-4] for t in times[name].values())
     assert times["approx_squaring"] > 0 and times["approx_stream_step"] > 0
     first = times["first_compile"]
     assert list(first) == ["ladder-cell", "kofn-G"]
     assert all(list(modes) == ["exact", "approx"] and all(t > 0 for t in modes.values())
                for modes in first.values())
+    # 20 pairs of one structure with their own coefficients: a kernel per
+    # shape, far fewer than one per pair
+    distinct = times["distinct_coefficient_pairs"]
+    assert list(distinct) == ["exact", "approx"]
+    assert all(list(m) == ["kernels", "compile"] and 1 <= m["kernels"] < 20 and m["compile"] > 0
+               for m in distinct.values())

@@ -30,6 +30,9 @@ exactly when their outputs are byte-identical:
 
     diff <(python3 scripts/output_digest.py) \\
          <(PYTHONPATH=../other/src python3 ../other/scripts/output_digest.py)
+
+``tests/output_digest.txt`` holds the lines it prints, which
+``tests/test_scripts.py`` compares exactly.
 """
 
 import contextlib

@@ -220,12 +220,18 @@ def build_from_config(cfg: dict) -> TransferSystem:
             _parse_matrix(m, f"matrices[{i}]", memo)
             for i, m in enumerate(_list(cfg, "matrices"))
         )
+        v_left = _vector(cfg, "v_left", memo)
+        v_right = _vector(cfg, "v_right", memo)
+        offset = _scalar(memo, cfg.get("offset", "0"), "config", "offset")
+        # "sign" is a factor of v_left: A = offset + sign * (vL . product . vR)
+        sign = _integer(cfg, "sign", 1)
+        if sign not in (1, -1):
+            raise ReliabilityError("sign must be +1 or -1")
         return TransferSystem(
-            v_left=_vector(cfg, "v_left", memo),
+            v_left=tuple(sign * x for x in v_left),
             pairs=pairs,
-            v_right=_vector(cfg, "v_right", memo),
-            offset=_scalar(memo, cfg.get("offset", "0"), "config", "offset"),
-            sign=_integer(cfg, "sign", 1),
+            v_right=v_right,
+            offset=offset,
             components=comps,
             family="custom-matrices",
         )

@@ -1,9 +1,9 @@
 """Transfer-matrix engine: matrix pairs built from term tuples, and the
 single-pass availability/frequency recursion with the rate operator.
 
-A system is described by ``A = offset + sign * (vL . M_n ... M_1 . vR)``
-where each matrix entry is a multilinear polynomial in component
-availabilities.  The mean failure frequency comes from applying the linear
+A system is described by ``A = offset + vL . M_n ... M_1 . vR``, vL
+carrying any sign, where each matrix entry is a multilinear polynomial in
+component availabilities.  The mean failure frequency comes from applying the linear
 differential operator ``sum_i lambda_i p_i d/dp_i`` to A, which at the
 matrix level means threading the pair (M_k, M'_k) through one ordered pass:
 
@@ -348,29 +348,33 @@ class Layout:
 
     @cached_property
     def exact_kernel(self):
-        """The exact kernel (see :func:`_compile`), bound to each
-        coefficient as an integer over the lcm C of their denominators, and
-        to C, at this layout's first exact compile."""
-        scale = lcm(*[c.denominator for poly in self.polys for _, c in poly])
-        return _bind([[(vs, c.numerator * (scale // c.denominator)) for vs, c in poly] for poly in self.polys],
-                     EXACT, scale)
+        """The exact kernel (see :func:`_compile`), bound at this layout's
+        first exact compile."""
+        return self._bind(EXACT)
 
     @cached_property
     def approx_kernel(self):
-        """The approx kernel, bound to each coefficient converted to a float
-        once, at this layout's first approx compile, so exact mode converts
-        none.  A coefficient beyond the double range is a
-        :class:`ReliabilityError` naming an entry that holds the largest."""
-        try:
-            terms = [[(vs, float(c)) for vs, c in poly] for poly in self.polys]
-        except OverflowError:
-            biggest = [max(abs(c) for _, c in poly) for poly in self.polys]
-            slot = biggest.index(max(biggest))
-            r, col = next((r, col) for r, row in enumerate(self.rows) for col, s in row if s == slot)
-            raise ReliabilityError(
-                f"matrix entry ({r}, {col}): coefficient beyond the double range; exact mode accepts it"
-            ) from None
-        return _bind(terms, APPROX)
+        """The approx kernel, bound at this layout's first approx compile,
+        so exact mode converts no coefficient to a float."""
+        return self._bind(APPROX)
+
+    def _bind(self, mode: str):
+        """The kernel of this layout in ``mode``: the factory of its term
+        shape called with the coefficients made mode numbers over a scale
+        C by :func:`_numbers`, as C and the magnitude of each number that
+        is not +-1.  An approx coefficient beyond the double range is named
+        by the first entry of a slot that holds the largest."""
+        slots = [s for s, poly in enumerate(self.polys) for _ in poly]
+
+        def label(i):
+            r, col = next((r, col) for r, row in enumerate(self.rows) for col, s in row if s == slots[i])
+            return f"matrix entry ({r}, {col}): coefficient"
+
+        numbers, scale = _numbers([c for poly in self.polys for _, c in poly], mode, label)
+        flat = iter(numbers)  # zip reads poly first, so it takes one number per term
+        shape = tuple(tuple((vs, c > 0, abs(c) == 1) for (vs, _), c in zip(poly, flat))
+                      for poly in self.polys)
+        return _kernel(shape, mode)(scale, *[abs(c) for c in numbers if abs(c) != 1])
 
 
 @dataclass(frozen=True)
@@ -524,11 +528,12 @@ class Runs(Sequence):
 
 @dataclass(frozen=True)
 class TransferSystem:
-    """Left vector, ordered matrix pairs, right vector, affine convention.
+    """Left vector, ordered matrix pairs, right vector and offset.
 
     ``pairs[0]`` is applied first (adjacent to ``v_right``).  The reported
-    availability is ``offset + sign * (vL . product . vR)``; the default
-    affine form is (0, +1), and the k-out-of-n:G construction uses (1, -1).
+    availability is ``offset + vL . product . vR``, vL carrying any sign:
+    the offset is 0 by default, and the k-out-of-n:G construction reports
+    1 minus a projection through offset 1 and vL = (-1, 0, ..., 0).
     ``pairs`` is stored as :class:`Runs`: any sequence of pairs is accepted,
     and one given as a ``Runs`` is kept unexpanded, so building and checking
     a system costs O(runs), not O(len(pairs)).  The vectors must hold at
@@ -541,7 +546,6 @@ class TransferSystem:
     pairs: Runs
     v_right: Tuple[Fraction, ...]
     offset: Fraction = Fraction(0)
-    sign: int = 1
     components: Tuple[Component, ...] = ()
     family: str = ""
 
@@ -556,8 +560,6 @@ class TransferSystem:
             if (first.p, first.lam) != (comp.p, comp.lam):
                 raise ReliabilityError(f"component {comp.id!r} is given twice with different values")
         object.__setattr__(self, "components", tuple(components.values()))
-        if self.sign not in (1, -1):
-            raise ReliabilityError("sign must be +1 or -1")
         dim = len(self.v_right)
         if len(self.v_left) != dim:
             raise DimensionMismatchError("v_left and v_right dimensions differ")
@@ -585,22 +587,22 @@ class TransferSystem:
 # The single pass
 
 
-def _vector_numbers(vec: Tuple[Fraction, ...], name: str, mode: str) -> Tuple[List[Scalar], int]:
-    """(numbers, scale) for the system vector ``vec`` called ``name``, each
-    number being an entry times scale: exact-mode integers over the lcm of
-    the denominators, or approx-mode floats n / d over 1, rounded as
-    ``float`` of a Fraction.  In approx mode an entry beyond the double
-    range is a :class:`ReliabilityError` naming the largest entry as
-    ``name[i]``."""
-    ratios = [x.as_integer_ratio() for x in vec]
+def _numbers(values: Sequence[Fraction], mode: str, label) -> Tuple[List[Scalar], int]:
+    """(numbers, scale) for a system's exact constants ``values``, a vector,
+    the offset or a layout's coefficients, each number being a value times
+    scale: exact-mode integers over the lcm of the denominators, or approx
+    floats n / d over 1, rounded as ``float`` of a Fraction.  An approx
+    value beyond the double range is a :class:`ReliabilityError` naming
+    the largest, at index i, as ``label(i)``."""
+    ratios = [x.as_integer_ratio() for x in values]
     if mode == EXACT:
         scale = lcm(*[d for _, d in ratios])
         return [n * (scale // d) for n, d in ratios], scale
     try:
         return [n / d for n, d in ratios], 1
     except OverflowError:
-        i = max(range(len(vec)), key=lambda i: abs(vec[i]))
-        raise ReliabilityError(f"{name}[{i}] beyond the double range; exact mode accepts it") from None
+        i = max(range(len(values)), key=lambda i: abs(values[i]))
+        raise ReliabilityError(f"{label(i)} beyond the double range; exact mode accepts it") from None
 
 
 @dataclass(frozen=True, init=False)
@@ -639,7 +641,7 @@ def initial_state(system: TransferSystem, mode: str = EXACT) -> PassState:
     initialization, since M_1 . 0 = 0.
     """
     check_mode(mode)
-    a, scale = _vector_numbers(system.v_right, "v_right", mode)
+    a, scale = _numbers(system.v_right, mode, "v_right[{}]".format)
     return PassState(tuple(a), (0 if mode == EXACT else 0.0,) * len(a), 0, mode, scale=scale)
 
 
@@ -696,11 +698,12 @@ def _rate_error(ids, assignment) -> ReliabilityError:
 def _kernel_source(shape, mode: str) -> str:
     """Source of the kernel factory of a term ``shape`` in ``mode``: for
     each slot, ``(vs, positive, unit)`` per term, unit meaning c = +-1.
-    ``factory(C, c1, ...)`` (exact) or ``factory(c0, ...)`` (approx) takes
-    the coefficient lcm C and each non-unit |c| in term order, and returns
-    ``kernel(ids, assignment, rows)``: the :class:`Step` of the pair
-    binding variable j to ``ids[j]``, in straight-line code over the
-    variable indices.  No coefficient value is in the source.
+    ``factory(C, c1, ...)`` takes the coefficients' scale C (their lcm in
+    exact mode; 1, unread, in approx mode) and each non-unit |c| in term
+    order, and returns ``kernel(ids, assignment, rows)``: the
+    :class:`Step` of the pair binding variable j to ``ids[j]``, in
+    straight-line code over the variable indices.  No coefficient value is
+    in the source.
 
     The kernel reads each id by ``read`` (:func:`_read_value`) in variable
     order, makes each p and lambda a number, and then builds each slot's
@@ -781,7 +784,7 @@ def _kernel_source(shape, mode: str) -> str:
             name = f"l{j}" if name is None else made(("rate",) + vs[:i + 1], f"{name} + l{j}")
         return name
 
-    params = ["C"] if exact else []
+    params = ["C"]
     duals = []
     for s, poly in enumerate(shape):
         x, y = f"x{s}", f"y{s}"
@@ -836,14 +839,6 @@ def _kernel(shape, mode: str):
     namespace = {"read": _read_value, "lcm": lcm, "gcd": gcd, "step": Step._make, "rate_error": _rate_error}
     exec(compile(_kernel_source(shape, mode), f"<relfreq {mode} kernel>", "exec"), namespace)
     return namespace["factory"]
-
-
-def _bind(terms, mode: str, *lead):
-    """The kernel of ``terms``, each slot's (vs, coefficient) as an exact
-    integer or a float, from the factory of their shape called with
-    ``lead`` and the magnitude of each coefficient that is not +-1."""
-    shape = tuple(tuple((vs, c > 0, abs(c) == 1) for vs, c in poly) for poly in terms)
-    return _kernel(shape, mode)(*lead, *[abs(c) for poly in terms for _, c in poly if abs(c) != 1])
 
 
 def _compile(pair: MatrixPair, assignment: Mapping, mode: str) -> Step:
@@ -1157,10 +1152,10 @@ def _ldexp(x: float, e: int) -> float:
 
 
 def finalize(system: TransferSystem, state: PassState) -> ReliabilityReport:
-    """Project a fully-advanced state with vL and apply the affine form.
+    """Project a fully-advanced state with vL and add the offset.
     X = vL.A and Y = vL.V are over D, the product of the two scales.  With
-    offset on / od, exact mode builds each result as one Fraction of
-    integers: A = (on D + sign X od) / (od D), U = 1 - A, nu = sign Y / D.
+    the offset read as on / od, exact mode builds each result as one
+    Fraction of integers: A = (on D + X od) / (od D), U = 1 - A, nu = Y / D.
     In approx mode D is 1; with no offset, log10 A and nu/A = Y/X come from
     the projections, so they stay right when A is below the double range.
     An approx A, U or nu that is not finite is a :class:`ReliabilityError`
@@ -1172,28 +1167,25 @@ def finalize(system: TransferSystem, state: PassState) -> ReliabilityReport:
         raise ReliabilityError(
             f"state consumed {state.index} matrices, system has {system.size}"
         )
-    mode, e, sign = state.mode, state.exponent, system.sign
-    vL, scale = _vector_numbers(system.v_left, "v_left", mode)
+    mode, e = state.mode, state.exponent
+    vL, scale = _numbers(system.v_left, mode, "v_left[{}]".format)
+    (on,), od = _numbers((system.offset,), mode, lambda i: "offset")
+    # each sum starts from the int 0, so an approx zero X or Y is 0.0, not -0.0
     x_s, y_s = (sum(map(mul, vL, vec)) for vec in (state.a_vec, state.v_vec))
     if mode == EXACT:
-        on, od = system.offset.as_integer_ratio()
         den = scale * state.scale
-        a_num, a_den = on * den + sign * x_s * od, od * den
-        availability, frequency = Fraction(a_num, a_den), Fraction(sign * y_s, den)
+        a_num, a_den = on * den + x_s * od, od * den
+        availability, frequency = Fraction(a_num, a_den), Fraction(y_s, den)
         unavailability = 1 - availability  # its denominator is A's: no second gcd
-        failure_rate = Fraction(sign * y_s * od, a_num) if a_num else None
+        failure_rate = Fraction(y_s * od, a_num) if a_num else None
         log10_availability = log10_of(availability)
         log10_frequency = log10_of(frequency)
     else:
-        try:
-            offset = float(system.offset)
-        except OverflowError:
-            raise ReliabilityError("offset beyond the double range; exact mode accepts it") from None
-        x, y = _ldexp(x_s, e), _ldexp(y_s, e)
-        availability = offset + sign * x
-        # not 1 - availability: for offset 1 and sign -1 (k-of-n:G) this is x
-        # itself, with no cancellation
-        unavailability = (1 - offset) - sign * x
+        offset, x, y = on, _ldexp(x_s, e), _ldexp(y_s, e)  # od is 1
+        availability = offset + x
+        # not 1 - availability: for offset 1 (k-of-n:G, whose vL is
+        # negative) this is -x, with no cancellation
+        unavailability = (1 - offset) - x
         if isnan(availability) or isnan(unavailability):
             raise ReliabilityError(
                 "availability A is not a number: an intermediate value overflowed; exact mode accepts it")
@@ -1201,14 +1193,15 @@ def finalize(system: TransferSystem, state: PassState) -> ReliabilityReport:
             raise ReliabilityError("availability A beyond the double range")
         if not isfinite(y):
             raise ReliabilityError("failure frequency nu beyond the double range; exact mode accepts it")
-        frequency = sign * y + 0.0  # + 0.0 makes a zero nu 0.0, not -0.0
+        frequency = y
         if offset == 0:
-            log10_availability = log10_of(sign * x_s, e)
+            log10_availability = log10_of(x_s, e)
+            # + 0.0 makes a zero over a negative X 0.0, not -0.0
             failure_rate = y_s / x_s + 0.0 if x_s != 0 else None
         else:
             log10_availability = log10_of(availability)
             failure_rate = frequency / availability if availability != 0 else None
-        log10_frequency = log10_of(sign * y_s, e)
+        log10_frequency = log10_of(y_s, e)
     return ReliabilityReport(
         availability=availability,
         unavailability=unavailability,

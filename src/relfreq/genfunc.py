@@ -179,7 +179,7 @@ def transfer_gf(system, values) -> RationalGF:
     id read as the polynomial in p ``values[id]``.
 
     With w = vR pushed through the earlier runs and B = I - zM, the series
-    is offset/(1 - z) + sign * vL adj(B) w / det B, where vL adj(B) w =
+    is offset/(1 - z) + vL adj(B) w / det B, where vL adj(B) w =
     det(B + w vL^T) - det B by the matrix determinant lemma.  A family's
     matrix is read from its pairs' layouts, the one place it is written."""
     if not system.pairs:
@@ -193,8 +193,8 @@ def transfer_gf(system, values) -> RationalGF:
     b = [[_z([int(i == j), -e]) for j, e in enumerate(row)]
          for i, row in enumerate(_matrix(last, values))]
     det_b = _det(b)
-    num = (_det([[e + _z([w[i] * v]) for e, v in zip(row, system.v_left)]
-                 for i, row in enumerate(b)]) - det_b) * system.sign
+    num = _det([[e + _z([w[i] * v]) for e, v in zip(row, system.v_left)]
+                for i, row in enumerate(b)]) - det_b
     if not system.offset:
         return RationalGF(num, det_b)
     return RationalGF(num * _z([1, -1]) + det_b * system.offset, det_b * _z([1, -1]))

@@ -78,20 +78,19 @@ def _layout(family: str, k: int) -> Layout:
     return Layout(k, rows, polys[:min(k, 2)])
 
 
-def _build(spec: KofnSpec, family: str, offset=0, sign=1) -> TransferSystem:
+def _build(spec: KofnSpec, family: str, offset=0, lead=1) -> TransferSystem:
     """The system of one k x k pair per component object, binding its id to
     the family's layout: each run of components becomes a run of its pair,
-    and the system keeps the distinct components."""
+    and the system keeps the distinct components.  vL is (lead, 0, ..., 0)."""
     k = spec.k
     layout = _layout(family, k)
     components = {c.id: c for c, _ in spec.components.runs}
     pairs = {cid: MatrixPair(layout, (cid,)) for cid in components}
     return TransferSystem(
-        v_left=(Fraction(1),) + (Fraction(0),) * (k - 1),
+        v_left=(Fraction(lead),) + (Fraction(0),) * (k - 1),
         pairs=Runs.from_runs((pairs[c.id], r) for c, r in spec.components.runs),
         v_right=(Fraction(1),) * k,
         offset=offset,
-        sign=sign,
         components=tuple(components.values()),
         family=f"{family}:{k}/{spec.n}",
     )
@@ -100,12 +99,12 @@ def _build(spec: KofnSpec, family: str, offset=0, sign=1) -> TransferSystem:
 def build_kofn_g(spec: KofnSpec) -> TransferSystem:
     """Transfer system for a k-out-of-n:G system.
 
-    The availability is reported through the affine form (1, -1): the matrix
-    product accumulates the probability that fewer than k components work.
-    The derivative matrices carry the minus signs automatically, so no
-    post-hoc sign fixing is ever applied.
+    The matrix product accumulates the probability that fewer than k
+    components work, so the availability is 1 minus it: offset 1 and
+    vL = (-1, 0, ..., 0).  The derivative matrices carry the minus signs
+    automatically, so no post-hoc sign fixing is ever applied.
     """
-    return _build(spec, "kofn-g", offset=1, sign=-1)
+    return _build(spec, "kofn-g", offset=1, lead=-1)
 
 
 def build_lincon_f(spec: KofnSpec) -> TransferSystem:

@@ -120,10 +120,10 @@ def distinct_ladder_cells(n: int, edge, node) -> Tuple[LadderCell, ...]:
     return tuple(cells)
 
 
-# Variables 0-4 are the cell's S, T, a, b, c: the sorted order of the ids
-# the builders and configs use (S1 < T1 < a1 < b1 < c1), so a float term
-# multiplies its factors in the order of MultilinearPoly.evaluate.  Slots
-# 0-7 hold the entries, and positions (0, 2) and (1, 2) share slot 2.
+# Variables 0-4 are the cell's S, T, a, b, c: a term multiplies its
+# factors in this order, fixed here, whatever ids a cell binds, so float
+# results depend neither on the hash seed nor on the ids.  Slots 0-7 hold
+# the entries, and positions (0, 2) and (1, 2) share slot 2.
 _S, _T, _A, _B, _C = range(5)
 _CELL_LAYOUT = Layout(
     3,

@@ -168,7 +168,7 @@ def dense_fraction_fold(system, assignment):
         )
     x = sum(l * ai for l, ai in zip(system.v_left, a))
     y = sum(l * vi for l, vi in zip(system.v_left, v))
-    return system.offset + system.sign * x, system.sign * y
+    return system.offset + x, y
 
 
 def dense_step(step):
@@ -243,7 +243,7 @@ def reference_advance(step, a, v):
 def custom_config(system):
     """``system`` written as a custom-matrices config: its components with
     explicit rates, one dense matrix per reference to a pair, each entry
-    the terms of its polynomial, its vectors, offset and sign, every
+    the terms of its polynomial, its vectors and offset, every
     scalar as a rational string."""
     def poly_terms(poly):
         return [[str(c), list(ids)] for ids, c in poly.terms.items()]
@@ -262,7 +262,6 @@ def custom_config(system):
         "v_left": [str(x) for x in system.v_left],
         "v_right": [str(x) for x in system.v_right],
         "offset": str(system.offset),
-        "sign": system.sign,
         "matrices": matrices,
     }
 

@@ -214,7 +214,7 @@ class TestSolveCommand:
 
     def test_approx_zero_frequency_reads_positive_zero(self, tmp_path, capsys):
         # a and b never fail and c has no failure rate, so nu = 0; k-of-n:G
-        # reports nu as sign -1 times the projection, which is a zero too
+        # reports nu as the projection by vL = (-1, 0), which is a zero too
         cfg = {"family": "kofn-g", "k": 2, "rate_convention": "explicit", "components": [
             {"id": "a", "p": "1"}, {"id": "b", "p": "1"}, {"id": "c", "p": "1/2", "lambda": "0"}]}
         path = write_config(tmp_path, cfg)
@@ -615,6 +615,32 @@ def test_exact_solve_rejects_availability_outside_unit_interval(
     assert main(["solve", path, "--mode", "approx"]) == EXIT_OK
 
 
+def signed_config():
+    """custom_offset_sign of ``scripts/output_digest.py``, whose "sign" is
+    -1, with both entries of its v_left nonzero."""
+    digest = runpy.run_path(str(ROOT / "scripts" / "output_digest.py"))
+    return {**digest["custom_offset_sign"](), "v_left": ["3/4", "1/4"]}
+
+
+@pytest.mark.parametrize("mode", ["exact", "approx"])
+def test_config_sign_is_a_negated_v_left(tmp_path, capsys, mode):
+    signed = signed_config()
+    negated = {key: value for key, value in signed.items() if key != "sign"}
+    negated["v_left"] = ["-3/4", "-1/4"]
+    outputs = []
+    for cfg in (signed, negated):
+        outputs.append((main(["solve", write_config(tmp_path, cfg), "--mode", mode]), capsys.readouterr()))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == EXIT_OK and json.loads(outputs[0][1].out)["availability"]["decimal"] == "0.88"
+
+
+@pytest.mark.parametrize("sign", [0, 2, -2])
+def test_a_config_sign_other_than_plus_or_minus_one_exits_3(tmp_path, capsys, sign):
+    cfg = {**signed_config(), "sign": sign}
+    assert main(["solve", write_config(tmp_path, cfg)]) == EXIT_VALIDATION
+    assert capsys.readouterr() == ("", "error: invalid system description: sign must be +1 or -1\n")
+
+
 class TestSweepCommand:
     def read_rows(self, capsys):
         return list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
@@ -849,7 +875,7 @@ def verify_drawn_systems(seed, count):
 
 class TestCustomMatricesAgainstTheOracle:
     """A custom-matrices config that writes out a built system, slot
-    polynomials, vectors, offset and sign, reads back through
+    polynomials, vectors and offset, reads back through
     ``build_from_config`` to the same exact report, which the oracle
     confirms: the config's parsing checked end to end."""
 
@@ -859,8 +885,9 @@ class TestCustomMatricesAgainstTheOracle:
         descriptions = [desc for _, _, desc in self.DRAWN]
         assert {desc.split()[0] for desc in descriptions} == {"G", "LinConF", "ladder"}
         assert all(any(f"terminal={t}" in desc for desc in descriptions) for t in ("Sn", "Tn"))
-        # the k-of-n:G systems are offset 1, sign -1; the others 0 and +1
-        assert {(system.offset, system.sign) for system, _, _ in self.DRAWN} == {(1, -1), (0, 1)}
+        # the k-of-n:G systems are offset 1 with vL led by -1; the others 0 and +1
+        leads = {(system.offset, next(filter(None, system.v_left))) for system, _, _ in self.DRAWN}
+        assert leads == {(1, -1), (0, 1)}
 
     @pytest.mark.parametrize("index", range(len(DRAWN)))
     def test_custom_config_equals_the_built_system_and_the_oracle(self, index):

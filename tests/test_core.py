@@ -385,7 +385,7 @@ class TestSinglePass:
     def test_a_system_with_no_states_rejected(self):
         # with empty vectors vL . vR = 0, so A would read offset = 1 in either mode
         with pytest.raises(DimensionMismatchError, match="at least one state"):
-            TransferSystem((), [], (), offset=1, sign=-1)
+            TransferSystem((), [], (), offset=1)
 
     def test_rate_scaling_scales_frequency_only(self):
         system = one_component_system()
@@ -627,12 +627,14 @@ def test_log10_of_holds_beyond_the_double_range():
 
 
 def test_approx_zero_frequency_is_positive_zero():
-    # with sign -1 and no offset, a zero nu and nu/A are sign times a zero
-    # projection, and a negated float zero is -0.0
+    # with no offset, nu is Y = vL . V, summed from the int 0, so a zero nu
+    # is 0.0; nu/A is Y / X, and X = vL . A is negative for vL = 1, where
+    # 0.0 / X is -0.0 unless finalize adds 0.0
     pair = MatrixPair.from_entries(1, [(0, 0, {(): F(-1, 2)})])
-    report = single_pass(TransferSystem((F(1),), [pair], (F(1),), sign=-1), {}, "approx")
-    assert report.availability == 0.5
-    assert math.copysign(1, report.frequency) == math.copysign(1, report.failure_rate) == 1
+    for lead in (-1, 1):
+        report = single_pass(TransferSystem((F(lead),), [pair], (F(1),)), {}, "approx")
+        assert report.availability == -lead / 2
+        assert math.copysign(1, report.frequency) == math.copysign(1, report.failure_rate) == 1
 
 
 class TestStreamStep:
@@ -718,10 +720,10 @@ def mixed_rationals():
 
 @st.composite
 def fold_cases(draw):
-    """(system, assignment) with mixed denominators, sign -1 and an offset,
-    zero matrices, shared pair objects, runs of up to 64 consecutive
-    references to one pair object, positions of a pair sharing one
-    polynomial object, terms of up to three ids, and zero rates.  The rate
+    """(system, assignment) with mixed denominators, vL negated half the
+    time, an offset, zero matrices, shared pair objects, runs of up to 64
+    consecutive references to one pair object, positions of a pair sharing
+    one polynomial object, terms of up to three ids, and zero rates.  The rate
     4/11 has a denominator coprime to every p, rate and coefficient
     denominator, and terms of different sizes in one pair need padding to
     a common denominator in the integer compile."""
@@ -744,13 +746,10 @@ def fold_cases(draw):
     runs = st.tuples(st.integers(0, len(pool) - 1), st.integers(1, 2) | st.integers(1, 64))
     pairs = [pool[i] for i, r in draw(st.lists(runs, max_size=6)) for _ in range(r)]
     vector = st.lists(mixed_rationals(), min_size=dim, max_size=dim)
-    system = TransferSystem(
-        v_left=draw(vector),
-        pairs=pairs,
-        v_right=draw(vector),
-        offset=draw(mixed_rationals()),
-        sign=draw(st.sampled_from([1, -1])),
-    )
+    # the sign, drawn last, multiplies vL
+    v_left, v_right, offset = draw(vector), draw(vector), draw(mixed_rationals())
+    sign = draw(st.sampled_from([1, -1]))
+    system = TransferSystem(v_left=[sign * x for x in v_left], pairs=pairs, v_right=v_right, offset=offset)
     p = st.builds(F, st.integers(0, 7), st.just(7)) | st.sampled_from([F(1, 3), F(9, 10)])
     return system, {cid: (draw(p), draw(rates)) for cid in FOLD_IDS}
 
@@ -1102,6 +1101,20 @@ class TestLongExactChains:
     def test_kofn_g_against_the_count_programme(self):
         rng = random.Random(600)
         values = [(F(rng.randint(50, 99), 100), F(rng.randint(1, 30), rng.randint(1, 9))) for _ in range(600)]
+        system = build_kofn_g(KofnSpec(30, [Component(f"c{i}", p, lam) for i, (p, lam) in enumerate(values)]))
+        report = single_pass(system)
+        assert (mod_prime(report.availability), mod_prime(report.frequency)) == kofn_g_count_mod(30, values)
+
+    def test_a_10000_cell_ladder_against_the_frontier_programme(self):
+        # 10**4 cells: finalize's projection, reduction and offset at full size
+        values = ladder_values(10000, 10000)
+        report = single_pass(build_ladder(ladder_spec(values)))
+        assert (mod_prime(report.availability), mod_prime(report.frequency)) == ladder_frontier_mod(values)
+
+    def test_30_of_10000_g_against_the_count_programme(self):
+        # offset 1 and vL = (-1, 0, ..., 0) over 10**4 distinct components
+        rng = random.Random(10000)
+        values = [(F(rng.randint(50, 99), 100), F(rng.randint(1, 30), rng.randint(1, 9))) for _ in range(10000)]
         system = build_kofn_g(KofnSpec(30, [Component(f"c{i}", p, lam) for i, (p, lam) in enumerate(values)]))
         report = single_pass(system)
         assert (mod_prime(report.availability), mod_prime(report.frequency)) == kofn_g_count_mod(30, values)

@@ -177,8 +177,8 @@ class TestTransferGF:
                                                (1, 0, {("y",): 1, (): -1}), (1, 1, {("y",): 1})])
 
         def system(n):
-            return TransferSystem((F(1), F(2)), (first,) + (repeated,) * n, (F(1, 2), F(1)),
-                                  offset=1, sign=-1)
+            # 1 minus the projection: offset 1 and a negated vL
+            return TransferSystem((F(-1), F(-2)), (first,) + (repeated,) * n, (F(1, 2), F(1)), offset=1)
 
         gf = transfer_gf(system(1), {"x": F(3, 4), "y": P})
         coeffs = series_coeffs(gf, 10)

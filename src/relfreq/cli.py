@@ -371,15 +371,14 @@ def cmd_verify(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    result = run_equivalence_trials(
+    m = run_equivalence_trials(
         trials=args.trials,
         max_components=args.max_components,
         seed=args.seed,
     )
-    if result.ok:
-        print(f"verify: {result.trials} randomized instances, all exact matches")
+    if m is None:
+        print(f"verify: {args.trials} randomized instances, all exact matches")
         return EXIT_OK
-    m = result.mismatch
     print("verify: MISMATCH")
     print(f"  instance: {m.description}")
     print(f"  quantity: {m.quantity}")

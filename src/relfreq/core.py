@@ -457,17 +457,20 @@ class Runs(Sequence):
 
     It reads like the tuple it stands for (length, iteration, indexing;
     a slice is a tuple), but is never expanded: a run of r references costs
-    O(1) memory, so a chain of 10**12 shared cells fits.  ``Runs(items)``
-    reads each item of a plain iterable as a run of 1 and :meth:`from_runs`
-    takes the runs themselves; both store them through one merge.  A
-    ``Runs`` given to ``Runs`` is taken as it is, in O(1).
+    O(1) memory, so a chain of shared cells of any length fits and passes
+    in approx mode (an exact state grows with the chain).  Its number of
+    references is ``length``, a plain int; ``len()`` gives the same up to
+    ``sys.maxsize``, past which CPython's ``len()`` cannot go.
+    ``Runs(items)`` reads each item of a plain iterable as a run of 1 and
+    :meth:`from_runs` takes the runs themselves; both store them through
+    one merge.  A ``Runs`` given to ``Runs`` is taken as it is, in O(1).
     """
 
-    __slots__ = ("runs", "_ends")
+    __slots__ = ("runs", "_ends", "length")
 
     def __init__(self, items: Iterable = ()):
         if isinstance(items, Runs):
-            self.runs, self._ends = items.runs, items._ends
+            self.runs, self._ends, self.length = items.runs, items._ends, items.length
         else:
             self._merge(zip(items, repeat(1)))
 
@@ -494,20 +497,24 @@ class Runs(Sequence):
             merged.append((item, r))
         self.runs = tuple(merged)
         self._ends = tuple(accumulate(r for _, r in merged))
+        self.length = self._ends[-1] if self._ends else 0
 
     def __len__(self) -> int:
-        return self._ends[-1] if self._ends else 0
+        return self.length
+
+    def __bool__(self) -> bool:
+        return bool(self.runs)
 
     def __iter__(self) -> Iterator:
         return chain.from_iterable(repeat(item, r) for item, r in self.runs)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return tuple(map(self.__getitem__, range(len(self))[i]))
+            return tuple(map(self.__getitem__, range(self.length)[i]))
         i = to_index(i)
         if i < 0:
-            i += len(self)
-        if not 0 <= i < len(self):
+            i += self.length
+        if not 0 <= i < self.length:
             raise IndexError("Runs index out of range")
         return self.runs[bisect_right(self._ends, i)][0]
 
@@ -577,7 +584,7 @@ class TransferSystem:
 
     @property
     def size(self) -> int:
-        return len(self.pairs)
+        return self.pairs.length
 
     def default_assignment(self) -> dict:
         return {c.id: (c.p, c.lam) for c in self.components}
@@ -715,10 +722,11 @@ def _kernel_source(shape, mode: str) -> str:
 
     Exact mode puts each p over the lcm P of the p denominators, each
     lambda over their lcm L and each coefficient over C, and pads a term
-    of s variables by P^(d - s), d being the degree.  Then x = X L / D and
-    y = Y / D with D = C P^d L, and dividing D and every value by their
-    gcd makes the scale the lcm of the values' reduced denominators.
-    Integer sums do not depend on their order.
+    of s variables by P^(d - s), d being the degree; P and L are 1 for a
+    layout of no variables.  Then x = X L / D and y = Y / D with
+    D = C P^d L, and dividing D and every value by their gcd makes the
+    scale the lcm of the values' reduced denominators.  Integer sums do
+    not depend on their order.
 
     Approx mode divides each ratio's two integers, which rounds as
     ``float`` of a Fraction does, and keeps the float operations of the
@@ -734,23 +742,17 @@ def _kernel_source(shape, mode: str) -> str:
     exact = mode == EXACT
     v = 1 + max((j for poly in shape for vs, _, _ in poly for j in vs), default=-1)
     degree = max((len(vs) for poly in shape for vs, _, _ in poly), default=0)
-    body = []
+    body = [f"({''.join(f'i{j}, ' for j in range(v))}) = ids"]
+    body.extend(f"(n{j}, d{j}), (m{j}, e{j}) = read(assignment, i{j})" for j in range(v))
     emit = body.append
-    if v:
-        emit(f"{''.join(f'i{j}, ' for j in range(v))}= ids")
-    if exact and v == 1:
-        emit("(p0, P), (l0, L) = read(assignment, i0)")
-    elif exact:
-        body.extend(f"(n{j}, d{j}), (m{j}, e{j}) = read(assignment, i{j})" for j in range(v))
-        if v:
-            emit(f"P = lcm({', '.join(f'd{j}' for j in range(v))})")
-            emit(f"L = lcm({', '.join(f'e{j}' for j in range(v))})")
+    if exact:
+        emit(f"P = lcm({', '.join(f'd{j}' for j in range(v))})")
+        emit(f"L = lcm({', '.join(f'e{j}' for j in range(v))})")
         body.extend(f"p{j} = n{j} * (P // d{j})" for j in range(v))
         body.extend(f"l{j} = m{j} * (L // e{j})" for j in range(v))
     else:
-        body.extend(f"(n{j}, d{j}), (m{j}, e{j}) = read(assignment, i{j})" for j in range(v))
         body.extend(f"p{j} = n{j} / d{j}" for j in range(v))
-        if v:
+        if v:  # an empty try is not Python
             emit("try:")
             body.extend(f"    l{j} = m{j} / e{j}" for j in range(v))
             emit("except OverflowError:")
@@ -818,11 +820,11 @@ def _kernel_source(shape, mode: str) -> str:
                     emit(f"{total} = {'-' if exact else '0.0 - '}{value}")
             if not terms:
                 emit(f"{total} = {'0' if exact else '0.0'}")
-            elif exact and v and total == x:
+            elif exact and total == x:
                 emit(f"{x} *= L")
         duals.append((x, y))
     if exact:
-        emit(f"D = {power(degree)} * L * C" if v else "D = C")
+        emit(f"D = {power(degree)} * L * C")
         emit(f"g = gcd(D, {', '.join(chain.from_iterable(duals))})")
         emit(f"return step((rows, [{', '.join(f'({x} // g, {y} // g)' for x, y in duals)}], D // g, 0))")
     else:

@@ -33,7 +33,7 @@ class KofnSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "components", Runs(self.components))
-        n = len(self.components)
+        n = self.components.length
         if n < 1:
             raise ReliabilityError("need at least one component")
         if not (1 <= self.k <= n):
@@ -45,7 +45,7 @@ class KofnSpec:
 
     @property
     def n(self) -> int:
-        return len(self.components)
+        return self.components.length
 
 
 def identical_kofn_spec(k: int, n: int, p, lam) -> KofnSpec:

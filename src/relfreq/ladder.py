@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import index as to_index
 from typing import Dict, Tuple
 
 from .core import (
@@ -29,7 +30,7 @@ from .core import (
     single_pass,
 )
 from .oracle import StructureFunction, connectivity_structure
-from .scalars import EXACT, Scalar, as_exact, check_mode, convert
+from .scalars import EXACT, as_exact, check_mode, convert
 
 TERMINAL_S = "Sn"
 TERMINAL_T = "Tn"
@@ -74,21 +75,31 @@ class LadderSpec:
 
     @property
     def n(self) -> int:
-        return len(self.cells) - 1
+        return self.cells.length - 1
 
 
 @dataclass(frozen=True)
 class LadderIdenticalParams:
     """Identical edge availability p and node availability rho, with common
-    edge failure rate lam and node failure rate xi, for n cells past cell 0."""
+    edge failure rate lam and node failure rate xi, for n cells past cell 0.
+    p, rho, lam and xi are stored as Fractions, read by ``as_exact`` as a
+    component's values are, and n as an int, read by ``operator.index``; a
+    value that does not read is a :class:`ReliabilityError` naming it."""
 
-    p: Scalar
-    rho: Scalar
-    lam: Scalar
-    xi: Scalar
+    p: Fraction
+    rho: Fraction
+    lam: Fraction
+    xi: Fraction
     n: int
 
     def __post_init__(self):
+        for name in ("p", "rho", "lam", "xi", "n"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, to_index(value) if name == "n" else as_exact(value))
+            except (ValueError, OverflowError, TypeError, ZeroDivisionError):
+                kind = "an integer" if name == "n" else "a number"
+                raise ReliabilityError(f"{name}={value!r} is not {kind}") from None
         if not (0 <= self.p <= 1 and 0 <= self.rho <= 1):
             raise ReliabilityError("p and rho must lie in [0,1]")
         if self.lam < 0 or self.xi < 0:
@@ -161,7 +172,7 @@ def build_ladder(spec: LadderSpec) -> TransferSystem:
         v_left = (Fraction(1), Fraction(0), Fraction(0))
     else:
         v_left = (Fraction(0), Fraction(1), Fraction(0))
-    shared = len({comp.id for comp in components}) < 5 * len(spec.cells)
+    shared = len({comp.id for comp in components}) < 5 * spec.cells.length
     return TransferSystem(
         v_left=v_left,
         pairs=Runs.from_runs(runs),
@@ -179,10 +190,9 @@ def identical_ladder_spec(params: LadderIdenticalParams, terminal: str = TERMINA
     the system costs O(1) and the single pass evaluates the cell matrix once
     and advances through the n cells in O(log n) steps by powers of it.
     """
-    p, rho = as_exact(params.p), as_exact(params.rho)
-    lam, xi = as_exact(params.lam), as_exact(params.xi)
-    lam = Fraction(0) if p == 1 else lam
-    xi = Fraction(0) if rho == 1 else xi
+    p, rho = params.p, params.rho
+    lam = Fraction(0) if p == 1 else params.lam
+    xi = Fraction(0) if rho == 1 else params.xi
     cell0 = entry_cell(
         b=Component("b0", p, lam),
         S=Component("S0", rho, xi),

@@ -39,22 +39,10 @@ def convert(x, mode: str) -> Scalar:
 
 
 def parse_scalar(text: str) -> Fraction:
-    """Parse a decimal or 'num/den' string into an exact rational.
-
-    ASCII ``digits[.digits]`` and ``digits/digits``, the forms configs use,
-    are split here as ``Fraction(text)`` splits them, with its value and
-    errors but not its regex; any other form goes to ``Fraction(text)``.
-    """
-    s = text.strip()
+    """Parse a decimal or 'num/den' string into an exact rational, as
+    ``Fraction(text.strip())`` reads it."""
     try:
-        if s.isascii():
-            whole, sep, rest = s.partition("/") if "/" in s else s.partition(".")
-            if whole.isdigit() and (rest.isdigit() or not sep):
-                if sep == "/":
-                    return Fraction(int(whole), int(rest))
-                scale = 10 ** len(rest)
-                return Fraction(int(whole) * scale + int(rest or "0"), scale)
-        return Fraction(s)
+        return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"cannot parse scalar {text!r}: {exc}") from exc
 

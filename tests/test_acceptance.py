@@ -85,9 +85,9 @@ def test_criterion_2_worked_consecutive_4_of_11(capsys):
 
 def test_criterion_3_randomized_oracle_equivalence(capsys):
     t0 = time.perf_counter()
-    result = run_equivalence_trials(trials=200, max_components=12, seed=0)
+    mismatch = run_equivalence_trials(trials=200, max_components=12, seed=0)
     elapsed = time.perf_counter() - t0
-    ok = result.ok and result.trials == 200 and elapsed < 300
+    ok = mismatch is None and elapsed < 300
     scoreboard(capsys, 3, "200 randomized instances agree exactly with the oracle", ok)
 
 

@@ -9,6 +9,8 @@ import runpy
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from relfreq.cli import (
     EXIT_MISMATCH,
@@ -21,8 +23,9 @@ from relfreq.cli import (
 )
 import relfreq.cli
 import relfreq.verify
+from relfreq import asymptotics
 from relfreq.asymptotics import asymptotic_rate
-from relfreq.core import MultilinearPoly, single_pass
+from relfreq.core import MultilinearPoly, ReliabilityError, TransferSystem, single_pass
 from relfreq.kofn import build_kofn_g, build_lincon_f
 from relfreq.oracle import StructureFunction, kofn_g_structure, lincon_f_structure, oracle_solve
 from relfreq.scalars import parse_scalar
@@ -805,7 +808,7 @@ class TestVerifyCommand:
             return single_pass(system)
 
         monkeypatch.setattr(relfreq.verify, "single_pass", recording_pass)
-        assert run_equivalence_trials(trials=6, max_components=3).ok
+        assert run_equivalence_trials(trials=6, max_components=3) is None
         assert len(systems) == 6
         for system in systems:
             assert sum(0 < c.p < 1 for c in system.components) <= 3, system.family
@@ -818,7 +821,7 @@ class TestVerifyCommand:
             return single_pass(system)
 
         monkeypatch.setattr(relfreq.verify, "single_pass", recording_pass)
-        assert run_equivalence_trials(trials=24, max_components=16, seed=5).ok
+        assert run_equivalence_trials(trials=24, max_components=16, seed=5) is None
         assert len(sizes) == 24 and 12 < max(sizes) <= 16
 
     def test_max_components_above_twelve_draws_longer_ladders(self):
@@ -852,7 +855,7 @@ class TestVerifyCommand:
             return single_pass(system)
 
         monkeypatch.setattr(relfreq.verify, "single_pass", recording_pass)
-        assert run_equivalence_trials(trials=30, max_components=10, seed=3).ok
+        assert run_equivalence_trials(trials=30, max_components=10, seed=3) is None
         assert len(drawn) == len(systems) == 30
         # one call per trial, its ``full`` one bit for each state of the free ids
         assert len(calls) == 30
@@ -918,3 +921,122 @@ def test_a_custom_system_with_no_states_exits_3(tmp_path, capsys, mode):
     assert main(["solve", write_config(tmp_path, cfg), "--mode", mode]) == EXIT_VALIDATION
     out, err = capsys.readouterr()
     assert out == "" and "at least one state" in err
+
+
+# Values that a config field may hold in place of a valid one: JSON types
+# of every kind, texts that do not parse or do not read as a finite number,
+# and counts past sys.maxsize.
+FUZZ_VALUES = [None, True, 2.5, "x", "1/0", "nan", [], {}, 10**30, "1e400", -1, "", "-1/2"]
+FUZZ_P = st.sampled_from(["9/10", "0.5", "3/4", 0.25, "99/100"])
+FUZZ_RATE = st.sampled_from(["0", "1", "1/3", "2.5", 2])
+
+
+@st.composite
+def valid_configs(draw):
+    """A valid config of one family: kofn-g, lincon-f under steady-state-mu,
+    a ladder given cell by cell, an identical ladder or custom matrices."""
+    kind = draw(st.sampled_from(["kofn-g", "lincon-f", "cells", "identical", "custom"]))
+
+    def component(cid, rate="lambda"):
+        return {"id": cid, "p": draw(FUZZ_P), rate: draw(FUZZ_RATE)}
+
+    terminal = draw(st.sampled_from(["Sn", "Tn"]))
+    if kind == "kofn-g":
+        n = draw(st.integers(1, 4))
+        return {"family": "kofn-g", "k": draw(st.integers(1, n)),
+                "components": [component(f"c{i}") for i in range(n)]}
+    if kind == "lincon-f":
+        n = draw(st.integers(1, 4))
+        return {"family": "lincon-f", "k": draw(st.integers(1, n)), "rate_convention": "steady-state-mu",
+                "components": [component(f"c{i}", "mu") for i in range(n)]}
+    if kind == "cells":
+        cells = [{key: component(f"{key}{i}") for key in ("bST" if i == 0 else "abcST")}
+                 for i in range(draw(st.integers(1, 3)))]
+        return {"family": "ladder", "terminal": terminal, "cells": cells}
+    if kind == "identical":
+        return {"family": "ladder", "p": draw(FUZZ_P), "rho": draw(FUZZ_P), "lambda": draw(FUZZ_RATE),
+                "xi": draw(FUZZ_RATE), "n": draw(st.integers(0, 5)), "terminal": terminal}
+    dim = draw(st.integers(1, 2))
+    ids = ["x", "y"]
+    term = st.one_of(st.tuples(FUZZ_P).map(list),
+                     st.tuples(FUZZ_P, st.lists(st.sampled_from(ids), max_size=2)).map(list))
+    matrix = st.lists(st.lists(st.lists(term, max_size=2), min_size=dim, max_size=dim),
+                      min_size=dim, max_size=dim)
+    return {"family": "custom-matrices", "components": [component(cid) for cid in ids],
+            "matrices": draw(st.lists(matrix, min_size=1, max_size=2)),
+            "v_left": ["1"] * dim, "v_right": [draw(FUZZ_P)] * dim, "offset": "0"}
+
+
+def field_paths(node, path=()):
+    """The path of keys and indices to every value below ``node``."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from field_paths(child, path + (key,))
+
+
+@st.composite
+def mutated_configs(draw):
+    """(a valid config, a copy with one or two fields replaced by values of
+    FUZZ_VALUES), the deeper field first, so each path still leads to its
+    field when it is replaced."""
+    base = draw(valid_configs())
+    paths = draw(st.lists(st.sampled_from(list(field_paths(base))), min_size=1, max_size=2, unique=True))
+    cfg = json.loads(json.dumps(base))
+    for path in sorted(paths, key=len, reverse=True):
+        node = cfg
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = draw(st.sampled_from(FUZZ_VALUES))
+    return base, cfg
+
+
+IDENTICAL_LADDER = {"family": "ladder", "p": "0.9", "rho": "1", "lambda": "1", "xi": "0", "n": 5}
+
+
+@given(mutated_configs())
+@example((IDENTICAL_LADDER, dict(IDENTICAL_LADDER, n=10**30)))
+@settings(max_examples=300, deadline=None)
+def test_config_reading_raises_only_its_own_errors(configs):
+    # build only: an exact solve of a mutated chain of 10**30 cells would not finish
+    base, cfg = configs
+    assert isinstance(build_from_config(base), TransferSystem)
+    try:
+        system = build_from_config(cfg)
+    except (ConfigError, ReliabilityError):
+        return
+    assert isinstance(system, TransferSystem)
+
+
+class TestChainsPastSysMaxsize:
+    """A chain of 2**63 or more references is read by its runs, never by
+    ``len()``, which stops at sys.maxsize; approx mode only, since an exact
+    pass at such n is infeasible."""
+
+    def test_ladder_sweep_of_10_to_the_19_cells(self, capsys):
+        n = 10**19
+        code = main(["sweep", "--family", "ladder", "--param", "p", "--range", "0.85:0.9:0.05", "--n", str(n)])
+        assert code == EXIT_OK
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert [float(row["log10_A"]) for row in rows] == [-1.234481333860177e17, -5.141136236905185e16]
+        for row in rows:
+            p = float(row["p"])
+            _, zeta, _ = asymptotics.eigenvalues(p)
+            expected = n * math.log10(zeta) + math.log10(asymptotics.dominant_amplitude(p))
+            assert float(row["log10_A"]) == pytest.approx(expected, rel=1e-14)
+            d_zeta, _ = asymptotics.log_derivatives(p)
+            assert float(row["lambda_bar"]) == pytest.approx(n * d_zeta, rel=1e-14)
+
+    def test_approx_solve_of_an_identical_ladder_of_10_to_the_19_cells(self, tmp_path, capsys):
+        cfg = dict(IDENTICAL_LADDER, n=10**19)
+        assert main(["solve", "--mode", "approx", write_config(tmp_path, cfg)]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert report["log10_availability"] == -5.141136236905185e16
+        assert report["meta"]["size"] == 10**19 + 1
+
+    def test_kofn_sweep_of_10_to_the_20_components(self, capsys):
+        code = main(["sweep", "--family", "kofn-g", "--param", "p", "--range", "0.85:0.9:0.05",
+                     "--n", str(10**20)])
+        assert code == EXIT_OK
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert [row["A"] for row in rows] == ["1.0", "1.0"]

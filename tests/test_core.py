@@ -1424,7 +1424,7 @@ class TestKernels:
             state = stream_step(state, pair, assignment)
         assert state.index == 1000 and finalize(system, state).availability > 0
         assert [mode for _, mode in generated] == ["approx"]
-        assert run_equivalence_trials(200).ok
+        assert run_equivalence_trials(200) is None
         # k-of-n:G, lincon-F and ladders in exact mode, each shape once
         assert len(generated) == len(set(generated)) > 3
         assert all(mode == "exact" for _, mode in generated[1:])
@@ -1628,6 +1628,18 @@ class TestRuns:
     def test_negative_run_rejected(self):
         with pytest.raises(ValueError):
             Runs.from_runs([(object(), -1)])
+
+    def test_a_count_past_sys_maxsize(self):
+        # CPython's len() stops at sys.maxsize; the count, truth and indexing do not
+        item = object()
+        seq = Runs.from_runs([(item, 2**64)])
+        assert seq and seq.length == Runs(seq).length == 2**64
+        assert seq[2**64 - 1] is item and seq[-2**64] is item
+        with pytest.raises(IndexError):
+            seq[2**64]
+        with pytest.raises(OverflowError):
+            len(seq)
+        assert not Runs() and Runs().length == len(Runs()) == 0
 
     @pytest.mark.parametrize("mode", ["exact", "approx"])
     def test_shared_ladder_reports_as_the_expanded_chain(self, mode):

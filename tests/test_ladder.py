@@ -1,5 +1,6 @@
 """Ladder networks: cell matrices, closed forms, oracle agreement."""
 
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -191,6 +192,41 @@ class TestSmallLaddersByHand:
             report = single_pass(system)
             assert report.availability == oracle_availability(sf, pm)
             assert report.frequency == oracle_frequency(sf, pm, rm)
+
+
+class TestIdenticalParams:
+    """LadderIdenticalParams reads its values as the other builders do: p,
+    rho, lam and xi by ``as_exact``, n by ``operator.index``."""
+
+    def test_values_are_read_as_exact_numbers(self):
+        params = LadderIdenticalParams("0.9", 1, "1/3", 0.5, 5)
+        assert (params.p, params.rho, params.lam, params.xi, params.n) == (F(9, 10), 1, F(1, 3), F(1, 2), 5)
+        assert all(type(x) is F for x in (params.p, params.rho, params.lam, params.xi))
+        assert ladder_closed_form(params) == ladder_closed_form(
+            LadderIdenticalParams(F(9, 10), F(1), F(1, 3), F(1, 2), 5))
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("p", "x", "p='x' is not a number"),
+        ("rho", None, "rho=None is not a number"),
+        ("lam", "1/0", "lam='1/0' is not a number"),
+        ("xi", float("nan"), "xi=nan is not a number"),
+        ("n", 2.5, "n=2.5 is not an integer"),
+        ("n", "5", "n='5' is not an integer"),
+    ])
+    def test_a_value_that_does_not_read_is_named(self, field, value, message):
+        values = {**dict(p=F(9, 10), rho=F(1), lam=F(1), xi=F(0), n=5), field: value}
+        with pytest.raises(ReliabilityError) as info:
+            LadderIdenticalParams(**values)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("values, message", [
+        (("1.5", 1, 1, 0, 5), "p and rho must lie in [0,1]"),
+        (("0.9", 1, "-1", 0, 5), "rates must be nonnegative"),
+        (("0.9", 1, 1, 0, -1), "n must be nonnegative"),
+    ])
+    def test_range_messages(self, values, message):
+        with pytest.raises(ReliabilityError, match=re.escape(message)):
+            LadderIdenticalParams(*values)
 
 
 class TestClosedForm:

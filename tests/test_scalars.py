@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relfreq import scalars
 from relfreq.core import ReliabilityReport
 from relfreq.scalars import parse_scalar, rational_str
 
@@ -112,18 +111,3 @@ def test_long_whole_and_fraction_parts_parse_each_under_the_limit(digit_limit_43
     digits parse although their 6000 digits together exceed the limit."""
     text = "1" * 3000 + "." + "2" * 3000
     assert parse_scalar(text) == F(text)
-
-
-def test_plain_decimals_and_ratios_skip_the_fraction_string_parser(monkeypatch):
-    parsed = []
-
-    def counting(*args):
-        if args and isinstance(args[0], str):
-            parsed.append(args[0])
-        return F(*args)
-
-    monkeypatch.setattr(scalars, "Fraction", counting)
-    assert [parse_scalar(t) for t in ("0.93", "93/100", "12")] == [F(93, 100), F(93, 100), 12]
-    assert parsed == []
-    assert parse_scalar(" 9.3e-1 ") == F(93, 100)
-    assert parsed == ["9.3e-1"]

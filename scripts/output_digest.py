@@ -223,11 +223,11 @@ def custom_product_beyond_double_range():
 def corrupt_pass(system):
     """``single_pass`` of ``system`` with 1/97 added to its first pair's
     slot 0, at every position that holds it, so no oracle agrees."""
-    pair = system.pairs[0]
+    pair = tuple(system.pairs)[0]
     layout = pair.layout
     polys = (layout.polys[0] + (((), Fraction(1, 97)),),) + layout.polys[1:]
     bad = MatrixPair(Layout(layout.dim, layout.rows, polys), pair.ids)
-    return single_pass(replace(system, pairs=(bad,) + system.pairs[1:]))
+    return single_pass(replace(system, pairs=(bad,) + tuple(system.pairs)[1:]))
 
 
 def identical_gfs():

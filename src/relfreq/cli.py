@@ -302,7 +302,8 @@ def _parse_range(text: str, integral: bool):
 
 
 def _sweep_point(args, fixed: dict, param: str, value):
-    """One sweep row: (A, log10_A, nu_bar, lambda_bar, d_ln_zeta, d_ln_alpha).
+    """One sweep row: (A, log10_A, nu_bar, lambda_bar), and for a ladder of
+    perfect nodes and 0 < p < 1 (dLnZeta, dLnAlpha).
     ``fixed`` holds the parsed --p, --rho, --lam and --xi and the --n, and
     ``value`` is exact; the CSV gets it as a float.  Every family's system
     is one run of one shared component or cell, so a row costs O(log n)."""
@@ -322,13 +323,10 @@ def _sweep_point(args, fixed: dict, param: str, value):
         "nu_bar": report.frequency,
         "lambda_bar": report.failure_rate if report.failure_rate is not None else "",
     }
-    if args.family == "ladder":
-        p_val = float(fixed["p"])
-        if 0 < p_val < 1 and float(fixed["rho"]) == 1.0:
-            d_zeta, d_alpha = asymptotics.log_derivatives(p_val)
-            row["dLnZeta"], row["dLnAlpha"] = d_zeta, d_alpha
-        else:
-            row["dLnZeta"] = row["dLnAlpha"] = ""
+    p_val = float(fixed["p"])
+    # the log-derivatives hold for perfect nodes only; csv writes a missing cell as ""
+    if args.family == "ladder" and 0 < p_val < 1 and float(fixed["rho"]) == 1.0:
+        row["dLnZeta"], row["dLnAlpha"] = asymptotics.log_derivatives(p_val)
     return row
 
 

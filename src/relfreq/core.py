@@ -63,12 +63,11 @@ the powers of a run, independent of the number of matrices.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from fractions import Fraction
-from itertools import accumulate, chain, repeat
+from itertools import chain, repeat
 from math import copysign, frexp, gcd, inf, isfinite, isnan, lcm, ldexp, log10
 from operator import index as to_index, mul
 from typing import Iterable, Iterator, List, Mapping, NamedTuple, Optional, Tuple
@@ -118,6 +117,16 @@ def _unread_error(cid, names: str, values: tuple) -> ReliabilityError:
             break
     return ReliabilityError(
         f"component {cid!r}: ({names}) = {values} is {'not a number' if finite else 'not finite'}")
+
+
+def read_field(name: str, value, integer: bool = False):
+    """``value`` read as a Fraction by ``as_exact``, or as an int by
+    ``operator.index`` when ``integer``; one that does not read is a
+    :class:`ReliabilityError` naming the field ``name``."""
+    try:
+        return to_index(value) if integer else as_exact(value)
+    except (ValueError, OverflowError, TypeError, ZeroDivisionError):
+        raise ReliabilityError(f"{name}={value!r} is not {'an integer' if integer else 'a number'}") from None
 
 
 @dataclass(frozen=True)
@@ -450,33 +459,33 @@ class MatrixPair:
         return cls(Layout(dim, map(sorted, rows), polys), ids)
 
 
-class Runs(Sequence):
-    """An immutable sequence stored as its runs: ``runs`` holds (item, r) for
+class Runs:
+    """A chain of references stored as its runs: ``runs`` holds (item, r) for
     each run of r >= 1 consecutive references to one object, and no two
     adjacent runs hold the same object.
 
-    It reads like the tuple it stands for (length, iteration, indexing;
-    a slice is a tuple), but is never expanded: a run of r references costs
-    O(1) memory, so a chain of shared cells of any length fits and passes
-    in approx mode (an exact state grows with the chain).  Its number of
-    references is ``length``, a plain int; ``len()`` gives the same up to
-    ``sys.maxsize``, past which CPython's ``len()`` cannot go.
+    A chain is never expanded: a run of r references costs O(1) memory, so
+    a chain of shared cells of any length fits and passes in approx mode (an
+    exact state grows with the chain).  Its number of references is
+    ``length``, a plain int of any size, and iterating it yields each
+    reference in order.  It has no ``len()`` and no index: a short chain is
+    indexed as ``tuple(chain)[i]``.
     ``Runs(items)`` reads each item of a plain iterable as a run of 1 and
     :meth:`from_runs` takes the runs themselves; both store them through
     one merge.  A ``Runs`` given to ``Runs`` is taken as it is, in O(1).
     """
 
-    __slots__ = ("runs", "_ends", "length")
+    __slots__ = ("runs", "length")
 
     def __init__(self, items: Iterable = ()):
         if isinstance(items, Runs):
-            self.runs, self._ends, self.length = items.runs, items._ends, items.length
+            self.runs, self.length = items.runs, items.length
         else:
             self._merge(zip(items, repeat(1)))
 
     @classmethod
     def from_runs(cls, runs: Iterable[Tuple[object, int]]) -> "Runs":
-        """The sequence of ``r`` references to each ``item`` in turn, from
+        """The chain of ``r`` references to each ``item`` in turn, from
         (item, r) pairs."""
         out = cls.__new__(cls)
         out._merge(runs)
@@ -496,11 +505,7 @@ class Runs(Sequence):
                 r += merged.pop()[1]
             merged.append((item, r))
         self.runs = tuple(merged)
-        self._ends = tuple(accumulate(r for _, r in merged))
-        self.length = self._ends[-1] if self._ends else 0
-
-    def __len__(self) -> int:
-        return self.length
+        self.length = sum(r for _, r in merged)
 
     def __bool__(self) -> bool:
         return bool(self.runs)
@@ -508,20 +513,10 @@ class Runs(Sequence):
     def __iter__(self) -> Iterator:
         return chain.from_iterable(repeat(item, r) for item, r in self.runs)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(map(self.__getitem__, range(self.length)[i]))
-        i = to_index(i)
-        if i < 0:
-            i += self.length
-        if not 0 <= i < self.length:
-            raise IndexError("Runs index out of range")
-        return self.runs[bisect_right(self._ends, i)][0]
-
     def __eq__(self, other):
-        """Equal when the runs are, so that systems built alike compare equal
-        as they did with pair tuples.  Unlike a tuple, r references to one
-        object differ here from r distinct but equal objects."""
+        """Equal when the runs are, so that systems built alike compare
+        equal.  Unlike a tuple, r references to one object differ here from
+        r distinct but equal objects."""
         if not isinstance(other, Runs):
             return NotImplemented
         return self.runs == other.runs
@@ -537,13 +532,13 @@ class Runs(Sequence):
 class TransferSystem:
     """Left vector, ordered matrix pairs, right vector and offset.
 
-    ``pairs[0]`` is applied first (adjacent to ``v_right``).  The reported
+    The first pair is applied first (adjacent to ``v_right``).  The reported
     availability is ``offset + vL . product . vR``, vL carrying any sign:
     the offset is 0 by default, and the k-out-of-n:G construction reports
     1 minus a projection through offset 1 and vL = (-1, 0, ..., 0).
     ``pairs`` is stored as :class:`Runs`: any sequence of pairs is accepted,
     and one given as a ``Runs`` is kept unexpanded, so building and checking
-    a system costs O(runs), not O(len(pairs)).  The vectors must hold at
+    a system costs O(runs), not O(pairs.length).  The vectors must hold at
     least one state, and each run's pair is checked against their dimension
     once.  Components that share an id are
     kept once, the first in order, and must agree in p and lambda.

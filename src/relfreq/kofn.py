@@ -16,8 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .core import Component, Layout, MatrixPair, ReliabilityError, Runs, TransferSystem
-from .scalars import as_exact
+from .core import Component, Layout, MatrixPair, ReliabilityError, Runs, TransferSystem, read_field
 
 
 @dataclass(frozen=True)
@@ -32,6 +31,7 @@ class KofnSpec:
     components: Runs
 
     def __post_init__(self):
+        object.__setattr__(self, "k", read_field("k", self.k, integer=True))
         object.__setattr__(self, "components", Runs(self.components))
         n = self.components.length
         if n < 1:
@@ -51,8 +51,10 @@ class KofnSpec:
 def identical_kofn_spec(k: int, n: int, p, lam) -> KofnSpec:
     """k of n identical components: one component "c" run n times, as
     :func:`~relfreq.ladder.identical_ladder_spec` runs one interior cell.
+    p, lam and n are read by :func:`~relfreq.core.read_field`, as
+    :class:`~relfreq.ladder.LadderIdenticalParams` reads its values.
     A perfect component (p = 1) gets rate 0, as it never fails."""
-    p = as_exact(p)
+    p, lam, n = read_field("p", p), read_field("lam", lam), read_field("n", n, integer=True)
     return KofnSpec(k, Runs.from_runs([(Component("c", p, 0 if p == 1 else lam), n)]))
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import index as to_index
 from typing import Dict, Tuple
 
 from .core import (
@@ -27,10 +26,11 @@ from .core import (
     ReliabilityReport,
     Runs,
     TransferSystem,
+    read_field,
     single_pass,
 )
 from .oracle import StructureFunction, connectivity_structure
-from .scalars import EXACT, as_exact, check_mode, convert
+from .scalars import EXACT, check_mode, convert
 
 TERMINAL_S = "Sn"
 TERMINAL_T = "Tn"
@@ -67,7 +67,7 @@ class LadderSpec:
             raise ReliabilityError("ladder needs at least cell 0")
         if self.terminal not in (TERMINAL_S, TERMINAL_T):
             raise ReliabilityError(f"unknown terminal {self.terminal!r}")
-        first = self.cells[0]
+        first = self.cells.runs[0][0]
         if first.a.p != 1 or first.a.lam != 0:
             raise ReliabilityError("cell 0 must have a perfect entry edge (a=1, rate 0)")
         if first.c.p != 0:
@@ -82,9 +82,9 @@ class LadderSpec:
 class LadderIdenticalParams:
     """Identical edge availability p and node availability rho, with common
     edge failure rate lam and node failure rate xi, for n cells past cell 0.
-    p, rho, lam and xi are stored as Fractions, read by ``as_exact`` as a
-    component's values are, and n as an int, read by ``operator.index``; a
-    value that does not read is a :class:`ReliabilityError` naming it."""
+    p, rho, lam and xi are stored as Fractions and n as an int, each read by
+    :func:`~relfreq.core.read_field`, so a value that does not read is a
+    :class:`ReliabilityError` naming it."""
 
     p: Fraction
     rho: Fraction
@@ -94,12 +94,7 @@ class LadderIdenticalParams:
 
     def __post_init__(self):
         for name in ("p", "rho", "lam", "xi", "n"):
-            value = getattr(self, name)
-            try:
-                object.__setattr__(self, name, to_index(value) if name == "n" else as_exact(value))
-            except (ValueError, OverflowError, TypeError, ZeroDivisionError):
-                kind = "an integer" if name == "n" else "a number"
-                raise ReliabilityError(f"{name}={value!r} is not {kind}") from None
+            object.__setattr__(self, name, read_field(name, getattr(self, name), integer=name == "n"))
         if not (0 <= self.p <= 1 and 0 <= self.rho <= 1):
             raise ReliabilityError("p and rho must lie in [0,1]")
         if self.lam < 0 or self.xi < 0:
@@ -217,23 +212,24 @@ def ladder_structure(spec: LadderSpec) -> StructureFunction:
     nodes = []
     edges = []
     ids = []
-    for i, cell in enumerate(spec.cells):
+    cells = tuple(spec.cells)
+    for i, cell in enumerate(cells):
         nodes += [cell.S.id, cell.T.id]
         if i > 0:
-            prev = spec.cells[i - 1]
+            prev = cells[i - 1]
             edges.append((cell.a.id, prev.S.id, cell.S.id))
             edges.append((cell.c.id, prev.T.id, cell.T.id))
         edges.append((cell.b.id, cell.S.id, cell.T.id))
         ids += [c.id for c in cell.components()]
     if len(set(ids)) != len(ids):
         raise ReliabilityError("oracle requires distinct component ids per cell")
-    last = spec.cells[-1]
+    last = cells[-1]
     terminal = last.S.id if spec.terminal == TERMINAL_S else last.T.id
     return connectivity_structure(
         ids=ids,
         nodes=nodes,
         edges=edges,
-        source=spec.cells[0].S.id,
+        source=cells[0].S.id,
         terminal=terminal,
     )
 

@@ -468,11 +468,11 @@ def lincon_f_run_mod(k, values):
 def corrupt_system(system):
     """``system`` with 1/97 added to its first pair's slot 0, at every
     position that holds it, so that its results disagree with the oracle."""
-    pair = system.pairs[0]
+    pair = tuple(system.pairs)[0]
     layout = pair.layout
     polys = (layout.polys[0] + (((), Fraction(1, 97)),),) + layout.polys[1:]
     bad = MatrixPair(Layout(layout.dim, layout.rows, polys), pair.ids)
-    return replace(system, pairs=(bad,) + system.pairs[1:])
+    return replace(system, pairs=(bad,) + tuple(system.pairs)[1:])
 
 
 def oracle_pivotal(sf, probs, pivot):

@@ -117,7 +117,7 @@ def test_criterion_4_generating_function_consistency(capsys):
         for p in p_points:
             # incremental transfer-matrix fold: one shared matrix, n steps
             system = build_kofn_g(identical_kofn_spec(k, k, p, lam))
-            pair = system.pairs[0]
+            pair = tuple(system.pairs)[0]
             assignment = system.default_assignment()
             state = initial_state(system)
             for n in range(1, 31):

@@ -141,7 +141,7 @@ class TestBuildFromConfig:
             "v_right": ["1"],
             "matrices": [[[[["1", ["a"]], ["2", ["a"]], ["1", ["b", "b"]]]]]],
         }
-        (entry,), = build_from_config(cfg).pairs[0].m
+        (entry,), = tuple(build_from_config(cfg).pairs)[0].m
         assert entry.poly == MultilinearPoly({("a",): 3, ("b",): 1})
 
     def test_unknown_family(self):
@@ -683,7 +683,7 @@ class TestSweepCommand:
         monkeypatch.setattr(relfreq.cli, "single_pass", spy)
         code = main(["sweep", "--family", family, "--param", "n", "--range", "3:9:3", "--k", "3"])
         assert code == EXIT_OK and len(self.read_rows(capsys)) == 3
-        assert [len(system.pairs) for system in systems] == [3, 6, 9]
+        assert [system.pairs.length for system in systems] == [3, 6, 9]
         assert [len(system.pairs.runs) for system in systems] == [1, 1, 1]
 
     def test_sweep_n_ladder_with_derivative_columns(self, capsys):
@@ -696,6 +696,17 @@ class TestSweepCommand:
         assert len(rows) == 5
         assert "dLnZeta" in rows[0] and "dLnAlpha" in rows[0]
         assert float(rows[0]["dLnZeta"]) > 0
+
+    def test_sweep_ladder_with_fallible_nodes_leaves_derivatives_empty(self, capsys):
+        # the log-derivative formulas hold for perfect nodes (rho = 1) only
+        code = main(
+            ["sweep", "--family", "ladder", "--param", "p",
+             "--range", "0.5:0.9:0.2", "--rho", "0.9"]
+        )
+        assert code == EXIT_OK
+        rows = self.read_rows(capsys)
+        assert len(rows) == 3 and all(float(r["A"]) > 0 for r in rows)
+        assert all(r["dLnZeta"] == r["dLnAlpha"] == "" for r in rows)
 
     def test_sweep_p_ladder_of_10_to_the_12_cells(self, capsys):
         # the shared-cell chain is held as runs, so no 10**12-long tuple is built
@@ -799,6 +810,16 @@ class TestVerifyCommand:
         code = main(["verify", "--trials", "-5"])
         assert code == EXIT_PARSE
         assert "trials=-5" in capsys.readouterr().err
+
+    def test_a_frequency_mismatch_is_named(self, monkeypatch):
+        def off_by_one(sf, probs, rates):
+            a, nu = oracle_solve(sf, probs, rates)
+            return a, nu + 1
+
+        monkeypatch.setattr(relfreq.verify, "oracle_solve", off_by_one)
+        mismatch = run_equivalence_trials(trials=1, max_components=4)
+        assert mismatch.quantity == "frequency"
+        assert mismatch.oracle_value == mismatch.matrix_value + 1
 
     def test_no_ladder_below_four_components(self, monkeypatch):
         systems = []

@@ -101,6 +101,10 @@ class TestSeriesExtraction:
         with pytest.raises(GenfuncError):
             RationalGF(num=(UniPoly([1]),), den=(UniPoly(), UniPoly([1])))
 
+    def test_denominator_constant_term_in_p_rejected(self):
+        with pytest.raises(GenfuncError, match="denominator constant term must be a nonzero constant in p"):
+            RationalGF(num=(UniPoly([1]),), den=(UniPoly([0, 1]), UniPoly([1])))
+
 
 class TestOperatorIdentity:
     def test_gf_level_identity(self):

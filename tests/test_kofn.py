@@ -36,7 +36,7 @@ class TestKofnG:
     def test_matrix_shapes_and_prime_entries(self):
         comps = distinct_identical_components(3, F(1, 2), lam=F(2))
         system = build_kofn_g(KofnSpec(2, comps))
-        pair = system.pairs[0]
+        pair = tuple(system.pairs)[0]
         assert pair.dim == 2
         cid = comps[0].id
         lam_p = F(2) * F(1, 2)
@@ -67,7 +67,7 @@ class TestKofnG:
             build_kofn_g(KofnSpec(k, comps)),
             build_lincon_f(KofnSpec(k, comps)),
         ):
-            layout = system.pairs[0].layout
+            layout = tuple(system.pairs)[0].layout
             assert all(pair.layout is layout for pair in system.pairs)
             assert [len(pair.layout.polys) for pair in system.pairs] == [min(k, 2)] * (k + 2)
 
@@ -80,9 +80,9 @@ class TestKofnG:
         for build in (build_kofn_g, build_lincon_f):
             for k in (2, 3):
                 first, second = build(KofnSpec(k, comps)), build(KofnSpec(k, others))
-                assert first.pairs[0].layout is second.pairs[0].layout
-                assert first.pairs[0] is not second.pairs[0]
-                layouts[build, k] = first.pairs[0].layout
+                assert tuple(first.pairs)[0].layout is tuple(second.pairs)[0].layout
+                assert tuple(first.pairs)[0] is not tuple(second.pairs)[0]
+                layouts[build, k] = tuple(first.pairs)[0].layout
         assert len({id(layout) for layout in layouts.values()}) == 4
 
     def test_series_when_k_equals_n(self):
@@ -278,7 +278,7 @@ class TestIdenticalRun:
     def test_run_equals_distinct_ids(self, build, k, n, p):
         run = build(identical_kofn_spec(k, n, p, F(3, 2)))
         distinct = build(KofnSpec(k, distinct_identical_components(n, p, F(3, 2))))
-        assert len(run.pairs.runs) == 1 and len(run.pairs) == n
+        assert len(run.pairs.runs) == 1 and run.pairs.length == n
         assert single_pass(run) == single_pass(distinct)
 
     def test_each_position_is_an_independent_component(self):
@@ -302,6 +302,24 @@ class TestIdenticalRun:
     def test_spec_of_no_components_is_rejected(self):
         with pytest.raises(ReliabilityError, match="at least one component"):
             identical_kofn_spec(1, 0, F(1, 2), F(1))
+
+    @pytest.mark.parametrize("args, message", [
+        ((2, 5, "x", 1), "p='x' is not a number"),
+        ((2, 5, "0.9", None), "lam=None is not a number"),
+        ((2, 2.5, "0.9", 1), "n=2.5 is not an integer"),
+        ((2.5, 5, "0.9", 1), "k=2.5 is not an integer"),
+    ])
+    def test_identical_spec_names_a_value_that_does_not_read(self, args, message):
+        with pytest.raises(ReliabilityError) as info:
+            identical_kofn_spec(*args)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("k, message", [(2.5, "k=2.5 is not an integer"), ("2", "k='2' is not an integer")])
+    def test_spec_names_a_k_that_does_not_read(self, k, message):
+        comps = distinct_identical_components(3, F(1, 2), F(1))
+        with pytest.raises(ReliabilityError) as info:
+            KofnSpec(k, comps)
+        assert str(info.value) == message
 
 
 class TestHighlyReliable:

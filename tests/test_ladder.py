@@ -195,8 +195,8 @@ class TestSmallLaddersByHand:
 
 
 class TestIdenticalParams:
-    """LadderIdenticalParams reads its values as the other builders do: p,
-    rho, lam and xi by ``as_exact``, n by ``operator.index``."""
+    """LadderIdenticalParams reads its values as the other builders do, by
+    ``read_field``: p, rho, lam and xi by ``as_exact``, n by ``operator.index``."""
 
     def test_values_are_read_as_exact_numbers(self):
         params = LadderIdenticalParams("0.9", 1, "1/3", 0.5, 5)
@@ -227,6 +227,28 @@ class TestIdenticalParams:
     def test_range_messages(self, values, message):
         with pytest.raises(ReliabilityError, match=re.escape(message)):
             LadderIdenticalParams(*values)
+
+
+class TestSpecGuards:
+    def test_a_ladder_needs_cell_0(self):
+        with pytest.raises(ReliabilityError, match="ladder needs at least cell 0"):
+            LadderSpec(())
+
+    def test_cell_0_has_no_bottom_rail(self):
+        cell = entry_cell(Component("b0", F(1, 2)), Component("S0", F(1)), Component("T0", F(1)))
+        railed = LadderCell(a=cell.a, b=cell.b, c=Component("c0", F(1, 2), F(1)), S=cell.S, T=cell.T)
+        with pytest.raises(ReliabilityError, match=re.escape("cell 0 must have no bottom rail (c=0)")):
+            LadderSpec((railed,))
+
+    def test_oracle_needs_distinct_ids(self):
+        spec = identical_ladder_spec(LadderIdenticalParams(F(9, 10), F(1), F(1), F(0), 2))
+        with pytest.raises(ReliabilityError, match="oracle requires distinct component ids per cell"):
+            ladder_structure(spec)
+
+    @pytest.mark.parametrize("mode", ["exact", "approx"])
+    def test_closed_form_of_absent_edges_is_zero(self, mode):
+        r_s, r_t = ladder_closed_form(LadderIdenticalParams(F(0), F(9, 10), F(1), F(1), 3), mode)
+        assert (r_s, r_t) == (0, 0) and type(r_s) is type(r_t) is (F if mode == "exact" else float)
 
 
 class TestClosedForm:
@@ -345,7 +367,7 @@ class TestPoweredRuns:
         params = LadderIdenticalParams(0.9, 1.0, 1.0, 0.0, n)
         system = build_ladder(identical_ladder_spec(params, TERMINAL_T))
         # the chain is held as two runs, cell 0 and n shared cells, never expanded
-        assert len(system.pairs) == n + 1
+        assert system.pairs.length == n + 1
         assert len(system.pairs.runs) == 2
         report = single_pass(system, mode="approx")
         assert len(calls) <= 2 * n.bit_length()

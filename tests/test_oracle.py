@@ -25,6 +25,14 @@ from relfreq.oracle import (
 
 
 class TestStructureFunctions:
+    def test_k_out_of_range_rejected(self):
+        with pytest.raises(OracleError, match="k=2 out of range for n=1"):
+            kofn_g_structure(["a"], 2)
+
+    def test_terminal_that_is_not_a_node_rejected(self):
+        with pytest.raises(OracleError, match="source and terminal must be nodes"):
+            connectivity_structure(["e"], ["s", "t"], [("e", "s", "t")], source="s", terminal="x")
+
     def test_duplicate_ids_rejected(self):
         with pytest.raises(OracleError):
             StructureFunction(("a", "a"), lambda cols, full: full)

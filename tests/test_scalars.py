@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relfreq.core import ReliabilityReport
-from relfreq.scalars import parse_scalar, rational_str
+from relfreq.scalars import check_mode, parse_scalar, rational_str
 
 
 def digit_limit():
@@ -111,3 +111,9 @@ def test_long_whole_and_fraction_parts_parse_each_under_the_limit(digit_limit_43
     digits parse although their 6000 digits together exceed the limit."""
     text = "1" * 3000 + "." + "2" * 3000
     assert parse_scalar(text) == F(text)
+
+
+def test_an_unknown_mode_is_rejected():
+    assert check_mode("approx") == "approx"
+    with pytest.raises(ValueError, match="unknown mode 'fast'"):
+        check_mode("fast")

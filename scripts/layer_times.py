@@ -26,8 +26,9 @@ stream workload builds them: the compile and the advance of one cell.
 It sums the least time of each batch of ``BATCH`` calls over
 ``REPEATS`` folds.  ``first_compile`` is, for the ladder cell's layout
 and the k-of-n:G layout in each mode, the best time of a pair's first
-compile from an empty kernel cache: what generating the layout's kernel
-adds, once per process, to its first compile.  ``distinct_coefficient_pairs``
+compile and its layout's advance from empty kernel and advance caches:
+what generating the layout's two kernels adds, once per process, to its
+first use.  ``distinct_coefficient_pairs``
 gives, for each mode, the kernels generated and the best seconds taken
 to compile the 200 pairs of a custom-matrices config from an empty
 kernel cache, each time built afresh: 3x3 pairs over x_i and x_{i+1} of
@@ -131,17 +132,20 @@ def stream_step_time(cells):
 
 
 def first_compile_time(system, mode):
-    """Best seconds of the first compile of the system's last pair, each
-    time bound to a new layout equal to its own with the kernel cache
-    emptied, so that the compile generates the kernel."""
+    """Best seconds of the first compile of the system's last pair and of
+    reading its layout's advance, each time bound to a new layout equal to
+    its own with the kernel and advance caches emptied, so that both
+    kernels are generated."""
     pair = system.pairs.runs[-1][0]
     layout, assignment = pair.layout, system.default_assignment()
     best = float("inf")
     for _ in range(REPEATS):
         core._kernel.cache_clear()
+        core._advance_kernel.cache_clear()
         fresh = MatrixPair(Layout(layout.dim, layout.rows, layout.polys), pair.ids)
         start = time.perf_counter()
         core._compile(fresh, assignment, mode)
+        getattr(fresh.layout, f"{mode}_advance")
         best = min(best, time.perf_counter() - start)
     return best
 

@@ -13,6 +13,7 @@ import io
 import json
 import sys
 from contextlib import nullcontext, suppress
+from functools import lru_cache
 from typing import Optional
 
 from . import asymptotics
@@ -330,15 +331,29 @@ def _sweep_point(args, fixed: dict, param: str, value):
     return row
 
 
+# sweep options that apply to some families only, and their defaults: --k
+# to kofn-g and lincon-f, the others to the ladder
+FAMILY_OPTIONS = {"k": 2, "rho": "1", "xi": "0", "terminal": TERMINAL_T}
+
+
 def cmd_sweep(args) -> int:
     try:
         values = _parse_range(args.range, integral=(args.param == "n"))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    if args.param == "rho" and args.family != "ladder":
+    ladder = args.family == "ladder"
+    if args.param == "rho" and not ladder:
         print("error: rho only applies to the ladder family", file=sys.stderr)
         return EXIT_PARSE
+    # an option that changes nothing for the family is refused, not ignored
+    for name, default in FAMILY_OPTIONS.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
+        elif (name == "k") == ladder:
+            families = "kofn-g and lincon-f" if name == "k" else "the ladder family"
+            print(f"error: --{name} only applies to {families}", file=sys.stderr)
+            return EXIT_PARSE
     fixed = {"n": args.n}
     for name in ("p", "rho", "lam", "xi"):
         try:
@@ -385,7 +400,10 @@ def cmd_verify(args) -> int:
     return EXIT_MISMATCH
 
 
+@lru_cache(maxsize=None)
 def make_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: ``parse_args``
+    leaves it as it is and makes a new namespace per call."""
     parser = argparse.ArgumentParser(
         prog="relfreq",
         description="Exact availability and failure frequency via transfer matrices",
@@ -403,13 +421,13 @@ def make_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--param", choices=["p", "rho", "n"], required=True)
     p_sweep.add_argument("--range", required=True, help="a:b:step")
     p_sweep.add_argument("--out", help="CSV output path (default stdout)")
-    p_sweep.add_argument("--k", type=int, default=2)
+    p_sweep.add_argument("--k", type=int)
     p_sweep.add_argument("--n", type=int, default=5)
     p_sweep.add_argument("--p", default="0.9")
-    p_sweep.add_argument("--rho", default="1")
+    p_sweep.add_argument("--rho")
     p_sweep.add_argument("--lam", default="1")
-    p_sweep.add_argument("--xi", default="0")
-    p_sweep.add_argument("--terminal", choices=[TERMINAL_S, TERMINAL_T], default=TERMINAL_T)
+    p_sweep.add_argument("--xi")
+    p_sweep.add_argument("--terminal", choices=[TERMINAL_S, TERMINAL_T])
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_verify = sub.add_parser("verify", help="randomized oracle-equivalence check")

@@ -31,7 +31,10 @@ terms the first time a layout of that shape is compiled in a mode and
 bound to each layout's coefficients as data, whose straight-line code
 reads each bound id and builds each slot's dual value (x, y), by
 variable index.  The step keeps the layout's own ``(col, slot)`` rows, so
-a k-of-n matrix's 2k - 1 positions read two duals.
+a k-of-n matrix's 2k - 1 positions read two duals, and it advances the
+state by its layout's advance kernel, generated from those rows once per
+rows and mode, in straight-line code.  A product of steps advances it by
+a loop over its rows, since its rows depend on its values.
 A run of r references to one pair is the dual power (M + eps M')^r, taken
 by squaring: O(log r) steps.  An exact state grows with the chain, so once
 it is large the fold applies a block of dense single steps as their
@@ -317,7 +320,10 @@ class Layout:
     :func:`_kernel_source`) from its own coefficients, and kept on the
     layout.  Factories are cached by shape and mode, so layouts whose terms
     differ only in coefficients or rows, such as every k-of-n:G layout of
-    k >= 2, share one generated function.  Nothing is generated at import
+    k >= 2, share one generated function.  The fold advances the state by
+    a step compiled from the layout through the layout's advance for its
+    mode, generated from its rows (see :func:`_advance_source`), cached by
+    rows and mode and kept on the layout.  Nothing is generated at import
     or for a mode that is never compiled.
     """
 
@@ -366,6 +372,18 @@ class Layout:
         """The approx kernel, bound at this layout's first approx compile,
         so exact mode converts no coefficient to a float."""
         return self._bind(APPROX)
+
+    @cached_property
+    def exact_advance(self):
+        """The exact advance of a step compiled from this layout (see
+        :func:`_advance_source`), read at the layout's first exact fold, so
+        that its rows are hashed once per layout and mode."""
+        return _advance_kernel(self.rows, EXACT)
+
+    @cached_property
+    def approx_advance(self):
+        """The approx advance of a step compiled from this layout."""
+        return _advance_kernel(self.rows, APPROX)
 
     def _bind(self, mode: str):
         """The kernel of this layout in ``mode``: the factory of its term
@@ -941,8 +959,13 @@ def _product(steps: List[Step], mode: str) -> Step:
 
 
 def _advance(step: Step, a, v, mode: str):
-    """(values of M a, values of M v + M' a) for one compiled step: the dual
-    product (M + eps M')(a + eps v), each a[j] read once per position.
+    """(values of M a, values of M v + M' a) for a product of steps: the
+    dual product (M + eps M')(a + eps v), each a[j] read once per position.
+    A step compiled from a layout is advanced by its layout's generated
+    advance instead (see :func:`_advance_source`), which computes the same
+    numbers; a product's rows depend on its values, since a sparse product
+    keeps only its nonzero positions, so no finite set of kernels covers
+    them.
 
     An approx row sum starts from 0.0, so an empty row gives 0.0 and a row
     of -0.0 products 0.0, and every value is a float.  An exact row sum
@@ -977,6 +1000,49 @@ def _advance(step: Step, a, v, mode: str):
     return new_a, new_v
 
 
+# A generated row sum adds at most ROW_TERMS positions per statement, so
+# that no expression nests deeper than the compiler accepts.
+ROW_TERMS = 200
+
+
+def _advance_source(rows, mode: str) -> str:
+    """Source of ``advance(duals, a, v)``, the :func:`_advance` of a step
+    with these ``rows`` and one dual per slot, in straight-line code: it
+    unpacks the duals, a and v into locals once and writes each row's x
+    and y as one sum.  An exact sum starts from its first product and an
+    empty row is the int 0.  An approx sum keeps the loop's float
+    operations: x = 0.0 + m_s a_j + m_t a_k ... left to right, and
+    y = 0.0 + (m_s v_j + n_s a_j) + ..., so an empty row is 0.0 and -0.0
+    products sum to 0.0.  A row of more than ``ROW_TERMS`` positions goes
+    on in further statements, x = x + ..., which changes no operation."""
+    exact = mode == EXACT
+    slots = 1 + max((s for row in rows for _, s in row), default=-1)
+    body = [f"({''.join(f'(m{s}, n{s}), ' for s in range(slots))}) = duals",
+            f"{''.join(f'a{j}, ' for j in range(len(rows)))}= a",
+            f"{''.join(f'v{j}, ' for j in range(len(rows)))}= v"]
+    for r, row in enumerate(rows):
+        for name, term in ((f"x{r}", "m{s} * a{j}"), (f"y{r}", "(m{s} * v{j} + n{s} * a{j})")):
+            sums = [" + ".join(term.format(s=s, j=j) for j, s in row[i:i + ROW_TERMS])
+                    for i in range(0, len(row), ROW_TERMS)]
+            start = "0" if exact else "0.0"
+            if sums:
+                start = sums[0] if exact else f"0.0 + {sums[0]}"
+            body.append(f"{name} = {start}")
+            body.extend(f"{name} = {name} + {more}" for more in sums[1:])
+    out = [", ".join(f"{name}{r}" for r in range(len(rows))) for name in "xy"]
+    return ("def advance(duals, a, v):\n" + "".join(f"    {line}\n" for line in body)
+            + f"    return [{out[0]}], [{out[1]}]\n")
+
+
+@lru_cache(maxsize=256)
+def _advance_kernel(rows, mode: str):
+    """The advance of :func:`_advance_source`, compiled once per distinct
+    rows and mode, so layouts of equal rows share it."""
+    namespace = {}
+    exec(compile(_advance_source(rows, mode), f"<relfreq {mode} advance>", "exec"), namespace)
+    return namespace["advance"]
+
+
 # Exact mode folds dense single steps in blocks once the state's scale has
 # more bits than BLOCK_FROM_BITS.  A block holds at least BLOCK_MIN_STEPS
 # steps and grows until its scale bits reach 1/BLOCK_RATIO of the state's.
@@ -994,7 +1060,9 @@ def _fold(
 
     Each distinct pair object is checked against the state's dimension and
     compiled once per call, in run order; a run of r references to it
-    advances through the powers step^(2^i) of the set bits of r.  A step
+    advances through the powers step^(2^i) of the set bits of r.  The
+    compiled step is applied by its layout's generated advance, and a
+    power or block, a product, by :func:`_advance`.  A step
     multiplies the state's scale by its own and adds its exponent, so
     nothing is divided.
 
@@ -1018,16 +1086,19 @@ def _fold(
     mode, dim = state.mode, len(state.a_vec)
     a, v, index, exponent = state.a_vec, state.v_vec, state.index, state.exponent
     scale = state.scale
-    powers = {}  # id(pair) -> [step, step^2, step^4, ...]
+    powers = {}  # id(pair) -> (the layout's advance, [step, step^2, step^4, ...])
     block, block_bits = [], 0  # dense single steps not yet applied, and their scale bits
     for pair, r in runs:
-        steps = powers.get(id(pair))
-        if steps is None:
+        compiled = powers.get(id(pair))
+        if compiled is None:
             if pair.dim != dim:
                 raise DimensionMismatchError(
                     f"matrix shape ({pair.dim}, {pair.dim}) incompatible with state dimension {dim}"
                 )
-            steps = powers[id(pair)] = [_compile(pair, assignment, mode)]
+            layout = pair.layout
+            compiled = powers[id(pair)] = (layout.exact_advance if mode == EXACT else layout.approx_advance,
+                                           [_compile(pair, assignment, mode)])
+        advance, steps = compiled
         index += r
         if block or scale.bit_length() > BLOCK_FROM_BITS:
             blocked = r == 1 and mode == EXACT and pair.layout.dense
@@ -1048,7 +1119,7 @@ def _fold(
                 steps.append(_mul(steps[-1], steps[-1], mode))
             if r >> bit & 1:
                 step = steps[bit]
-                a, v = _advance(step, a, v, mode)
+                a, v = advance(step.duals, a, v) if bit == 0 else _advance(step, a, v, mode)
                 scale *= step.scale
                 exponent += step.exponent
                 if mode != EXACT:

@@ -20,13 +20,14 @@ from relfreq.cli import (
     ConfigError,
     build_from_config,
     main,
+    make_parser,
 )
 import relfreq.cli
 import relfreq.verify
 from relfreq import asymptotics
 from relfreq.asymptotics import asymptotic_rate
 from relfreq.core import MultilinearPoly, ReliabilityError, TransferSystem, single_pass
-from relfreq.kofn import build_kofn_g, build_lincon_f
+from relfreq.kofn import build_kofn_g, build_lincon_f, identical_kofn_spec
 from relfreq.oracle import StructureFunction, kofn_g_structure, lincon_f_structure, oracle_solve
 from relfreq.scalars import parse_scalar
 from relfreq.verify import run_equivalence_trials
@@ -780,6 +781,34 @@ class TestSweepCommand:
             ["sweep", "--family", "kofn-g", "--param", "rho", "--range", "0.1:0.9:0.4"]
         )
         assert code == EXIT_PARSE
+
+    @pytest.mark.parametrize("family, option, value, families", [
+        ("ladder", "--k", "3", "kofn-g and lincon-f"),
+        ("kofn-g", "--rho", "0.5", "the ladder family"),
+        ("lincon-f", "--xi", "3", "the ladder family"),
+        ("kofn-g", "--terminal", "Sn", "the ladder family"),
+    ])
+    def test_an_option_that_changes_nothing_for_the_family_exits_2(
+            self, capsys, family, option, value, families):
+        code = main(["sweep", "--family", family, "--param", "p", "--range", "0.5:0.6:0.1", option, value])
+        assert code == EXIT_PARSE
+        assert capsys.readouterr() == ("", f"error: {option} only applies to {families}\n")
+
+
+class TestParser:
+    def test_built_once_per_process(self):
+        assert make_parser() is make_parser()
+
+    def test_a_bad_call_leaves_the_parser_as_it_was(self, capsys):
+        argv = ["sweep", "--family", "kofn-g", "--param", "p", "--range", "0.5:0.9:0.4", "--k", "2", "--n", "4"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv[:-4] + ["--k", "two", "--terminal", "Xn"])
+        assert exc.value.code == EXIT_PARSE and "--k: invalid int value: 'two'" in capsys.readouterr().err
+        assert main(argv) == EXIT_OK
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        expected = [single_pass(build_kofn_g(identical_kofn_spec(2, 4, p, F(1))), mode="approx").availability
+                    for p in (F(1, 2), F(9, 10))]
+        assert [(r["p"], float(r["A"])) for r in rows] == [("0.5", expected[0]), ("0.9", expected[1])]
 
 
 class TestVerifyCommand:

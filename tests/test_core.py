@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import relfreq.core
 import relfreq.kofn
 import relfreq.ladder
-from relfreq.cli import build_from_config
+from relfreq.cli import build_from_config, main
 from relfreq.core import (
     Component,
     DimensionMismatchError,
@@ -1402,25 +1402,42 @@ def kernel_code(layout, mode):
     return getattr(layout, f"{mode}_kernel").__code__
 
 
+class Generated(list):
+    """The (shape, mode) of each compile kernel generated, in order, and in
+    ``advances`` the (rows, mode) of each advance kernel."""
+
+    def __init__(self):
+        super().__init__()
+        self.advances = []
+
+
 class TestKernels:
     """A kernel is generated once per term shape and mode and bound to each
     layout's own coefficients, so every layout of one shape shares one
-    generated function."""
+    generated function; an advance kernel is generated once per rows and
+    mode, and only for a layout's rows."""
 
     @pytest.fixture
     def generated(self, monkeypatch):
-        """The (shape, mode) of each kernel generated, in order, from an
-        empty kernel cache and with the builders' layouts made afresh, so
+        """The kernels generated, as :class:`Generated`, from empty kernel
+        and advance caches and with the builders' layouts made afresh, so
         that none holds a kernel yet."""
-        calls = []
-        source = relfreq.core._kernel_source
+        calls = Generated()
+        source, advance_source = relfreq.core._kernel_source, relfreq.core._advance_source
 
         def counting(shape, mode):
             calls.append((shape, mode))
             return source(shape, mode)
 
+        def counting_advance(rows, mode):
+            calls.advances.append((rows, mode))
+            return advance_source(rows, mode)
+
         monkeypatch.setattr(relfreq.core, "_kernel_source", counting)
         monkeypatch.setattr(relfreq.core, "_kernel", lru_cache(maxsize=256)(relfreq.core._kernel.__wrapped__))
+        monkeypatch.setattr(relfreq.core, "_advance_source", counting_advance)
+        monkeypatch.setattr(relfreq.core, "_advance_kernel",
+                            lru_cache(maxsize=256)(relfreq.core._advance_kernel.__wrapped__))
         monkeypatch.setattr(relfreq.kofn, "_layout", lru_cache(maxsize=256)(relfreq.kofn._layout.__wrapped__))
         cell = relfreq.ladder._CELL_LAYOUT
         monkeypatch.setattr(relfreq.ladder, "_CELL_LAYOUT", Layout(cell.dim, cell.rows, cell.polys))
@@ -1434,10 +1451,29 @@ class TestKernels:
             state = stream_step(state, pair, assignment)
         assert state.index == 1000 and finalize(system, state).availability > 0
         assert [mode for _, mode in generated] == ["approx"]
+        assert generated.advances == [(relfreq.ladder._CELL_LAYOUT.rows, "approx")]
         assert run_equivalence_trials(200) is None
         # k-of-n:G, lincon-F and ladders in exact mode, each shape once
         assert len(generated) == len(set(generated)) > 3
         assert all(mode == "exact" for _, mode in generated[1:])
+        # and each rows shape once
+        assert len(generated.advances) == len(set(generated.advances)) > 3
+        assert all(mode == "exact" for _, mode in generated.advances[1:])
+
+    def test_an_identical_sweep_generates_no_kernel_for_its_products(self, generated, tmp_path):
+        # n = 1000 is 0b1111101000: each row applies only squared steps
+        argv = ["sweep", "--family", "kofn-g", "--param", "p", "--range", "0.5:0.9:0.1",
+                "--k", "10", "--n", "1000", "--out", str(tmp_path / "sweep.csv")]
+        for _ in range(2):
+            assert main(argv) == 0
+        assert generated.advances == [(relfreq.kofn._layout("kofn-g", 10).rows, "approx")]
+        assert [mode for _, mode in generated] == ["approx"]
+
+    def test_import_generates_no_kernel(self):
+        proc = run_python("-c", "import relfreq, relfreq.cli, relfreq.core as core; "
+                          "print(core._kernel.cache_info().misses, core._advance_kernel.cache_info().misses)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "0 0\n"
 
     def test_layouts_of_one_shape_share_one_kernel(self, generated):
         layouts = [relfreq.kofn._layout("kofn-g", k) for k in range(2, 13)]
@@ -1534,6 +1570,18 @@ def empty_row_case(mode, a, v):
     return step, a, v, mode
 
 
+def assert_is_reference_advance(new, case):
+    """``new``, a generated advance of the (step, a, v, mode) ``case``, is
+    the reference advance bit for bit, each int zero of an empty row in
+    approx mode read as 0.0."""
+    step, a, v, mode = case
+    ref = reference_advance(step, a, v)
+    if mode == "approx":
+        assert all(type(x) is float for x in chain(*new))
+        ref = [[float(x) for x in vec] for vec in ref]
+    assert [list(map(number_bits, vec)) for vec in new] == [list(map(number_bits, vec)) for vec in ref]
+
+
 def checked_normalise(skips):
     """``_normalise`` that requires lists of floats in and, by bits, the
     per-entry ``ldexp`` reference's floats out, and appends to ``skips``
@@ -1570,6 +1618,28 @@ class TestArithmeticOnly:
             assert all(type(x) is float for x in chain(*new))
             ref = [[float(x) for x in vec] for vec in ref]
         assert [list(map(number_bits, vec)) for vec in new] == [list(map(number_bits, vec)) for vec in ref]
+
+    @given(advance_cases())
+    @example(empty_row_case("exact", [5, 2**200], [0, -3]))
+    @example(empty_row_case("approx", [-0.0, 0.0], [0.0, -0.0]))
+    @example(empty_row_case("approx", [0.75, 0.0], [-0.0, 0.5]))
+    @settings(max_examples=300, deadline=None)
+    def test_layout_advance_equals_the_reference_advance(self, case):
+        # the path the fold takes for a compiled step, whose rows are its layout's
+        step, a, v, mode = case
+        assert_is_reference_advance(relfreq.core._advance_kernel(step.rows, mode)(step.duals, a, v), case)
+
+    @pytest.mark.parametrize("mode", ["exact", "approx"])
+    def test_a_row_of_3000_positions_advances(self, mode):
+        # one sum of 3000 positions nests deeper than the compiler accepts,
+        # so the generated row goes on in further statements
+        dim = 3000
+        layout = Layout(dim, ((tuple((c, 0) for c in range(dim)),) + ((),) * (dim - 1)), ({(0,): 1},))
+        step = relfreq.core._compile(MatrixPair(layout, ("x",)), {"x": (F(1, 3), F(2))}, mode)
+        rng = random.Random(3000)
+        a, v = ([rng.randint(-9, 9) if mode == "exact" else rng.uniform(-1, 1) for _ in range(dim)]
+                for _ in range(2))
+        assert_is_reference_advance(getattr(layout, f"{mode}_advance")(step.duals, a, v), (step, a, v, mode))
 
     def test_every_rescale_of_a_fold_reads_and_gives_floats(self):
         # a run of the empty-row pair is squared by _mul in single_pass and

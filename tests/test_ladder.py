@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import relfreq.core
 from relfreq.asymptotics import asymptotic_rate
-from relfreq.core import Component, MultilinearPoly, ReliabilityError, single_pass
+from relfreq.core import Component, Layout, MultilinearPoly, ReliabilityError, single_pass
 from relfreq.ladder import (
     LadderCell,
     LadderIdenticalParams,
@@ -356,14 +356,24 @@ class TestPoweredRuns:
 
     @pytest.mark.parametrize("n", [10**6, 10**12])
     def test_long_run_advances_in_logarithmically_many_steps(self, monkeypatch, n):
-        advance = relfreq.core._advance
+        # every application counts: a product's by _advance, a compiled
+        # step's by its layout's advance, which a property on Layout
+        # reaches even where a layout already holds its own
+        advance, kernel = relfreq.core._advance, relfreq.core._advance_kernel
         calls = []
 
         def counted(step, a, v, mode):
             calls.append(step)
             return advance(step, a, v, mode)
 
+        def counted_kernel(layout):
+            def call(duals, a, v):
+                calls.append(duals)
+                return kernel(layout.rows, "approx")(duals, a, v)
+            return call
+
         monkeypatch.setattr(relfreq.core, "_advance", counted)
+        monkeypatch.setattr(Layout, "approx_advance", property(counted_kernel))
         params = LadderIdenticalParams(0.9, 1.0, 1.0, 0.0, n)
         system = build_ladder(identical_ladder_spec(params, TERMINAL_T))
         # the chain is held as two runs, cell 0 and n shared cells, never expanded
@@ -371,4 +381,6 @@ class TestPoweredRuns:
         assert len(system.pairs.runs) == 2
         report = single_pass(system, mode="approx")
         assert len(calls) <= 2 * n.bit_length()
+        # cell 0, then one advance per set bit of n
+        assert len(calls) == 1 + bin(n).count("1")
         assert report.failure_rate == pytest.approx(asymptotic_rate(0.9, n, 1.0), rel=1e-6)
